@@ -2,15 +2,14 @@
 
 Run modes (see ``conftest.bench_full``):
 
-* smoke (default, <30 s) — times n in {300, 600} with all three engines,
+* smoke (default, <30 s) — times n in {300, 600} with both engines,
   writes the record to ``benchmarks/results/`` and leaves the committed
   baseline untouched.
 * full (``REPRO_BENCH_FULL=1``) — times n in {500, 1000, 2000, 4000}
   (reference engine up to 2000; larger rows carry the explicit
-  ``reference_skipped`` marker), asserts the flat engine's >=5x
-  agglomeration speedup over reference at n=2000 and the arena engine's
-  >=2x speedup over flat at n=4000, and rewrites the committed
-  ``BENCH_engine.json`` baseline at the repository root.
+  ``reference_skipped`` marker), asserts the arena engine's >=10x
+  agglomeration speedup over reference at n=2000, and rewrites the
+  committed ``BENCH_engine.json`` baseline at the repository root.
 
 ``test_engine_perf_gate`` re-measures the gate size and fails when the
 agglomeration, labelling or neighbour-backend time (vectorized and
@@ -51,7 +50,7 @@ GATE_SIZE = 500
 
 
 def _render(payload: dict) -> str:
-    lines = ["[ENGINE] flat vs reference vs arena agglomeration benchmark"]
+    lines = ["[ENGINE] arena vs reference agglomeration benchmark"]
     lines.append(
         "workload: market-basket, theta=%s, clusters=%d"
         % (payload["theta"], payload["n_clusters_requested"])
@@ -62,9 +61,7 @@ def _render(payload: dict) -> str:
             "neighbors(vectorized) %.3fs" % row["neighbors_vectorized_s"],
             "neighbors(blocked) %.3fs" % row["neighbors_blocked_s"],
             "links %.3fs" % row["links_s"],
-            "agglomerate(flat) %.3fs" % row["agglomerate_flat_s"],
             "agglomerate(arena) %.3fs" % row["agglomerate_arena_s"],
-            "arena-speedup %.1fx" % row["agglomerate_arena_speedup"],
         ]
         if "agglomerate_reference_s" in row:
             parts.append("agglomerate(reference) %.3fs" % row["agglomerate_reference_s"])
@@ -104,22 +101,18 @@ def test_benchmark_engine_phases(results_dir):
     for row in payload["sizes"]:
         if "agglomerate_speedup" in row:
             assert row["agglomerate_speedup"] > 1.0, (
-                "flat engine slower than reference at n=%d" % row["n"]
+                "arena engine slower than reference at n=%d" % row["n"]
             )
     if full:
-        at_2000 = next(row for row in payload["sizes"] if row["n"] == 2000)
-        assert at_2000["agglomerate_speedup"] >= 5.0, (
-            "flat engine speedup at n=2000 fell below 5x: %.2fx"
-            % at_2000["agglomerate_speedup"]
-        )
         # The arena engine's headline claim (same-process ratio, so it
         # holds on any machine); the dedicated merge-loop gate lives in
         # bench_agglomerate.py and runs in every CI smoke job.
-        at_4000 = next(row for row in payload["sizes"] if row["n"] == 4000)
-        assert at_4000["agglomerate_arena_speedup"] >= 2.0, (
-            "arena engine speedup at n=4000 fell below 2x: %.2fx"
-            % at_4000["agglomerate_arena_speedup"]
+        at_2000 = next(row for row in payload["sizes"] if row["n"] == 2000)
+        assert at_2000["agglomerate_speedup"] >= 10.0, (
+            "arena engine speedup at n=2000 fell below 10x: %.2fx"
+            % at_2000["agglomerate_speedup"]
         )
+        at_4000 = next(row for row in payload["sizes"] if row["n"] == 4000)
         # The blocked backend only computes the upper triangle and keeps
         # its COO intermediate bounded, so at the size where the one-shot
         # product dominates it must be measurably faster.  The 0.9 factor
@@ -146,7 +139,7 @@ def test_engine_perf_gate(results_dir):
     # The absolute wall-clock checks are machine-specific (the baseline was
     # recorded on one machine); each phase therefore has a relative signal
     # measured in the same process that divides machine speed out: the
-    # flat/reference speedup for the agglomeration, the label/neighbors
+    # arena/reference speedup for the agglomeration, the label/neighbors
     # time ratio for the labelling.  Only flag a phase when both of its
     # signals trip: a uniformly slower machine preserves the ratios, a
     # genuine hot-path regression breaks them.
@@ -160,17 +153,8 @@ def test_engine_perf_gate(results_dir):
     softened = []
     for absolute, relative in (
         (
-            check_phase_regressions(current, baseline, metrics=("agglomerate_flat_s",)),
-            check_speedup_regression(current, baseline),
-        ),
-        # Arena merge loop: its machine-robust signal is the arena/flat
-        # time ratio measured in the same process.
-        (
             check_phase_regressions(current, baseline, metrics=("agglomerate_arena_s",)),
-            check_ratio_regression(
-                current, baseline,
-                metric="agglomerate_arena_s", reference_metric="agglomerate_flat_s",
-            ),
+            check_speedup_regression(current, baseline),
         ),
         (
             check_phase_regressions(current, baseline, metrics=("label_s",)),

@@ -31,9 +31,7 @@ BATCH_SIZES = (64, 256, 1024)
 
 def _cluster_sample(n_sample: int):
     transactions = engine_workload(n_sample, rng=0)
-    model = RockClustering(
-        n_clusters=BENCH_CLUSTERS, theta=BENCH_THETA, engine="flat"
-    )
+    model = RockClustering(n_clusters=BENCH_CLUSTERS, theta=BENCH_THETA)
     result = model.fit(transactions).result_
     return transactions, result.clusters
 

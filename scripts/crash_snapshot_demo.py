@@ -71,7 +71,7 @@ def recover(directory: str) -> int:
     store = PersistentSession.resume(directory)
     reference = _session()
     assert (store.session.links_ != reference.links_).nnz == 0
-    assert store.session._members == reference._members
+    assert store.session.live_clusters() == reference.live_clusters()
     assert store.session.rng.bit_generator.state == reference.rng.bit_generator.state
     for batch in BATCHES:
         assert store.ingest(batch).labels.tolist() == (

@@ -76,7 +76,7 @@ class RuleContext:
     """Everything a rule may inspect about one source file."""
 
     path: str
-    #: Dotted module name (``repro.core.engine``); fixture tests override it.
+    #: Dotted module name (``repro.core.engine_arena``); fixture tests override it.
     module: str
     source: str
     tree: ast.Module

@@ -63,9 +63,9 @@ NAME_REGISTRIES: tuple[NameRegistry, ...] = (
     ),
     NameRegistry(
         label="agglomeration engine",
-        names=frozenset({"flat", "reference", "arena"}),
-        # "repro.core.engine" prefix-covers the registry (engines), the
-        # flat engine (engine) and the arena engine (engine_arena).
+        names=frozenset({"reference", "arena"}),
+        # "repro.core.engine" prefix-covers the registry (engines) and the
+        # arena engine (engine_arena).
         home_prefixes=("repro.core.rock", "repro.core.engine"),
     ),
     NameRegistry(

@@ -1,64 +1,26 @@
-"""Merge-loop microbenchmark: arena vs flat agglomeration engines.
+"""Merge-loop microbenchmark: the arena engine against the reference spec.
 
 Unlike :mod:`repro.bench.engine_bench`, which times every pipeline phase,
 this module isolates the agglomeration merge loop: the link matrix is
 built once and each engine is timed on ``agglomerate`` alone (best of
-``repeats``), alongside the loop's work counters — the arena engine
-reports its native counters (selection scans, stale-bound reworks,
-frontier sizes, arena bookkeeping) and the flat engine's heap traffic is
-observed by swapping a counting proxy in for its ``heapq`` module global.
-Both engines' merge histories are asserted bit-identical before any
-number is reported, so the benchmark cannot quietly time two different
-clusterings; the driver (``benchmarks/bench_agglomerate.py``) gates the
-arena engine at >= 2x the flat engine's merge-loop time at n=4000.
+``repeats``), alongside the arena engine's native work counters
+(selection scans, stale-bound reworks, frontier sizes, arena bookkeeping).
+When the quadratic-cost reference engine is included its merge history is
+asserted bit-identical to the arena's before any number is reported, so
+the benchmark cannot quietly time two different clusterings; the script
+(``benchmarks/bench_agglomerate.py``) gates the arena engine's speed-up
+over the reference at n=2000 and its n=4000 time against the committed
+``BENCH_engine.json`` baseline.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 
 from repro.bench.engine_bench import BENCH_CLUSTERS, BENCH_THETA, engine_workload
-from repro.core import engine as flat_engine_module
-from repro.core.engines import ARENA_ENGINE, FLAT_ENGINE, get_engine
+from repro.core.engines import ARENA_ENGINE, REFERENCE_ENGINE, get_engine
 from repro.core.links import links_from_neighbors
 from repro.core.neighbors import compute_neighbors
-
-
-class _CountingHeapq:
-    """Stand-in for the ``heapq`` module that counts every call.
-
-    The flat engine resolves ``heapq.heappush``/``heappop``/``heapify``
-    through its module global at run time, so swapping that global for
-    this proxy observes the engine's heap traffic without modifying it.
-    """
-
-    def __init__(self) -> None:
-        self.counts = {"heap_pushes": 0, "heap_pops": 0, "heapifies": 0}
-
-    def heappush(self, heap, item) -> None:
-        self.counts["heap_pushes"] += 1
-        heapq.heappush(heap, item)
-
-    def heappop(self, heap):
-        self.counts["heap_pops"] += 1
-        return heapq.heappop(heap)
-
-    def heapify(self, heap) -> None:
-        self.counts["heapifies"] += 1
-        heapq.heapify(heap)
-
-
-def flat_heap_counters(links, n_points: int, n_clusters: int, theta: float) -> dict:
-    """Run the flat engine once and return its heap-traffic counters."""
-    proxy = _CountingHeapq()
-    original = flat_engine_module.heapq
-    flat_engine_module.heapq = proxy  # type: ignore[assignment]
-    try:
-        get_engine(FLAT_ENGINE).agglomerate(links, n_points, n_clusters, theta)
-    finally:
-        flat_engine_module.heapq = original
-    return dict(proxy.counts)
 
 
 def _best_agglomerate_seconds(engine_name: str, links, n_points: int,
@@ -78,47 +40,60 @@ def merge_loop_bench(
     n_clusters: int = BENCH_CLUSTERS,
     repeats: int = 3,
     rng: int = 0,
+    include_reference: bool = False,
 ) -> dict:
-    """Time the merge loop of both fast engines on one prebuilt link matrix.
+    """Time the arena merge loop (and optionally the reference's) on one
+    prebuilt link matrix.
 
     Returns a row with the workload shape, the best-of-``repeats``
-    merge-loop seconds per engine, the arena-over-flat speedup, the flat
-    engine's heap counters and the arena engine's native counters (plus
-    the derived mean frontier size per merge).  Raises when the two
-    engines disagree on the merge history.
+    ``agglomerate_arena_s``, the arena engine's counters and the derived
+    mean frontier size per merge; with ``include_reference`` also
+    ``agglomerate_reference_s`` (best of ``repeats - 1``, at least one run)
+    and ``agglomerate_speedup`` (reference / arena).  The keys match
+    ``BENCH_engine.json`` rows, so the row feeds :mod:`repro.bench.perf_gate`
+    directly.  Raises when the two engines disagree on the merge history.
     """
     transactions = engine_workload(n, rng=rng)
     graph = compute_neighbors(transactions, theta=theta, strategy="blocked")
     links = links_from_neighbors(graph)
 
-    flat_run = get_engine(FLAT_ENGINE).agglomerate(links, n, n_clusters, theta)
     arena_run = get_engine(ARENA_ENGINE).agglomerate(links, n, n_clusters, theta)
-    if arena_run.merge_history != flat_run.merge_history:
-        raise AssertionError(
-            "engine mismatch at n=%d: arena and flat merge histories differ" % n
-        )
-
-    flat_seconds = _best_agglomerate_seconds(
-        FLAT_ENGINE, links, n, n_clusters, theta, repeats
-    )
     arena_seconds = _best_agglomerate_seconds(
         ARENA_ENGINE, links, n, n_clusters, theta, repeats
     )
     arena_counters = {key: int(value) for key, value in arena_run.counters.items()}
     merges = arena_counters.get("merges", 0)
-    return {
+    row = {
         "n": n,
         "theta": theta,
         "n_clusters_requested": n_clusters,
         "links_nnz": int(links.nnz),
-        "n_merges": len(flat_run.merge_history),
-        "stopped_early": bool(flat_run.stopped_early),
-        "flat_s": flat_seconds,
-        "arena_s": arena_seconds,
-        "arena_speedup": flat_seconds / arena_seconds,
-        "flat_counters": flat_heap_counters(links, n, n_clusters, theta),
+        "n_merges": len(arena_run.merge_history),
+        "stopped_early": bool(arena_run.stopped_early),
+        "agglomerate_arena_s": arena_seconds,
         "arena_counters": arena_counters,
         "mean_frontier": (
             arena_counters.get("frontier_total", 0) / merges if merges else 0.0
         ),
     }
+    if include_reference:
+        start = time.perf_counter()
+        reference_run = get_engine(REFERENCE_ENGINE).agglomerate(
+            links, n, n_clusters, theta
+        )
+        reference_seconds = time.perf_counter() - start
+        if reference_run.merge_history != arena_run.merge_history:
+            raise AssertionError(
+                "engine mismatch at n=%d: arena and reference merge histories "
+                "differ" % n
+            )
+        if repeats > 2:
+            reference_seconds = min(
+                reference_seconds,
+                _best_agglomerate_seconds(
+                    REFERENCE_ENGINE, links, n, n_clusters, theta, repeats - 2
+                ),
+            )
+        row["agglomerate_reference_s"] = reference_seconds
+        row["agglomerate_speedup"] = reference_seconds / arena_seconds
+    return row

@@ -10,10 +10,9 @@ The workload is a tight-cluster market-basket shape (eight latent groups
 whose baskets share most of a small item pool), the regime ROCK targets:
 at ``theta = 0.5`` the in-cluster Jaccard similarities clear the threshold,
 giving a link graph dense enough to exercise the agglomeration engines
-properly.  Every timed engine's merge history is asserted bit-identical to
-the flat engine's (arena at every size, reference up to ``reference_max``),
-so every benchmark run doubles as an equivalence check on a full-size
-workload.
+properly.  Up to ``reference_max`` the arena engine's merge history is
+asserted bit-identical to the reference spec's, so every benchmark run
+doubles as an equivalence check on a full-size workload.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.engines import ARENA_ENGINE, FLAT_ENGINE, REFERENCE_ENGINE
+from repro.core.engines import ARENA_ENGINE, REFERENCE_ENGINE
 from repro.core.labeling import label_points, label_points_streaming
 from repro.data.io import atomic_write_text
 from repro.core.links import links_from_neighbors
@@ -104,7 +103,7 @@ def time_engine_phases(
 
     Returns a row with the phase timings in seconds (best of ``repeats``
     runs each), the workload shape, and — when the reference engine is
-    included — the flat-over-reference agglomeration speedup.  Raises if
+    included — the arena-over-reference agglomeration speedup.  Raises if
     the two engines disagree on the merge history.
     """
     transactions = engine_workload(n, rng=rng)
@@ -135,16 +134,7 @@ def time_engine_phases(
         model = RockClustering(n_clusters=n_clusters, theta=theta, engine=engine)
         return model._agglomerate(links, n)
 
-    flat_result = agglomerate(FLAT_ENGINE)
-    flat_seconds = _best_of(
-        repeats, lambda: agglomerate(FLAT_ENGINE).elapsed_seconds
-    )
     arena_result = agglomerate(ARENA_ENGINE)
-    if arena_result.merge_history != flat_result.merge_history:
-        raise AssertionError(
-            "engine mismatch at n=%d: arena and flat merge histories differ"
-            % n
-        )
     arena_seconds = _best_of(
         repeats, lambda: agglomerate(ARENA_ENGINE).elapsed_seconds
     )
@@ -154,13 +144,11 @@ def time_engine_phases(
         "theta": theta,
         "n_clusters_requested": n_clusters,
         "links_nnz": int(links.nnz),
-        "n_merges": len(flat_result.merge_history),
+        "n_merges": len(arena_result.merge_history),
         "neighbors_s": neighbors_seconds,
         **neighbor_timings,
         "links_s": links_seconds,
-        "agglomerate_flat_s": flat_seconds,
         "agglomerate_arena_s": arena_seconds,
-        "agglomerate_arena_speedup": flat_seconds / arena_seconds,
         "merge_counters": {
             key: int(value)
             for key, value in arena_result.merge_counters.items()
@@ -169,16 +157,16 @@ def time_engine_phases(
 
     if include_reference:
         reference_result = agglomerate(REFERENCE_ENGINE)
-        if reference_result.merge_history != flat_result.merge_history:
+        if reference_result.merge_history != arena_result.merge_history:
             raise AssertionError(
-                "engine mismatch at n=%d: flat and reference merge histories differ"
-                % n
+                "engine mismatch at n=%d: arena and reference merge histories "
+                "differ" % n
             )
         reference_seconds = _best_of(
             max(1, repeats - 1), lambda: agglomerate(REFERENCE_ENGINE).elapsed_seconds
         )
         row["agglomerate_reference_s"] = reference_seconds
-        row["agglomerate_speedup"] = reference_seconds / flat_seconds
+        row["agglomerate_speedup"] = reference_seconds / arena_seconds
     else:
         # The quadratic reference engine is skipped by design above
         # ``reference_max``; say so explicitly instead of silently omitting
@@ -198,12 +186,12 @@ def time_engine_phases(
 
     def label_one_shot():
         return label_points(
-            unlabeled, transactions, flat_result.clusters, theta=theta, rng=0
+            unlabeled, transactions, arena_result.clusters, theta=theta, rng=0
         )
 
     def label_batched():
         return label_points_streaming(
-            batches, transactions, flat_result.clusters, theta=theta, rng=0
+            batches, transactions, arena_result.clusters, theta=theta, rng=0
         )
 
     def timed(run):
@@ -238,7 +226,7 @@ def run_engine_bench(
         Workload sizes (number of transactions) to time.
     reference_max:
         Largest size at which the quadratic-cost reference engine is also
-        timed (larger sizes report the flat engine only).
+        timed (larger sizes report the arena engine only).
     theta, repeats:
         Forwarded to :func:`time_engine_phases`.
     path:

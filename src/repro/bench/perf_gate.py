@@ -1,7 +1,7 @@
 """Perf gate: fail when hot-path phase timings regress against the baseline.
 
 ``BENCH_engine.json`` (committed at the repository root by
-:mod:`repro.bench.engine_bench`) records the flat engine's agglomeration,
+:mod:`repro.bench.engine_bench`) records the arena engine's agglomeration,
 labelling and per-backend neighbour times per workload size.  The gate compares a freshly
 measured run against those numbers and reports every size whose time
 exceeds the committed baseline by more than ``max_ratio`` (plus a small
@@ -17,7 +17,7 @@ future regressions are measured from the improved level.
 Absolute wall-clock comparisons are machine-specific (the committed
 baseline records the author's machine), so the gate offers a second,
 machine-robust signal per phase: :func:`check_speedup_regression` compares
-the flat-over-reference *speedup ratio* of the agglomeration, and
+the arena-over-reference *speedup ratio* of the agglomeration, and
 :func:`check_ratio_regression` compares one phase time *relative to
 another* measured in the same process — the labelling phases against the
 neighbour phase, the blocked neighbour backend against the vectorized one,
@@ -46,11 +46,10 @@ from pathlib import Path
 DEFAULT_MAX_RATIO = 1.5
 DEFAULT_SLACK_SECONDS = 0.05
 
-#: Phase timings the gate watches: the agglomeration merge loop (flat and
-#: arena engines), both labelling paths (one-shot and batched/streaming)
-#: and both gated neighbour backends (one-shot vectorized and blocked).
+#: Phase timings the gate watches: the agglomeration merge loop (arena
+#: engine), both labelling paths (one-shot and batched/streaming) and both
+#: gated neighbour backends (one-shot vectorized and blocked).
 DEFAULT_PHASE_METRICS = (
-    "agglomerate_flat_s",
     "agglomerate_arena_s",
     "label_s",
     "label_batched_s",
@@ -64,7 +63,6 @@ DEFAULT_PHASE_METRICS = (
 #: best-of-N (see :mod:`repro.bench.engine_bench`), which keeps the
 #: tighter slack safe against scheduler noise.
 DEFAULT_PHASE_SLACKS = {
-    "agglomerate_flat_s": DEFAULT_SLACK_SECONDS,
     "agglomerate_arena_s": DEFAULT_SLACK_SECONDS,
     "label_s": 0.01,
     "label_batched_s": 0.01,
@@ -131,7 +129,7 @@ def check_agglomeration_regression(
     baseline: dict,
     max_ratio: float = DEFAULT_MAX_RATIO,
     slack_seconds: float = DEFAULT_SLACK_SECONDS,
-    metric: str = "agglomerate_flat_s",
+    metric: str = "agglomerate_arena_s",
 ) -> list[str]:
     """Compare two benchmark payloads; return a violation message per regression.
 
@@ -250,7 +248,7 @@ def check_speedup_regression(
     baseline: dict,
     max_ratio: float = DEFAULT_MAX_RATIO,
 ) -> list[str]:
-    """Machine-robust variant: compare flat-over-reference speedup ratios.
+    """Machine-robust variant: compare arena-over-reference speedup ratios.
 
     A size regresses when its measured ``agglomerate_speedup`` falls below
     ``baseline_speedup / max_ratio``.  Because both engines run on the same

@@ -442,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--engine", choices=engine_choices(), default=DEFAULT_ENGINE,
         help="agglomeration engine (auto: fastest registered engine; "
-             "arena: batch-recompute; flat: array-backed; reference: "
-             "paper pseudo-code — all bit-identical)",
+             "arena: batch-recompute; reference: paper pseudo-code — "
+             "bit-identical)",
     )
     # Choices come straight from the neighbour-backend registry at
     # parser-build time, so a backend registered by a plugin before main()

@@ -13,12 +13,10 @@ The modules follow the structure of the ROCK paper:
   agglomerative procedure (Section 4.1);
 * :mod:`repro.core.rock` — the agglomerative clustering algorithm itself;
 * :mod:`repro.core.engines` — the agglomeration-engine registry
-  (``arena`` / ``flat`` / ``reference``, all bit-identical, ``auto``
-  selection);
-* :mod:`repro.core.engine` — the flat array-backed agglomeration engine
-  (``engine="flat"``, a frozen spec);
+  (``arena`` / ``reference``, bit-identical, ``auto`` selection);
 * :mod:`repro.core.engine_arena` — the arena-backed batch-recompute
-  engine (``engine="arena"``, what ``auto`` resolves to);
+  engine (``engine="arena"``, what ``auto`` resolves to), also the merge
+  loop of the online frontier and the sharded summary merge;
 * :mod:`repro.core.sampling` — Chernoff-bound random sampling (Section 4.3);
 * :mod:`repro.core.labeling` — labelling of disk-resident points
   (Section 4.4);
@@ -39,7 +37,6 @@ from repro.core.goodness import (
     goodness,
     theta_power,
 )
-from repro.core.engine import FlatAgglomerationEngine, flat_agglomerate
 from repro.core.engine_arena import ArenaAgglomerationEngine, arena_agglomerate
 from repro.core.engines import (
     AgglomerationEngine,
@@ -111,11 +108,9 @@ __all__ = [
     "AgglomerationEngine",
     "AgglomerationRun",
     "ArenaAgglomerationEngine",
-    "FlatAgglomerationEngine",
     "arena_agglomerate",
     "available_engines",
     "engine_choices",
-    "flat_agglomerate",
     "get_engine",
     "register_engine",
     "LabelingResult",

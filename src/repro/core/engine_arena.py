@@ -1,45 +1,41 @@
 """Arena-backed, batch-recompute agglomeration engine (``engine="arena"``).
 
-The flat engine (:mod:`repro.core.engine`) already vectorised goodness
-arithmetic, but its merge loop still runs on interpreted machinery: a
-global lazy-deletion ``heapq`` (at n=4000 roughly a million heap pops),
-per-cluster Python-list partner stores (millions of ``list.append`` calls)
-and a per-partner Python sweep over every merge's frontier.  Profiling
-shows that machinery — not the arithmetic — dominating the run.
-
-This engine removes it entirely:
+The one greedy goodness merge loop of the package beside the frozen
+reference spec (:meth:`repro.core.rock.RockClustering._agglomerate_reference`).
+Point-level clustering, the online session's frontier re-agglomeration and
+the sharded summary merge all run on it.
 
 * **No heaps.**  Every cluster's current best merge is kept in a pair of
   flat arrays (``best_neg``/``best_partner``; dead clusters hold ``+inf``)
-  plus a ``stale`` flag replacing the flat engine's version counters.
-  Selecting the next merge is one ``np.argmin`` over the live prefix — C
-  speed, and ``argmin``'s first-minimum semantics reproduce the global
-  heap's ``(goodness, cluster-id)`` tie-break exactly.  Staleness stays
-  exactly as lazy as the flat engine's: when a cluster's incumbent best
-  dies, ``best_neg`` keeps the dead pair's value as an upper bound, and
-  the true next best (a vectorised masked ``argmin`` over the row, first
-  occurrence again) is only computed when that bound wins the selection
-  scan — the array analogue of lazy heap deletion, with the same rework
-  count.
+  plus a ``stale`` flag.  Selecting the next merge is one ``np.argmin``
+  over the live prefix, and ``argmin``'s first-minimum semantics reproduce
+  the reference's global-heap ``(goodness, cluster-id)`` tie-break.  When
+  a cluster's incumbent best dies, ``best_neg`` keeps the dead pair's value
+  as an upper bound, and the true next best (a vectorised masked
+  ``argmin`` over the row, first occurrence again) is only computed when
+  that bound wins the selection scan — the array analogue of lazy heap
+  deletion.
 * **Scratch arenas.**  Partner ids, pair counts and pair goodness live in
-  three preallocated growable arrays (int64/int64/float64).  Each cluster
-  owns a ``(start, length, capacity)`` window; seed windows are packed
-  copies of the canonical sorted-CSR link matrix, merged rows are
-  allocated at the arena tail, and a full row relocates with doubled
-  capacity when it outgrows its window.  No per-merge ``np.fromiter`` /
-  ``np.concatenate`` of Python lists, no Python-int boxing.
+  three preallocated growable arrays.  Each cluster owns a
+  ``(start, length, capacity)`` window; seed windows are packed copies of
+  the canonical sorted-CSR link matrix, merged rows are allocated at the
+  arena tail, and a full row relocates with doubled capacity when it
+  outgrows its window.
 * **Batched frontier maintenance.**  A merge recomputes the whole
-  frontier's goodness in one counts-÷-pow-table-gather pass (identical
-  float64 expressions to the flat engine, hence bit-identical values) and
-  then appends the merged cluster into every frontier row with one
-  vectorised scatter — position arithmetic on the window arrays — instead
-  of per-entry pushes.
+  frontier's goodness in one counts-÷-pow-table-gather pass and then
+  appends the merged cluster into every frontier row with one vectorised
+  scatter.
 
-**Determinism.**  Bit-identical to ``flat`` (and therefore ``reference``):
-same ``MergeStep`` history, same tie-breaks, same early-stop behaviour,
-same ``ZeroDivisionError`` on an all-linked ``theta == 1`` input.  The
-cross-engine equivalence suite and ``benchmarks/bench_agglomerate.py``
-assert this on every run.
+**Weighted starting clusters.**  ``sizes`` makes the ``n_points`` starting
+units clusters of the given sizes (the goodness normaliser uses the true
+sizes) and the link matrix may carry float64 weights (the summary merge's
+extrapolated link mass).  With ``sizes=None`` every unit is a point.
+
+**Determinism.**  With unit sizes the merge history is bit-identical to
+``reference``: same ``MergeStep`` history, same tie-breaks, same early-stop
+behaviour, and a ``ZeroDivisionError`` where the reference's ``goodness()``
+raises one (a linked pair at ``1 + 2 f(theta) == 1``).  The cross-engine
+equivalence suite and the engine benchmarks assert this on every run.
 
 The engine also records merge-loop counters (selection scans, best
 rescans, rescan cells, frontier sizes, appends, relocations, arena grows)
@@ -51,8 +47,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.core.engine import FlatAgglomerationEngine
-from repro.core.goodness import ExponentFunction
+from repro.core.goodness import ExponentFunction, default_expected_links_exponent
 from repro.types import MergeStep
 
 
@@ -62,71 +57,147 @@ def arena_agglomerate(
     n_clusters: int,
     theta: float,
     exponent_function: ExponentFunction | None = None,
+    sizes: np.ndarray | None = None,
 ) -> tuple[list[MergeStep], dict[int, list[int]], bool, dict[str, int]]:
     """Run the ROCK agglomeration on arena state.
 
-    Same contract as :func:`repro.core.engine.flat_agglomerate`, plus a
-    fourth element: the merge-loop counters dict.
+    Parameters
+    ----------
+    links:
+        Symmetric link matrix of the ``n_points`` starting units (the
+        diagonal and non-positive entries are ignored, matching the
+        reference engine).  Integer counts, or float64 weights.
+    n_points:
+        Number of starting units.
+    n_clusters:
+        Target number of clusters.
+    theta:
+        Similarity threshold (defines the goodness normaliser).
+    exponent_function:
+        ``f(theta)``; defaults to the paper's.
+    sizes:
+        Starting cluster sizes (positive integers), or ``None`` for points.
+
+    Returns
+    -------
+    merge_history:
+        The merges performed, in execution order.  Starting units keep ids
+        ``0 .. n_points - 1``; the cluster made by merge ``s`` is
+        ``n_points + s``.
+    members:
+        Mapping of surviving cluster id to its starting-unit ids.
+    stopped_early:
+        ``True`` when no positive-goodness merge remained before reaching
+        ``n_clusters`` clusters.
+    counters:
+        Merge-loop counters.
     """
     engine = ArenaAgglomerationEngine(
-        links, n_points, n_clusters, theta, exponent_function
+        links, n_points, n_clusters, theta, exponent_function, sizes
     )
     return engine.run()
 
 
-class ArenaAgglomerationEngine(FlatAgglomerationEngine):
-    """Arena-state machine for one agglomeration run.
-
-    Subclasses the flat engine only for its frozen construction helpers
-    (the Python-``**`` power table, the canonical symmetric CSR and the
-    member-tree walk); the merge loop shares no state with ``flat``.
-    """
+class ArenaAgglomerationEngine:
+    """Arena-state machine for one agglomeration run."""
 
     #: Extra cells granted beyond the immediate need when a row is
     #: (re)allocated, so repeated appends amortise to O(1) relocations.
     _ROW_HEADROOM = 4
 
+    def __init__(
+        self,
+        links: sparse.spmatrix,
+        n_points: int,
+        n_clusters: int,
+        theta: float,
+        exponent_function: ExponentFunction | None = None,
+        sizes: np.ndarray | None = None,
+    ) -> None:
+        self.n_points = int(n_points)
+        self.n_clusters = int(n_clusters)
+        if sizes is None:
+            self._sizes = np.ones(self.n_points, dtype=np.int64)
+        else:
+            self._sizes = np.asarray(sizes, dtype=np.int64)
+        if exponent_function is None:
+            exponent_function = default_expected_links_exponent
+        exponent = 1.0 + 2.0 * exponent_function(float(theta))
+        # Power table over every reachable cluster size.  Computed with
+        # Python's ``**`` (not ``np.power``, whose libm dispatch may round
+        # differently) so goodness values match theta_power() bit-for-bit.
+        total = int(self._sizes.sum())
+        self._pow = np.array(
+            [float(size) ** exponent for size in range(total + 1)],
+            dtype=np.float64,
+        )
+        self._links = links
+
     # ------------------------------------------------------------------ #
     # State initialisation
     # ------------------------------------------------------------------ #
+    def _canonical_symmetric(self) -> sparse.csr_matrix:
+        """Upper-triangle-symmetrised, positive, sorted float64 copy of the
+        input (integer link counts stay exact: they are far below 2**53)."""
+        matrix = sparse.csr_matrix(self._links)
+        upper = sparse.triu(matrix, k=1).tocsr()
+        if upper.nnz and (upper.data <= 0).any():
+            upper = upper.copy()
+            upper.data[upper.data <= 0] = 0
+            upper.eliminate_zeros()
+        upper = upper.astype(np.float64)
+        symmetric = (upper + upper.T).tocsr()
+        symmetric.sort_indices()
+        return symmetric
+
     def _init_arena_state(self) -> None:
         n = self.n_points
-        # Merged ids range over [n, 2n - 1 - n_clusters]; capacity 2n keeps
-        # the indexing identical to the flat engine.
+        # Merged ids range over [n, 2n - 1 - n_clusters], so index 2n - 1 is
+        # never assigned; the trailing dead cell doubles as the target of
+        # the ``-1`` best-partner sentinel under negative indexing.
         capacity = max(2 * n, 1)
         symmetric = self._canonical_symmetric()
         nnz = int(symmetric.nnz)
 
-        self._alive = np.zeros(capacity, dtype=bool)  # type: ignore[assignment]
+        self._alive = np.zeros(capacity, dtype=bool)
         self._alive[:n] = True
         self._size_np = np.zeros(capacity, dtype=np.int64)
-        self._size_np[:n] = 1
+        self._size_np[:n] = self._sizes
         self._child_left = [-1] * capacity
         self._child_right = [-1] * capacity
 
         indptr = symmetric.indptr.astype(np.int64)
+        row_sizes = np.diff(indptr)
         if nnz:
-            # Shared unit-size denominator scores every seed pair at once;
-            # its vanishing is the theta == 1 degenerate case (see the flat
-            # engine, whose message this mirrors bit-for-bit).
-            denominator = self._pow[2] - self._pow[1] - self._pow[1]
-            if denominator == 0.0:
+            pow_np = self._pow
+            # Larger id's size first, as a merge scores its frontier
+            # (merged cluster first), so both rows of a pair hold the same
+            # float.
+            rows = np.repeat(np.arange(n), row_sizes)
+            columns = symmetric.indices
+            newer = self._sizes[np.maximum(rows, columns)]
+            older = self._sizes[np.minimum(rows, columns)]
+            denominators = pow_np[newer + older] - pow_np[newer] - pow_np[older]
+            if np.any(denominators == 0.0):
+                # 1 + 2 f(theta) == 1 makes every denominator vanish; the
+                # reference raises ZeroDivisionError from goodness() as soon
+                # as a linked pair is scored, so mirror it with a clearer
+                # message.
                 raise ZeroDivisionError(
                     "goodness denominator is zero: 1 + 2 f(theta) == 1 "
                     "(theta == 1 under the paper's exponent function); "
                     "linked pairs cannot be scored"
                 )
-            seed_neg = -(symmetric.data.astype(np.float64) / denominator)
+            seed_neg = -(symmetric.data / denominators)
         else:
             seed_neg = np.empty(0, dtype=np.float64)
 
         # The three arenas.  Seed rows occupy a packed prefix (capacity ==
-        # length, so their first append relocates — the arena analogue of
-        # the flat engine's lazy materialisation); merged rows are carved
+        # length, so their first append relocates); merged rows are carved
         # from the tail.
         arena_capacity = max(nnz + self._ROW_HEADROOM * n, 1024)
         self._arena_partner = np.empty(arena_capacity, dtype=np.int64)
-        self._arena_count = np.empty(arena_capacity, dtype=np.int64)
+        self._arena_count = np.empty(arena_capacity, dtype=np.float64)
         self._arena_neg = np.empty(arena_capacity, dtype=np.float64)
         self._arena_partner[:nnz] = symmetric.indices
         self._arena_count[:nnz] = symmetric.data
@@ -137,40 +208,37 @@ class ArenaAgglomerationEngine(FlatAgglomerationEngine):
         self._row_len = np.zeros(capacity, dtype=np.int64)
         self._row_cap = np.zeros(capacity, dtype=np.int64)
         self._row_start[:n] = indptr[:-1]
-        self._row_len[:n] = np.diff(indptr)
-        self._row_cap[:n] = self._row_len[:n]
+        self._row_len[:n] = row_sizes
+        self._row_cap[:n] = row_sizes
 
         # Per-cluster best merge.  0.0 / -1 is the "no live pair" state
         # (never selected: the loop stops at non-negative best); +inf
-        # marks dead clusters out of every argmin.  ``stale`` is the flat
-        # engine's version-counter scheme reduced to one bit: set when the
-        # incumbent best dies, cleared when the true best is recomputed —
-        # which happens only if the stale upper bound wins a selection
-        # scan, exactly the lazy-deletion rework condition.
+        # marks dead clusters out of every argmin.  ``stale`` is set when
+        # the incumbent best dies and cleared when the true best is
+        # recomputed — which happens only if the stale upper bound wins a
+        # selection scan, the reference's lazy-deletion rework condition.
         best_neg = np.zeros(capacity, dtype=np.float64)
         best_partner = np.full(capacity, -1, dtype=np.int64)
         self._stale = np.zeros(capacity, dtype=bool)
         if nnz:
-            # First-occurrence argmax per seed CSR row (goodness is
-            # monotone in the count for unit sizes), exactly as the flat
-            # engine seeds its heap.
-            row_sizes = np.diff(indptr)
+            # First-occurrence minimum per seed CSR row: rows list partners
+            # in ascending id order, the reference's local-heap insertion
+            # order.  A row whose minimum is NaN keeps its first entry.
             nonempty = row_sizes > 0
             rows = np.nonzero(nonempty)[0]
             starts = indptr[:-1][nonempty]
-            data = symmetric.data
-            row_max = np.maximum.reduceat(data, starts)
-            position_of = np.arange(nnz, dtype=np.int64)
+            row_min = np.minimum.reduceat(seed_neg, starts)
             masked = np.where(
-                data == np.repeat(row_max, row_sizes[nonempty]),
-                position_of,
+                seed_neg == np.repeat(row_min, row_sizes[nonempty]),
+                np.arange(nnz, dtype=np.int64),
                 nnz,
             )
-            first_max = np.minimum.reduceat(masked, starts)
-            best_neg[rows] = seed_neg[first_max]
-            best_partner[rows] = symmetric.indices[first_max]
-        self._best_neg = best_neg  # type: ignore[assignment]
-        self._best_partner = best_partner  # type: ignore[assignment]
+            first_min = np.minimum.reduceat(masked, starts)
+            first_min = np.where(first_min == nnz, starts, first_min)
+            best_neg[rows] = seed_neg[first_min]
+            best_partner[rows] = symmetric.indices[first_min]
+        self._best_neg = best_neg
+        self._best_partner = best_partner
 
         self._counters: dict[str, int] = {
             "merges": 0,
@@ -225,7 +293,7 @@ class ArenaAgglomerationEngine(FlatAgglomerationEngine):
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
-    def run(  # type: ignore[override]
+    def run(
         self,
     ) -> tuple[list[MergeStep], dict[int, list[int]], bool, dict[str, int]]:
         """Execute the merge loop; see :func:`arena_agglomerate` for the
@@ -258,8 +326,7 @@ class ArenaAgglomerationEngine(FlatAgglomerationEngine):
             # tie-break, because ids ascend left to right and dead
             # clusters sit at +inf.  A stale winner holds an upper bound
             # (its dead incumbent's value, below every older surviving
-            # pair), so its true best is computed now and the scan rerun —
-            # the flat engine's lazy-deletion rework, array-style.
+            # pair), so its true best is computed now and the scan rerun.
             while True:
                 counters["selection_scans"] += 1
                 left = int(np.argmin(best_neg[:next_id]))
@@ -289,7 +356,7 @@ class ArenaAgglomerationEngine(FlatAgglomerationEngine):
                 stale[left] = False
             if not (neg_goodness < 0.0):
                 # Non-negative (or NaN) best goodness: nothing mergeable
-                # remains, exactly the flat engine's early stop.
+                # remains, exactly the reference's early stop.
                 stopped_early = True
                 break
             right = int(best_partner[left])
@@ -321,9 +388,9 @@ class ArenaAgglomerationEngine(FlatAgglomerationEngine):
             alive_count -= 1
 
             # Combined frontier of the two consumed rows, first-occurrence
-            # order of "left's partners then right's new partners", counts
-            # summed for shared partners, dead entries dropped — the flat
-            # engine's combined-store pass on arena views.
+            # order of "left's partners then right's new partners" (the
+            # reference's combined-dict order), counts summed for shared
+            # partners, dead entries dropped.
             left_start = row_start[left]
             right_start = row_start[right]
             left_partners = self._arena_partner[
@@ -345,7 +412,7 @@ class ArenaAgglomerationEngine(FlatAgglomerationEngine):
             if frontier.size:
                 unique, inverse = np.unique(frontier, return_inverse=True)
                 if unique.size != frontier.size:
-                    summed = np.zeros(unique.size, dtype=np.int64)
+                    summed = np.zeros(unique.size, dtype=np.float64)
                     np.add.at(summed, inverse, frontier_counts)
                     first_position = np.full(
                         unique.size, frontier.size, dtype=np.int64
@@ -362,16 +429,16 @@ class ArenaAgglomerationEngine(FlatAgglomerationEngine):
             if frontier_size > counters["frontier_max"]:
                 counters["frontier_max"] = frontier_size
 
-            # Whole-frontier goodness in one gather-subtract-divide pass;
-            # identical float64 expressions to the flat engine, so the
-            # values are bit-identical.
+            # Whole-frontier goodness in one gather-subtract-divide pass,
+            # operand order as in goodness(), so the values are
+            # bit-identical to the reference's.
             other_sizes = size_np[frontier]
             denominators = (
                 pow_np[merged_size + other_sizes]
                 - pow_np[merged_size]
                 - pow_np[other_sizes]
             )
-            frontier_negs = -(frontier_counts.astype(np.float64) / denominators)
+            frontier_negs = -(frontier_counts / denominators)
 
             # The merged cluster's row: carved at the arena tail with
             # append headroom.
@@ -412,12 +479,12 @@ class ArenaAgglomerationEngine(FlatAgglomerationEngine):
             counters["appended_cells"] += frontier_size
 
             # Best maintenance, batched.  A new pair strictly beating the
-            # standing best wins (ties keep the incumbent, matching the
-            # flat engine); otherwise a cluster whose incumbent just died
-            # merely turns stale — its bound stays in ``best_neg`` and the
-            # replacement is computed lazily in the selection scan, so
-            # clusters that merge away first never pay for it (the flat
-            # engine's exact economics).
+            # standing best wins (ties keep the incumbent: a new pair ranks
+            # last, as in the reference's local heaps); otherwise a cluster
+            # whose incumbent just died merely turns stale — its bound
+            # stays in ``best_neg`` and the replacement is computed lazily
+            # in the selection scan, so clusters that merge away first
+            # never pay for it.
             improved = frontier_negs < best_neg[frontier]
             improved_rows = frontier[improved]
             best_neg[improved_rows] = frontier_negs[improved]
@@ -426,10 +493,34 @@ class ArenaAgglomerationEngine(FlatAgglomerationEngine):
             unimproved_rows = frontier[~improved]
             incumbents = best_partner[unimproved_rows]
             # ``alive[-1]`` (the never-assigned trailing cell) keeps the
-            # -1 no-partner sentinel on the stale path, mirroring the flat
-            # engine's negative-index trick.
+            # -1 no-partner sentinel on the stale path.
             died = ~stale[unimproved_rows] & ~alive[incumbents]
             stale[unimproved_rows[died]] = True
 
         members = self._collect_members(next_id)
         return merge_history, members, stopped_early, dict(counters)
+
+    # ------------------------------------------------------------------ #
+    # Final assembly
+    # ------------------------------------------------------------------ #
+    def _collect_members(self, next_id: int) -> dict[int, list[int]]:
+        """Surviving cluster id -> starting-unit ids, by merge-tree walk."""
+        n = self.n_points
+        members: dict[int, list[int]] = {}
+        child_left = self._child_left
+        child_right = self._child_right
+        alive = self._alive
+        for cluster in range(next_id):
+            if not alive[cluster]:
+                continue
+            stack = [cluster]
+            points: list[int] = []
+            while stack:
+                node = stack.pop()
+                if node < n:
+                    points.append(node)
+                else:
+                    stack.append(child_left[node])
+                    stack.append(child_right[node])
+            members[cluster] = points
+        return members

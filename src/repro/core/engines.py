@@ -7,11 +7,13 @@ agglomeration phase the same shape:
 
 * ``reference`` — the paper's Section 4.1 pseudo-code transcription living
   in :class:`repro.core.rock.RockClustering` (SPEC001-pinned, never
-  optimised).
-* ``flat`` — the PR-1 flat array engine (:mod:`repro.core.engine`), itself
-  now a frozen spec for faster engines to be tested against.
+  optimised): the spec every other engine is tested against.
 * ``arena`` — the batch-recompute engine (:mod:`repro.core.engine_arena`):
   heap-free eager best tracking over preallocated growable scratch arenas.
+  It is the package's one merge loop beside the spec: the online frontier
+  and the sharded summary merge call
+  :func:`~repro.core.engine_arena.arena_agglomerate` too, with weighted
+  starting clusters (``sizes=``), which the reference cannot express.
 
 Every registered engine satisfies the same **bit-identity contract**: given
 the same link matrix it produces the identical :class:`~repro.types.MergeStep`
@@ -45,7 +47,6 @@ AUTO_ENGINE = "auto"
 #: Canonical registered names.  Exported so call sites dispatch on the
 #: constants rather than re-spelling the literals (REG001).
 REFERENCE_ENGINE = "reference"
-FLAT_ENGINE = "flat"
 ARENA_ENGINE = "arena"
 
 #: Default engine for every user-facing surface (``RockClustering``,
@@ -59,7 +60,7 @@ class AgglomerationRun:
     """What one agglomeration run produced.
 
     ``merge_history`` and ``members`` follow the
-    :func:`repro.core.engine.flat_agglomerate` contract exactly;
+    :func:`repro.core.engine_arena.arena_agglomerate` contract exactly;
     ``counters`` carries engine-specific merge-loop observability (empty
     for engines that do not instrument themselves).
     """
@@ -145,14 +146,30 @@ def validate_engine_name(name: str) -> str:
     return key
 
 
+#: Engines no longer registered whose checkpoints still restore: each ran
+#: the merge semantics every registered engine reproduces bit-identically.
+_RETIRED_ENGINES = frozenset({"flat"})
+
+
+def restored_engine_name(recorded: str | None) -> str:
+    """The engine a session restored from durable state runs under.
+
+    Checkpoints written before the registry record no engine, and ones
+    written under a retired engine record a name the registry no longer
+    holds; both resume under :data:`DEFAULT_ENGINE`.  Any other name is
+    returned unchanged (and validated where the session is built).
+    """
+    if recorded is None or normalize_engine_name(recorded) in _RETIRED_ENGINES:
+        return DEFAULT_ENGINE
+    return recorded
+
+
 def select_engine_name() -> str:
     """Resolve ``auto`` to a concrete engine.
 
     Every registered engine is bit-identical, so ``auto`` simply picks the
-    fastest one: the arena engine wins at every size measured in
-    ``benchmarks/bench_agglomerate.py`` (its advantage grows with n; at
-    small n both engines finish in microseconds, so there is no crossover
-    worth a heuristic).
+    fastest one: the arena engine beats the pure-Python reference spec at
+    every size in ``BENCH_engine.json`` (~6x at n=500, ~23x at n=2000).
     """
     return ARENA_ENGINE
 
@@ -170,27 +187,6 @@ def resolve_engine_name(name: str) -> str:
 # lazily so this registry can be imported from anywhere in repro.core
 # without cycles.
 # --------------------------------------------------------------------- #
-class _FlatEngineAdapter:
-    """The PR-1 flat array engine, unchanged (a frozen spec)."""
-
-    name = FLAT_ENGINE
-
-    def agglomerate(
-        self,
-        links: "sparse.spmatrix",
-        n_points: int,
-        n_clusters: int,
-        theta: float,
-        exponent_function: "ExponentFunction | None" = None,
-    ) -> AgglomerationRun:
-        from repro.core.engine import flat_agglomerate
-
-        merge_history, members, stopped_early = flat_agglomerate(
-            links, n_points, n_clusters, theta, exponent_function
-        )
-        return AgglomerationRun(merge_history, members, stopped_early)
-
-
 class _ReferenceEngineAdapter:
     """The paper-transcription engine (SPEC001-pinned, never optimised)."""
 
@@ -246,6 +242,5 @@ class _ArenaEngineAdapter:
         return AgglomerationRun(merge_history, members, stopped_early, counters)
 
 
-register_engine(_FlatEngineAdapter())
 register_engine(_ReferenceEngineAdapter())
 register_engine(_ArenaEngineAdapter())

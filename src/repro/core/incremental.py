@@ -29,16 +29,13 @@ outcome of the ordinary sample/cluster phases) and then serves
    ``C C^T + B B^T`` links within the batch — which keeps the maintained
    matrix bit-identical to :func:`~repro.core.links.links_from_neighbors`
    recomputed from scratch over the live points (enforced by the property
-   suite).  Cluster-level cross-link counts and a lazy-deletion pair heap
-   (the :class:`~repro.core.engine.FlatAgglomerationEngine` heap template
-   at cluster granularity: plain ``heapq`` entries stamped with the pair's
-   count, re-validated on surfacing instead of being deleted in place)
-   are updated for exactly the affected clusters.
+   suite).  The cluster-level cross-link matrix is updated with the same
+   deltas folded through the cluster membership.
 3. **Re-agglomerate the frontier**: the batch points enter as singleton
-   clusters and the greedy goodness-maximising merge loop runs only until
-   the live cluster count returns to the target (or no positive-goodness
-   merge remains) — clusters untouched by the batch never rebuild
-   anything.
+   clusters and the arena engine (:mod:`repro.core.engine_arena`) runs
+   over the live clusters as weighted starting clusters — their sizes and
+   cross-link counts — until the live cluster count returns to the target
+   (or no positive-goodness merge remains).
 
 A ``refresh_threshold`` bounds drift: when the fraction of points
 inserted since the last full clustering exceeds it, the session re-runs
@@ -62,7 +59,6 @@ the property suite and the golden fixtures):
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -70,10 +66,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from repro.core.engine_arena import arena_agglomerate
 from repro.core.engines import (
     DEFAULT_ENGINE,
     get_engine,
     resolve_engine_name,
+    restored_engine_name,
     validate_engine_name,
 )
 from repro.core.goodness import (
@@ -132,7 +130,7 @@ def _grow_symmetric(
     ``resize`` (free for CSR), the off-diagonal block lands through one
     canonical CSR addition, and the row blocks concatenate through the
     same-format ``vstack`` fast path.  The result has sorted indices, which
-    the cluster-store folds and the refresh engine rely on.
+    the cluster-link folds and the engines rely on.
     """
     n_old = existing.shape[0]
     n_new = cross.shape[0]
@@ -146,6 +144,41 @@ def _grow_symmetric(
     grown = sparse.vstack([top, bottom], format="csr")
     grown.sort_indices()
     return grown
+
+
+def _partition(clusters: Sequence[Sequence[int]], n_points: int) -> np.ndarray:
+    """Cluster index per point for ``clusters`` (cluster ``i`` is
+    ``clusters[i]``), which must cover ``0 .. n_points - 1``."""
+    cluster_of = np.empty(n_points, dtype=np.int64)
+    for cluster_id, members in enumerate(clusters):
+        cluster_of[np.asarray(members, dtype=np.int64)] = cluster_id
+    return cluster_of
+
+
+def _membership(cluster_of: np.ndarray, n_clusters: int) -> sparse.csr_matrix:
+    """The ``n_clusters x len(cluster_of)`` 0/1 matrix of a partition."""
+    n = len(cluster_of)
+    return sparse.csr_matrix(
+        (np.ones(n, dtype=np.int64), (cluster_of, np.arange(n))),
+        shape=(n_clusters, n),
+    )
+
+
+def _cross_links(
+    links: sparse.spmatrix, membership: sparse.csr_matrix
+) -> sparse.csr_matrix:
+    """Cross-group link counts ``M L M^T``, within-group mass dropped."""
+    folded = (membership @ links @ membership.T).tocoo()
+    off_diagonal = (folded.row != folded.col) & (folded.data != 0)
+    cross = sparse.csr_matrix(
+        (
+            folded.data[off_diagonal].astype(np.int64),
+            (folded.row[off_diagonal], folded.col[off_diagonal]),
+        ),
+        shape=folded.shape,
+    )
+    cross.sort_indices()
+    return cross
 
 
 @dataclass
@@ -203,8 +236,8 @@ class IncrementalRock:
     The live state is inspectable through :attr:`live_points`,
     :attr:`links_`, :attr:`adjacency_` and :meth:`live_clusters`; the
     property-based test suite asserts after every ingest that the
-    maintained link matrix is bit-identical to a from-scratch
-    recomputation and that the cluster stores/heaps stay consistent.
+    maintained point- and cluster-level link matrices are bit-identical to
+    a from-scratch recomputation.
     """
 
     def __init__(
@@ -347,89 +380,19 @@ class IncrementalRock:
             graph, strategy=self.link_strategy, include_self=self.include_self_links
         )
 
-        self._rebuild_cluster_state(live_clusters)
+        self._assign_clusters(_partition(live_clusters, len(self._points)))
         self._base_points = len(self._points)
         self._inserted_since_refresh = 0
         return self
 
-    def _rebuild_cluster_state(self, clusters: Sequence[Sequence[int]]) -> None:
-        """(Re)build members, cross-link stores and the pair heap."""
-        n_live = len(self._points)
-        self._members = {
-            cluster_id: sorted(int(i) for i in members)
-            for cluster_id, members in enumerate(clusters)
-        }
-        self._next_cluster_id = len(clusters)
-        self._cluster_of = [-1] * n_live
-        for cluster_id, members in self._members.items():
-            for point in members:
-                self._cluster_of[point] = cluster_id
-
-        # The goodness exponent ``1 + 2 f(theta)``, applied inline in the
-        # hot pair loops (one goodness() call per pair would dominate).
-        self._exponent = 1.0 + 2.0 * self.exponent_function(self.theta)
-        cross = self._fold_cluster_links(self._links)
-        self._cluster_links = cross
-        # Lazy-deletion pair heap, the flat engine's template at cluster
-        # granularity: one entry per (pair, count) revision, keyed by
-        # negated goodness with an insertion sequence for deterministic
-        # ties.  An entry is stale exactly when an endpoint died or the
-        # pair's count moved on (sizes are frozen per cluster id, so the
-        # count stamp alone re-validates the goodness).
-        self._heap_seq = 0
-        entries: list[tuple[float, int, int, int, int]] = []
-        for cluster_id, row in cross.items():
-            size = len(self._members[cluster_id])
-            for other, count in row.items():
-                if other < cluster_id:
-                    continue
-                entries.append(
-                    self._pair_entry(
-                        cluster_id, other, count, size, len(self._members[other])
-                    )
-                )
-        heapq.heapify(entries)
-        self._pair_heap = entries
-
-    def _pair_entry(
-        self, left: int, right: int, count: int, size_left: int, size_right: int
-    ) -> tuple[float, int, int, int, int]:
-        """A heap entry ``(-goodness, seq, left, right, count)``."""
-        exponent = self._exponent
-        neg_goodness = -(
-            count
-            / (
-                float(size_left + size_right) ** exponent
-                - float(size_left) ** exponent
-                - float(size_right) ** exponent
-            )
+    def _assign_clusters(self, cluster_of: np.ndarray) -> None:
+        """Set the live partition (cluster index per live point, every
+        index in ``0 .. k - 1`` used) and fold its cross-cluster link
+        counts from the point-level links."""
+        self._cluster_of = cluster_of
+        self._cluster_links = _cross_links(
+            self._links, _membership(cluster_of, int(cluster_of.max()) + 1)
         )
-        seq = self._heap_seq
-        self._heap_seq = seq + 1
-        return (neg_goodness, seq, left, right, count)
-
-    def _fold_cluster_links(
-        self, point_links: sparse.spmatrix
-    ) -> dict[int, dict[int, int]]:
-        """Cross-cluster link counts folded from a point-level link matrix."""
-        cluster_ids = sorted(self._members)
-        row_of = {cluster_id: row for row, cluster_id in enumerate(cluster_ids)}
-        n_live = len(self._points)
-        rows = np.asarray(
-            [row_of[self._cluster_of[p]] for p in range(n_live)], dtype=np.int64
-        )
-        membership = sparse.csr_matrix(
-            (np.ones(n_live, dtype=np.int64), (rows, np.arange(n_live))),
-            shape=(len(cluster_ids), n_live),
-        )
-        folded = (membership @ point_links @ membership.T).tocoo()
-        cross: dict[int, dict[int, int]] = {
-            cluster_id: {} for cluster_id in cluster_ids
-        }
-        for r, c, value in zip(folded.row, folded.col, folded.data):
-            if r != c and value > 0:
-                cross[cluster_ids[int(r)]][cluster_ids[int(c)]] = int(value)
-        return cross
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -477,10 +440,21 @@ class IncrementalRock:
         self._require_bootstrapped()
         return self._inserted_since_refresh / max(1, self._base_points)
 
+    @property
+    def n_live_clusters(self) -> int:
+        """Number of clusters in the live clustering."""
+        self._require_bootstrapped()
+        return int(self._cluster_links.shape[0])
+
     def live_clusters(self) -> list[tuple]:
         """The live clustering as member tuples, largest cluster first."""
         self._require_bootstrapped()
-        clusters = [tuple(sorted(members)) for members in self._members.values()]
+        order = np.argsort(self._cluster_of, kind="stable")
+        counts = np.bincount(self._cluster_of, minlength=self.n_live_clusters)
+        clusters = [
+            tuple(members.tolist())
+            for members in np.split(order, np.cumsum(counts)[:-1])
+        ]
         clusters.sort(key=lambda cluster: (-len(cluster), cluster[0]))
         return clusters
 
@@ -514,12 +488,11 @@ class IncrementalRock:
         """Capture the complete live state for a snapshot.
 
         Everything a later :meth:`from_session_state` needs to continue the
-        session bit-for-bit: the maintained matrices, cluster stores, the
-        pair heap *verbatim* (recomputing it would renumber the heap
-        sequence counter and change deterministic tie-breaking), the
-        labeler's retained fractions and the RNG stream position.  The
-        measure and exponent function are code, not data — the caller
-        re-supplies them on restore.
+        session bit-for-bit: the maintained matrices, the live partition
+        (its cross-cluster links are re-folded from the point-level links
+        on restore, bit-identically), the labeler's retained fractions and
+        the RNG stream position.  The measure and exponent function are
+        code, not data — the caller re-supplies them on restore.
         """
         self._require_bootstrapped()
         return {
@@ -529,18 +502,11 @@ class IncrementalRock:
                 "n_ingested": int(self.n_ingested),
                 "base_points": int(self._base_points),
                 "inserted_since_refresh": int(self._inserted_since_refresh),
-                "next_cluster_id": int(self._next_cluster_id),
-                "heap_seq": int(self._heap_seq),
             },
             "rng": self.rng.bit_generator.state,
             "points": list(self._points),
             "item_index": dict(self._item_index),
-            "members": {int(k): list(v) for k, v in self._members.items()},
-            "cluster_links": {
-                int(k): dict(row) for k, row in self._cluster_links.items()
-            },
-            "cluster_of": list(self._cluster_of),
-            "heap": [tuple(entry) for entry in self._pair_heap],
+            "cluster_of": self._cluster_of.tolist(),
             "labeler": self._labeler.state(),
             "arrays": {
                 "adjacency": self._adjacency.copy(),
@@ -560,10 +526,10 @@ class IncrementalRock:
         """Rebuild a live session from :meth:`session_state` output.
 
         The restored session's subsequent :meth:`ingest` calls are
-        bit-identical to the uninterrupted original: matrices, cluster
-        stores and the pair heap are reinstated verbatim, the labeler is
-        rebuilt without consuming RNG, and the generator resumes at the
-        captured stream position.
+        bit-identical to the uninterrupted original: matrices and the live
+        partition are reinstated verbatim, the labeler is rebuilt without
+        consuming RNG, and the generator resumes at the captured stream
+        position.
         """
         config = state["config"]
         session = cls(
@@ -579,10 +545,7 @@ class IncrementalRock:
             link_strategy=config["link_strategy"],
             include_self_links=config["include_self_links"],
             refresh_threshold=config["refresh_threshold"],
-            # Snapshots written before the engine registry carry no engine
-            # key; they ran the then-default flat engine's semantics, which
-            # every registered engine reproduces bit-identically.
-            engine=config.get("engine", DEFAULT_ENGINE),
+            engine=restored_engine_name(config.get("engine")),
         )
         rng_state = state["rng"]
         bit_generator = getattr(np.random, rng_state["bit_generator"])()
@@ -594,8 +557,6 @@ class IncrementalRock:
         session.n_ingested = counters["n_ingested"]
         session._base_points = counters["base_points"]
         session._inserted_since_refresh = counters["inserted_since_refresh"]
-        session._next_cluster_id = counters["next_cluster_id"]
-        session._heap_seq = counters["heap_seq"]
 
         session._labeler = StreamingLabeler.from_state(
             state["labeler"],
@@ -606,19 +567,17 @@ class IncrementalRock:
         )
         session._points = [frozenset(t) for t in state["points"]]
         session._item_index = dict(state["item_index"])
-        session._members = {int(k): list(v) for k, v in state["members"].items()}
-        session._cluster_links = {
-            int(k): dict(row) for k, row in state["cluster_links"].items()
-        }
-        session._cluster_of = list(state["cluster_of"])
-        session._pair_heap = [tuple(entry) for entry in state["heap"]]
-        session._exponent = 1.0 + 2.0 * session.exponent_function(session.theta)
 
         arrays = state["arrays"]
         session._adjacency = arrays["adjacency"].tocsr()
         session._links = arrays["links"].tocsr()
         session._incidence = arrays["incidence"].tocsr()
         session._sizes = np.asarray(arrays["sizes"], dtype=np.int64)
+        # Checkpoints of the earlier id-per-merge layout compact to slots
+        # in id order.
+        session._assign_clusters(
+            np.unique(state["cluster_of"], return_inverse=True)[1]
+        )
         return session
 
     # ------------------------------------------------------------------ #
@@ -644,8 +603,8 @@ class IncrementalRock:
         """Drop the ``n_evict`` oldest live points to label-only status.
 
         The serving front end's memory bound: evicted points leave the
-        maintained matrices, cluster stores and heap (their rows/columns
-        are sliced out and the cluster state is rebuilt over the
+        maintained matrices and the live clustering (their rows/columns
+        are sliced out and the cluster links are re-folded over the
         survivors), but the labeler keeps its own retained sample, so
         labelling is untouched — without a refresh trigger, labels
         assigned after an eviction are bit-identical to a run that never
@@ -674,13 +633,9 @@ class IncrementalRock:
         links.sort_indices()
         self._links = links
 
-        survivors = []
-        for _cluster_id, members in sorted(self._members.items()):
-            kept = [member - n_evict for member in members if member >= n_evict]
-            if kept:
-                survivors.append(tuple(sorted(kept)))
-        survivors.sort(key=lambda cluster: (-len(cluster), cluster[0]))
-        self._rebuild_cluster_state(survivors)
+        self._assign_clusters(
+            np.unique(self._cluster_of[n_evict:], return_inverse=True)[1]
+        )
         return n_evict
 
     # ------------------------------------------------------------------ #
@@ -698,7 +653,7 @@ class IncrementalRock:
                 drift=self.drift,
                 refreshed=False,
                 label_space=label_space,
-                n_live_clusters=len(self._members),
+                n_live_clusters=self.n_live_clusters,
             )
         labels = labeler.label_batch(batch).labels
 
@@ -718,11 +673,11 @@ class IncrementalRock:
             drift=drift,
             refreshed=refreshed,
             label_space=label_space,
-            n_live_clusters=len(self._members),
+            n_live_clusters=self.n_live_clusters,
         )
 
     # ------------------------------------------------------------------ #
-    # Splice: extend adjacency / links / cluster stores with one batch
+    # Splice: extend adjacency / links / cluster links with one batch
     # ------------------------------------------------------------------ #
     def _batch_blocks(
         self, batch: list[frozenset]
@@ -817,7 +772,7 @@ class IncrementalRock:
         return cross, within
 
     def _splice(self, batch: list[frozenset]) -> None:
-        """Splice one batch into adjacency, links and the cluster stores."""
+        """Splice one batch into adjacency, links and the cluster links."""
         n_old = len(self._points)
         cross, within = self._batch_blocks(batch)
 
@@ -861,124 +816,20 @@ class IncrementalRock:
         )
         self._points.extend(batch)
 
-        self._splice_cluster_stores(
-            n_old, delta_existing, links_batch_existing, links_batch_batch
+        # The same deltas at cluster granularity: existing pairs gain the
+        # fold of C^T C, and every batch point enters as a singleton
+        # cluster whose row is the fold of its links by cluster.
+        n_live_clusters = self.n_live_clusters
+        membership = _membership(self._cluster_of, n_live_clusters)
+        self._cluster_links = _grow_symmetric(
+            self._cluster_links + _cross_links(delta_existing, membership),
+            (links_batch_existing @ membership.T).tocsr(),
+            links_batch_batch,
+            dtype=np.int64,
         )
-
-    def _splice_cluster_stores(
-        self,
-        n_old: int,
-        delta_existing: sparse.csr_matrix,
-        links_batch_existing: sparse.csr_matrix,
-        links_batch_batch: sparse.csr_matrix,
-    ) -> None:
-        """Apply the batch's link deltas to the cluster stores and heap."""
-        cluster_links = self._cluster_links
-        members = self._members
-        entries: list[tuple[float, int, int, int, int]] = []
-
-        # (a) Existing-pair deltas folded by cluster: only cross-cluster
-        # mass matters (within-cluster links never drive a merge).
-        cluster_of_point = np.asarray(self._cluster_of[:n_old], dtype=np.int64)
-        delta = delta_existing.tocoo()
-        if delta.nnz:
-            upper = delta.row < delta.col
-            left_clusters = cluster_of_point[delta.row[upper]]
-            right_clusters = cluster_of_point[delta.col[upper]]
-            values = delta.data[upper]
-            cross_pair = left_clusters != right_clusters
-            left_clusters = left_clusters[cross_pair]
-            right_clusters = right_clusters[cross_pair]
-            values = values[cross_pair]
-            if values.size:
-                low = np.minimum(left_clusters, right_clusters)
-                high = np.maximum(left_clusters, right_clusters)
-                span = int(self._next_cluster_id) + 1
-                codes = low * span + high
-                unique_codes, inverse = np.unique(codes, return_inverse=True)
-                totals = np.zeros(unique_codes.size, dtype=np.int64)
-                np.add.at(totals, inverse, values)
-                for code, total in zip(unique_codes.tolist(), totals.tolist()):
-                    i, j = divmod(code, span)
-                    count = cluster_links[i].get(j, 0) + total
-                    cluster_links[i][j] = count
-                    cluster_links[j][i] = count
-                    entries.append(
-                        self._pair_entry(
-                            i, j, count, len(members[i]), len(members[j])
-                        )
-                    )
-
-        # (b) Every batch point becomes a singleton cluster whose row of
-        # cross-links is the fold of its point-level links by cluster.
-        cluster_ids = sorted(members)
-        row_of = {cluster_id: row for row, cluster_id in enumerate(cluster_ids)}
-        rows = np.asarray(
-            [row_of[self._cluster_of[p]] for p in range(n_old)], dtype=np.int64
+        self._cluster_of = np.concatenate(
+            [self._cluster_of, n_live_clusters + np.arange(len(batch))]
         )
-        membership = sparse.csr_matrix(
-            (np.ones(n_old, dtype=np.int64), (rows, np.arange(n_old))),
-            shape=(len(cluster_ids), n_old),
-        )
-        folded = (links_batch_existing @ membership.T).tocsr()
-        batch_links = links_batch_batch.tocsr()
-
-        n_new = links_batch_existing.shape[0]
-        new_ids: list[int] = []
-        for t in range(n_new):
-            cluster_id = self._next_cluster_id
-            self._next_cluster_id += 1
-            new_ids.append(cluster_id)
-            members[cluster_id] = [n_old + t]
-            self._cluster_of.append(cluster_id)
-            cluster_links[cluster_id] = {}
-
-        folded_indptr = folded.indptr
-        folded_positions = folded.indices.tolist()
-        folded_counts = folded.data.tolist()
-        batch_indptr = batch_links.indptr
-        batch_columns = batch_links.indices.tolist()
-        batch_counts = batch_links.data.tolist()
-        for t, cluster_id in enumerate(new_ids):
-            own_row = cluster_links[cluster_id]
-            for index in range(folded_indptr[t], folded_indptr[t + 1]):
-                count = int(folded_counts[index])
-                if count <= 0:
-                    continue
-                other = cluster_ids[folded_positions[index]]
-                own_row[other] = count
-                cluster_links[other][cluster_id] = count
-                entries.append(
-                    self._pair_entry(cluster_id, other, count, 1, len(members[other]))
-                )
-            for index in range(batch_indptr[t], batch_indptr[t + 1]):
-                column = batch_columns[index]
-                if column <= t:
-                    continue
-                count = int(batch_counts[index])
-                if count <= 0:
-                    continue
-                other = new_ids[column]
-                own_row[other] = count
-                cluster_links[other][cluster_id] = count
-                entries.append(self._pair_entry(cluster_id, other, count, 1, 1))
-
-        # One linear heapify over old + new entries beats per-entry pushes.
-        # When stale entries outnumber the live pairs by 4x, drop them
-        # first so the heap stays proportional to the live frontier.
-        heap = self._pair_heap
-        live_pairs = sum(len(row) for row in cluster_links.values()) // 2
-        if len(heap) + len(entries) > 4 * max(live_pairs, 16):
-            heap = [
-                entry
-                for entry in heap
-                if entry[2] in members
-                and entry[3] in members
-                and cluster_links[entry[2]].get(entry[3]) == entry[4]
-            ]
-            self._pair_heap = heap
-        heap.extend(entries)
-        heapq.heapify(heap)
 
     # ------------------------------------------------------------------ #
     # Frontier re-agglomeration
@@ -986,70 +837,32 @@ class IncrementalRock:
     def _reagglomerate(self) -> None:
         """Greedy merges until the target count or no positive goodness.
 
-        Pops the lazy pair heap like the flat engine's merge loop: an
-        entry whose endpoints died, or whose count stamp no longer matches
-        the live cross-link store, is skipped on surfacing — clusters the
-        batch never touched do no work at all.
+        The live clusters enter the arena engine as weighted starting
+        clusters (sizes plus cross-link counts).  Each merged group takes
+        the slot of its first starting cluster, so the other clusters keep
+        their relative order.
         """
-        members = self._members
-        cluster_links = self._cluster_links
-        heap = self._pair_heap
-        heappop = heapq.heappop
-        while len(members) > self.n_clusters:
-            while heap:
-                neg_goodness, _seq, left, right, count = heap[0]
-                if (
-                    left in members
-                    and right in members
-                    and cluster_links[left].get(right) == count
-                ):
-                    break
-                heappop(heap)
-            if not heap or not (heap[0][0] < 0.0):
-                # Empty frontier or non-positive (or NaN) best goodness:
-                # the engines stop here too.
-                break
-            _neg_goodness, _seq, left, right, _count = heappop(heap)
-            self._merge_live(left, right)
-
-    def _merge_live(self, left: int, right: int) -> None:
-        """Merge two live clusters in place.
-
-        Only the merged cluster's frontier is rescored (one heap entry per
-        surviving partner); stale entries referencing the dead ids fall
-        out lazily.
-        """
-        members = self._members
-        cluster_links = self._cluster_links
-
-        merged_id = self._next_cluster_id
-        self._next_cluster_id += 1
-        merged_members = members.pop(left) + members.pop(right)
-        members[merged_id] = merged_members
-        merged_size = len(merged_members)
-        for point in merged_members:
-            self._cluster_of[point] = merged_id
-
-        combined: dict[int, int] = {}
-        for source in (left, right):
-            for other, count in cluster_links.pop(source).items():
-                if other in (left, right):
-                    continue
-                combined[other] = combined.get(other, 0) + count
-
-        heappush = heapq.heappush
-        for other, count in combined.items():
-            other_links = cluster_links[other]
-            other_links.pop(left, None)
-            other_links.pop(right, None)
-            other_links[merged_id] = count
-            heappush(
-                self._pair_heap,
-                self._pair_entry(
-                    merged_id, other, count, merged_size, len(members[other])
-                ),
-            )
-        cluster_links[merged_id] = combined
+        n_live_clusters = self.n_live_clusters
+        if n_live_clusters <= self.n_clusters:
+            return
+        merge_history, groups, _, _ = arena_agglomerate(
+            self._cluster_links,
+            n_live_clusters,
+            self.n_clusters,
+            self.theta,
+            self.exponent_function,
+            np.bincount(self._cluster_of, minlength=n_live_clusters),
+        )
+        if not merge_history:
+            return
+        first = np.empty(n_live_clusters, dtype=np.int64)
+        for members in groups.values():
+            first[members] = min(members)
+        group_of = np.unique(first, return_inverse=True)[1]
+        self._cluster_links = _cross_links(
+            self._cluster_links, _membership(group_of, len(groups))
+        )
+        self._cluster_of = group_of[self._cluster_of]
 
     # ------------------------------------------------------------------ #
     # Refresh
@@ -1060,7 +873,7 @@ class IncrementalRock:
         Runs the session's registered agglomeration engine (every engine
         is bit-identical, so the refresh contract does not depend on the
         choice) over the maintained link matrix — no neighbour or link
-        computation is repeated — rebuilds the cluster stores/heaps and
+        computation is repeated — rebuilds the live clustering and
         rebinds the labeler to the refreshed clusters; the refreshed
         clusters are ordered by decreasing size (ties by smallest member),
         which defines the new labelling space.  The engine's merge-loop
@@ -1091,7 +904,7 @@ class IncrementalRock:
             item_index=dict(self._item_index),
             assign_outliers=self.assign_outliers,
         )
-        self._rebuild_cluster_state(ordered)
+        self._assign_clusters(_partition(ordered, len(self._points)))
         self._base_points = len(self._points)
         self._inserted_since_refresh = 0
         self.n_refreshes += 1

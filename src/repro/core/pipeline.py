@@ -402,8 +402,8 @@ class RockPipeline:
         as an outlier by the labelling phase.
     engine:
         Agglomeration engine: a name registered in
-        :mod:`repro.core.engines` (``"arena"``, ``"flat"``,
-        ``"reference"``) or ``"auto"`` (the default), propagated to
+        :mod:`repro.core.engines` (``"arena"``, ``"reference"``) or
+        ``"auto"`` (the default), propagated to
         :class:`RockClustering` and to online sessions.
     neighbor_strategy, neighbor_block_size:
         Neighbour-backend selection (a registered backend name or
@@ -1024,7 +1024,7 @@ class RockPipeline:
         session and the disk-resident remainder is **ingested** batch by
         batch — each batch is labelled through the shared
         :class:`~repro.core.labeling.StreamingLabeler` *and* spliced into
-        the live link matrix, heaps and clusters, so the clustering keeps
+        the live link matrices and clusters, so the clustering keeps
         absorbing the stream.  After the run returns, :meth:`ingest`
         keeps accepting new batches against the same session
         (:attr:`online_session`).

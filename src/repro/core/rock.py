@@ -10,20 +10,16 @@ by the ``engine`` parameter and registered in :mod:`repro.core.engines`:
 
 * ``"arena"`` — the batch-recompute engine of
   :mod:`repro.core.engine_arena`: heap-free best tracking over growable
-  scratch arenas, the fastest engine (what ``"auto"``, the default,
-  resolves to).
-* ``"flat"`` — the array-backed engine of :mod:`repro.core.engine`:
-  contiguous NumPy partner stores, a tabulated goodness normaliser and a
-  single lazy-deletion global heap.
+  scratch arenas (what ``"auto"``, the default, resolves to).
 * ``"reference"`` — the direct transcription of the paper's pseudo-code
   below: dict-of-dicts link counts, per-cluster local heaps and a global
   heap, maintained incrementally so each merge costs ``O(n log n)`` in the
   worst case, matching the paper's ``O(n^2 log n)`` overall bound.
 
-Every engine produces bit-identical merge histories, labels and criterion
+Both engines produce bit-identical merge histories, labels and criterion
 values (enforced by the test suite and the engine benchmarks);
-``"reference"`` and ``"flat"`` exist as the executable specifications the
-faster engines are tested against.  The neighbour and link phases have
+``"reference"`` exists as the executable specification the arena engine
+is tested against.  The neighbour and link phases have
 their own strategy knobs (``neighbor_strategy``, ``link_strategy``)
 documented in :mod:`repro.core.neighbors` and :mod:`repro.core.links`.
 
@@ -127,8 +123,8 @@ class RockResult:
         computation, which is reported separately by the pipeline).
     merge_counters:
         Merge-loop observability counters reported by the engine (empty
-        for engines that do not instrument themselves — ``flat`` and
-        ``reference`` are frozen specs and stay uninstrumented).
+        for engines that do not instrument themselves — ``reference`` is
+        the frozen spec and stays uninstrumented).
     """
 
     labels: np.ndarray
@@ -169,10 +165,9 @@ class RockClustering:
         the paper.
     engine:
         Agglomeration engine: any name registered in
-        :mod:`repro.core.engines` (``"arena"``, ``"flat"``,
-        ``"reference"``) or ``"auto"`` (the default, resolving to the
-        fastest registered engine).  Every engine produces identical
-        results.
+        :mod:`repro.core.engines` (``"arena"``, ``"reference"``) or
+        ``"auto"`` (the default, resolving to the fastest registered
+        engine).  Every engine produces identical results.
     neighbor_strategy:
         Passed to :func:`repro.core.neighbors.compute_neighbors`: a
         registered neighbour-backend name (``"bruteforce"``,

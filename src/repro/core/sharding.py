@@ -4,7 +4,7 @@ The streaming pipeline (PR 2) made *labelling* out-of-core, but the
 clustering phase itself was still bounded by one in-memory sample.  This
 module removes that bound in the sampled-agglomeration spirit of the source
 paper: the transaction source is partitioned into shards, every shard draws
-and clusters its own sample with the flat engine (optionally in parallel),
+and clusters its own sample (optionally in parallel),
 and the per-shard clusterings are reconciled by a **summary-merge
 agglomeration** — a weighted greedy merge over per-shard cluster summaries
 whose link counts are recomputed on a representative subset of each
@@ -37,10 +37,11 @@ Three pieces compose the subsystem:
   neighbour/link machinery, each representative carries weight
   ``cluster_size / n_representatives``, and the estimated cross-summary
   link count is the weight-scaled sum over representative pairs.  The
-  greedy loop then repeatedly merges the pair of summaries with the
-  highest paper goodness ``g(C_i, C_j)`` (true summary sizes in the
-  normaliser) until the requested number of global clusters remains or no
-  positively-linked pair is left.  With ``fan_in`` set, the merge is
+  summaries then enter the arena engine as weighted starting clusters:
+  it repeatedly merges the pair with the highest paper goodness
+  ``g(C_i, C_j)`` (true summary sizes in the normaliser) until the
+  requested number of global clusters remains or no positively-linked
+  pair is left.  With ``fan_in`` set, the merge is
   *hierarchical* in the map-reduce aggregation shape: units of at most
   ``fan_in`` shard groups are flat-merged first, the merged groups become
   the units of the next level, and so on until one final flat merge
@@ -81,6 +82,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import sparse
 
+from repro.core.engine_arena import arena_agglomerate
 from repro.core.goodness import (
     ExponentFunction,
     criterion_function,
@@ -773,11 +775,11 @@ def merge_shard_summaries(
     ordinary neighbour/link machinery scores the pooled representatives,
     and each representative pair's link count is scaled by
     ``(size_a / |R_a|) * (size_b / |R_b|)`` so the estimate extrapolates to
-    the full clusters.  The greedy loop then merges the summary pair with
-    the highest paper goodness (true summary sizes in the normaliser)
-    until ``n_clusters`` groups remain or no positively-linked pair is
-    left; ties break on the first pair in meta-id order, keeping the merge
-    deterministic.
+    the full clusters.  The arena engine then merges the summaries as
+    weighted starting clusters — the pair with the highest paper goodness
+    (true summary sizes in the normaliser) first — until ``n_clusters``
+    groups remain or no positively-linked pair is left; ties break by
+    summary id as in every engine run, keeping the merge deterministic.
 
     With ``fan_in`` set, the merge is hierarchical: the level-0 units
     (``summary_groups`` — typically one unit per shard — or one unit per
@@ -1066,24 +1068,23 @@ def _flat_summary_merge(
     )
 
     # Weighted summary-by-summary cross-link estimate: W L W folded through
-    # the owner incidence.  The diagonal (within-summary mass) is dropped —
-    # only cross-summary goodness drives the merge.
+    # the owner incidence.  The engine ignores the diagonal (within-summary
+    # mass) — only cross-summary goodness drives the merge.
     n_reps = len(representatives)
     weight_diagonal = sparse.diags(weights)
     membership = sparse.csr_matrix(
         (np.ones(n_reps), (owner, np.arange(n_reps))),
         shape=(n_summaries, n_reps),
     )
-    cross = np.asarray(
-        (membership @ (weight_diagonal @ links @ weight_diagonal) @ membership.T)
-        .todense(),
-        dtype=np.float64,
-    )
-    np.fill_diagonal(cross, 0.0)
+    cross = membership @ (weight_diagonal @ links @ weight_diagonal) @ membership.T
 
-    groups, merge_history, stopped_early = _greedy_summary_merge(
-        cross, sizes, n_clusters, theta, exponent_function
+    # The summaries are weighted starting clusters of the one merge loop:
+    # true summary sizes in the normaliser, float64 link mass.
+    merge_history, members, stopped_early, _ = arena_agglomerate(
+        cross, n_summaries, n_clusters, theta, exponent_function, sizes
     )
+    groups = [tuple(sorted(group)) for group in members.values()]
+    groups.sort(key=lambda group: (-int(sizes[list(group)].sum()), group[0]))
 
     group_of_summary = np.empty(n_summaries, dtype=np.int64)
     for group_id, group in enumerate(groups):
@@ -1103,89 +1104,6 @@ def _flat_summary_merge(
         representative_indices=representative_indices,
         criterion=criterion,
     )
-
-
-def _greedy_summary_merge(
-    cross: np.ndarray,
-    sizes: np.ndarray,
-    n_clusters: int,
-    theta: float,
-    exponent_function: ExponentFunction,
-) -> tuple[list[tuple], list[MergeStep], bool]:
-    """Greedy goodness-maximising merge over the summary cross-link matrix.
-
-    The summary count is tiny compared to the point counts the flat engine
-    handles (``n_shards * clusters_per_shard``), so an ``O(k^2)``-per-merge
-    vectorised argmax is simpler and fast enough; the goodness normaliser
-    uses the true summary sizes, which the unit-size point engines cannot
-    express.  Ties break on the first maximal pair in row-major meta-id
-    order.
-    """
-    n_summaries = len(sizes)
-    capacity = 2 * n_summaries
-    exponent = 1.0 + 2.0 * exponent_function(float(theta))
-
-    cross_full = np.zeros((capacity, capacity), dtype=np.float64)
-    cross_full[:n_summaries, :n_summaries] = cross
-    size_full = np.zeros(capacity, dtype=np.float64)
-    size_full[:n_summaries] = sizes
-    alive = np.zeros(capacity, dtype=bool)
-    alive[:n_summaries] = True
-    group_members: dict[int, list[int]] = {i: [i] for i in range(n_summaries)}
-
-    merge_history: list[MergeStep] = []
-    stopped_early = False
-    next_id = n_summaries
-    active = n_summaries
-
-    while active > n_clusters:
-        live = np.nonzero(alive)[0]
-        block = cross_full[np.ix_(live, live)]
-        live_sizes = size_full[live]
-        pair_sums = live_sizes[:, None] + live_sizes[None, :]
-        denominators = (
-            pair_sums ** exponent
-            - live_sizes[:, None] ** exponent
-            - live_sizes[None, :] ** exponent
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            goodness_block = np.where(block > 0.0, block / denominators, -np.inf)
-        goodness_block[np.tril_indices(len(live))] = -np.inf
-        flat_best = int(np.argmax(goodness_block))
-        best_goodness = goodness_block.flat[flat_best]
-        if not np.isfinite(best_goodness) or best_goodness <= 0.0:
-            stopped_early = True
-            break
-        row, column = divmod(flat_best, len(live))
-        left = int(live[row])
-        right = int(live[column])
-
-        merged = next_id
-        next_id += 1
-        merged_row = cross_full[left] + cross_full[right]
-        cross_full[merged, :] = merged_row
-        cross_full[:, merged] = merged_row
-        cross_full[merged, merged] = 0.0
-        size_full[merged] = size_full[left] + size_full[right]
-        alive[left] = alive[right] = False
-        alive[merged] = True
-        group_members[merged] = group_members.pop(left) + group_members.pop(right)
-        merge_history.append(
-            MergeStep(
-                step=len(merge_history),
-                left=left,
-                right=right,
-                goodness=float(best_goodness),
-                new_size=int(size_full[merged]),
-            )
-        )
-        active -= 1
-
-    groups = [tuple(sorted(members)) for members in group_members.values()]
-    groups.sort(
-        key=lambda group: (-int(sum(sizes[i] for i in group)), group[0])
-    )
-    return groups, merge_history, stopped_early
 
 
 def build_shard_samples(

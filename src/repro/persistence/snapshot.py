@@ -7,7 +7,7 @@ On-disk layout of a snapshot directory::
         checkpoint-000003/
             MANIFEST.json       # version, session config, wal_seq, checksums
             arrays.npz          # CSR blobs: adjacency / links / incidence + sizes
-            objects.pkl         # points, cluster stores, heap, labeler, RNG, extra
+            objects.pkl         # points, partition, labeler, RNG, extra
         wal.log                 # write-ahead log since checkpoint-000003
 
 A checkpoint is built in a hidden ``.tmp-*`` sibling, every file is
@@ -36,6 +36,7 @@ from typing import Any, Callable
 import numpy as np
 from scipy import sparse
 
+from repro.core.engines import restored_engine_name
 from repro.core.incremental import IncrementalRock
 from repro.data.io import atomic_write_text
 from repro.errors import (
@@ -230,7 +231,10 @@ class SessionSnapshot:
             )
         manifest = cls._read_manifest(checkpoint)
         if expected_config is not None:
-            recorded = manifest.get("config", {})
+            recorded = dict(manifest.get("config", {}))
+            if "engine" in recorded:
+                # A retired engine compares as the engine it resumes under.
+                recorded["engine"] = restored_engine_name(recorded["engine"])
             differing = sorted(
                 key
                 for key in set(recorded) | set(expected_config)

@@ -450,7 +450,7 @@ class TestREG001:
 
     def test_dict_dispatch_flagged(self):
         report = lint(
-            'TABLE = {"flat": 1, "reference": 2}\n',
+            'TABLE = {"arena": 1, "reference": 2}\n',
             module="repro.cli",
             codes=["REG001"],
         )
@@ -714,7 +714,8 @@ class TestRunnerAndCli:
 
     def test_module_name_for(self):
         assert (
-            module_name_for(SRC / "core" / "engine.py") == "repro.core.engine"
+            module_name_for(SRC / "core" / "engine_arena.py")
+            == "repro.core.engine_arena"
         )
         assert (
             module_name_for(SRC / "core" / "neighbors" / "__init__.py")

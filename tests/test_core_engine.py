@@ -1,6 +1,6 @@
-"""Tests for repro.core.engine (the flat agglomeration engine).
+"""Model-level tests of the arena agglomeration engine against the spec.
 
-The contract of ``engine="flat"`` is *bit-identical* behaviour to
+The contract of ``engine="arena"`` is *bit-identical* behaviour to
 ``engine="reference"``: the same merge history (including goodness values),
 the same labels, the same criterion and the same early-stop flag.  The
 tests below enforce that on randomized transaction sets across the theta
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.engine import FlatAgglomerationEngine, flat_agglomerate
+from repro.core.engine_arena import ArenaAgglomerationEngine, arena_agglomerate
 from repro.core.links import links_from_neighbors
 from repro.core.neighbors import compute_neighbors
 from repro.core.rock import ENGINES, RockClustering
@@ -33,18 +33,18 @@ def _random_transactions(rng: np.random.Generator, n: int, universe: int) -> lis
 
 
 def assert_engines_identical(data, n_clusters: int, theta: float, **kwargs) -> None:
-    flat = RockClustering(
-        n_clusters=n_clusters, theta=theta, engine="flat", **kwargs
+    arena = RockClustering(
+        n_clusters=n_clusters, theta=theta, engine="arena", **kwargs
     ).fit(data).result_
     reference = RockClustering(
         n_clusters=n_clusters, theta=theta, engine="reference", **kwargs
     ).fit(data).result_
-    assert flat.merge_history == reference.merge_history
-    assert np.array_equal(flat.labels, reference.labels)
-    assert flat.clusters == reference.clusters
-    assert flat.criterion == reference.criterion
-    assert flat.stopped_early == reference.stopped_early
-    assert flat.n_clusters == reference.n_clusters
+    assert arena.merge_history == reference.merge_history
+    assert np.array_equal(arena.labels, reference.labels)
+    assert arena.clusters == reference.clusters
+    assert arena.criterion == reference.criterion
+    assert arena.stopped_early == reference.stopped_early
+    assert arena.n_clusters == reference.n_clusters
 
 
 class TestEngineEquivalence:
@@ -107,12 +107,12 @@ class TestEngineEquivalence:
         assert_engines_identical(transactions, n_clusters=2, theta=0.5)
 
 
-class TestFlatEngineBehaviour:
+class TestArenaEngineBehaviour:
     def test_auto_is_the_default_engine(self):
         assert RockClustering(n_clusters=2).engine == "auto"
 
     def test_engines_constant(self):
-        assert ENGINES == ("flat", "reference", "arena")
+        assert ENGINES == ("reference", "arena")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -122,11 +122,11 @@ class TestFlatEngineBehaviour:
         transactions = [{1, 2}, {3, 4}, {5, 6}]
         with pytest.raises(InsufficientLinksError):
             RockClustering(
-                n_clusters=1, theta=0.9, engine="flat", strict=True
+                n_clusters=1, theta=0.9, engine="arena", strict=True
             ).fit(transactions)
 
     def test_two_group_recovery(self, two_group_transactions, two_group_labels):
-        model = RockClustering(n_clusters=2, theta=0.4, engine="flat")
+        model = RockClustering(n_clusters=2, theta=0.4, engine="arena")
         model.fit(two_group_transactions)
         assert model.n_clusters_ == 2
         first = model.labels_[:3]
@@ -136,14 +136,14 @@ class TestFlatEngineBehaviour:
         assert first[0] != second[0]
 
 
-class TestFlatAgglomerateFunction:
+class TestArenaAgglomerateFunction:
     @pytest.fixture
     def links(self, two_group_transactions):
         graph = compute_neighbors(two_group_transactions, theta=0.4)
         return links_from_neighbors(graph)
 
     def test_merges_down_to_requested_count(self, links):
-        history, members, stopped_early = flat_agglomerate(links, 6, 2, 0.4)
+        history, members, stopped_early, _ = arena_agglomerate(links, 6, 2, 0.4)
         assert len(members) == 2
         assert len(history) == 4
         assert not stopped_early
@@ -153,13 +153,13 @@ class TestFlatAgglomerateFunction:
         ]
 
     def test_goodness_values_positive_and_recorded(self, links):
-        history, _, _ = flat_agglomerate(links, 6, 2, 0.4)
+        history, _, _, _ = arena_agglomerate(links, 6, 2, 0.4)
         assert all(step.goodness > 0 for step in history)
         assert [step.step for step in history] == list(range(len(history)))
 
     def test_empty_links_stops_early(self):
         links = sparse.csr_matrix((4, 4), dtype=np.int64)
-        history, members, stopped_early = flat_agglomerate(links, 4, 1, 0.5)
+        history, members, stopped_early, _ = arena_agglomerate(links, 4, 1, 0.5)
         assert not history
         assert len(members) == 4
         assert stopped_early
@@ -173,12 +173,12 @@ class TestFlatAgglomerateFunction:
             (upper.data[order], (upper.row[order], upper.col[order])),
             shape=upper.shape,
         ).tocsr()
-        baseline = flat_agglomerate(links, 6, 2, 0.4)
-        assert flat_agglomerate(scrambled, 6, 2, 0.4)[0] == baseline[0]
+        baseline = arena_agglomerate(links, 6, 2, 0.4)
+        assert arena_agglomerate(scrambled, 6, 2, 0.4)[0] == baseline[0]
 
     def test_engine_class_reusable_state(self, links):
-        engine = FlatAgglomerationEngine(links, 6, 2, 0.4)
-        history, members, stopped_early = engine.run()
+        engine = ArenaAgglomerationEngine(links, 6, 2, 0.4)
+        history, members, stopped_early, _ = engine.run()
         assert len(members) == 2
         assert not stopped_early
         assert len(history) == 4
@@ -198,7 +198,7 @@ class TestDegenerateGoodness:
     def test_negative_goodness_exponent_stops_early_identically(self):
         # A custom exponent function with 1 + 2 f(theta) < 1 makes every
         # denominator negative; the reference stops before the first merge
-        # and the flat engine must match.
+        # and the arena engine must match.
         transactions = [frozenset({1, 2, 3}), frozenset({1, 2, 4}), frozenset({1, 3, 4})]
         assert_engines_identical(
             transactions,

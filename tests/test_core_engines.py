@@ -1,13 +1,15 @@
 """Tests for repro.core.engines (the agglomeration-engine registry) and
-the arena engine's bit-identity contract.
+the arena engine's contracts.
 
-``test_core_engine.py`` pins the flat engine against the reference spec;
-this file pins the registry itself (names, normalisation, registration
-errors, ``auto`` selection) and the arena engine against the flat spec —
-exact :class:`~repro.types.MergeStep` histories including goodness floats
-and tie-break order, surviving memberships, early-stop parity, and the
-merge-loop counters surfaced through the model, the pipeline, the
-incremental session and the serve ``status`` verb.
+``test_core_engine.py`` pins the arena engine against the reference spec
+at model level; this file pins the registry itself (names, normalisation,
+registration errors, ``auto`` selection), the arena engine against the
+reference engine on raw link matrices — exact
+:class:`~repro.types.MergeStep` histories including goodness floats and
+tie-break order, surviving memberships, early-stop parity — its weighted
+starting clusters against a dense greedy spec, and the merge-loop
+counters surfaced through the model, the pipeline, the incremental
+session and the serve ``status`` verb.
 """
 
 import numpy as np
@@ -16,13 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from repro.core.engine import flat_agglomerate
 from repro.core.engine_arena import ArenaAgglomerationEngine, arena_agglomerate
 from repro.core.engines import (
     ARENA_ENGINE,
     AUTO_ENGINE,
     DEFAULT_ENGINE,
-    FLAT_ENGINE,
     REFERENCE_ENGINE,
     available_engines,
     engine_choices,
@@ -33,6 +33,7 @@ from repro.core.engines import (
     select_engine_name,
     validate_engine_name,
 )
+from repro.core.goodness import default_expected_links_exponent
 from repro.core.incremental import IncrementalRock
 from repro.core.links import links_from_neighbors
 from repro.core.neighbors import compute_neighbors
@@ -65,13 +66,69 @@ def _random_links(seed: int, n: int, density: float, max_count: int):
     return sparse.csr_matrix(dense.astype(np.int64))
 
 
-def assert_arena_matches_flat(links, n, n_clusters, theta, exponent_function=None):
-    flat = flat_agglomerate(links, n, n_clusters, theta, exponent_function)
+def _partition(members):
+    return sorted(sorted(points) for points in members.values())
+
+
+def assert_arena_matches_reference(
+    links, n, n_clusters, theta, exponent_function=None
+):
+    reference = get_engine(REFERENCE_ENGINE).agglomerate(
+        links, n, n_clusters, theta, exponent_function
+    )
     arena = arena_agglomerate(links, n, n_clusters, theta, exponent_function)
-    assert arena[0] == flat[0]  # MergeStep history, goodness floats included
-    assert arena[1] == flat[1]  # surviving memberships
-    assert arena[2] == flat[2]  # early-stop flag
+    # MergeStep history, goodness floats and tie-breaks included.
+    assert arena[0] == reference.merge_history
+    assert _partition(arena[1]) == _partition(reference.members)
+    assert arena[2] == reference.stopped_early
     return arena
+
+
+def greedy_spec(weights, sizes, n_clusters, theta):
+    """Dense weighted greedy merge: ``(left, right, goodness, size)`` steps.
+
+    The textbook loop over weighted starting clusters — score every
+    linked pair, merge the best, sum the merged pair's rows — with merged
+    clusters numbered past the starting ids like every engine, and each
+    pair's normaliser taken with the larger id's size first.
+    """
+    exponent = 1.0 + 2.0 * default_expected_links_exponent(theta)
+    size = {i: int(s) for i, s in enumerate(sizes)}
+    cross = {
+        (i, j): float(weights[i, j])
+        for i in range(len(sizes))
+        for j in range(i + 1, len(sizes))
+        if weights[i, j] > 0
+    }
+
+    def pair_goodness(pair):
+        older, newer = size[pair[0]], size[pair[1]]
+        return cross[pair] / (
+            float(newer + older) ** exponent
+            - float(newer) ** exponent
+            - float(older) ** exponent
+        )
+
+    steps = []
+    while len(size) > n_clusters and cross:
+        left, right = max(cross, key=pair_goodness)
+        best = pair_goodness((left, right))
+        if not best > 0.0:
+            break
+        merged = len(sizes) + len(steps)
+        steps.append((left, right, best, size[left] + size[right]))
+        size[merged] = size.pop(left) + size.pop(right)
+        combined = {}
+        for source in (left, right):
+            for (a, b), weight in list(cross.items()):
+                if source in (a, b):
+                    del cross[(a, b)]
+                    other = b if a == source else a
+                    if other not in (left, right):
+                        combined[other] = combined.get(other, 0.0) + weight
+        for other, weight in combined.items():
+            cross[(other, merged)] = weight
+    return steps
 
 
 class _DummyEngine:
@@ -84,22 +141,17 @@ class _DummyEngine:
 
 class TestRegistry:
     def test_registration_order(self):
-        assert available_engines() == [FLAT_ENGINE, REFERENCE_ENGINE, ARENA_ENGINE]
+        assert available_engines() == [REFERENCE_ENGINE, ARENA_ENGINE]
 
     def test_engine_choices_lead_with_auto(self):
-        assert engine_choices() == [
-            AUTO_ENGINE,
-            FLAT_ENGINE,
-            REFERENCE_ENGINE,
-            ARENA_ENGINE,
-        ]
+        assert engine_choices() == [AUTO_ENGINE, REFERENCE_ENGINE, ARENA_ENGINE]
 
     def test_default_engine_is_auto(self):
         assert DEFAULT_ENGINE == AUTO_ENGINE
 
     @pytest.mark.parametrize(
         ("raw", "expected"),
-        [("  Arena ", "arena"), ("FLAT", "flat"), ("my_engine", "my-engine")],
+        [("  Arena ", "arena"), ("REFERENCE", "reference"), ("my_engine", "my-engine")],
     )
     def test_normalization(self, raw, expected):
         assert normalize_engine_name(raw) == expected
@@ -112,8 +164,14 @@ class TestRegistry:
             assert get_engine(name).name == name
 
     def test_unknown_engine_message_lists_choices(self):
-        with pytest.raises(ConfigurationError, match="auto, flat, reference, arena"):
+        with pytest.raises(ConfigurationError, match="auto, reference, arena"):
             get_engine("warp")
+
+    def test_retired_flat_engine_rejected(self):
+        # The flat engine was folded into arena (bit-identical); its name
+        # is no longer accepted anywhere an engine name is.
+        with pytest.raises(ConfigurationError, match="auto, reference, arena"):
+            validate_engine_name("flat")
 
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigurationError, match="non-empty"):
@@ -125,7 +183,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
-            register_engine(_DummyEngine("flat"))
+            register_engine(_DummyEngine("arena"))
 
     def test_auto_resolves_to_arena(self):
         assert select_engine_name() == ARENA_ENGINE
@@ -139,43 +197,45 @@ class TestRegistry:
             validate_engine_name("warp")
 
 
-class TestArenaBitIdentity:
+class TestArenaMatchesReference:
     @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 0.75])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_theta_grid_bit_identical(self, theta, seed):
         rng = np.random.default_rng(seed)
         transactions = _random_transactions(rng, n=70, universe=20)
         links = _links_for(transactions, theta)
-        assert_arena_matches_flat(links, len(transactions), 4, theta)
+        assert_arena_matches_reference(links, len(transactions), 4, theta)
 
     def test_theta_one_linkless_early_stop(self):
         # At theta = 1 distinct transactions have no neighbours: both
         # engines must stop before the first merge, identically.
         transactions = [frozenset({i, i + 1}) for i in range(10)]
         links = _links_for(transactions, 1.0)
-        arena = assert_arena_matches_flat(links, len(transactions), 3, 1.0)
+        arena = assert_arena_matches_reference(links, len(transactions), 3, 1.0)
         assert arena[2] is True and not arena[0]
 
-    def test_theta_one_with_links_raises_like_flat(self):
+    def test_theta_one_with_links_raises_like_reference(self):
         # A nonzero link at theta = 1 hits the vanishing goodness
-        # denominator; the arena engine must refuse with the flat engine's
-        # exact message (it shares the seed's limitation on purpose).
+        # denominator; the arena engine refuses like the reference (it
+        # shares the seed's limitation on purpose), naming the cause.
         links = sparse.csr_matrix(np.array([[0, 2], [2, 0]], dtype=np.int64))
-        with pytest.raises(ZeroDivisionError) as flat_err:
-            flat_agglomerate(links, 2, 1, 1.0)
-        with pytest.raises(ZeroDivisionError) as arena_err:
+        with pytest.raises(ZeroDivisionError):
+            get_engine(REFERENCE_ENGINE).agglomerate(links, 2, 1, 1.0)
+        with pytest.raises(ZeroDivisionError, match="denominator is zero"):
             arena_agglomerate(links, 2, 1, 1.0)
-        assert str(arena_err.value) == str(flat_err.value)
 
-    def test_custom_exponent_non_positive_goodness_stops_early_identically(self):
-        # 1 + 2 f(theta) < 1 makes every denominator negative, so the best
-        # goodness is never positive and both engines stop before the
-        # first merge.
+    @pytest.mark.parametrize("f_theta", [-0.5, float("nan")])
+    def test_custom_exponent_non_positive_goodness_stops_early_identically(
+        self, f_theta
+    ):
+        # 1 + 2 f(theta) < 1 makes every denominator negative (a NaN
+        # exponent makes every goodness NaN), so the best goodness is never
+        # positive and both engines stop before the first merge.
         rng = np.random.default_rng(11)
         transactions = _random_transactions(rng, n=30, universe=12)
         links = _links_for(transactions, 0.4)
-        arena = assert_arena_matches_flat(
-            links, len(transactions), 1, 0.4, exponent_function=lambda theta: -0.5
+        arena = assert_arena_matches_reference(
+            links, len(transactions), 1, 0.4, exponent_function=lambda theta: f_theta
         )
         assert arena[2] is True and not arena[0]
 
@@ -183,7 +243,7 @@ class TestArenaBitIdentity:
         rng = np.random.default_rng(23)
         transactions = _random_transactions(rng, n=50, universe=15)
         links = _links_for(transactions, 0.5)
-        assert_arena_matches_flat(
+        assert_arena_matches_reference(
             links,
             len(transactions),
             3,
@@ -194,19 +254,19 @@ class TestArenaBitIdentity:
     def test_tie_break_order_bit_identical(self):
         # A chain whose links all carry the same count produces long runs
         # of exactly equal goodness; the winner must be the same
-        # (goodness, cluster-id) order the flat heap yields.
+        # (goodness, cluster-id) order the reference's heaps yield.
         n = 12
         dense = np.zeros((n, n), dtype=np.int64)
         for i in range(n - 1):
             dense[i, i + 1] = dense[i + 1, i] = 1
         links = sparse.csr_matrix(dense)
-        arena = assert_arena_matches_flat(links, n, 2, 0.5)
+        arena = assert_arena_matches_reference(links, n, 2, 0.5)
         assert len(arena[0]) > 0
 
     def test_all_duplicate_transactions_bit_identical(self):
         transactions = [frozenset({1, 2, 3})] * 8
         links = _links_for(transactions, 0.5)
-        assert_arena_matches_flat(links, len(transactions), 1, 0.5)
+        assert_arena_matches_reference(links, len(transactions), 1, 0.5)
 
 
 class TestArenaDegenerates:
@@ -219,19 +279,19 @@ class TestArenaDegenerates:
         assert len(members) == 4
         assert stopped_early
         assert counters["merges"] == 0
-        assert_arena_matches_flat(links, 4, 1, 0.5)
+        assert_arena_matches_reference(links, 4, 1, 0.5)
 
     def test_n_clusters_at_or_above_n_merges_nothing(self):
         rng = np.random.default_rng(3)
         transactions = _random_transactions(rng, n=6, universe=8)
         links = _links_for(transactions, 0.3)
         for n_clusters in (6, 9):
-            arena = assert_arena_matches_flat(links, 6, n_clusters, 0.3)
+            arena = assert_arena_matches_reference(links, 6, n_clusters, 0.3)
             assert arena[0] == [] and arena[2] is False
 
     def test_single_point(self):
         links = sparse.csr_matrix((1, 1), dtype=np.int64)
-        assert_arena_matches_flat(links, 1, 1, 0.5)
+        assert_arena_matches_reference(links, 1, 1, 0.5)
 
     def test_unsorted_unsymmetric_input_canonicalised(self):
         rng = np.random.default_rng(7)
@@ -252,12 +312,12 @@ class TestArenaDegenerates:
         links = _links_for(transactions, 0.4)
         engine = ArenaAgglomerationEngine(links, 30, 3, 0.4)
         history, members, stopped_early, counters = engine.run()
-        flat = flat_agglomerate(links, 30, 3, 0.4)
-        assert (history, members, stopped_early) == flat
+        arena = assert_arena_matches_reference(links, 30, 3, 0.4)
+        assert (history, members, stopped_early) == arena[:3]
         assert counters["merges"] == len(history)
 
 
-class TestArenaFlatProperty:
+class TestArenaReferenceProperty:
     @settings(deadline=None, max_examples=80)
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -267,12 +327,62 @@ class TestArenaFlatProperty:
         theta=st.floats(min_value=0.05, max_value=0.95),
         k_fraction=st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_arena_matches_flat_on_random_link_matrices(
+    def test_arena_matches_reference_on_random_link_matrices(
         self, seed, n, density, max_count, theta, k_fraction
     ):
         links = _random_links(seed, n, density, max_count)
         n_clusters = max(1, int(round(k_fraction * n)))
-        assert_arena_matches_flat(links, n, n_clusters, theta)
+        assert_arena_matches_reference(links, n, n_clusters, theta)
+
+
+class TestWeightedStartingClusters:
+    def test_unit_sizes_equal_points(self):
+        rng = np.random.default_rng(4)
+        transactions = _random_transactions(rng, n=60, universe=15)
+        links = _links_for(transactions, 0.4)
+        points = arena_agglomerate(links, 60, 4, 0.4)
+        weighted = arena_agglomerate(
+            links, 60, 4, 0.4, sizes=np.ones(60, dtype=np.int64)
+        )
+        assert weighted == points
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_float_weights_match_dense_greedy_spec(self, seed):
+        # Random float link mass and sizes make every goodness distinct,
+        # so the merge order is fully determined by the spec.
+        rng = np.random.default_rng(seed)
+        k = 14
+        weights = rng.random((k, k)) * (rng.random((k, k)) < 0.5) * 40.0
+        weights = np.triu(weights, k=1)
+        weights = weights + weights.T
+        sizes = rng.integers(1, 30, size=k)
+        history, members, stopped_early, _ = arena_agglomerate(
+            sparse.csr_matrix(weights), k, 3, 0.5, sizes=sizes
+        )
+        spec = greedy_spec(weights, sizes, 3, 0.5)
+        assert [
+            (step.left, step.right, step.goodness, step.new_size)
+            for step in history
+        ] == spec
+        assert stopped_early == (len(members) > 3)
+        assert sorted(i for group in members.values() for i in group) == list(
+            range(k)
+        )
+
+    def test_sizes_enter_the_normaliser(self):
+        # Two pairs with the same link mass: the pair of smaller clusters
+        # has the larger goodness and merges first.
+        weights = np.zeros((4, 4))
+        weights[0, 1] = weights[1, 0] = 10.0
+        weights[2, 3] = weights[3, 2] = 10.0
+        history, _, _, _ = arena_agglomerate(
+            sparse.csr_matrix(weights), 4, 3, 0.5, sizes=np.array([50, 40, 2, 3])
+        )
+        assert (history[0].left, history[0].right, history[0].new_size) == (
+            2,
+            3,
+            5,
+        )
 
 
 class TestFullModelParity:
@@ -282,7 +392,7 @@ class TestFullModelParity:
         for engine in engine_choices():
             model = RockClustering(n_clusters=4, theta=0.5, engine=engine)
             results[engine] = model.fit(dataset.transactions).result_
-        baseline = results[FLAT_ENGINE]
+        baseline = results[REFERENCE_ENGINE]
         for engine, result in results.items():
             assert result.merge_history == baseline.merge_history, engine
             assert np.array_equal(result.labels, baseline.labels), engine
@@ -306,10 +416,10 @@ class TestCountersExposure:
         assert counters["frontier_max"] >= 0
 
         # An uninstrumented engine reports no counters rather than fakes.
-        flat_model = RockClustering(
-            n_clusters=4, theta=0.5, engine=FLAT_ENGINE
+        reference_model = RockClustering(
+            n_clusters=4, theta=0.5, engine=REFERENCE_ENGINE
         ).fit(transactions)
-        assert flat_model.result_.merge_counters == {}
+        assert reference_model.result_.merge_counters == {}
 
         # Pipeline level: the run parameters carry the same counters.
         result = RockPipeline(n_clusters=4, theta=0.5).run(transactions)

@@ -45,28 +45,21 @@ def assert_live_state_consistent(session):
     )
     assert members == list(range(len(points)))
 
-    # Cluster-level cross-link stores are symmetric and match the fold of
-    # the point-level link matrix; the lazy pair heap carries a current
-    # entry (matching count stamp) for every live cross-cluster pair.
-    current_entries = {
-        (min(left, right), max(left, right), count)
-        for _neg, _seq, left, right, count in session._pair_heap
-        if left in session._members and right in session._members
-    }
-    for cluster_id, row in session._cluster_links.items():
-        assert cluster_id in session._members
-        for other, count in row.items():
-            assert session._cluster_links[other][cluster_id] == count
-            assert count == cross_cluster_links(
-                session.links_,
-                session._members[cluster_id],
-                session._members[other],
-            )
-            assert (
-                min(cluster_id, other),
-                max(cluster_id, other),
-                count,
-            ) in current_entries
+    # Every cluster slot is occupied, and the cluster-level cross-link
+    # matrix equals the fold of the point-level link matrix by slot.
+    slots = [
+        np.flatnonzero(session._cluster_of == slot)
+        for slot in range(session.n_live_clusters)
+    ]
+    assert all(len(members) for members in slots)
+    cluster_links = session._cluster_links.toarray()
+    for a, left in enumerate(slots):
+        assert cluster_links[a, a] == 0
+        for b, right in enumerate(slots):
+            if a != b:
+                assert cluster_links[a, b] == cross_cluster_links(
+                    session.links_, left, right
+                )
 
 
 class TestValidation:

@@ -18,17 +18,17 @@ def _payload(rows):
 
 class TestRegressionCheck:
     def test_passes_when_equal(self):
-        baseline = _payload([{"n": 500, "agglomerate_flat_s": 1.0}])
+        baseline = _payload([{"n": 500, "agglomerate_arena_s": 1.0}])
         assert check_agglomeration_regression(baseline, baseline) == []
 
     def test_passes_within_ratio(self):
-        current = _payload([{"n": 500, "agglomerate_flat_s": 1.4}])
-        baseline = _payload([{"n": 500, "agglomerate_flat_s": 1.0}])
+        current = _payload([{"n": 500, "agglomerate_arena_s": 1.4}])
+        baseline = _payload([{"n": 500, "agglomerate_arena_s": 1.0}])
         assert check_agglomeration_regression(current, baseline) == []
 
     def test_fails_beyond_ratio(self):
-        current = _payload([{"n": 500, "agglomerate_flat_s": 2.0}])
-        baseline = _payload([{"n": 500, "agglomerate_flat_s": 1.0}])
+        current = _payload([{"n": 500, "agglomerate_arena_s": 2.0}])
+        baseline = _payload([{"n": 500, "agglomerate_arena_s": 1.0}])
         violations = check_agglomeration_regression(current, baseline)
         assert len(violations) == 1
         assert "n=500" in violations[0]
@@ -36,23 +36,23 @@ class TestRegressionCheck:
     def test_slack_absorbs_tiny_times(self):
         # 3x regression on a 10 ms measurement stays within the absolute
         # slack, so scheduler noise cannot trip the gate.
-        current = _payload([{"n": 500, "agglomerate_flat_s": 0.030}])
-        baseline = _payload([{"n": 500, "agglomerate_flat_s": 0.010}])
+        current = _payload([{"n": 500, "agglomerate_arena_s": 0.030}])
+        baseline = _payload([{"n": 500, "agglomerate_arena_s": 0.010}])
         assert check_agglomeration_regression(current, baseline) == []
 
     def test_unmatched_sizes_ignored(self):
-        current = _payload([{"n": 500, "agglomerate_flat_s": 9.0}])
-        baseline = _payload([{"n": 1000, "agglomerate_flat_s": 1.0}])
+        current = _payload([{"n": 500, "agglomerate_arena_s": 9.0}])
+        baseline = _payload([{"n": 1000, "agglomerate_arena_s": 1.0}])
         assert check_agglomeration_regression(current, baseline) == []
 
     def test_faster_run_passes(self):
-        current = _payload([{"n": 500, "agglomerate_flat_s": 0.2}])
-        baseline = _payload([{"n": 500, "agglomerate_flat_s": 1.0}])
+        current = _payload([{"n": 500, "agglomerate_arena_s": 0.2}])
+        baseline = _payload([{"n": 500, "agglomerate_arena_s": 1.0}])
         assert check_agglomeration_regression(current, baseline) == []
 
     def test_custom_ratio(self):
-        current = _payload([{"n": 500, "agglomerate_flat_s": 1.2}])
-        baseline = _payload([{"n": 500, "agglomerate_flat_s": 1.0}])
+        current = _payload([{"n": 500, "agglomerate_arena_s": 1.2}])
+        baseline = _payload([{"n": 500, "agglomerate_arena_s": 1.0}])
         assert check_agglomeration_regression(
             current, baseline, max_ratio=1.1, slack_seconds=0.0
         ) != []
@@ -68,7 +68,7 @@ class TestEngineBenchSmoke:
     def test_time_engine_phases_small(self):
         row = time_engine_phases(60, include_reference=True, repeats=1)
         assert row["n"] == 60
-        assert row["agglomerate_flat_s"] > 0
+        assert row["agglomerate_arena_s"] > 0
         assert row["agglomerate_reference_s"] > 0
         assert row["n_merges"] > 0
         assert "agglomerate_speedup" in row
@@ -128,7 +128,7 @@ class TestSpeedupRegressionCheck:
     def test_missing_speedup_ignored(self):
         from repro.bench.perf_gate import check_speedup_regression
 
-        current = _payload([{"n": 500, "agglomerate_flat_s": 0.1}])
+        current = _payload([{"n": 500, "agglomerate_arena_s": 0.1}])
         baseline = _payload([{"n": 500, "agglomerate_speedup": 4.5}])
         assert check_speedup_regression(current, baseline) == []
 
@@ -138,10 +138,10 @@ class TestPhaseRegressionChecks:
         from repro.bench.perf_gate import check_phase_regressions
 
         current = _payload([
-            {"n": 500, "agglomerate_flat_s": 1.0, "label_s": 2.0}
+            {"n": 500, "agglomerate_arena_s": 1.0, "label_s": 2.0}
         ])
         baseline = _payload([
-            {"n": 500, "agglomerate_flat_s": 1.0, "label_s": 1.0}
+            {"n": 500, "agglomerate_arena_s": 1.0, "label_s": 1.0}
         ])
         violations = check_phase_regressions(current, baseline)
         assert len(violations) == 1
@@ -151,10 +151,10 @@ class TestPhaseRegressionChecks:
         from repro.bench.perf_gate import check_phase_regressions
 
         current = _payload([
-            {"n": 500, "agglomerate_flat_s": 3.0, "label_s": 3.0}
+            {"n": 500, "agglomerate_arena_s": 3.0, "label_s": 3.0}
         ])
         baseline = _payload([
-            {"n": 500, "agglomerate_flat_s": 1.0, "label_s": 1.0}
+            {"n": 500, "agglomerate_arena_s": 1.0, "label_s": 1.0}
         ])
         assert len(check_phase_regressions(current, baseline)) == 2
 
@@ -162,9 +162,9 @@ class TestPhaseRegressionChecks:
         from repro.bench.perf_gate import check_phase_regressions
 
         current = _payload([
-            {"n": 500, "agglomerate_flat_s": 1.0, "label_s": 9.0}
+            {"n": 500, "agglomerate_arena_s": 1.0, "label_s": 9.0}
         ])
-        baseline = _payload([{"n": 500, "agglomerate_flat_s": 1.0}])
+        baseline = _payload([{"n": 500, "agglomerate_arena_s": 1.0}])
         assert check_phase_regressions(current, baseline) == []
 
     def test_gate_against_baseline_covers_labeling(self, tmp_path):
@@ -177,13 +177,13 @@ class TestPhaseRegressionChecks:
         # (reference_skipped), or the accounting check fires first.
         baseline_path.write_text(json.dumps(
             _payload([{
-                "n": 500, "agglomerate_flat_s": 1.0, "label_s": 1.0,
+                "n": 500, "agglomerate_arena_s": 1.0, "label_s": 1.0,
                 "reference_skipped": True,
             }])
         ))
         current = _payload([
             {
-                "n": 500, "agglomerate_flat_s": 1.0, "label_s": 2.0,
+                "n": 500, "agglomerate_arena_s": 1.0, "label_s": 2.0,
                 "reference_skipped": True,
             }
         ])
@@ -236,11 +236,11 @@ class TestBatchedLabelMetricGated:
         from repro.bench.perf_gate import check_phase_regressions
 
         current = _payload([
-            {"n": 500, "agglomerate_flat_s": 1.0, "label_s": 1.0,
+            {"n": 500, "agglomerate_arena_s": 1.0, "label_s": 1.0,
              "label_batched_s": 2.0}
         ])
         baseline = _payload([
-            {"n": 500, "agglomerate_flat_s": 1.0, "label_s": 1.0,
+            {"n": 500, "agglomerate_arena_s": 1.0, "label_s": 1.0,
              "label_batched_s": 1.0}
         ])
         violations = check_phase_regressions(current, baseline)
@@ -271,10 +271,10 @@ class TestPerMetricSlack:
         from repro.bench.perf_gate import check_phase_regressions
 
         current = _payload([
-            {"n": 500, "agglomerate_flat_s": 0.030, "label_s": 0.030}
+            {"n": 500, "agglomerate_arena_s": 0.030, "label_s": 0.030}
         ])
         baseline = _payload([
-            {"n": 500, "agglomerate_flat_s": 0.010, "label_s": 0.010}
+            {"n": 500, "agglomerate_arena_s": 0.010, "label_s": 0.010}
         ])
         violations = check_phase_regressions(current, baseline)
         assert len(violations) == 1
@@ -295,7 +295,7 @@ class TestReferenceAccounting:
     silently — a row either records them or marks reference_skipped."""
 
     def _row(self, **extra):
-        return {"n": 4000, "agglomerate_flat_s": 1.0, **extra}
+        return {"n": 4000, "agglomerate_arena_s": 1.0, **extra}
 
     def test_metrics_present_passes(self):
         from repro.bench.perf_gate import check_reference_accounting

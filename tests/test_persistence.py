@@ -14,6 +14,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core.engines import DEFAULT_ENGINE
 from repro.core.incremental import IncrementalRock
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import RockClustering
@@ -79,12 +80,8 @@ def _assert_sessions_identical(left, right):
     """Bit-identity over everything the ingest path can observe."""
     assert (left.adjacency_ != right.adjacency_).nnz == 0
     assert (left.links_ != right.links_).nnz == 0
-    assert left._members == right._members
-    assert left._cluster_of == right._cluster_of
-    assert {k: dict(v) for k, v in left._cluster_links.items()} == {
-        k: dict(v) for k, v in right._cluster_links.items()
-    }
-    assert left._pair_heap == right._pair_heap
+    np.testing.assert_array_equal(left._cluster_of, right._cluster_of)
+    assert (left._cluster_links != right._cluster_links).nnz == 0
     assert left.rng.bit_generator.state == right.rng.bit_generator.state
 
 
@@ -246,6 +243,26 @@ class TestSnapshotRoundTrip:
         assert tail_restored == tail_reference
         _assert_sessions_identical(restored, reference)
 
+    def test_earlier_cluster_id_layout_restores(self):
+        # Checkpoints written while every merge minted a fresh cluster id
+        # carry sparse ids plus the retired heap stores, and may record the
+        # retired flat engine; they restore to the same partition,
+        # compacted to slots in id order, under the default engine.
+        reference = _session()
+        _run_schedule(reference, STREAM_BATCHES[:2])
+        state = reference.session_state()
+        state["cluster_of"] = [3 * slot + 7 for slot in state["cluster_of"]]
+        state["counters"].update(next_cluster_id=99, heap_seq=42)
+        state.update(members={}, cluster_links={}, heap=[])
+        state["config"]["engine"] = "flat"
+
+        restored = IncrementalRock.from_session_state(state)
+        assert restored.engine == DEFAULT_ENGINE
+        _assert_sessions_identical(restored, reference)
+        assert _run_schedule(restored, STREAM_BATCHES[2:]) == _run_schedule(
+            reference, STREAM_BATCHES[2:]
+        )
+
     def test_extra_and_wal_seq_round_trip(self, tmp_path):
         extra = {"labels": [1, 2, 3], "nested": {"k": "v"}}
         SessionSnapshot(_session(), extra=extra, wal_seq=17).save(tmp_path)
@@ -260,6 +277,15 @@ class TestSnapshotRoundTrip:
             tmp_path, expected_config=session.config_dict()
         )
         assert loaded.session.config_dict() == session.config_dict()
+
+    def test_retired_flat_engine_checkpoint_resumes_under_default(self, tmp_path):
+        session = _session()
+        session.engine = "flat"
+        SessionSnapshot(session).save(tmp_path)
+        loaded = SessionSnapshot.load(
+            tmp_path, expected_config=_session().config_dict()
+        )
+        assert loaded.session.engine == DEFAULT_ENGINE
 
     def test_keep_garbage_collects_old_checkpoints(self, tmp_path):
         session = _session()

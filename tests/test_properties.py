@@ -11,7 +11,7 @@ from repro.core.goodness import default_expected_links_exponent, goodness, theta
 from repro.core.heaps import AddressableMaxHeap
 from repro.core.incremental import IncrementalRock
 from repro.core.labeling import StreamingLabeler
-from repro.core.links import cross_cluster_links, links_from_neighbors
+from repro.core.links import links_from_neighbors
 from repro.core.neighbors import compute_neighbors
 from repro.core.rock import RockClustering
 from repro.evaluation.metrics import (
@@ -250,11 +250,11 @@ class TestIncrementalProperties:
         schedule=ingest_schedules(),
         theta=st.floats(min_value=0.05, max_value=0.95),
     )
-    def test_link_matrix_and_heaps_after_every_ingest(self, schedule, theta):
+    def test_link_matrix_and_cluster_links_after_every_ingest(self, schedule, theta):
         # After every ingest the maintained adjacency and link matrix are
         # bit-identical to a from-scratch recomputation over the live
-        # points, the clusters partition them, and the cross-link stores /
-        # addressable heaps mirror the link matrix exactly.
+        # points, the clusters partition them, and the cluster-level
+        # cross-link matrix mirrors the link matrix exactly.
         bootstrap, _stream, batches = schedule
         session, _clusters = _bootstrap_session(bootstrap, theta)
         for batch in batches:
@@ -269,24 +269,15 @@ class TestIncrementalProperties:
                 for index in cluster
             )
             assert members == list(range(session.n_points))
-            current_entries = {
-                (min(left, right), max(left, right), count)
-                for _neg, _seq, left, right, count in session._pair_heap
-                if left in session._members and right in session._members
-            }
-            for cluster_id, row in session._cluster_links.items():
-                for other, count in row.items():
-                    assert session._cluster_links[other][cluster_id] == count
-                    assert count == cross_cluster_links(
-                        session.links_,
-                        session._members[cluster_id],
-                        session._members[other],
-                    )
-                    assert (
-                        min(cluster_id, other),
-                        max(cluster_id, other),
-                        count,
-                    ) in current_entries
+            n_slots = session.n_live_clusters
+            membership = np.zeros((n_slots, session.n_points), dtype=np.int64)
+            membership[session._cluster_of, np.arange(session.n_points)] = 1
+            assert membership.sum(axis=1).all()
+            expected = membership @ fresh.toarray() @ membership.T
+            np.fill_diagonal(expected, 0)
+            np.testing.assert_array_equal(
+                session._cluster_links.toarray(), expected
+            )
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -331,8 +322,8 @@ class TestPersistenceProperties:
     def _states_identical(left, right):
         assert (left.adjacency_ != right.adjacency_).nnz == 0
         assert (left.links_ != right.links_).nnz == 0
-        assert left._members == right._members
-        assert left._pair_heap == right._pair_heap
+        np.testing.assert_array_equal(left._cluster_of, right._cluster_of)
+        assert (left._cluster_links != right._cluster_links).nnz == 0
         assert left.rng.bit_generator.state == right.rng.bit_generator.state
 
     @settings(deadline=None, max_examples=15)
