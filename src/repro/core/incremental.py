@@ -719,7 +719,7 @@ class IncrementalRock:
             rows, cols = rows[keep], cols[keep]
             # Empty-vs-empty pairs never intersect, so the product misses
             # them; the measure decides whether they qualify (the same
-            # rule as empty_pair_edges / the labeler's empty-pair fix-up).
+            # rule as empty_pair_edges / the labeler's zero thresholds).
             zero = np.zeros(1, dtype=np.int64)
             empty_similarity = float(
                 np.asarray(

@@ -17,11 +17,11 @@ zero that is the largest cluster).
 Two counting strategies implement the neighbour pass, selected by the
 ``strategy`` parameter:
 
-* ``"sparse-matmul"`` — build the unlabelled × retained-sample
-  intersection-count matrix with one sparse product over the shared item
-  incidence (see :func:`repro.data.encoding.transactions_to_incidence`),
-  threshold it into neighbour indicators and accumulate per-cluster counts.
-  Requires a measure with the
+* ``"sparse-matmul"`` — count intersections with one matrix product over
+  the shared item incidence (see
+  :func:`repro.data.encoding.transactions_to_incidence`), compare each
+  count against an integer threshold table and sum the neighbours per
+  cluster.  Requires a measure with the
   :class:`~repro.similarity.base.VectorizedSetSimilarity` capability
   (Jaccard, Dice, overlap coefficient, set cosine) — the same capability
   the fast neighbour backends key on.
@@ -39,6 +39,27 @@ it over an iterable of batches.  Batching never changes the labels: each
 point's neighbour counts depend only on the retained fractions, so the
 concatenation of the per-batch results is bit-identical to one
 :func:`label_points` call on the concatenated input.
+
+The count kernel behind ``"sparse-matmul"`` is exact.  For every pair of
+set sizes ``(a, b)`` it looks up the smallest overlap ``t`` with
+``similarity_from_counts(t, a, b) >= theta``, computed from the measure
+itself; since the similarity never falls as the overlap grows (the
+monotone-overlap contract of ``VectorizedSetSimilarity``), ``overlap >= t``
+is the float test, decided bit for bit.  The kernel has two forms, chosen
+once from the fill of the retained incidence (:data:`DENSE_MIN_FILL`):
+
+* **dense** — the retained incidence as float32 rows grouped by set size;
+  per row block of the batch, one BLAS product into a ``retained × block``
+  buffer, one compare per size group and one ``membership @ buffer``
+  product.  Every value is an integer below ``2**24``
+  (:data:`FLOAT32_EXACT`), so float32 and any summation order are exact.
+* **sparse** — for wide, rare-item universes: the sparse product's
+  nonzeros are compared against the same table and the kept pairs
+  scattered into their clusters.
+
+Both forms walk a batch in row blocks of at most :data:`BLOCK_CELLS`
+buffer cells, so one large batch costs no more memory than a stream of
+small ones.
 """
 
 from __future__ import annotations
@@ -51,11 +72,28 @@ import numpy as np
 from repro.core.goodness import ExponentFunction, default_expected_links_exponent
 from repro.data.encoding import build_item_index, transactions_to_incidence
 from repro.errors import ConfigurationError, DataValidationError
-from repro.similarity.base import SetSimilarity, supports_vectorized_counts
+from repro.similarity.base import (
+    SetSimilarity,
+    VectorizedSetSimilarity,
+    supports_vectorized_counts,
+)
 from repro.similarity.jaccard import JaccardSimilarity
 
 #: Strategies accepted by :func:`label_points`.
 LABELING_STRATEGIES = ("auto", "bruteforce", "sparse-matmul")
+
+#: Fill of the retained incidence (``nnz / (rows * items)``) from which the
+#: count kernel takes its dense form; sparser universes take the sparse form.
+DENSE_MIN_FILL = 1.0 / 64
+
+#: Most cells of one row block's product buffer (float32: 8 MiB).  Blocks
+#: of 2**20 to 2**22 cells ran fastest on a 2-CPU host (the buffer stays in
+#: cache); 2**24 cells ran ~25% slower.
+BLOCK_CELLS = 1 << 21
+
+#: float32 holds every integer below this exactly: the dense form is refused
+#: whenever a count could reach it.
+FLOAT32_EXACT = 1 << 24
 
 
 @dataclass
@@ -151,15 +189,87 @@ def _neighbor_counts_bruteforce(
     return counts
 
 
+def _overlap_thresholds(
+    measure: VectorizedSetSimilarity,
+    theta: float,
+    batch_sizes: np.ndarray,
+    retained_sizes: np.ndarray,
+) -> np.ndarray:
+    """Smallest qualifying overlap of every (batch size, retained size) pair.
+
+    Entry ``[i, j]`` is the least ``t`` in ``0 .. min(a, b)`` with
+    ``similarity_from_counts(t, a, b) >= theta``, for ``a = batch_sizes[i]``
+    and ``b = retained_sizes[j]``, or ``min(a, b) + 1`` when no overlap
+    qualifies.  Found by vectorised bisection: ``log2`` of the largest size
+    in rounds, each one evaluation of the measure over the whole table.
+
+    Each threshold is then spot-checked against the measure — just below
+    and at ``t``, and at both ends of the overlap range — and a measure
+    caught falling as the overlap grows raises :class:`ConfigurationError`.
+    The check cannot see every dip in between; the monotone-overlap contract
+    of :class:`~repro.similarity.base.VectorizedSetSimilarity` is what keeps
+    the table exact.
+    """
+    size_left = np.asarray(batch_sizes, dtype=np.int64)[:, np.newaxis]
+    size_right = np.asarray(retained_sizes, dtype=np.int64)[np.newaxis, :]
+    top = np.minimum(size_left, size_right)
+
+    def qualifies(overlap: np.ndarray) -> np.ndarray:
+        similarity = measure.similarity_from_counts(overlap, size_left, size_right)
+        return np.asarray(similarity) >= theta
+
+    low = np.zeros_like(top)
+    high = top + 1
+    while True:
+        active = low < high
+        if not active.any():
+            break
+        middle = (low + high) // 2
+        found = qualifies(np.minimum(middle, top))
+        high = np.where(active & found, middle, high)
+        low = np.where(active & ~found, middle + 1, low)
+
+    at, at_top, below, at_zero = qualifies(
+        np.stack([np.minimum(low, top), top, np.maximum(low - 1, 0), 0 * top])
+    )
+    upper_ok = (low > top) | (at & at_top)
+    lower_ok = (low == 0) | ~(below | at_zero)
+    bad = np.argwhere(~(upper_ok & lower_ok))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigurationError(
+            "measure %r is not non-decreasing in the overlap (set sizes %d and "
+            "%d, theta=%r), so the sparse-matmul labelling kernel cannot "
+            "threshold it exactly; use strategy='bruteforce'"
+            % (
+                getattr(measure, "name", measure),
+                size_left[i, 0],
+                size_right[0, j],
+                theta,
+            )
+        )
+    return low
+
+
+def _dense_rows(incidence, low: int, high: int) -> np.ndarray:
+    """Rows ``low:high`` of a 0/1 CSR incidence as a dense float32 block."""
+    indptr = incidence.indptr
+    block = np.zeros((high - low, incidence.shape[1]), dtype=np.float32)
+    rows = np.repeat(np.arange(high - low), np.diff(indptr[low:high + 1]))
+    block[rows, incidence.indices[indptr[low]:indptr[high]]] = 1.0
+    return block
+
+
 class StreamingLabeler:
     """Labels batches of points against a fixed sampled clustering.
 
     All per-clustering work happens once, in the constructor: the retained
     fractions ``L_i`` are drawn, the normalisers are computed and — under the
-    sparse strategy — the retained-sample incidence matrix is built.  Each
-    :meth:`label_batch` call then costs one sparse product (or brute-force
+    sparse strategy — the retained-sample incidence matrix is built, grouped
+    by set size, and the kernel form is chosen from its fill.  Each
+    :meth:`label_batch` call then costs the count kernel (or a brute-force
     sweep) over the batch only, so a disk-resident data set can be labelled
-    with peak memory bounded by the sample plus one batch.
+    with peak memory bounded by the sample, one batch and one row block.
 
     Items of a batch that never occur in the sample are ignored by the
     sparse encoding (they cannot intersect any retained point) while still
@@ -232,14 +342,13 @@ class StreamingLabeler:
 
     # ------------------------------------------------------------------ #
     def _bind_derived(self, item_index: dict | None) -> None:
-        """Build the sparse-strategy structures from the retained fractions.
+        """Build the count kernel's structures from the retained fractions.
 
         Shared by the constructor and :meth:`from_state`: everything here is
         a pure function of ``sample``, ``fractions``, ``theta``, ``measure``
         and ``item_index`` — no RNG is consumed, which is what lets a
         restored labeler reproduce the original bit-for-bit.
         """
-        measure = self.measure
         self.n_clusters = len(self.fractions)
         self.normalisers = np.array(
             [(len(subset) + 1.0) ** self._exponent for subset in self.fractions],
@@ -249,33 +358,55 @@ class StreamingLabeler:
             [len(subset) for subset in self.fractions], dtype=float
         )
         if self._use_sparse:
-            # Whether a pair of empty sets counts as neighbours under this
-            # measure (all built-in set measures define empty == empty as
-            # similarity 1); decided once, applied per batch.
-            zero = np.zeros(1, dtype=np.int64)
-            self._empty_pair_qualifies = bool(
-                float(
-                    np.asarray(
-                        measure.similarity_from_counts(zero, zero, zero)
-                    ).ravel()[0]
-                )
-                >= self.theta
-            )
-            retained = [self.sample[i] for subset in self.fractions for i in subset]
             if item_index is None:
                 item_index = build_item_index(self.sample)
             self._item_index = item_index
-            self._cluster_of_column = np.repeat(
+            retained = [self.sample[i] for subset in self.fractions for i in subset]
+            cluster_of_row = np.repeat(
                 np.arange(self.n_clusters), [len(s) for s in self.fractions]
             )
+            # Retained rows sorted by set size: every size group shares one
+            # threshold per batch point.
+            sizes = np.asarray([len(t) for t in retained], dtype=np.int64)
+            order = np.argsort(sizes, kind="stable")
+            self._cluster_of_row = cluster_of_row[order]
             # Built exactly once; every batch reuses it.
-            self._retained_incidence, _ = transactions_to_incidence(
-                retained, item_index
+            incidence, _ = transactions_to_incidence(
+                [retained[i] for i in order], item_index
             )
-            self._retained_sizes = np.asarray(
-                [len(t) for t in retained], dtype=np.int64
+            # Items no retained row holds can never overlap one, so the kernel
+            # indexes the occupied columns alone: neither the fill nor the
+            # dense rows span the unused columns of a wider shared index
+            # (``run`` passes the whole data set's).  With no column occupied
+            # the index stays: the encoding keeps at least one column.
+            occupied = np.bincount(incidence.indices, minlength=incidence.shape[1]) > 0
+            if occupied.any() and not occupied.all():
+                kept, column = occupied.tolist(), (np.cumsum(occupied) - 1).tolist()
+                item_index = {item: column[j] for item, j in item_index.items() if kept[j]}
+                incidence = incidence[:, occupied]
+            self._kernel_index = item_index
+            self._retained_incidence = incidence
+            self._group_sizes, starts, group_rows = np.unique(
+                sizes[order], return_index=True, return_counts=True
             )
-            self._empty_retained = np.nonzero(self._retained_sizes == 0)[0]
+            self._group_bounds = list(zip(starts.tolist(), (starts + group_rows).tolist()))
+            self._group_of_row = np.repeat(np.arange(len(group_rows)), group_rows)
+            self._group_cluster_sizes = np.bincount(
+                self._group_of_row * self.n_clusters + self._cluster_of_row,
+                minlength=len(group_rows) * self.n_clusters,
+            ).reshape(len(group_rows), self.n_clusters)
+            # Items × retained, so the sparse form's product is CSR @ CSR.
+            self._retained_columns = self._retained_incidence.T.tocsr()
+            n_rows, n_items = self._retained_incidence.shape
+            self._fill = self._retained_incidence.nnz / max(n_rows * n_items, 1)
+            # Dense counts are exact only below 2**24: an overlap is at most
+            # ``n_items`` and a per-cluster count at most ``n_rows``.
+            self._dense_form = (
+                self._fill >= DENSE_MIN_FILL and max(n_rows, n_items) < FLOAT32_EXACT
+            )
+            self._dense_retained: tuple[np.ndarray, np.ndarray] | None = None
+            if self._dense_form:
+                self._dense_operands()
 
     # ------------------------------------------------------------------ #
     def state(self) -> dict:
@@ -339,8 +470,8 @@ class StreamingLabeler:
         return labeler
 
     # ------------------------------------------------------------------ #
-    def _sparse_counts(self, batch: list[frozenset]) -> np.ndarray:
-        """Vectorized neighbour counts of one batch via the sparse product."""
+    def _matmul_counts(self, batch: list[frozenset]) -> np.ndarray:
+        """Exact neighbour counts of one batch through the count kernel."""
         n_points = len(batch)
         counts = np.zeros((n_points, self.n_clusters), dtype=float)
         if not n_points:
@@ -349,52 +480,90 @@ class StreamingLabeler:
             # Every pair qualifies (similarity is always >= 0).
             counts[:] = self.subset_sizes
             return counts
-        batch_incidence, _ = transactions_to_incidence(
-            batch, self._item_index, ignore_unknown=True
+        incidence, _ = transactions_to_incidence(
+            batch, self._kernel_index, ignore_unknown=True
         )
         # True set sizes (unknown items included): the incidence row sums
         # would under-count points holding items outside the shared index.
-        batch_sizes = np.asarray([len(t) for t in batch], dtype=np.int64)
-
-        intersections = (batch_incidence @ self._retained_incidence.T).tocoo()
-        rows = intersections.row
-        columns = intersections.col
-        overlaps = intersections.data.astype(np.int64)
-        similarity = self.measure.similarity_from_counts(
-            overlaps, batch_sizes[rows], self._retained_sizes[columns]
+        sizes, size_of_point = np.unique(
+            np.asarray([len(t) for t in batch], dtype=np.int64), return_inverse=True
         )
-        neighbors = similarity >= self.theta
-        np.add.at(
-            counts,
-            (rows[neighbors], self._cluster_of_column[columns[neighbors]]),
-            1.0,
-        )
+        table = _overlap_thresholds(self.measure, self.theta, sizes, self._group_sizes)
+        if self._dense_form:
+            self._dense_counts(incidence, table, size_of_point, counts)
+        else:
+            self._sparse_counts(incidence, table, size_of_point, counts)
+        return counts
 
-        # Pairs of empty sets never intersect, so the product misses them;
-        # whether they qualify was decided once from the measure's
-        # empty-pair similarity.  One empty and one non-empty set have
-        # similarity 0 < theta here for every vectorizable measure.
-        empty_batch = np.nonzero(batch_sizes == 0)[0]
-        if self._empty_pair_qualifies and empty_batch.size and self._empty_retained.size:
+    def _dense_operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense form's float32 retained rows and cluster membership."""
+        if self._dense_retained is None:
+            n_rows = self._retained_incidence.shape[0]
+            membership = np.zeros((self.n_clusters, n_rows), dtype=np.float32)
+            membership[self._cluster_of_row, np.arange(n_rows)] = 1.0
+            self._dense_retained = (
+                _dense_rows(self._retained_incidence, 0, n_rows),
+                membership,
+            )
+        return self._dense_retained
+
+    def _dense_counts(self, incidence, table, size_of_point, counts) -> None:
+        """Dense form: BLAS overlaps, one compare per size group, BLAS sums."""
+        retained, membership = self._dense_operands()
+        n_rows, n_items = retained.shape
+        n_points = len(size_of_point)
+        # One row per size group, capped at "never" = n_items + 1 so every
+        # threshold is an exact float32 integer.
+        by_group = np.minimum(table, n_items + 1).T.astype(np.float32)
+        step = max(1, BLOCK_CELLS // max(n_rows, n_items))
+        buffer = np.empty(n_rows * min(step, n_points), dtype=np.float32)
+        for low in range(0, n_points, step):
+            high = min(low + step, n_points)
+            overlaps = buffer[: n_rows * (high - low)].reshape(n_rows, high - low)
+            np.matmul(retained, _dense_rows(incidence, low, high).T, out=overlaps)
+            thresholds = by_group[:, size_of_point[low:high]]
+            for group, (start, stop) in enumerate(self._group_bounds):
+                rows = overlaps[start:stop]
+                np.greater_equal(rows, thresholds[group], out=rows)
+            counts[low:high] = (membership @ overlaps).T
+
+    def _sparse_counts(self, incidence, table, size_of_point, counts) -> None:
+        """Sparse form: threshold the sparse product's nonzeros, scatter."""
+        n_rows = self._retained_incidence.shape[0]
+        n_groups = len(self._group_bounds)
+        k = self.n_clusters
+        flat_table = table.ravel()
+        step = max(1, BLOCK_CELLS // max(n_rows, 1))
+        for low in range(0, len(size_of_point), step):
+            high = min(low + step, len(size_of_point))
+            block = incidence if high - low == incidence.shape[0] else incidence[low:high]
+            product = block @ self._retained_columns
+            rows = np.repeat(np.arange(high - low), np.diff(product.indptr))
+            columns = product.indices
+            table_row = size_of_point[low:high] * n_groups
+            need = flat_table[table_row[rows] + self._group_of_row[columns]]
+            # Zero thresholds are left to the whole-group fix-up below.
+            keep = (product.data >= need) & (need > 0)
+            # A scatter over the kept pairs only: a bincount would zero a
+            # block × k buffer, which dominates once k nears the sample size.
             np.add.at(
-                counts,
-                (
-                    np.repeat(empty_batch, self._empty_retained.size),
-                    np.tile(
-                        self._cluster_of_column[self._empty_retained],
-                        empty_batch.size,
-                    ),
-                ),
+                counts.reshape(-1),
+                (low + rows[keep]) * k + self._cluster_of_row[columns[keep]],
                 1.0,
             )
-        return counts
+        # The product stores no zero overlaps, so every pair whose threshold
+        # is zero (with theta > 0 and the built-in measures, only pairs of
+        # empty sets) is added here, whole groups at once.
+        zero = table == 0
+        points = np.nonzero(zero.any(axis=1)[size_of_point])[0]
+        counts[points] += (zero @ self._group_cluster_sizes)[size_of_point[points]]
 
     # ------------------------------------------------------------------ #
     def label_batch(self, batch: Sequence[frozenset]) -> LabelingResult:
         """Label one batch of points; see :func:`label_points`."""
         batch = [frozenset(t) for t in batch]
         if self._use_sparse:
-            counts = self._sparse_counts(batch)
+            counts = self._matmul_counts(batch)
         else:
             counts = _neighbor_counts_bruteforce(
                 batch, self.sample, self.fractions, self.theta, self.measure

@@ -848,8 +848,8 @@ class RockPipeline:
 
         The streaming counterpart of :meth:`run` for data sets that never
         fit in memory at once.  Peak memory is bounded by the sample, the
-        item index of the sample, and one batch of ``batch_size``
-        transactions.
+        item index of the sample, one batch of ``batch_size`` transactions
+        and the labelling kernel's row-block buffer.
 
         Parameters
         ----------
@@ -862,10 +862,12 @@ class RockPipeline:
             one-shot iterators are not supported — wrap them in a callable
             that reopens the underlying stream.
         batch_size:
-            Number of transactions held in memory per labelling batch.
-            Larger batches amortise the sparse product better; memory grows
-            linearly.  1024 is a good default; use 8192+ when batches are
-            cheap relative to the sample.
+            Number of transactions held in memory per labelling batch; the
+            batch's memory grows linearly with it.  The labelling kernel
+            walks every batch in row blocks of its own, so from about 1024
+            up a larger batch no longer labels faster (smaller ones pay a
+            fixed per-batch cost): pick the size by how much of the source
+            to hold at once.  Labels never depend on it.
         sample_method:
             ``"exact"`` (default) draws the sample exactly as :meth:`run`
             does (one counting pass, then :func:`draw_sample`), so the same

@@ -44,6 +44,16 @@ class VectorizedSetSimilarity(SetSimilarity, Protocol):
     All the built-in set measures (Jaccard, Dice, overlap coefficient,
     set cosine) satisfy it.
 
+    Monotone-overlap contract (required by the labelling kernel of
+    :mod:`repro.core.labeling`): for fixed set sizes ``a`` and ``b``,
+    ``similarity_from_counts(i, a, b)`` is non-decreasing in the overlap
+    ``i``.  The kernel then replaces each float test ``sim >= theta`` by an
+    integer one, ``i >= t(a, b)``, with ``t`` the smallest overlap that
+    qualifies, computed from this same method.  The four built-in measures
+    satisfy it because correctly rounded division and ``sqrt`` are
+    monotone; a measure caught breaking it is rejected with a
+    :class:`~repro.errors.ConfigurationError`.
+
     ``similarity_from_counts`` must agree bit-for-bit with ``__call__`` on
     the same sizes: the cross-backend equivalence guarantee (brute force ≡
     vectorized ≡ blocked ≡ inverted-index adjacency) rests on both paths

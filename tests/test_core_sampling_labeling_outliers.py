@@ -318,6 +318,246 @@ class TestLabelingStrategies:
         with pytest.raises(ConfigurationError):
             label_points(unlabeled, sample, clusters, theta=0.4, strategy="quantum")
 
+    # ----------------------------------------------------------------- #
+    # The count kernel's two forms against the brute-force reference.
+    # ----------------------------------------------------------------- #
+    @staticmethod
+    def _universe_setup(wide, seed):
+        """A narrow universe (dense kernel form) or a wide rare-item one
+        (sparse form), with an item index over the whole universe as
+        ``run`` shares it.  Both sides hold an empty set, and the unlabeled
+        points hold items outside the item index.  The sample has more than
+        64 rows: over its occupied columns a smaller one always fills at
+        least 1/64."""
+        from repro.data.encoding import build_item_index
+
+        rng = np.random.default_rng(seed)
+        hot = np.arange(8)
+        tail = np.arange(100, 6100 if wide else 104)
+
+        def make():
+            items = rng.choice(hot, size=int(rng.integers(1, 5)), replace=False)
+            extra = rng.choice(tail, size=int(rng.integers(0, 7 if wide else 3)), replace=False)
+            return frozenset(items.tolist() + extra.tolist())
+
+        sample = [make() for _ in range(149)] + [frozenset()]
+        unlabeled = [make() for _ in range(40)] + [
+            frozenset(),
+            frozenset({99_999}),
+            frozenset({1, 2, 99_998}),
+        ]
+        clusters = [list(range(0, 50)), list(range(50, 100)), list(range(100, 150))]
+        item_index = build_item_index([frozenset(hot.tolist() + tail.tolist())])
+        return unlabeled, sample, clusters, item_index
+
+    @staticmethod
+    def _counts(labeler, batch, dense):
+        """Counts of ``batch`` through the kernel form ``dense`` forces."""
+        labeler._dense_form = dense
+        return labeler._matmul_counts(batch)
+
+    class _ShiftedOverlap:
+        """Toy monotone measure ``(overlap + 1) / (min size + 1)``: it is
+        positive at overlap 0, so small sets get a zero threshold even
+        when they intersect."""
+
+        name = "shifted-overlap"
+
+        def __call__(self, left, right):
+            return (len(left & right) + 1) / (min(len(left), len(right)) + 1)
+
+        def similarity_from_counts(self, intersection, size_left, size_right):
+            smaller = np.minimum(np.asarray(size_left), np.asarray(size_right))
+            return (np.asarray(intersection) + 1) / (smaller + 1)
+
+        def minimum_intersection(self, theta, size_left, size_right):
+            return np.zeros(np.broadcast(size_left, size_right).shape)
+
+    #: 0.1 + 0.2 is just above 3/10 in float64, so overlap 3 of union 10
+    #: must not qualify; 1/3 sits exactly on a Jaccard/overlap value.
+    KERNEL_THETAS = [0.1 + 0.2, 1 / 3, 0.7, 1.0]
+
+    @pytest.mark.parametrize("theta", KERNEL_THETAS)
+    @pytest.mark.parametrize(
+        "measure_name",
+        ["jaccard", "dice", "overlap-coefficient", "set-cosine", "shifted-overlap"],
+    )
+    @pytest.mark.parametrize("wide", [False, True], ids=["dense-form", "sparse-form"])
+    def test_kernel_forms_match_bruteforce(self, wide, measure_name, theta):
+        from repro.similarity.registry import get_measure
+
+        if measure_name == self._ShiftedOverlap.name:
+            measure = self._ShiftedOverlap()
+        else:
+            measure = get_measure(measure_name)
+        unlabeled, sample, clusters, item_index = self._universe_setup(wide, seed=3)
+        labeler = StreamingLabeler(
+            sample, clusters, theta=theta, measure=measure, strategy="sparse-matmul",
+            item_index=item_index, rng=5,
+        )
+        assert labeler._dense_form is not wide
+        kernel = labeler.label_batch(unlabeled)
+        brute = label_points(
+            unlabeled, sample, clusters, theta=theta, measure=measure,
+            strategy="bruteforce", rng=5,
+        )
+        assert np.array_equal(kernel.neighbor_counts, brute.neighbor_counts)
+        assert np.array_equal(kernel.labels, brute.labels)
+        assert kernel.n_outliers == brute.n_outliers
+        # The other form, forced through the private entry point, agrees.
+        forced = self._counts(labeler, unlabeled, dense=wide)
+        assert np.array_equal(forced, brute.neighbor_counts)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["dense-form", "sparse-form"])
+    def test_form_ignores_unused_index_columns(self, wide):
+        # ``run`` shares the whole data set's index, streaming the sample's:
+        # the kernel must see the same columns, fill and form under both.
+        # 2000 items no sampled point holds would take the narrow universe
+        # below the dense fill if their columns counted.
+        from repro.data.encoding import build_item_index
+
+        unlabeled, sample, clusters, universe_index = self._universe_setup(wide, seed=9)
+        padded_index = build_item_index(
+            [frozenset(universe_index) | frozenset(range(10_000, 12_000))]
+        )
+        labelers = [
+            StreamingLabeler(sample, clusters, theta=0.3, item_index=index, rng=4)
+            for index in (padded_index, build_item_index(sample))
+        ]
+        occupied = len(set().union(*sample))
+        for labeler in labelers:
+            assert labeler._retained_incidence.shape[1] == occupied
+            assert labeler._fill == labelers[1]._fill
+            assert labeler._dense_form is not wide
+        assert np.array_equal(
+            labelers[0].label_batch(unlabeled).neighbor_counts,
+            labelers[1].label_batch(unlabeled).neighbor_counts,
+        )
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["dense-form", "sparse-form"])
+    def test_one_point_batches_match_one_shot(self, wide):
+        unlabeled, sample, clusters, item_index = self._universe_setup(wide, seed=4)
+        kwargs = dict(theta=0.3, item_index=item_index, rng=2)
+        one_shot = label_points(unlabeled, sample, clusters, **kwargs)
+        labeler = StreamingLabeler(sample, clusters, **kwargs)
+        assert labeler._dense_form is not wide
+        singles = [labeler.label_batch([point]) for point in unlabeled]
+        assert np.array_equal(
+            np.vstack([r.neighbor_counts for r in singles]), one_shot.neighbor_counts
+        )
+        assert np.array_equal(
+            np.concatenate([r.labels for r in singles]), one_shot.labels
+        )
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense-form", "sparse-form"])
+    def test_more_clusters_than_items_match_bruteforce(self, dense):
+        # One cluster per retained point, far more clusters than items.
+        unlabeled, sample, _, _ = self._universe_setup(False, seed=8)
+        singletons = [[i] for i in range(len(sample))]
+        labeler = StreamingLabeler(sample, singletons, theta=0.3)
+        assert labeler._retained_incidence.shape[1] < len(singletons)
+        brute = label_points(unlabeled, sample, singletons, theta=0.3, strategy="bruteforce")
+        assert np.array_equal(self._counts(labeler, unlabeled, dense), brute.neighbor_counts)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense-form", "sparse-form"])
+    def test_one_shot_batch_spanning_row_blocks(self, dense, monkeypatch):
+        import repro.core.labeling as labeling_module
+
+        unlabeled, sample, clusters, _ = self._universe_setup(False, seed=6)
+        labeler = StreamingLabeler(sample, clusters, theta=1 / 3, rng=1)
+        n_rows, n_items = labeler._retained_incidence.shape
+        assert n_rows >= n_items
+        brute = label_points(
+            unlabeled, sample, clusters, theta=1 / 3, strategy="bruteforce", rng=1
+        )
+        # Two points per row block: the batch spans len(unlabeled) / 2 blocks.
+        monkeypatch.setattr(labeling_module, "BLOCK_CELLS", 2 * n_rows)
+        assert len(unlabeled) >= 3 * 2
+        blocked = self._counts(labeler, unlabeled, dense)
+        assert np.array_equal(blocked, brute.neighbor_counts)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense-form", "sparse-form"])
+    def test_float_boundary_pair(self, dense):
+        # Jaccard({0..5}, {3..9}) = 3/10, which is below 0.1 + 0.2 in
+        # float64 but reaches 0.3: the integer threshold must follow the
+        # float test on both sides of the boundary.
+        sample = [frozenset(range(0, 6)), frozenset({20, 21})]
+        point = [frozenset(range(3, 10))]
+        for theta, expected in ((0.1 + 0.2, 0.0), (0.3, 1.0)):
+            labeler = StreamingLabeler(sample, [[0], [1]], theta=theta)
+            counts = self._counts(labeler, point, dense)
+            assert counts[0, 0] == expected
+            brute = label_points(point, sample, [[0], [1]], theta=theta, strategy="bruteforce")
+            assert brute.neighbor_counts[0, 0] == expected
+
+    class _OverlapRule:
+        """Toy vectorizable measure of the overlap alone: 1.0 where
+        ``rule(overlap)`` holds for two non-empty sets, else 0.0."""
+
+        def __init__(self, name, rule):
+            self.name = name
+            self.rule = rule
+
+        def __call__(self, left, right):
+            return float(bool(left and right) and self.rule(len(left & right)))
+
+        def similarity_from_counts(self, intersection, size_left, size_right):
+            both = (np.asarray(size_left) > 0) & (np.asarray(size_right) > 0)
+            return np.where(both & self.rule(np.asarray(intersection)), 1.0, 0.0)
+
+        def minimum_intersection(self, theta, size_left, size_right):
+            return np.zeros(np.broadcast(size_left, size_right).shape)
+
+    @pytest.mark.parametrize(
+        "name, rule",
+        [
+            # Falls as the overlap grows: only the check at overlap 0 sees it.
+            ("disjoint-only", lambda overlap: overlap == 0),
+            # Rises then falls: the check at the largest overlap sees it.
+            ("exactly-one", lambda overlap: overlap == 1),
+        ],
+    )
+    def test_non_monotone_measure_rejected(self, name, rule):
+        unlabeled, sample, clusters, _ = self._universe_setup(False, seed=7)
+        with pytest.raises(ConfigurationError, match=name):
+            label_points(
+                unlabeled, sample, clusters, theta=0.5,
+                measure=self._OverlapRule(name, rule), strategy="sparse-matmul",
+            )
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense-form", "sparse-form"])
+    def test_point_holding_the_whole_index(self, dense):
+        # The overlap reaches the index width: Jaccard({1, 2, 3, 4, 5},
+        # {1, 2}) = 2/5 with items 3..5 outside the index, so no overlap
+        # qualifies at theta 0.5 even though the overlap is every indexed item.
+        sample = [frozenset({1, 2})]
+        point = [frozenset({1, 2, 3, 4, 5})]
+        labeler = StreamingLabeler(sample, [[0]], theta=0.5)
+        assert labeler._retained_incidence.shape[1] == 2
+        assert self._counts(labeler, point, dense).tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("theta", KERNEL_THETAS + [0.5])
+    @pytest.mark.parametrize(
+        "measure_name", ["jaccard", "dice", "overlap-coefficient", "set-cosine"]
+    )
+    def test_threshold_table_matches_linear_scan(self, measure_name, theta):
+        from repro.core.labeling import _overlap_thresholds
+        from repro.similarity.registry import get_measure
+
+        measure = get_measure(measure_name)
+        sizes = np.arange(0, 13)
+        table = _overlap_thresholds(measure, theta, sizes, sizes)
+        for a in sizes:
+            for b in sizes:
+                expected = next(
+                    (
+                        i for i in range(min(a, b) + 1)
+                        if measure.similarity_from_counts(i, a, b) >= theta
+                    ),
+                    min(a, b) + 1,
+                )
+                assert table[a, b] == expected, (a, b)
+
     def test_shared_item_index_gives_same_result(self):
         from repro.data.encoding import build_item_index
 
@@ -522,6 +762,20 @@ class TestLabelingParityProperties:
         assert np.array_equal(sparse_result.labels, brute_result.labels)
         assert sparse_result.n_outliers == brute_result.n_outliers
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense-form", "sparse-form"])
+    @pytest.mark.parametrize("theta", [0.1 + 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("fraction", [0.01, 0.4, 1.0])
+    def test_count_parity_on_both_forms(self, dense, theta, fraction):
+        unlabeled, sample, clusters = self._setup(seed=1)
+        kwargs = dict(theta=theta, labeling_fraction=fraction, rng=99)
+        labeler = StreamingLabeler(sample, clusters, strategy="sparse-matmul", **kwargs)
+        labeler._dense_form = dense
+        kernel = labeler.label_batch(unlabeled)
+        brute = label_points(unlabeled, sample, clusters, strategy="bruteforce", **kwargs)
+        assert np.array_equal(kernel.neighbor_counts, brute.neighbor_counts)
+        assert np.array_equal(kernel.labels, brute.labels)
+        assert kernel.n_outliers == brute.n_outliers
+
     @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
     def test_two_point_cluster_tiny_fraction(self, theta):
         # fraction * 2 rounds to zero; the guard must retain one point and
@@ -554,3 +808,20 @@ class TestLabelingParityProperties:
                 assert result.neighbor_counts[0, 0] == 1.0
                 assert result.neighbor_counts[0, 1] == (1.0 if theta == 0.0 else 0.0)
                 assert result.labels[0] == 0
+            labeler = StreamingLabeler(sample, clusters, theta=theta)
+            for dense in (True, False):
+                labeler._dense_form = dense
+                counts = labeler._matmul_counts([frozenset()])
+                assert counts.tolist() == [[1.0, 1.0 if theta == 0.0 else 0.0]]
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense-form", "sparse-form"])
+    def test_only_empty_sets_retained_under_a_shared_index(self, dense):
+        # No retained row holds an indexed item, so the kernel keeps the
+        # shared index as it is instead of dropping every column.
+        sample = [frozenset(), frozenset()]
+        clusters = [[0], [1]]
+        batch = [frozenset(), frozenset({1}), frozenset({7})]
+        labeler = StreamingLabeler(sample, clusters, theta=0.5, item_index={1: 0, 2: 1})
+        labeler._dense_form = dense
+        brute = label_points(batch, sample, clusters, theta=0.5, strategy="bruteforce")
+        assert np.array_equal(labeler._matmul_counts(batch), brute.neighbor_counts)
