@@ -15,12 +15,17 @@ gates the arena engine two ways:
   gate it only fails when the machine-robust signal — the in-process
   reference speed-up against the baseline's at the same size — trips
   too; otherwise the record notes a slower machine.
+* **Memory, per link nonzero.**  At ``BASELINE_GATE_N`` the ``tracemalloc``
+  peak of one arena run must stay within ``MAX_PEAK_BYTES_PER_NNZ`` bytes
+  per link-matrix nonzero.  Allocation sizes do not depend on the machine,
+  so this gate holds on any hardware.
 
 Alongside the timings the record reports the arena engine's native
 counters (selection scans, stale-bound reworks and the cells they touch,
-frontier sizes, row relocations, arena growths), so a perf regression can
-be attributed to extra work rather than re-profiled from scratch.  The
-rendered record and a JSON row land in ``benchmarks/results/``.
+frontier sizes, row relocations, compactions, arena growths and capacity),
+so a perf regression can be attributed to extra work rather than
+re-profiled from scratch.  The rendered record and a JSON row land in
+``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -52,6 +57,13 @@ MIN_REFERENCE_SPEEDUP = 8.0
 #: Size whose arena time is compared with the committed baseline.
 BASELINE_GATE_N = 4000
 
+#: Ceiling on the arena run's traced allocation peak at ``BASELINE_GATE_N``,
+#: in bytes per link nonzero.  The compacting arena measures ~60 (three
+#: 8-byte arenas at ~1.9 cells per nonzero, plus the canonical symmetric
+#: copy while seeding); an arena that doubles instead of compacting
+#: measured ~260.
+MAX_PEAK_BYTES_PER_NNZ = 100.0
+
 
 def _render(rows: list[dict], status: str) -> str:
     lines = []
@@ -71,7 +83,7 @@ def _render(rows: list[dict], status: str) -> str:
         lines.append(line)
         lines.append(
             "  arena counters: selection_scans=%d best_rescans=%d rescan_cells=%d "
-            "mean_frontier=%.1f frontier_max=%d row_relocations=%d arena_grows=%d"
+            "mean_frontier=%.1f frontier_max=%d row_relocations=%d"
             % (
                 arena["selection_scans"],
                 arena["best_rescans"],
@@ -79,10 +91,24 @@ def _render(rows: list[dict], status: str) -> str:
                 row["mean_frontier"],
                 arena["frontier_max"],
                 arena["row_relocations"],
+            )
+        )
+        lines.append(
+            "  arena memory: traced peak %.1f MiB (%.1f B/link nnz) "
+            "compactions=%d arena_grows=%d arena_cells=%d"
+            % (
+                row["agglomerate_arena_peak_bytes"] / 2**20,
+                row["arena_peak_bytes_per_nnz"],
+                arena["compactions"],
                 arena["arena_grows"],
+                arena["arena_cells"],
             )
         )
     lines.append("  baseline gate at n=%d: %s" % (BASELINE_GATE_N, status))
+    lines.append(
+        "  memory gate at n=%d: <= %.0f B/link nnz"
+        % (BASELINE_GATE_N, MAX_PEAK_BYTES_PER_NNZ)
+    )
     return "\n".join(lines)
 
 
@@ -126,3 +152,14 @@ def test_merge_loop_microbenchmark(results_dir):
         )
     )
     assert not (absolute and relative), status
+    assert at_scale["arena_peak_bytes_per_nnz"] <= MAX_PEAK_BYTES_PER_NNZ, (
+        "arena merge loop at n=%d peaked at %.1f bytes per link nonzero "
+        "(%d bytes traced for %d nonzeros), above the %.0f B/nnz ceiling"
+        % (
+            BASELINE_GATE_N,
+            at_scale["arena_peak_bytes_per_nnz"],
+            at_scale["agglomerate_arena_peak_bytes"],
+            at_scale["links_nnz"],
+            MAX_PEAK_BYTES_PER_NNZ,
+        )
+    )

@@ -4,7 +4,8 @@ Unlike :mod:`repro.bench.engine_bench`, which times every pipeline phase,
 this module isolates the agglomeration merge loop: the link matrix is
 built once and each engine is timed on ``agglomerate`` alone (best of
 ``repeats``), alongside the arena engine's native work counters
-(selection scans, stale-bound reworks, frontier sizes, arena bookkeeping).
+(selection scans, stale-bound reworks, frontier sizes, arena bookkeeping)
+and the ``tracemalloc`` peak of one untimed arena run.
 When the quadratic-cost reference engine is included its merge history is
 asserted bit-identical to the arena's before any number is reported, so
 the benchmark cannot quietly time two different clusterings; the script
@@ -16,6 +17,7 @@ over the reference at n=2000 and its n=4000 time against the committed
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 from repro.bench.engine_bench import BENCH_CLUSTERS, BENCH_THETA, engine_workload
 from repro.core.engines import ARENA_ENGINE, REFERENCE_ENGINE, get_engine
@@ -34,6 +36,23 @@ def _best_agglomerate_seconds(engine_name: str, links, n_points: int,
     return best
 
 
+def _traced_agglomerate(engine_name: str, links, n_points: int,
+                        n_clusters: int, theta: float):
+    """Run one agglomeration; return it with the peak bytes it allocated."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        run = get_engine(engine_name).agglomerate(links, n_points, n_clusters, theta)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return run, peak
+
+
 def merge_loop_bench(
     n: int,
     theta: float = BENCH_THETA,
@@ -46,8 +65,12 @@ def merge_loop_bench(
     prebuilt link matrix.
 
     Returns a row with the workload shape, the best-of-``repeats``
-    ``agglomerate_arena_s``, the arena engine's counters and the derived
-    mean frontier size per merge; with ``include_reference`` also
+    ``agglomerate_arena_s``, the arena engine's counters, the derived mean
+    frontier size per merge and the traced allocation peak of one arena run
+    (``agglomerate_arena_peak_bytes``, and per link nonzero in
+    ``arena_peak_bytes_per_nnz``; allocation sizes do not depend on the
+    machine, so the per-nonzero figure is gateable anywhere); with
+    ``include_reference`` also
     ``agglomerate_reference_s`` (best of ``repeats - 1``, at least one run)
     and ``agglomerate_speedup`` (reference / arena).  The keys match
     ``BENCH_engine.json`` rows, so the row feeds :mod:`repro.bench.perf_gate`
@@ -57,7 +80,9 @@ def merge_loop_bench(
     graph = compute_neighbors(transactions, theta=theta, strategy="blocked")
     links = links_from_neighbors(graph)
 
-    arena_run = get_engine(ARENA_ENGINE).agglomerate(links, n, n_clusters, theta)
+    arena_run, arena_peak = _traced_agglomerate(
+        ARENA_ENGINE, links, n, n_clusters, theta
+    )
     arena_seconds = _best_agglomerate_seconds(
         ARENA_ENGINE, links, n, n_clusters, theta, repeats
     )
@@ -75,6 +100,8 @@ def merge_loop_bench(
         "mean_frontier": (
             arena_counters.get("frontier_total", 0) / merges if merges else 0.0
         ),
+        "agglomerate_arena_peak_bytes": arena_peak,
+        "arena_peak_bytes_per_nnz": arena_peak / max(int(links.nnz), 1),
     }
     if include_reference:
         start = time.perf_counter()

@@ -15,16 +15,23 @@ the sharded summary merge all run on it.
   ``argmin`` over the row, first occurrence again) is only computed when
   that bound wins the selection scan — the array analogue of lazy heap
   deletion.
-* **Scratch arenas.**  Partner ids, pair counts and pair goodness live in
-  three preallocated growable arrays.  Each cluster owns a
-  ``(start, length, capacity)`` window; seed windows are packed copies of
-  the canonical sorted-CSR link matrix, merged rows are allocated at the
-  arena tail, and a full row relocates with doubled capacity when it
-  outgrows its window.
-* **Batched frontier maintenance.**  A merge recomputes the whole
-  frontier's goodness in one counts-÷-pow-table-gather pass and then
-  appends the merged cluster into every frontier row with one vectorised
-  scatter.
+* **Compacting arenas.**  Partner ids, pair counts and pair goodness live
+  in three preallocated arrays.  Each cluster owns a
+  ``(start, length, capacity)`` window with append headroom
+  (``length + length // 4 + 4`` cells): seed windows hold the canonical
+  sorted-CSR link rows, scored and placed a block of rows at a time;
+  merged rows are carved at the arena tail, and a full row moves to a
+  fresh tail window.  When the tail runs out the arena is compacted in
+  place — dead rows and dead entries dropped, entry order kept, fresh
+  headroom for every row — and grows only if it would still be more than
+  3/4 full.  Live entries never increase under merging, so the arena
+  sized at 1.5x the seeded windows holds the whole run: memory is bounded
+  by the seeded link cells, not by the merge history.
+* **Batched frontier maintenance.**  A merge unions the two consumed rows
+  without sorting (a scratch accumulator and mark array, all zero between
+  merges), recomputes the whole frontier's goodness in one
+  counts-÷-pow-table-gather pass and then appends the merged cluster into
+  every frontier row with one vectorised scatter.
 
 **Weighted starting clusters.**  ``sizes`` makes the ``n_points`` starting
 units clusters of the given sizes (the goodness normaliser uses the true
@@ -38,8 +45,9 @@ raises one (a linked pair at ``1 + 2 f(theta) == 1``).  The cross-engine
 equivalence suite and the engine benchmarks assert this on every run.
 
 The engine also records merge-loop counters (selection scans, best
-rescans, rescan cells, frontier sizes, appends, relocations, arena grows)
-surfaced through :class:`repro.core.engines.AgglomerationRun`.
+rescans, rescan cells, frontier sizes, appends, relocations, compactions,
+arena grows and ``arena_cells``, the arena's capacity high-water mark in
+cells) surfaced through :class:`repro.core.engines.AgglomerationRun`.
 """
 
 from __future__ import annotations
@@ -101,9 +109,27 @@ def arena_agglomerate(
 class ArenaAgglomerationEngine:
     """Arena-state machine for one agglomeration run."""
 
-    #: Extra cells granted beyond the immediate need when a row is
-    #: (re)allocated, so repeated appends amortise to O(1) relocations.
+    #: Extra cells granted beyond ``length + length // 4`` whenever a row
+    #: window is (re)allocated — seeded, merged, relocated or compacted — so
+    #: repeated appends amortise to O(1) relocations.  At least 1: a
+    #: compaction in the middle of a merge must leave every frontier row
+    #: room for the append in flight.
     _ROW_HEADROOM = 4
+
+    #: Free arena cells kept beyond the rows' windows, as a fraction of them,
+    #: when the arena is sized (at seeding and on growth).
+    _ARENA_SLACK = 0.5
+
+    #: A compaction that leaves the arena fuller than this (counting the
+    #: pending request) grows it.
+    _MAX_FILL = 0.75
+
+    #: Smallest arena allocated, in cells.
+    _MIN_ARENA_CELLS = 1024
+
+    #: Most cells one vectorised seeding or compaction step touches; whole
+    #: rows per step, so a longer row is a step of its own.
+    _BLOCK_CELLS = 1 << 16
 
     def __init__(
         self,
@@ -150,6 +176,22 @@ class ArenaAgglomerationEngine:
         symmetric.sort_indices()
         return symmetric
 
+    def _headroomed(self, length):
+        """Window size granted to a row of ``length`` entries (array-wise)."""
+        return length + (length >> 2) + self._ROW_HEADROOM
+
+    def _row_blocks(self, lengths: np.ndarray):
+        """``(lo, hi)`` runs of consecutive rows holding at most
+        ``_BLOCK_CELLS`` cells between them (a longer row runs alone)."""
+        ends = np.cumsum(lengths)
+        lo = 0
+        while lo < lengths.size:
+            base = int(ends[lo - 1]) if lo else 0
+            hi = int(np.searchsorted(ends, base + self._BLOCK_CELLS, side="right"))
+            hi = max(hi, lo + 1)
+            yield lo, hi
+            lo = hi
+
     def _init_arena_state(self) -> None:
         n = self.n_points
         # Merged ids range over [n, 2n - 1 - n_clusters], so index 2n - 1 is
@@ -157,7 +199,6 @@ class ArenaAgglomerationEngine:
         # the ``-1`` best-partner sentinel under negative indexing.
         capacity = max(2 * n, 1)
         symmetric = self._canonical_symmetric()
-        nnz = int(symmetric.nnz)
 
         self._alive = np.zeros(capacity, dtype=bool)
         self._alive[:n] = True
@@ -166,50 +207,26 @@ class ArenaAgglomerationEngine:
         self._child_left = [-1] * capacity
         self._child_right = [-1] * capacity
 
-        indptr = symmetric.indptr.astype(np.int64)
-        row_sizes = np.diff(indptr)
-        if nnz:
-            pow_np = self._pow
-            # Larger id's size first, as a merge scores its frontier
-            # (merged cluster first), so both rows of a pair hold the same
-            # float.
-            rows = np.repeat(np.arange(n), row_sizes)
-            columns = symmetric.indices
-            newer = self._sizes[np.maximum(rows, columns)]
-            older = self._sizes[np.minimum(rows, columns)]
-            denominators = pow_np[newer + older] - pow_np[newer] - pow_np[older]
-            if np.any(denominators == 0.0):
-                # 1 + 2 f(theta) == 1 makes every denominator vanish; the
-                # reference raises ZeroDivisionError from goodness() as soon
-                # as a linked pair is scored, so mirror it with a clearer
-                # message.
-                raise ZeroDivisionError(
-                    "goodness denominator is zero: 1 + 2 f(theta) == 1 "
-                    "(theta == 1 under the paper's exponent function); "
-                    "linked pairs cannot be scored"
-                )
-            seed_neg = -(symmetric.data / denominators)
-        else:
-            seed_neg = np.empty(0, dtype=np.float64)
-
-        # The three arenas.  Seed rows occupy a packed prefix (capacity ==
-        # length, so their first append relocates); merged rows are carved
-        # from the tail.
-        arena_capacity = max(nnz + self._ROW_HEADROOM * n, 1024)
+        # Seed rows get the append headroom merged rows get, laid out in id
+        # order; the arena keeps ``_ARENA_SLACK`` of free tail beyond them.
+        row_sizes = np.diff(symmetric.indptr).astype(np.int64)
+        seed_caps = self._headroomed(row_sizes)
+        seed_starts = np.cumsum(seed_caps) - seed_caps
+        seed_extent = int(seed_caps.sum())
+        arena_capacity = max(
+            seed_extent + int(seed_extent * self._ARENA_SLACK), self._MIN_ARENA_CELLS
+        )
         self._arena_partner = np.empty(arena_capacity, dtype=np.int64)
         self._arena_count = np.empty(arena_capacity, dtype=np.float64)
         self._arena_neg = np.empty(arena_capacity, dtype=np.float64)
-        self._arena_partner[:nnz] = symmetric.indices
-        self._arena_count[:nnz] = symmetric.data
-        self._arena_neg[:nnz] = seed_neg
-        self._arena_tail = nnz
+        self._arena_tail = seed_extent
 
         self._row_start = np.zeros(capacity, dtype=np.int64)
         self._row_len = np.zeros(capacity, dtype=np.int64)
         self._row_cap = np.zeros(capacity, dtype=np.int64)
-        self._row_start[:n] = indptr[:-1]
+        self._row_start[:n] = seed_starts
         self._row_len[:n] = row_sizes
-        self._row_cap[:n] = row_sizes
+        self._row_cap[:n] = seed_caps
 
         # Per-cluster best merge.  0.0 / -1 is the "no live pair" state
         # (never selected: the loop stops at non-negative best); +inf
@@ -217,28 +234,11 @@ class ArenaAgglomerationEngine:
         # the incumbent best dies and cleared when the true best is
         # recomputed — which happens only if the stale upper bound wins a
         # selection scan, the reference's lazy-deletion rework condition.
-        best_neg = np.zeros(capacity, dtype=np.float64)
-        best_partner = np.full(capacity, -1, dtype=np.int64)
+        self._best_neg = np.zeros(capacity, dtype=np.float64)
+        self._best_partner = np.full(capacity, -1, dtype=np.int64)
         self._stale = np.zeros(capacity, dtype=bool)
-        if nnz:
-            # First-occurrence minimum per seed CSR row: rows list partners
-            # in ascending id order, the reference's local-heap insertion
-            # order.  A row whose minimum is NaN keeps its first entry.
-            nonempty = row_sizes > 0
-            rows = np.nonzero(nonempty)[0]
-            starts = indptr[:-1][nonempty]
-            row_min = np.minimum.reduceat(seed_neg, starts)
-            masked = np.where(
-                seed_neg == np.repeat(row_min, row_sizes[nonempty]),
-                np.arange(nnz, dtype=np.int64),
-                nnz,
-            )
-            first_min = np.minimum.reduceat(masked, starts)
-            first_min = np.where(first_min == nnz, starts, first_min)
-            best_neg[rows] = seed_neg[first_min]
-            best_partner[rows] = symmetric.indices[first_min]
-        self._best_neg = best_neg
-        self._best_partner = best_partner
+        for lo, hi in self._row_blocks(row_sizes):
+            self._seed_rows(symmetric, lo, hi, seed_starts[lo:hi])
 
         self._counters: dict[str, int] = {
             "merges": 0,
@@ -249,45 +249,180 @@ class ArenaAgglomerationEngine:
             "frontier_max": 0,
             "appended_cells": 0,
             "row_relocations": 0,
+            "compactions": 0,
             "arena_grows": 0,
+            "arena_cells": arena_capacity,
         }
+
+    def _seed_rows(
+        self,
+        symmetric: sparse.csr_matrix,
+        lo: int,
+        hi: int,
+        starts: np.ndarray,
+    ) -> None:
+        """Score seed rows ``lo .. hi - 1``, place them at ``starts`` and set
+        their best merge."""
+        first, last = int(symmetric.indptr[lo]), int(symmetric.indptr[hi])
+        if first == last:
+            return
+        row_sizes = np.diff(symmetric.indptr[lo : hi + 1]).astype(np.int64)
+        columns = symmetric.indices[first:last]
+        counts = symmetric.data[first:last]
+        rows = np.repeat(np.arange(lo, hi), row_sizes)
+        # Larger id's size first, as a merge scores its frontier (merged
+        # cluster first), so both rows of a pair hold the same float.
+        newer = self._sizes[np.maximum(rows, columns)]
+        older = self._sizes[np.minimum(rows, columns)]
+        pow_np = self._pow
+        denominators = pow_np[newer + older] - pow_np[newer] - pow_np[older]
+        if np.any(denominators == 0.0):
+            # 1 + 2 f(theta) == 1 makes every denominator vanish; the
+            # reference raises ZeroDivisionError from goodness() as soon as
+            # a linked pair is scored, so mirror it with a clearer message.
+            raise ZeroDivisionError(
+                "goodness denominator is zero: 1 + 2 f(theta) == 1 "
+                "(theta == 1 under the paper's exponent function); "
+                "linked pairs cannot be scored"
+            )
+        seed_neg = -(counts / denominators)
+        offsets = np.cumsum(row_sizes) - row_sizes
+        targets = np.arange(last - first) + np.repeat(starts - offsets, row_sizes)
+        self._arena_partner[targets] = columns
+        self._arena_count[targets] = counts
+        self._arena_neg[targets] = seed_neg
+
+        # First-occurrence minimum per row: rows list partners in ascending
+        # id order, the reference's local-heap insertion order.  A row whose
+        # minimum is NaN keeps its first entry.
+        nonempty = row_sizes > 0
+        row_firsts = offsets[nonempty]
+        row_min = np.minimum.reduceat(seed_neg, row_firsts)
+        cells = seed_neg.size
+        masked = np.where(
+            seed_neg == np.repeat(row_min, row_sizes[nonempty]),
+            np.arange(cells, dtype=np.int64),
+            cells,
+        )
+        first_min = np.minimum.reduceat(masked, row_firsts)
+        first_min = np.where(first_min == cells, row_firsts, first_min)
+        best_rows = np.arange(lo, hi)[nonempty]
+        self._best_neg[best_rows] = seed_neg[first_min]
+        self._best_partner[best_rows] = columns[first_min]
 
     # ------------------------------------------------------------------ #
     # Arena management
     # ------------------------------------------------------------------ #
-    def _ensure_tail(self, need: int) -> None:
-        """Grow the arenas so ``need`` cells fit past the tail."""
-        required = self._arena_tail + need
-        current = self._arena_partner.size
-        if required <= current:
-            return
-        new_capacity = max(2 * current, required)
-        for attribute in ("_arena_partner", "_arena_count", "_arena_neg"):
-            old = getattr(self, attribute)
-            grown = np.empty(new_capacity, dtype=old.dtype)
-            grown[: self._arena_tail] = old[: self._arena_tail]
-            setattr(self, attribute, grown)
-        self._counters["arena_grows"] += 1
+    def _reserve(self, need: int) -> None:
+        """Make ``need`` cells fit past the tail.
 
-    def _relocate_row(self, row: int, extra: int) -> None:
-        """Move a full row to the arena tail with doubled capacity."""
+        A full arena is compacted: the live rows' live entries move into
+        fresh headroomed windows, entry order kept.  The arena grows only
+        when those windows and the request would fill more than
+        ``_MAX_FILL`` of it.  Every row moves, so callers re-read positions.
+        """
+        size = self._arena_partner.size
+        if self._arena_tail + need <= size:
+            return
+        order = self._pack_live_rows()
+        lengths = self._row_len[order]
+        capacities = self._headroomed(lengths)
+        required = int(capacities.sum()) + need
+        if required > self._MAX_FILL * size:
+            size = required + int(required * self._ARENA_SLACK)
+            self._counters["arena_grows"] += 1
+            self._counters["arena_cells"] = max(self._counters["arena_cells"], size)
+        self._spread_rows(order, lengths, capacities, size)
+        self._counters["compactions"] += 1
+
+    def _pack_live_rows(self) -> np.ndarray:
+        """Pack the live rows' live entries to the arena front, in place.
+
+        Rows go in address order, ``_BLOCK_CELLS`` at a time, so every cell
+        moves down onto cells already read.  Returns the live rows in that
+        order.
+        """
+        alive = self._alive
+        row_start = self._row_start
+        row_len = self._row_len
+        arenas = (self._arena_partner, self._arena_count, self._arena_neg)
+        live = np.flatnonzero(alive)
+        order = live[np.argsort(row_start[live], kind="stable")]
+        lengths = row_len[order]
+        write = 0
+        for lo, hi in self._row_blocks(lengths):
+            rows = order[lo:hi]
+            block_lengths = lengths[lo:hi]
+            offsets = np.cumsum(block_lengths) - block_lengths
+            positions = np.arange(int(block_lengths.sum())) + np.repeat(
+                row_start[rows] - offsets, block_lengths
+            )
+            keep = alive[arenas[0][positions]]
+            kept = positions[keep]
+            for arena in arenas:
+                arena[write : write + kept.size] = arena[kept]
+            kept_lengths = np.bincount(
+                np.repeat(np.arange(hi - lo), block_lengths)[keep], minlength=hi - lo
+            )
+            row_start[rows] = write + np.cumsum(kept_lengths) - kept_lengths
+            row_len[rows] = kept_lengths
+            write += kept.size
+        return order
+
+    def _spread_rows(
+        self,
+        order: np.ndarray,
+        lengths: np.ndarray,
+        capacities: np.ndarray,
+        size: int,
+    ) -> None:
+        """Move packed rows into back-to-back windows of ``capacities``.
+
+        In place when ``size`` is the current arena size: rows go from the
+        last one back, so every cell moves up onto cells already moved
+        away.  Otherwise into fresh arenas of ``size`` cells.
+        """
+        row_start = self._row_start
+        starts = np.cumsum(capacities) - capacities
+        shifts = starts - row_start[order]
+        names = ("_arena_partner", "_arena_count", "_arena_neg")
+        sources = [getattr(self, name) for name in names]
+        in_place = size == sources[0].size
+        if in_place:
+            targets = sources
+        else:
+            targets = [np.empty(size, dtype=source.dtype) for source in sources]
+        for lo, hi in reversed(list(self._row_blocks(lengths))):
+            if in_place and shifts[hi - 1] == 0:
+                break  # shifts never decrease along the address order
+            first = int(row_start[order[lo]])
+            last = int(row_start[order[hi - 1]] + lengths[hi - 1])
+            positions = np.arange(first, last) + np.repeat(
+                shifts[lo:hi], lengths[lo:hi]
+            )
+            for source, target in zip(sources, targets):
+                block = source[first:last]
+                target[positions] = block.copy() if in_place else block
+        for name, target in zip(names, targets):
+            setattr(self, name, target)
+        row_start[order] = starts
+        self._row_cap[order] = capacities
+        self._arena_tail = int(capacities.sum())
+
+    def _relocate_row(self, row: int) -> None:
+        """Move a full row to a fresh headroomed window at the arena tail."""
+        capacity = self._headroomed(int(self._row_len[row]) + 1)
+        self._reserve(capacity)
         length = int(self._row_len[row])
-        new_capacity = max(2 * (length + extra), length + extra, 4)
-        self._ensure_tail(new_capacity)
+        if length < self._row_cap[row]:
+            return  # the reserve compacted, and that gave the row room
         start = int(self._row_start[row])
         tail = self._arena_tail
-        self._arena_partner[tail : tail + length] = self._arena_partner[
-            start : start + length
-        ]
-        self._arena_count[tail : tail + length] = self._arena_count[
-            start : start + length
-        ]
-        self._arena_neg[tail : tail + length] = self._arena_neg[
-            start : start + length
-        ]
+        for arena in (self._arena_partner, self._arena_count, self._arena_neg):
+            arena[tail : tail + length] = arena[start : start + length]
         self._row_start[row] = tail
-        self._row_cap[row] = new_capacity
-        self._arena_tail = tail + new_capacity
+        self._row_cap[row] = capacity
+        self._arena_tail = tail + capacity
         self._counters["row_relocations"] += 1
 
     # ------------------------------------------------------------------ #
@@ -319,6 +454,9 @@ class ArenaAgglomerationEngine:
         stopped_early = False
 
         stale = self._stale
+        # Frontier-union scratch, all zero/False between merges.
+        accumulator = np.zeros(alive.size, dtype=np.float64)
+        marked = np.zeros(alive.size, dtype=bool)
 
         while alive_count > self.n_clusters:
             # One C-speed scan replaces the global heap: argmin's
@@ -387,42 +525,39 @@ class ArenaAgglomerationEngine:
             child_right[merged] = right
             alive_count -= 1
 
-            # Combined frontier of the two consumed rows, first-occurrence
-            # order of "left's partners then right's new partners" (the
-            # reference's combined-dict order), counts summed for shared
-            # partners, dead entries dropped.
+            # Combined frontier of the two consumed rows: left's live
+            # partners, then right's new ones (the reference's combined-dict
+            # order), a shared partner's count summed left + right (the
+            # reference's addition order).  Dead entries are dropped.
             left_start = row_start[left]
             right_start = row_start[right]
             left_partners = self._arena_partner[
                 left_start : left_start + row_len[left]
             ]
+            left_counts = self._arena_count[left_start : left_start + row_len[left]]
             right_partners = self._arena_partner[
                 right_start : right_start + row_len[right]
             ]
-            concatenated = np.concatenate([left_partners, right_partners])
-            concatenated_counts = np.concatenate(
-                [
-                    self._arena_count[left_start : left_start + row_len[left]],
-                    self._arena_count[right_start : right_start + row_len[right]],
-                ]
+            right_counts = self._arena_count[
+                right_start : right_start + row_len[right]
+            ]
+            keep = alive[left_partners]
+            left_partners = left_partners[keep]
+            left_counts = left_counts[keep]
+            keep = alive[right_partners]
+            right_partners = right_partners[keep]
+            right_counts = right_counts[keep]
+            accumulator[left_partners] = left_counts
+            marked[left_partners] = True
+            shared = marked[right_partners]
+            accumulator[right_partners[shared]] += right_counts[shared]
+            fresh = ~shared
+            frontier = np.concatenate([left_partners, right_partners[fresh]])
+            frontier_counts = np.concatenate(
+                [accumulator[left_partners], right_counts[fresh]]
             )
-            keep = alive[concatenated]
-            frontier = concatenated[keep]
-            frontier_counts = concatenated_counts[keep]
-            if frontier.size:
-                unique, inverse = np.unique(frontier, return_inverse=True)
-                if unique.size != frontier.size:
-                    summed = np.zeros(unique.size, dtype=np.float64)
-                    np.add.at(summed, inverse, frontier_counts)
-                    first_position = np.full(
-                        unique.size, frontier.size, dtype=np.int64
-                    )
-                    np.minimum.at(
-                        first_position, inverse, np.arange(frontier.size)
-                    )
-                    order = np.argsort(first_position, kind="stable")
-                    frontier = unique[order]
-                    frontier_counts = summed[order]
+            accumulator[left_partners] = 0.0
+            marked[left_partners] = False
             frontier_size = int(frontier.size)
             counters["merges"] += 1
             counters["frontier_total"] += frontier_size
@@ -442,10 +577,8 @@ class ArenaAgglomerationEngine:
 
             # The merged cluster's row: carved at the arena tail with
             # append headroom.
-            merged_capacity = (
-                frontier_size + (frontier_size >> 2) + self._ROW_HEADROOM
-            )
-            self._ensure_tail(merged_capacity)
+            merged_capacity = self._headroomed(frontier_size)
+            self._reserve(merged_capacity)
             tail = self._arena_tail
             self._arena_partner[tail : tail + frontier_size] = frontier
             self._arena_count[tail : tail + frontier_size] = frontier_counts
@@ -465,12 +598,15 @@ class ArenaAgglomerationEngine:
             best_partner[merged] = frontier[merged_best_position]
 
             # Scatter-append the merged cluster into every frontier row.
-            # Full rows relocate first (cheap and rare: doubling
-            # amortises), then one vectorised position write per arena.
+            # Full rows relocate first (rare: every window has headroom),
+            # then one vectorised position write per arena.  A relocation
+            # may compact, which moves every row and gives it fresh
+            # headroom, so fullness and positions are re-read after it.
             full = row_len[frontier] >= row_cap[frontier]
             if full.any():
                 for row in frontier[full]:
-                    self._relocate_row(int(row), 1)
+                    if row_len[row] >= row_cap[row]:
+                        self._relocate_row(int(row))
             positions = row_start[frontier] + row_len[frontier]
             self._arena_partner[positions] = merged
             self._arena_count[positions] = frontier_counts

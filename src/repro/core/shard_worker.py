@@ -136,6 +136,15 @@ class CompactShardResult:
     timings: dict[str, float] = field(default_factory=dict)
 
 
+def bootstrap_probe() -> None:
+    """No-op task that returns once a spawned worker has bootstrapped.
+
+    The process executor runs it on its first pool before any shard task,
+    so a pool that breaks under it is told apart from a worker that crashed
+    on a shard.
+    """
+
+
 def cluster_shard_task(
     config: ShardWorkerConfig, task: ShardTask
 ) -> CompactShardResult:

@@ -75,6 +75,7 @@ import os
 import warnings
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import TYPE_CHECKING
@@ -469,6 +470,15 @@ def cluster_shards(
         The surviving results in shard order regardless of completion
         order, plus ``skipped_shards`` / ``errors`` metadata.
 
+    Raises
+    ------
+    ConfigurationError
+        Besides invalid arguments: when the process executor's workers die
+        while starting, before any shard task ran (typically a script
+        without an ``if __name__ == "__main__":`` guard).  This is raised
+        after one attempt, whatever ``strict`` is, since a retry cannot
+        succeed.
+
     Notes
     -----
     The failpoints ``shard.worker`` (any shard) and ``shard.worker.<id>``
@@ -583,6 +593,11 @@ def _cluster_shards_process(
     queued future, and a fresh pool per wave keeps one shard's crash from
     contaminating another shard's retry.
 
+    The first pool runs a no-op before any shard task
+    (:func:`_check_workers_bootstrap`), so workers that cannot start at
+    all raise a :class:`~repro.errors.ConfigurationError` instead of
+    being retried as crashes.
+
     Returns ``(result_or_None, error_or_None)`` pairs aligned with
     ``tasks``, exactly like the thread path's ``run_with_retry``.
     """
@@ -599,7 +614,7 @@ def _cluster_shards_process(
             incidence, _index = transactions_to_incidence(sample)
             published.append(SharedIncidence.publish(incidence))
         pending = list(range(len(tasks)))
-        for _wave in range(retries + 1):
+        for wave in range(retries + 1):
             if not pending:
                 break
             wave_tasks = []
@@ -626,6 +641,8 @@ def _cluster_shards_process(
             with ProcessPoolExecutor(
                 max_workers=max_workers, mp_context=spawn_context
             ) as pool:
+                if wave == 0:
+                    _check_workers_bootstrap(pool)
                 futures = [
                     pool.submit(cluster_shard_task, worker_config, wave_task)
                     for wave_task in wave_tasks
@@ -665,6 +682,28 @@ def _cluster_shards_process(
         (result, None if result is not None else errors[position])
         for position, result in enumerate(results)
     ]
+
+
+def _check_workers_bootstrap(pool: ProcessPoolExecutor) -> None:
+    """Fail fast, without retrying, when spawned workers cannot start.
+
+    A pool that breaks under a no-op never ran a shard task, so this is no
+    transient crash.  The usual cause is a script that reaches the process
+    executor without a ``__main__`` guard: every spawned interpreter
+    re-runs the script while bootstrapping and dies.
+    """
+    from repro.core.shard_worker import bootstrap_probe
+
+    try:
+        pool.submit(bootstrap_probe).result()
+    except BrokenProcessPool as error:
+        raise ConfigurationError(
+            "shard worker processes died while starting, before any shard "
+            "task ran.  The %r shard executor spawns fresh interpreters that "
+            "re-import the main module, so a script using it must guard its "
+            "entry point with 'if __name__ == \"__main__\":' (or use the %r "
+            "executor)" % (PROCESS_SHARD_EXECUTOR, DEFAULT_SHARD_EXECUTOR)
+        ) from error
 
 
 @dataclass

@@ -9,8 +9,13 @@ reference engine on raw link matrices — exact
 tie-break order, surviving memberships, early-stop parity — its weighted
 starting clusters against a dense greedy spec, and the merge-loop
 counters surfaced through the model, the pipeline, the incremental
-session and the serve ``status`` verb.
+session and the serve ``status`` verb.  The spec comparisons run a second
+time on a tight arena (private capacity constants shrunk), where every
+merging run compacts, some compactions fire inside a row relocation and
+the arena grows.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -68,6 +73,26 @@ def _random_links(seed: int, n: int, density: float, max_count: int):
 
 def _partition(members):
     return sorted(sorted(points) for points in members.values())
+
+
+#: Arena constants under which every merging run compacts: no free tail
+#: beyond the seeded windows, growth once a compaction leaves the arena 90%
+#: full, one cell of row headroom and eight-cell seeding/compaction steps.
+TIGHT_ARENA = {
+    "_ARENA_SLACK": 0.0,
+    "_MAX_FILL": 0.9,
+    "_MIN_ARENA_CELLS": 0,
+    "_BLOCK_CELLS": 8,
+    "_ROW_HEADROOM": 1,
+}
+
+
+@contextmanager
+def tight_arena():
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in TIGHT_ARENA.items():
+            patch.setattr(ArenaAgglomerationEngine, name, value)
+        yield
 
 
 def assert_arena_matches_reference(
@@ -129,6 +154,29 @@ def greedy_spec(weights, sizes, n_clusters, theta):
         for other, weight in combined.items():
             cross[(other, merged)] = weight
     return steps
+
+
+def _assert_weighted_matches_greedy_spec(seed):
+    """Arena on random weighted clusters equals :func:`greedy_spec`;
+    returns the arena's counters."""
+    # Random float link mass and sizes make every goodness distinct, so the
+    # merge order is fully determined by the spec.
+    rng = np.random.default_rng(seed)
+    k = 14
+    weights = rng.random((k, k)) * (rng.random((k, k)) < 0.5) * 40.0
+    weights = np.triu(weights, k=1)
+    weights = weights + weights.T
+    sizes = rng.integers(1, 30, size=k)
+    history, members, stopped_early, counters = arena_agglomerate(
+        sparse.csr_matrix(weights), k, 3, 0.5, sizes=sizes
+    )
+    spec = greedy_spec(weights, sizes, 3, 0.5)
+    assert [
+        (step.left, step.right, step.goodness, step.new_size) for step in history
+    ] == spec
+    assert stopped_early == (len(members) > 3)
+    assert sorted(i for group in members.values() for i in group) == list(range(k))
+    return counters
 
 
 class _DummyEngine:
@@ -334,6 +382,79 @@ class TestArenaReferenceProperty:
         n_clusters = max(1, int(round(k_fraction * n)))
         assert_arena_matches_reference(links, n, n_clusters, theta)
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=2, max_value=28),
+        density=st.floats(min_value=0.05, max_value=0.9),
+        max_count=st.integers(min_value=1, max_value=4),
+        theta=st.floats(min_value=0.05, max_value=0.95),
+        k_fraction=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_arena_matches_reference_under_a_tight_arena(
+        self, seed, n, density, max_count, theta, k_fraction
+    ):
+        links = _random_links(seed, n, density, max_count)
+        n_clusters = max(1, int(round(k_fraction * n)))
+        with tight_arena():
+            history, _, _, counters = assert_arena_matches_reference(
+                links, n, n_clusters, theta
+            )
+        # The seeded windows fill the tight arena, so the first merge
+        # already compacts.
+        assert counters["compactions"] > 0 or not history
+
+
+class TestArenaCompaction:
+    def test_compaction_inside_a_relocation_and_growth_match_reference(
+        self, monkeypatch
+    ):
+        # Count compactions that fire while a full row is being relocated
+        # mid-merge: every row moves under the merge in flight.
+        depth = [0]
+        inside_relocation = [0]
+        relocate = ArenaAgglomerationEngine._relocate_row
+        pack = ArenaAgglomerationEngine._pack_live_rows
+
+        def counting_relocate(engine, row):
+            depth[0] += 1
+            try:
+                return relocate(engine, row)
+            finally:
+                depth[0] -= 1
+
+        def counting_pack(engine):
+            inside_relocation[0] += depth[0] > 0
+            return pack(engine)
+
+        monkeypatch.setattr(
+            ArenaAgglomerationEngine, "_relocate_row", counting_relocate
+        )
+        monkeypatch.setattr(ArenaAgglomerationEngine, "_pack_live_rows", counting_pack)
+        links = _random_links(0, 16, 0.5, 3)
+        with tight_arena():
+            history, _, _, counters = assert_arena_matches_reference(
+                links, 16, 1, 0.5
+            )
+        assert len(history) == 15
+        assert inside_relocation[0] > 0
+        assert counters["arena_grows"] > 0
+        assert counters["compactions"] >= inside_relocation[0]
+
+    def test_default_arena_is_bounded_by_the_seeded_links(self):
+        # Live entries never increase under merging, so compaction keeps
+        # reusing the arena sized at seeding instead of growing it.
+        rng = np.random.default_rng(8)
+        transactions = _random_transactions(rng, n=300, universe=40)
+        links = _links_for(transactions, 0.3)
+        history, _, _, counters = assert_arena_matches_reference(
+            links, 300, 2, 0.3
+        )
+        assert len(history) > 250
+        assert counters["compactions"] > 0
+        assert counters["arena_grows"] == 0
+        assert counters["arena_cells"] < 3 * links.nnz
+
 
 class TestWeightedStartingClusters:
     def test_unit_sizes_equal_points(self):
@@ -348,26 +469,15 @@ class TestWeightedStartingClusters:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_float_weights_match_dense_greedy_spec(self, seed):
-        # Random float link mass and sizes make every goodness distinct,
-        # so the merge order is fully determined by the spec.
-        rng = np.random.default_rng(seed)
-        k = 14
-        weights = rng.random((k, k)) * (rng.random((k, k)) < 0.5) * 40.0
-        weights = np.triu(weights, k=1)
-        weights = weights + weights.T
-        sizes = rng.integers(1, 30, size=k)
-        history, members, stopped_early, _ = arena_agglomerate(
-            sparse.csr_matrix(weights), k, 3, 0.5, sizes=sizes
-        )
-        spec = greedy_spec(weights, sizes, 3, 0.5)
-        assert [
-            (step.left, step.right, step.goodness, step.new_size)
-            for step in history
-        ] == spec
-        assert stopped_early == (len(members) > 3)
-        assert sorted(i for group in members.values() for i in group) == list(
-            range(k)
-        )
+        _assert_weighted_matches_greedy_spec(seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_float_weights_match_dense_greedy_spec_under_a_tight_arena(
+        self, seed
+    ):
+        with tight_arena():
+            counters = _assert_weighted_matches_greedy_spec(seed)
+        assert counters["compactions"] > 0
 
     def test_sizes_enter_the_normaliser(self):
         # Two pairs with the same link mass: the pair of smaller clusters
@@ -414,6 +524,10 @@ class TestCountersExposure:
         counters = model.result_.merge_counters
         assert counters["merges"] == len(model.result_.merge_history)
         assert counters["frontier_max"] >= 0
+        # Merge-loop memory: compactions run and the arena's capacity
+        # high-water mark, in cells.
+        assert counters["compactions"] >= 0
+        assert counters["arena_cells"] >= 1024
 
         # An uninstrumented engine reports no counters rather than fakes.
         reference_model = RockClustering(
@@ -424,6 +538,8 @@ class TestCountersExposure:
         # Pipeline level: the run parameters carry the same counters.
         result = RockPipeline(n_clusters=4, theta=0.5).run(transactions)
         assert result.parameters["merge_counters"]["merges"] >= 1
+        assert set(result.parameters["merge_counters"]) == set(counters)
+        assert result.parameters["merge_counters"]["arena_cells"] >= 1024
 
         # Session level: a forced refresh records its own loop counters.
         session = IncrementalRock(n_clusters=4, theta=0.5, rng=0)
@@ -440,4 +556,7 @@ class TestCountersExposure:
         status = server._handle_status()
         assert (
             status["refresh_merge_counters"] == session.last_refresh_counters
+        )
+        assert {"compactions", "arena_cells"} <= set(
+            status["refresh_merge_counters"]
         )

@@ -8,7 +8,12 @@ on the tight-cluster benchmark workload where the one-shot pipeline itself
 recovers the latent groups, so an agreement floor is meaningful.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,6 +521,58 @@ class TestProcessExecutor:
                 )
         assert result.parameters["skipped_shards"] == [1]
         assert len(result.labels) == 800
+
+
+    def test_guardless_script_fails_once_with_configuration_error(self, tmp_path):
+        # Without a __main__ guard every spawned worker re-runs the script
+        # while bootstrapping and dies before any shard task runs.  That is
+        # a configuration error: one attempt (one child bootstrap, despite
+        # the retry budget and strict=False) and a message naming the fix.
+        marker = tmp_path / "bootstraps.txt"
+        script = tmp_path / "guardless.py"
+        script.write_text(
+            textwrap.dedent(
+                """\
+                import sys
+
+                from repro.core.pipeline import RockPipeline
+                from repro.datasets.market_basket import generate_market_baskets
+                from repro.errors import ConfigurationError
+
+                with open(%r, "a") as handle:
+                    handle.write(__name__ + "\\n")
+                baskets = generate_market_baskets(n_transactions=120, rng=0)
+                try:
+                    RockPipeline(
+                        n_clusters=2, theta=0.5, sample_size=60, rng=0
+                    ).run_sharded(
+                        baskets.transactions,
+                        n_shards=2,
+                        shard_workers=1,
+                        shard_executor="process",
+                        shard_retries=2,
+                    )
+                except ConfigurationError as error:
+                    print("ConfigurationError:", error)
+                    sys.exit(3)
+                """
+                % str(marker)
+            ),
+            encoding="utf-8",
+        )
+        source_root = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(source_root)},
+            timeout=120,
+        )
+        assert result.returncode == 3, result.stdout + result.stderr
+        assert 'if __name__ == "__main__":' in result.stdout
+        assert "terminated abruptly" not in result.stdout
+        assert marker.read_text().split() == ["__main__", "__mp_main__"]
 
 
 class TestShardRetries:
