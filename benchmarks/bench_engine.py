@@ -12,13 +12,18 @@ Run modes (see ``conftest.bench_full``):
   committed ``BENCH_engine.json`` baseline at the repository root.
 
 ``test_engine_perf_gate`` re-measures the gate size and fails when the
-agglomeration, labelling or neighbour-backend time (vectorized and
-blocked are both gated) regresses more than 1.5x against the committed
-baseline (:mod:`repro.bench.perf_gate`); each phase only fails when its
-machine-robust relative signal regresses too.  Every run also exercises
-the ``blocked`` backend and asserts its adjacency identical to the
-vectorized one (see ``NEIGHBOR_BENCH_STRATEGIES``), so the CI smoke job
-covers the backend registry end to end.
+agglomeration, labelling or blocked neighbour time regresses more than
+1.5x against the committed baseline (:mod:`repro.bench.perf_gate`); each
+phase only fails when its machine-robust relative signal regresses too.
+Every run times the ``auto`` neighbour call and the ``blocked`` backend
+and asserts their adjacencies identical (see
+``NEIGHBOR_BENCH_STRATEGIES``).
+
+``test_neighbor_memory_gate`` (every mode) traces one ``auto`` neighbour
+call at n=2000 and n=4000 and fails when its ``tracemalloc`` peak exceeds
+``MAX_NEIGHBOR_PEAK_BYTES_PER_CELL`` bytes per block cell
+(``DEFAULT_BLOCK_SIZE x n``).  Allocation sizes do not depend on the
+machine, so this gate holds on any hardware.
 """
 
 from __future__ import annotations
@@ -32,7 +37,11 @@ from conftest import bench_full, engine_bench_sizes, write_record
 
 from repro.data.io import atomic_write_text
 
-from repro.bench.engine_bench import run_engine_bench, time_engine_phases
+from repro.bench.engine_bench import (
+    run_engine_bench,
+    time_engine_phases,
+    trace_neighbor_peak,
+)
 from repro.bench.perf_gate import (
     BASELINE_FILENAME,
     check_phase_regressions,
@@ -48,6 +57,14 @@ BASELINE_PATH = REPO_ROOT / BASELINE_FILENAME
 #: Workload size the perf gate re-measures (must exist in the baseline).
 GATE_SIZE = 500
 
+#: Sizes whose ``auto`` neighbour call the memory gate traces.
+NEIGHBOR_MEMORY_GATE_SIZES = (2000, 4000)
+
+#: Ceiling on that call's traced peak, in bytes per block cell.  The
+#: blocked product measures ~41 (n=2000) and ~43 (n=4000); the retired
+#: one-shot product over all pairs measured ~126 and ~254.
+MAX_NEIGHBOR_PEAK_BYTES_PER_CELL = 64.0
+
 
 def _render(payload: dict) -> str:
     lines = ["[ENGINE] arena vs reference agglomeration benchmark"]
@@ -58,7 +75,7 @@ def _render(payload: dict) -> str:
     for row in payload["sizes"]:
         parts = [
             "n=%-5d" % row["n"],
-            "neighbors(vectorized) %.3fs" % row["neighbors_vectorized_s"],
+            "neighbors(auto) %.3fs" % row["neighbors_s"],
             "neighbors(blocked) %.3fs" % row["neighbors_blocked_s"],
             "links %.3fs" % row["links_s"],
             "agglomerate(arena) %.3fs" % row["agglomerate_arena_s"],
@@ -112,20 +129,34 @@ def test_benchmark_engine_phases(results_dir):
             "arena engine speedup at n=2000 fell below 10x: %.2fx"
             % at_2000["agglomerate_speedup"]
         )
-        at_4000 = next(row for row in payload["sizes"] if row["n"] == 4000)
-        # The blocked backend only computes the upper triangle and keeps
-        # its COO intermediate bounded, so at the size where the one-shot
-        # product dominates it must be measurably faster.  The 0.9 factor
-        # demands a >=10% win (currently it is ~2.5x) while leaving head
-        # room so a timing blip on a healthy run cannot fail the
-        # baseline regeneration.
-        assert (
-            at_4000["neighbors_blocked_s"]
-            < 0.9 * at_4000["neighbors_vectorized_s"]
-        ), (
-            "blocked neighbour backend not measurably faster than one-shot "
-            "vectorized at n=4000: %.3fs vs %.3fs"
-            % (at_4000["neighbors_blocked_s"], at_4000["neighbors_vectorized_s"])
+
+
+def test_neighbor_memory_gate(results_dir):
+    rows = [trace_neighbor_peak(n) for n in NEIGHBOR_MEMORY_GATE_SIZES]
+    lines = ["[ENGINE] neighbour memory gate: auto call, traced peak per block cell"]
+    for row in rows:
+        lines.append(
+            "  n=%-5d edges=%d  peak %.1f MiB  %.1f B/cell (limit %.0f)"
+            % (
+                row["n"],
+                row["edges"],
+                row["neighbors_peak_bytes"] / 2**20,
+                row["neighbors_peak_bytes_per_cell"],
+                MAX_NEIGHBOR_PEAK_BYTES_PER_CELL,
+            )
+        )
+    write_record(results_dir, "ENGINE_neighbor_memory", "\n".join(lines))
+    for row in rows:
+        assert row["neighbors_peak_bytes_per_cell"] <= MAX_NEIGHBOR_PEAK_BYTES_PER_CELL, (
+            "auto neighbour call at n=%d peaked at %.1f bytes per block cell "
+            "(%d bytes traced for %d cells), above the %.0f B/cell ceiling"
+            % (
+                row["n"],
+                row["neighbors_peak_bytes_per_cell"],
+                row["neighbors_peak_bytes"],
+                row["block_cells"],
+                MAX_NEIGHBOR_PEAK_BYTES_PER_CELL,
+            )
         )
 
 
@@ -164,27 +195,15 @@ def test_engine_perf_gate(results_dir):
             check_phase_regressions(current, baseline, metrics=("label_batched_s",)),
             check_ratio_regression(current, baseline, metric="label_batched_s"),
         ),
-        # Neighbour phase (since the backend registry landed): the
-        # vectorized backend's relative signal is the link phase (both
-        # sparse-product bound), the blocked backend's is the vectorized
-        # backend measured in the same process.
-        (
-            check_phase_regressions(
-                current, baseline, metrics=("neighbors_vectorized_s",)
-            ),
-            check_ratio_regression(
-                current, baseline,
-                metric="neighbors_vectorized_s", reference_metric="links_s",
-            ),
-        ),
+        # Neighbour phase: the blocked backend's relative signal is the
+        # link phase (both sparse-product bound).
         (
             check_phase_regressions(
                 current, baseline, metrics=("neighbors_blocked_s",)
             ),
             check_ratio_regression(
                 current, baseline,
-                metric="neighbors_blocked_s",
-                reference_metric="neighbors_vectorized_s",
+                metric="neighbors_blocked_s", reference_metric="links_s",
             ),
         ),
     ):

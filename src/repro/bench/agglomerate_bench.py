@@ -17,9 +17,13 @@ over the reference at n=2000 and its n=4000 time against the committed
 from __future__ import annotations
 
 import time
-import tracemalloc
 
-from repro.bench.engine_bench import BENCH_CLUSTERS, BENCH_THETA, engine_workload
+from repro.bench.engine_bench import (
+    BENCH_CLUSTERS,
+    BENCH_THETA,
+    engine_workload,
+    traced_call,
+)
 from repro.core.engines import ARENA_ENGINE, REFERENCE_ENGINE, get_engine
 from repro.core.links import links_from_neighbors
 from repro.core.neighbors import compute_neighbors
@@ -34,23 +38,6 @@ def _best_agglomerate_seconds(engine_name: str, links, n_points: int,
         engine.agglomerate(links, n_points, n_clusters, theta)
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _traced_agglomerate(engine_name: str, links, n_points: int,
-                        n_clusters: int, theta: float):
-    """Run one agglomeration; return it with the peak bytes it allocated."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    before = tracemalloc.get_traced_memory()[0]
-    try:
-        run = get_engine(engine_name).agglomerate(links, n_points, n_clusters, theta)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    return run, peak
 
 
 def merge_loop_bench(
@@ -80,8 +67,8 @@ def merge_loop_bench(
     graph = compute_neighbors(transactions, theta=theta, strategy="blocked")
     links = links_from_neighbors(graph)
 
-    arena_run, arena_peak = _traced_agglomerate(
-        ARENA_ENGINE, links, n, n_clusters, theta
+    arena_run, arena_peak = traced_call(
+        get_engine(ARENA_ENGINE).agglomerate, links, n, n_clusters, theta
     )
     arena_seconds = _best_agglomerate_seconds(
         ARENA_ENGINE, links, n, n_clusters, theta, repeats

@@ -4,7 +4,9 @@ Times the four pipeline phases — neighbour graph (per backend strategy),
 link matrix, agglomeration (per engine) and labelling (one-shot and
 batched through the streaming labeler) — on a reproducible synthetic
 random-basket workload, and emits the ``BENCH_engine.json`` perf baseline
-consumed by :mod:`repro.bench.perf_gate`.
+consumed by :mod:`repro.bench.perf_gate`.  :func:`trace_neighbor_peak`
+measures the ``auto`` neighbour call's traced allocation peak for the
+benchmark's memory gate.
 
 The workload is a tight-cluster market-basket shape (eight latent groups
 whose baskets share most of a small item pool), the regime ROCK targets:
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,7 @@ from repro.core.engines import ARENA_ENGINE, REFERENCE_ENGINE
 from repro.core.labeling import label_points, label_points_streaming
 from repro.data.io import atomic_write_text
 from repro.core.links import links_from_neighbors
-from repro.core.neighbors import compute_neighbors
+from repro.core.neighbors import DEFAULT_BLOCK_SIZE, compute_neighbors
 from repro.core.rock import RockClustering
 from repro.datasets.market_basket import generate_market_baskets
 
@@ -51,12 +54,13 @@ BENCH_CLUSTERS = 8
 #: unlabelled points into.
 LABEL_BATCHES = 8
 
-#: Neighbour backends timed per size, and the row keys their timings are
-#: recorded under.  Every timed backend's adjacency is asserted identical
-#: to the first one's, so the benchmark doubles as a backend-equivalence
-#: check at full workload size.
+#: Neighbour strategies timed per size, and the row keys their timings are
+#: recorded under.  ``auto`` comes first: its graph feeds the later phases
+#: and its time is ``neighbors_s``, the base of the labelling ratio.  Every
+#: further backend's adjacency is asserted identical to it, so the
+#: benchmark doubles as a backend-equivalence check at full workload size.
 NEIGHBOR_BENCH_STRATEGIES = (
-    ("vectorized", "neighbors_vectorized_s"),
+    ("auto", "neighbors_s"),
     ("blocked", "neighbors_blocked_s"),
 )
 
@@ -108,7 +112,7 @@ def time_engine_phases(
     """
     transactions = engine_workload(n, rng=rng)
 
-    # One timing loop per neighbour backend; the first backend's graph is
+    # One timing loop per neighbour strategy; the first one's graph is
     # what the link/agglomeration phases consume, and every further
     # backend is asserted bit-identical to it.
     neighbor_timings: dict[str, float] = {}
@@ -123,9 +127,6 @@ def time_engine_phases(
                 "neighbour backend mismatch at n=%d: %r disagrees with %r"
                 % (n, strategy, NEIGHBOR_BENCH_STRATEGIES[0][0])
             )
-    # Legacy key: the vectorized time doubles as the denominator of the
-    # labelling gate's ratio signal (label_s / neighbors_s).
-    neighbors_seconds = neighbor_timings["neighbors_vectorized_s"]
     start = time.perf_counter()
     links = links_from_neighbors(graph)
     links_seconds = time.perf_counter() - start
@@ -145,7 +146,6 @@ def time_engine_phases(
         "n_clusters_requested": n_clusters,
         "links_nnz": int(links.nnz),
         "n_merges": len(arena_result.merge_history),
-        "neighbors_s": neighbors_seconds,
         **neighbor_timings,
         "links_s": links_seconds,
         "agglomerate_arena_s": arena_seconds,
@@ -209,6 +209,43 @@ def time_engine_phases(
     row["label_batched_s"] = _best_of(repeats, lambda: timed(label_batched))
     row["label_batches"] = streamed.n_batches
     return row
+
+
+def traced_call(function, *args):
+    """Call ``function(*args)``; return its result and the peak bytes it
+    allocated (``tracemalloc``, started and stopped here unless already on)."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = function(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+def trace_neighbor_peak(n: int, theta: float = BENCH_THETA, rng: int = 0) -> dict:
+    """Traced allocation peak of one ``auto`` neighbour call at size ``n``.
+
+    Returns the peak in bytes (``neighbors_peak_bytes``) and per cell of
+    one row block against every point (``neighbors_peak_bytes_per_cell``,
+    over ``DEFAULT_BLOCK_SIZE * n`` cells), the unit the blocked product
+    bounds its intermediates by.  Allocation sizes do not depend on the
+    machine, so the per-cell figure is gateable anywhere.
+    """
+    graph, peak = traced_call(compute_neighbors, engine_workload(n, rng=rng), theta)
+    cells = DEFAULT_BLOCK_SIZE * n
+    return {
+        "n": n,
+        "edges": graph.n_edges(),
+        "neighbors_peak_bytes": peak,
+        "block_cells": cells,
+        "neighbors_peak_bytes_per_cell": peak / cells,
+    }
 
 
 def run_engine_bench(

@@ -20,9 +20,8 @@ machine-robust signal per phase: :func:`check_speedup_regression` compares
 the arena-over-reference *speedup ratio* of the agglomeration, and
 :func:`check_ratio_regression` compares one phase time *relative to
 another* measured in the same process — the labelling phases against the
-neighbour phase, the blocked neighbour backend against the vectorized one,
-and the vectorized backend against the link phase (both sparse-product
-bound).  The benchmark driver flags
+neighbour phase, and the blocked neighbour backend against the link phase
+(both sparse-product bound).  The benchmark driver flags
 a regression only when both the absolute and the relative signal of a phase
 trip — a uniformly slower machine slows everything and keeps the ratios,
 while a genuine hot-path regression breaks them.
@@ -47,13 +46,12 @@ DEFAULT_MAX_RATIO = 1.5
 DEFAULT_SLACK_SECONDS = 0.05
 
 #: Phase timings the gate watches: the agglomeration merge loop (arena
-#: engine), both labelling paths (one-shot and batched/streaming) and both
-#: gated neighbour backends (one-shot vectorized and blocked).
+#: engine), both labelling paths (one-shot and batched/streaming) and the
+#: blocked neighbour backend.
 DEFAULT_PHASE_METRICS = (
     "agglomerate_arena_s",
     "label_s",
     "label_batched_s",
-    "neighbors_vectorized_s",
     "neighbors_blocked_s",
 )
 
@@ -66,7 +64,6 @@ DEFAULT_PHASE_SLACKS = {
     "agglomerate_arena_s": DEFAULT_SLACK_SECONDS,
     "label_s": 0.01,
     "label_batched_s": 0.01,
-    "neighbors_vectorized_s": 0.01,
     "neighbors_blocked_s": 0.01,
 }
 

@@ -80,7 +80,7 @@ from repro.core.goodness import (
 )
 from repro.core.labeling import StreamingLabeler
 from repro.core.links import links_from_neighbors
-from repro.core.neighbors import compute_neighbors
+from repro.core.neighbors import compute_neighbors, restored_backend_name
 from repro.core.neighbors.graph import complete_adjacency
 from repro.data.encoding import build_item_index, transactions_to_incidence
 from repro.errors import ConfigurationError, DataValidationError
@@ -540,7 +540,7 @@ class IncrementalRock:
             labeling_fraction=config["labeling_fraction"],
             labeling_strategy=config["labeling_strategy"],
             assign_outliers=config["assign_outliers"],
-            neighbor_strategy=config["neighbor_strategy"],
+            neighbor_strategy=restored_backend_name(config["neighbor_strategy"]),
             neighbor_block_size=config["neighbor_block_size"],
             link_strategy=config["link_strategy"],
             include_self_links=config["include_self_links"],

@@ -6,28 +6,26 @@ Two points are *neighbours* when their similarity is at least ``theta``
 adjacency matrix that also keeps the parameters used to build it.
 
 Construction is delegated to a pluggable **backend registry**
-(:mod:`repro.core.neighbors.base`); four backends ship built in, all
+(:mod:`repro.core.neighbors.base`); three backends ship built in, all
 producing bit-identical adjacencies on the same inputs:
 
 * ``"bruteforce"`` — evaluate the measure for every pair.  Works with any
   :class:`~repro.similarity.base.SetSimilarity`; the reference spec.
-* ``"vectorized"`` — one sparse incidence product for *all* pairwise
-  intersection counts; works with every
+* ``"blocked"`` — sparse incidence products in row blocks over the upper
+  triangle, so the pairwise intersection counts never hold more than
+  ``block_size x n`` entries at once; works with every
   :class:`~repro.similarity.base.VectorizedSetSimilarity` (Jaccard, Dice,
-  overlap coefficient, set cosine), not just Jaccard.
-* ``"blocked"`` — the same product in row blocks over the upper triangle,
-  so the COO intermediate stays under ``block_size x n`` entries and the
-  matmul work halves; the backend ``"auto"`` picks at scale.
+  overlap coefficient, set cosine).
 * ``"inverted-index"`` — per-item posting lists generate candidate pairs,
   a theta-dependent minimum-overlap bound prunes them, and the survivors
   are verified exactly.
 
 ``strategy="auto"`` (the default everywhere) picks brute force for
-non-vectorizable measures, the one-shot product for small inputs, the
-blocked product above :data:`AUTO_BLOCKED_THRESHOLD` points, and — at
-that scale, when the posting-list statistics mark the workload as sparse
-and rare-item (:func:`candidate_pair_density` at or below
-:data:`AUTO_INVERTED_MAX_DENSITY`) — the inverted index; see
+non-vectorizable measures and the blocked product otherwise — except from
+:data:`AUTO_INVERTED_MIN_POINTS` points on, when the posting-list
+statistics mark the workload as sparse and rare-item
+(:func:`candidate_pair_density` at or below
+:data:`AUTO_INVERTED_MAX_DENSITY`), where it picks the inverted index; see
 :func:`select_backend_name`.
 """
 
@@ -36,7 +34,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.neighbors.base import (
-    AUTO_BLOCKED_THRESHOLD,
     AUTO_INVERTED_MAX_DENSITY,
     AUTO_INVERTED_MIN_POINTS,
     AUTO_STRATEGY,
@@ -48,6 +45,7 @@ from repro.core.neighbors.base import (
     get_backend,
     normalize_backend_name,
     register_backend,
+    restored_backend_name,
     select_backend_name,
     validate_block_size,
 )
@@ -60,13 +58,11 @@ from repro.core.neighbors.graph import (
     validate_theta,
 )
 from repro.core.neighbors.inverted import InvertedIndexBackend
-from repro.core.neighbors.vectorized import VectorizedBackend
 from repro.errors import ConfigurationError
 from repro.similarity.base import SetSimilarity
 from repro.similarity.jaccard import JaccardSimilarity
 
 register_backend(BruteForceBackend())
-register_backend(VectorizedBackend())
 register_backend(BlockedBackend())
 register_backend(InvertedIndexBackend())
 
@@ -104,8 +100,8 @@ def compute_neighbors(
     measure:
         Similarity measure; defaults to the Jaccard coefficient.
     strategy:
-        A registered backend name (``"bruteforce"``, ``"vectorized"``,
-        ``"blocked"``, ``"inverted-index"``) or ``"auto"``, which picks a
+        A registered backend name (``"bruteforce"``, ``"blocked"``,
+        ``"inverted-index"``) or ``"auto"``, which picks a
         backend from the measure's capabilities and the input size
         (:func:`select_backend_name`).
     item_index:
@@ -127,7 +123,7 @@ def compute_neighbors(
     ConfigurationError
         For an unknown strategy, an out-of-range ``theta`` or
         ``block_size``, or a backend/measure capability mismatch (e.g. the
-        vectorized backend with a measure that does not implement
+        blocked backend with a measure that does not implement
         :class:`~repro.similarity.base.VectorizedSetSimilarity`).
     """
     theta = validate_theta(theta)
@@ -162,7 +158,6 @@ def compute_neighbors(
 
 
 __all__ = [
-    "AUTO_BLOCKED_THRESHOLD",
     "AUTO_INVERTED_MAX_DENSITY",
     "AUTO_INVERTED_MIN_POINTS",
     "AUTO_STRATEGY",
@@ -175,12 +170,12 @@ __all__ = [
     "BlockedBackend",
     "BruteForceBackend",
     "InvertedIndexBackend",
-    "VectorizedBackend",
     "available_backends",
     "complete_adjacency",
     "compute_neighbors",
     "get_backend",
     "neighbor_strategies",
     "register_backend",
+    "restored_backend_name",
     "select_backend_name",
 ]

@@ -34,17 +34,10 @@ DEFAULT_NEIGHBOR_STRATEGY = AUTO_STRATEGY
 #: Row-block height of the blocked backend when none is requested.
 DEFAULT_BLOCK_SIZE = 512
 
-#: Point count at which ``auto`` switches from the one-shot vectorized
-#: product to the blocked product: below it the one-shot COO intermediate
-#: is small enough that the per-block overhead is not worth paying; above
-#: it the blocked product is both faster (it only computes the upper
-#: triangle) and memory-bounded.
-AUTO_BLOCKED_THRESHOLD = 2048
-
 #: Point count at which ``auto`` starts considering the inverted index at
-#: all.  Below it the one-shot/blocked products are fast regardless of
-#: sparsity, so the posting-list statistics pass is not worth running.
-AUTO_INVERTED_MIN_POINTS = AUTO_BLOCKED_THRESHOLD
+#: all.  Below it the blocked product is fast regardless of sparsity, so
+#: the posting-list statistics pass is not worth running.
+AUTO_INVERTED_MIN_POINTS = 2048
 
 #: Candidate-pair density at or below which ``auto`` picks the inverted
 #: index over the blocked product.  The inverted index's work scales with
@@ -171,15 +164,16 @@ def select_backend_name(
     Measures without the
     :class:`~repro.similarity.base.VectorizedSetSimilarity` capability can
     only be evaluated pair by pair (brute force).  Vectorizable measures
-    use the one-shot matmul up to :data:`AUTO_BLOCKED_THRESHOLD` points
-    and the memory-bounded blocked product beyond it — unless
-    ``transactions`` are supplied and their posting-list statistics mark
-    the workload as sparse and rare-item
-    (:func:`candidate_pair_density` at or below
+    use the memory-bounded blocked product at every size (against a
+    one-shot product over all pairs it measured within 0.3 ms up to
+    n=1000, faster from n=1500 on, and never larger in traced peak; see
+    ``docs/ARCHITECTURE.md``) — unless ``transactions`` are supplied and
+    their posting-list statistics mark the workload as sparse and
+    rare-item (:func:`candidate_pair_density` at or below
     :data:`AUTO_INVERTED_MAX_DENSITY` with at least
     :data:`AUTO_INVERTED_MIN_POINTS` points), where the inverted index
     skips almost every pair and wins.  Without ``transactions`` (size-only
-    callers) the choice is as before the heuristic existed.
+    callers) the choice is the blocked product.
     """
     if not supports_vectorized_counts(measure):
         return "bruteforce"
@@ -190,9 +184,24 @@ def select_backend_name(
         <= AUTO_INVERTED_MAX_DENSITY
     ):
         return "inverted-index"
-    if n_points >= AUTO_BLOCKED_THRESHOLD:
-        return "blocked"
-    return "vectorized"
+    return "blocked"
+
+
+#: Backends no longer registered whose checkpoints still restore: each
+#: built the adjacency every registered backend reproduces bit-identically.
+_RETIRED_BACKENDS = frozenset({"vectorized"})
+
+
+def restored_backend_name(recorded: str) -> str:
+    """The neighbour strategy a session restored from durable state runs under.
+
+    Checkpoints written under a retired backend record a name the registry
+    no longer holds; they resume under :data:`DEFAULT_NEIGHBOR_STRATEGY`.
+    Any other name is returned unchanged (and validated where it is used).
+    """
+    if normalize_backend_name(recorded) in _RETIRED_BACKENDS:
+        return DEFAULT_NEIGHBOR_STRATEGY
+    return recorded
 
 
 def validate_block_size(block_size: int | None) -> int:

@@ -1,20 +1,19 @@
 """Blocked neighbour backend: the intersection product in row blocks.
 
-Computes the same intersection-count product as the vectorized backend,
-but one row block at a time and only against the columns at or above the
-block (the strict upper triangle), so that
+Computes the pairwise intersection counts ``incidence @ incidence.T`` one
+row block at a time and only against the columns at or above the block
+(the strict upper triangle), so that
 
-* the COO intermediate never exceeds ``block_size x n`` entries — the
-  one-shot product's ``O(nnz(n^2))`` materialisation disappears, and
-* each unordered pair is counted once instead of twice, roughly halving
-  the matmul work of the one-shot product.
+* the COO intermediate never exceeds ``block_size x n`` entries — a
+  one-shot product would materialise every pair sharing an item
+  (``O(nnz(n^2))``) at once, and
+* each unordered pair is counted once instead of twice.
 
 Only the pairs that actually clear ``theta`` are accumulated across
 blocks, so peak memory is ``O(block_size x n + edges)`` instead of
 ``O(pairs with any shared item)``.  The result is bit-identical to the
-vectorized (and brute-force) adjacency: the per-pair counts and the
-similarity arithmetic are exactly the same, only the evaluation order
-changes.
+brute-force adjacency: the per-pair counts are exact integers and the
+similarity arithmetic is the measure's own ``similarity_from_counts``.
 """
 
 from __future__ import annotations

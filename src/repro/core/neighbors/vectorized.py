@@ -1,18 +1,12 @@
-"""Vectorized neighbour backend: one sparse intersection-count product.
+"""Intersection-count helpers shared by the vectorizable neighbour backends.
 
-Builds the binary item-incidence matrix once and computes *all* pairwise
-intersection sizes with a single ``incidence @ incidence.T`` product; the
+The blocked and inverted-index backends both turn the binary
+item-incidence matrix into pairwise intersection counts, then let the
 measure's :class:`~repro.similarity.base.VectorizedSetSimilarity`
-capability then turns the ``(intersection, |A|, |B|)`` count triples into
-similarities in one array operation.  Orders of magnitude faster than
-brute force and bit-identical to it for every vectorizable measure
-(Jaccard, Dice, overlap coefficient, set cosine) — the historical
-Jaccard-only restriction lives on only in very old call sites' comments.
-
-The price of the one-shot product is its COO intermediate: every pair
-with a non-empty intersection materialises at once, which is the
-``O(nnz(n^2))`` hot spot the blocked backend
-(:mod:`repro.core.neighbors.blocked`) removes.
+capability turn the ``(intersection, |A|, |B|)`` count triples into
+similarities in one array operation.  These two steps live here so every
+backend evaluates the same arithmetic, which is what keeps their
+adjacencies bit-identical to brute force.
 """
 
 from __future__ import annotations
@@ -20,14 +14,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.core.neighbors.base import VECTORIZED_CAPABILITY_HINT
-from repro.core.neighbors.graph import complete_adjacency, empty_pair_edges
 from repro.data.encoding import transactions_to_incidence
-from repro.similarity.base import (
-    SetSimilarity,
-    VectorizedSetSimilarity,
-    supports_vectorized_counts,
-)
+from repro.similarity.base import VectorizedSetSimilarity
 
 
 def incidence_and_sizes(
@@ -55,48 +43,3 @@ def threshold_count_pairs(
     similarity = measure.similarity_from_counts(values, sizes[rows], sizes[cols])
     keep = similarity >= theta
     return rows[keep], cols[keep]
-
-
-class VectorizedBackend:
-    """One-shot sparse matmul over the full incidence matrix."""
-
-    name = "vectorized"
-    capability_hint = VECTORIZED_CAPABILITY_HINT
-
-    def supports(self, measure: SetSimilarity) -> bool:
-        return supports_vectorized_counts(measure)
-
-    def build_adjacency(
-        self,
-        transactions: list[frozenset],
-        theta: float,
-        measure: VectorizedSetSimilarity,
-        item_index: dict | None = None,
-        block_size: int | None = None,
-    ) -> sparse.csr_matrix:
-        n = len(transactions)
-        if theta == 0.0:
-            # Every pair qualifies (similarity is always >= 0); the sparse
-            # product below would miss pairs with empty intersections.
-            return complete_adjacency(n)
-        incidence, sizes = incidence_and_sizes(transactions, item_index)
-
-        intersections = (incidence @ incidence.T).tocoo()
-        rows, cols, values = intersections.row, intersections.col, intersections.data
-        off_diagonal = rows != cols
-        rows, cols = threshold_count_pairs(
-            rows[off_diagonal], cols[off_diagonal], values[off_diagonal],
-            sizes, theta, measure,
-        )
-
-        # Pairs of empty transactions never intersect, but most measures
-        # define them as identical; add those pairs explicitly.
-        extra_rows, extra_cols = empty_pair_edges(sizes, theta, measure)
-        all_rows = np.concatenate([rows, extra_rows])
-        all_cols = np.concatenate([cols, extra_cols])
-        adjacency = sparse.coo_matrix(
-            (np.ones(len(all_rows), dtype=bool), (all_rows, all_cols)),
-            shape=(n, n), dtype=bool,
-        ).tocsr()
-        adjacency.eliminate_zeros()
-        return adjacency

@@ -171,8 +171,7 @@ class RockClustering:
     neighbor_strategy:
         Passed to :func:`repro.core.neighbors.compute_neighbors`: a
         registered neighbour-backend name (``"bruteforce"``,
-        ``"vectorized"``, ``"blocked"``, ``"inverted-index"``) or
-        ``"auto"``.
+        ``"blocked"``, ``"inverted-index"``) or ``"auto"``.
     neighbor_block_size:
         Row-block height of the ``"blocked"`` neighbour backend (``None``
         uses :data:`repro.core.neighbors.DEFAULT_BLOCK_SIZE`); ignored by

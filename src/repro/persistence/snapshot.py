@@ -38,6 +38,7 @@ from scipy import sparse
 
 from repro.core.engines import restored_engine_name
 from repro.core.incremental import IncrementalRock
+from repro.core.neighbors import restored_backend_name
 from repro.data.io import atomic_write_text
 from repro.errors import (
     SnapshotConfigMismatchError,
@@ -232,9 +233,14 @@ class SessionSnapshot:
         manifest = cls._read_manifest(checkpoint)
         if expected_config is not None:
             recorded = dict(manifest.get("config", {}))
+            # A retired engine or neighbour backend compares as the one the
+            # session resumes under.
             if "engine" in recorded:
-                # A retired engine compares as the engine it resumes under.
                 recorded["engine"] = restored_engine_name(recorded["engine"])
+            if "neighbor_strategy" in recorded:
+                recorded["neighbor_strategy"] = restored_backend_name(
+                    recorded["neighbor_strategy"]
+                )
             differing = sorted(
                 key
                 for key in set(recorded) | set(expected_config)

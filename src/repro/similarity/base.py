@@ -35,8 +35,8 @@ class VectorizedSetSimilarity(SetSimilarity, Protocol):
     once given only the intersection size and the two set sizes — which is
     exactly what the sparse incidence products of the fast neighbour
     backends (:mod:`repro.core.neighbors`) produce.  Any measure
-    implementing it works with the ``vectorized``, ``blocked`` and
-    ``inverted-index`` backends.
+    implementing it works with the ``blocked`` and ``inverted-index``
+    backends.
 
     Contract (required by the candidate generation of those backends):
     two *disjoint* sets must have similarity 0 unless both are empty —
@@ -56,7 +56,7 @@ class VectorizedSetSimilarity(SetSimilarity, Protocol):
 
     ``similarity_from_counts`` must agree bit-for-bit with ``__call__`` on
     the same sizes: the cross-backend equivalence guarantee (brute force ≡
-    vectorized ≡ blocked ≡ inverted-index adjacency) rests on both paths
+    blocked ≡ inverted-index adjacency) rests on both paths
     performing the same IEEE-754 operations.
     """
 

@@ -43,7 +43,7 @@ class JaccardSimilarity:
     """Jaccard coefficient, the similarity measure of the ROCK paper.
 
     Implements the :class:`~repro.similarity.base.VectorizedSetSimilarity`
-    capability, so every fast neighbour backend (vectorized / blocked /
+    capability, so every fast neighbour backend (blocked /
     inverted-index) accepts it.
     """
 

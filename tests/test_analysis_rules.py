@@ -442,7 +442,7 @@ class TestREG001:
 
     def test_choice_table_flagged(self):
         report = lint(
-            'CHOICES = ["vectorized", "blocked"]\n',
+            'CHOICES = ["inverted-index", "blocked"]\n',
             module="repro.bench.fake",
             codes=["REG001"],
         )
@@ -507,6 +507,16 @@ class TestREG001:
             codes=["REG001"],
         )
         assert report.findings == []
+
+    def test_neighbour_names_match_the_live_registry(self):
+        # REG001's literal set tracks the registry: a retired backend name
+        # ("vectorized") is no longer a registry literal.
+        from repro.analysis.rules.registry_literals import NAME_REGISTRIES
+        from repro.core.neighbors import available_backends
+
+        (neighbour,) = [r for r in NAME_REGISTRIES if r.label == "neighbour backend"]
+        assert neighbour.names == frozenset(available_backends())
+        assert "vectorized" not in neighbour.names
 
     def test_single_name_in_plain_list_clean(self):
         # One name alone is not a choice table (e.g. an error-message part).

@@ -379,6 +379,17 @@ class TestOnlineCli:
         for strategy in NEIGHBOR_STRATEGIES:
             assert strategy in message
 
+    def test_retired_vectorized_strategy_rejected(self, capsys):
+        # The one-shot backend left the registry, so the CLI's choices no
+        # longer offer it: argparse rejects it like any unknown strategy.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["cluster", "x.txt", "--clusters", "2",
+                 "--neighbor-strategy", "vectorized"]
+            )
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+
 
 class TestShardedCli:
     def _basket_path(self, tmp_path, n=240):

@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 
 from repro.core.neighbors import (
-    AUTO_BLOCKED_THRESHOLD,
     AUTO_INVERTED_MAX_DENSITY,
     AUTO_INVERTED_MIN_POINTS,
     DEFAULT_BLOCK_SIZE,
+    DEFAULT_NEIGHBOR_STRATEGY,
     NEIGHBOR_STRATEGIES,
     available_backends,
     candidate_pair_density,
     compute_neighbors,
     get_backend,
     register_backend,
+    restored_backend_name,
     select_backend_name,
 )
 from repro.errors import ConfigurationError
@@ -33,7 +34,7 @@ from repro.similarity.jaccard import (
 )
 from repro.similarity.overlap import SimpleMatchingSimilarity
 
-BACKENDS = ("bruteforce", "vectorized", "blocked", "inverted-index")
+BACKENDS = ("bruteforce", "blocked", "inverted-index")
 
 #: Thresholds exercised by the grid: both extremes plus interior values
 #: that sit exactly on representable similarity boundaries (0.5 is a
@@ -101,11 +102,41 @@ class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("block_size", [1, 3, 7, 64, 1000])
     def test_blocked_block_size_never_changes_result(self, block_size, rng):
         transactions = random_transactions(rng, 35)
-        reference = compute_neighbors(transactions, 0.4, strategy="vectorized").adjacency
+        reference = compute_neighbors(transactions, 0.4, strategy="bruteforce").adjacency
         blocked = compute_neighbors(
             transactions, 0.4, strategy="blocked", block_size=block_size
         ).adjacency
         assert (reference != blocked).nnz == 0
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.name)
+    def test_blocked_at_block_boundaries(self, offset, measure, rng):
+        # n one short of, equal to and one past the block height: one
+        # partial block, one exactly full block, or a trailing one-row
+        # block.  Two empty sets and a copy of row 0 go last, so at
+        # block_size + 1 the copy pairs with row 0 across blocks.
+        block_size = 8
+        transactions = random_transactions(rng, block_size + offset - 3)
+        transactions += [frozenset(), frozenset(), transactions[0]]
+        assert len(transactions) == block_size + offset
+        for theta in (0.25, 0.5):
+            assert_all_backends_agree(transactions, theta, measure, block_size=block_size)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_blocked_at_default_block_boundaries(self, offset, rng):
+        transactions = random_transactions(rng, DEFAULT_BLOCK_SIZE + offset)
+        reference = compute_neighbors(transactions, 0.5, strategy="bruteforce").adjacency
+        for block_size in (None, DEFAULT_BLOCK_SIZE):
+            blocked = compute_neighbors(
+                transactions, 0.5, strategy="blocked", block_size=block_size
+            ).adjacency
+            assert (reference != blocked).nnz == 0
+
+    @pytest.mark.parametrize("theta", THETA_GRID)
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.name)
+    def test_blocked_single_row_blocks(self, theta, measure, rng):
+        transactions = random_transactions(rng, 20) + [frozenset()] * 2
+        assert_all_backends_agree(transactions, theta, measure, block_size=1)
 
     def test_two_point_and_single_point_inputs(self):
         for transactions in ([{1, 2, 3}, {2, 3, 4}], [{1, 2}]):
@@ -137,13 +168,16 @@ class TestAutoSelection:
         assert select_backend_name(measure, 10) == "bruteforce"
         assert select_backend_name(measure, 10**6) == "bruteforce"
 
-    def test_small_inputs_use_one_shot_vectorized(self):
-        assert select_backend_name(JaccardSimilarity(), 100) == "vectorized"
-        assert select_backend_name(JaccardSimilarity(), AUTO_BLOCKED_THRESHOLD - 1) == "vectorized"
+    def test_small_inputs_use_blocked(self):
+        # No size threshold: vectorizable measures use blocked at every size.
+        for n in (1, 2, 100, 2000, AUTO_INVERTED_MIN_POINTS - 1):
+            assert select_backend_name(JaccardSimilarity(), n) == "blocked"
+            assert select_backend_name(DiceSimilarity(), n) == "blocked"
 
-    def test_large_inputs_switch_to_blocked(self):
-        assert select_backend_name(JaccardSimilarity(), AUTO_BLOCKED_THRESHOLD) == "blocked"
-        assert select_backend_name(DiceSimilarity(), AUTO_BLOCKED_THRESHOLD + 1) == "blocked"
+    def test_large_inputs_use_blocked(self):
+        for n in (AUTO_INVERTED_MIN_POINTS, AUTO_INVERTED_MIN_POINTS + 1, 10**6):
+            assert select_backend_name(JaccardSimilarity(), n) == "blocked"
+            assert select_backend_name(DiceSimilarity(), n) == "blocked"
 
 
 class TestAutoInvertedHeuristic:
@@ -188,12 +222,13 @@ class TestAutoInvertedHeuristic:
             select_backend_name(JaccardSimilarity(), n, transactions) == "blocked"
         )
 
-    def test_below_scale_threshold_stays_vectorized_even_when_sparse(self):
+    def test_below_scale_threshold_stays_blocked_even_when_sparse(self):
         n = AUTO_INVERTED_MIN_POINTS - 1
         transactions = self.rare_item_transactions(n)
+        assert candidate_pair_density(transactions) <= AUTO_INVERTED_MAX_DENSITY
         assert (
             select_backend_name(JaccardSimilarity(), n, transactions)
-            == "vectorized"
+            == "blocked"
         )
 
     def test_without_transactions_the_size_only_choice_is_unchanged(self):
@@ -256,11 +291,11 @@ class TestAutoInvertedHeuristic:
 
     def test_auto_compute_neighbors_uses_the_heuristic_end_to_end(self, rng):
         # A small-scale sanity check that the auto path accepts the
-        # transactions argument: below the scale threshold nothing changes.
+        # transactions argument: below the scale threshold it is blocked.
         transactions = random_transactions(rng, 30)
         auto = compute_neighbors(transactions, 0.4, strategy="auto").adjacency
         explicit = compute_neighbors(
-            transactions, 0.4, strategy="vectorized"
+            transactions, 0.4, strategy="blocked"
         ).adjacency
         assert (auto != explicit).nnz == 0
 
@@ -308,6 +343,14 @@ class TestRegistryErrorPaths:
             compute_neighbors([{1, 2}, {2, 3}], 0.5, strategy="blocked", block_size=0)
         with pytest.raises(ConfigurationError):
             compute_neighbors([{1, 2}, {2, 3}], 0.5, block_size=-4)
+
+    def test_retired_backend_restores_under_auto(self):
+        # Durable state may record the retired one-shot backend; it resumes
+        # under the default strategy.  Every other name passes through.
+        for recorded in ("vectorized", "Vectorized", " VECTORIZED "):
+            assert restored_backend_name(recorded) == DEFAULT_NEIGHBOR_STRATEGY
+        for recorded in ("auto", "blocked", "bruteforce", "inverted-index", "bogus"):
+            assert restored_backend_name(recorded) == recorded
 
     def test_strategies_constant_mirrors_registry(self):
         assert NEIGHBOR_STRATEGIES == ("auto", *available_backends())

@@ -75,17 +75,28 @@ class TestEngineBenchSmoke:
 
     def test_per_strategy_neighbor_timings_recorded(self):
         row = time_engine_phases(60, include_reference=False, repeats=1)
-        assert row["neighbors_vectorized_s"] > 0
+        # neighbors_s is the auto call, the labelling-ratio denominator.
+        assert row["neighbors_s"] > 0
         assert row["neighbors_blocked_s"] > 0
-        # The legacy key stays the labelling-ratio denominator.
-        assert row["neighbors_s"] == row["neighbors_vectorized_s"]
+        assert "neighbors_vectorized_s" not in row
 
     def test_neighbor_metrics_are_gated(self):
         from repro.bench.perf_gate import DEFAULT_PHASE_METRICS, DEFAULT_PHASE_SLACKS
 
-        for metric in ("neighbors_vectorized_s", "neighbors_blocked_s"):
-            assert metric in DEFAULT_PHASE_METRICS
-            assert DEFAULT_PHASE_SLACKS[metric] <= 0.01
+        assert "neighbors_blocked_s" in DEFAULT_PHASE_METRICS
+        assert DEFAULT_PHASE_SLACKS["neighbors_blocked_s"] <= 0.01
+        assert "neighbors_vectorized_s" not in DEFAULT_PHASE_METRICS
+
+    def test_neighbor_peak_is_traced_per_block_cell(self):
+        from repro.bench.engine_bench import trace_neighbor_peak
+        from repro.core.neighbors import DEFAULT_BLOCK_SIZE
+
+        row = trace_neighbor_peak(60)
+        assert row["neighbors_peak_bytes"] > 0
+        assert row["block_cells"] == DEFAULT_BLOCK_SIZE * 60
+        assert row["neighbors_peak_bytes_per_cell"] == (
+            row["neighbors_peak_bytes"] / row["block_cells"]
+        )
 
     def test_run_engine_bench_writes_json(self, tmp_path):
         path = tmp_path / "BENCH_engine.json"

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.engines import DEFAULT_ENGINE
 from repro.core.incremental import IncrementalRock
+from repro.core.neighbors import DEFAULT_NEIGHBOR_STRATEGY
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import RockClustering
 from repro.data.io import write_transactions
@@ -286,6 +287,47 @@ class TestSnapshotRoundTrip:
             tmp_path, expected_config=_session().config_dict()
         )
         assert loaded.session.engine == DEFAULT_ENGINE
+
+    def test_retired_vectorized_backend_checkpoint_resumes_under_auto(self, tmp_path):
+        # Checkpoints written while the one-shot "vectorized" backend was
+        # registered pass the resume config check under auto and keep
+        # ingesting bit-identically (the adjacency never depended on it).
+        reference = _session()
+        _run_schedule(reference, STREAM_BATCHES[:2])
+        interrupted = _session()
+        _run_schedule(interrupted, STREAM_BATCHES[:2])
+        interrupted.neighbor_strategy = "vectorized"
+        SessionSnapshot(interrupted).save(tmp_path)
+
+        restored = SessionSnapshot.load(
+            tmp_path, expected_config=_session().config_dict()
+        ).session
+        assert restored.neighbor_strategy == DEFAULT_NEIGHBOR_STRATEGY
+        assert _run_schedule(restored, STREAM_BATCHES[2:]) == _run_schedule(
+            reference, STREAM_BATCHES[2:]
+        )
+        _assert_sessions_identical(restored, reference)
+
+    def test_retired_vectorized_backend_state_restores_under_auto(self):
+        reference = _session()
+        _run_schedule(reference, STREAM_BATCHES[:2])
+        state = reference.session_state()
+        state["config"]["neighbor_strategy"] = "Vectorized"
+
+        restored = IncrementalRock.from_session_state(state)
+        assert restored.neighbor_strategy == DEFAULT_NEIGHBOR_STRATEGY
+        assert _run_schedule(restored, STREAM_BATCHES[2:]) == _run_schedule(
+            reference, STREAM_BATCHES[2:]
+        )
+
+    def test_explicit_vectorized_request_is_an_unknown_strategy(self):
+        with pytest.raises(ConfigurationError, match="unknown neighbour strategy"):
+            _session(neighbor_strategy="vectorized")
+
+    def test_other_recorded_backend_still_checked_on_resume(self, tmp_path):
+        SessionSnapshot(_session(neighbor_strategy="blocked")).save(tmp_path)
+        with pytest.raises(SnapshotConfigMismatchError, match="neighbor_strategy"):
+            SessionSnapshot.load(tmp_path, expected_config=_session().config_dict())
 
     def test_keep_garbage_collects_old_checkpoints(self, tmp_path):
         session = _session()

@@ -148,10 +148,16 @@ class TestHeapProperties:
 # ----------------------------------------------------------------------- #
 class TestClusteringProperties:
     @settings(deadline=None, max_examples=40)
-    @given(transactions=transaction_lists, theta=st.floats(min_value=0.05, max_value=0.95))
-    def test_neighbor_strategies_agree(self, transactions, theta):
+    @given(
+        transactions=transaction_lists,
+        theta=st.floats(min_value=0.05, max_value=0.95),
+        block_size=st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
+    )
+    def test_neighbor_strategies_agree(self, transactions, theta, block_size):
         brute = compute_neighbors(transactions, theta, strategy="bruteforce")
-        fast = compute_neighbors(transactions, theta, strategy="vectorized")
+        fast = compute_neighbors(
+            transactions, theta, strategy="blocked", block_size=block_size
+        )
         assert (brute.adjacency != fast.adjacency).nnz == 0
 
     @settings(deadline=None, max_examples=40)
