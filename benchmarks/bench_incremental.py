@@ -24,6 +24,25 @@ A refresh exercise rides along: the same ingest tail with a tight
 ``refresh_threshold`` must trigger at least one full re-cluster and stay
 seed-reproducible.
 
+A live-size sweep times 8-basket ingests of Instacart-shaped baskets at
+theta 0.3 into sessions of 1k and 2k live points (smoke) or 1k/2k/4k/8k
+(full), bootstrapped on the generator's segments, and gates them:
+
+* **memory gate** (every mode) — one ``tracemalloc``-traced ingest may
+  allocate at most ``INGEST_BYTES_PER_NNZ`` bytes per live adjacency
+  nonzero.  Growing the adjacency copies it once (5 bytes per nonzero,
+  twice at the peak); a point-level link matrix rebuilt per ingest costs
+  over 100.  Allocation sizes do not depend on the machine;
+* **live-size gate** (full mode) — an ingest at 8k live points may cost
+  at most ``LIVE_SIZE_RATIO_BOUND`` times one at 1k.  Each basket
+  neighbours ~5.5% of the live set, so the batch's own neighbourhood work
+  grows ~70x over that range and a flat ratio is out of reach; the bound
+  catches a return to whole-state rebuilds (24-32x).  Both sizes run in the
+  same process, so the ratio divides machine speed out.
+
+The sweep and the refresh time at its largest size are recorded with the
+ingest-vs-re-run figures in ``INCREMENTAL_ingest.txt``.
+
 Run modes (see ``conftest.bench_full``): smoke ingests the tail of ~1200
 baskets with a 300-point sample, full (``REPRO_BENCH_FULL=1``) the tail of
 4000 baskets with an 800-point sample — the ISSUE-5 gate size.
@@ -34,18 +53,111 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from conftest import bench_full, write_record
 
-from repro.bench.engine_bench import BENCH_CLUSTERS, BENCH_THETA, WORKLOAD
+from repro.bench.engine_bench import BENCH_CLUSTERS, BENCH_THETA, WORKLOAD, traced_call
+from repro.core.incremental import IncrementalRock
 from repro.core.pipeline import RockPipeline
-from repro.datasets.market_basket import generate_market_baskets
+from repro.datasets.market_basket import generate_instacart_baskets, generate_market_baskets
 
 #: Fraction of the stream ingested incrementally by the perf gate.
 INGEST_TAIL_FRACTION = 0.2
 
 #: Batch size of both the streaming labelling pass and the ingest loop.
 BATCH_SIZE = 1024
+
+#: Live-size sweep: baskets per ingest, timed ingests per size (the median
+#: is reported) and the theta of the Instacart-shaped workload.
+SWEEP_BATCH = 8
+SWEEP_REPEATS = 20
+SWEEP_THETA = 0.3
+
+#: Memory gate: traced peak of one ingest per live adjacency nonzero.
+INGEST_BYTES_PER_NNZ = 24
+
+#: Live-size gate (full mode): ingest at the largest size over the smallest.
+LIVE_SIZE_RATIO_BOUND = 8.0
+
+
+def _sweep_sizes() -> list[int]:
+    return [1000, 2000, 4000, 8000] if bench_full() else [1000, 2000]
+
+
+def _sweep_point(n_live: int, with_refresh: bool) -> dict:
+    """Median ingest time and one traced ingest's peak at ``n_live`` points."""
+    data = generate_instacart_baskets(
+        n_transactions=n_live + SWEEP_BATCH * (SWEEP_REPEATS + 1), rng=0
+    )
+    transactions = list(data.transactions)
+    segments = np.asarray(data.labels[:n_live])
+    session = IncrementalRock(n_clusters=8, theta=SWEEP_THETA, rng=0)
+    session.bootstrap(
+        transactions[:n_live],
+        [np.nonzero(segments == segment)[0].tolist() for segment in np.unique(segments)],
+    )
+    batches = list(_ingest_batches(transactions[n_live:], SWEEP_BATCH))
+    seconds = []
+    for batch in batches[:SWEEP_REPEATS]:
+        start = time.perf_counter()
+        session.ingest(batch)
+        seconds.append(time.perf_counter() - start)
+    adjacency_nnz = session.adjacency_.nnz
+    _, peak = traced_call(session.ingest, batches[SWEEP_REPEATS])
+    point = {
+        "n_live": n_live,
+        "adjacency_nnz": adjacency_nnz,
+        "ingest_s": float(np.median(seconds)),
+        "peak_bytes_per_nnz": peak / adjacency_nnz,
+    }
+    if with_refresh:
+        start = time.perf_counter()
+        session.refresh()
+        point["refresh_s"] = time.perf_counter() - start
+    return point
+
+
+@pytest.fixture(scope="module")
+def ingest_sweep() -> list[dict]:
+    sizes = _sweep_sizes()
+    return [_sweep_point(n_live, n_live == sizes[-1]) for n_live in sizes]
+
+
+def _sweep_lines(sweep: list[dict]) -> list[str]:
+    lines = [
+        "live-size sweep: %d-basket Instacart ingests, theta=%s, median of %d"
+        % (SWEEP_BATCH, SWEEP_THETA, SWEEP_REPEATS)
+    ]
+    for point in sweep:
+        lines.append(
+            "  %5d live  adjacency nnz %9d  ingest %7.1f ms  traced peak %5.1f B/nnz"
+            % (
+                point["n_live"],
+                point["adjacency_nnz"],
+                1000.0 * point["ingest_s"],
+                point["peak_bytes_per_nnz"],
+            )
+        )
+    largest, smallest = sweep[-1], sweep[0]
+    lines.append(
+        "  ingest %d/%d live: %.1fx (gate <= %.0fx, full mode only)"
+        % (
+            largest["n_live"],
+            smallest["n_live"],
+            largest["ingest_s"] / smallest["ingest_s"],
+            LIVE_SIZE_RATIO_BOUND,
+        )
+    )
+    lines.append(
+        "  memory gate: traced ingest peak <= %d B per adjacency nonzero"
+        % INGEST_BYTES_PER_NNZ
+    )
+    lines.append(
+        "  refresh at %d live: %.2fs (computes the link matrix once)"
+        % (largest["n_live"], largest["refresh_s"])
+    )
+    return lines
 
 
 def _pipeline(sample_size: int, rng: int = 7) -> RockPipeline:
@@ -63,7 +175,7 @@ def _ingest_batches(transactions, batch_size: int):
         yield transactions[start:start + batch_size]
 
 
-def test_benchmark_incremental_ingest(results_dir):
+def test_benchmark_incremental_ingest(results_dir, ingest_sweep):
     if bench_full():
         n, sample_size = 4000, 800
     else:
@@ -156,6 +268,7 @@ def test_benchmark_incremental_ingest(results_dir):
         "  perf gate: %s (ingest %.3fs must beat the run_online re-run %.3fs)"
         % ("PASS" if gate_ok else "FAIL", ingest_seconds, rerun_seconds)
     )
+    lines.extend(_sweep_lines(ingest_sweep))
     write_record(results_dir, "INCREMENTAL_ingest", "\n".join(lines))
     assert gate_ok, (
         "ingesting the final %d%% (%.3fs) did not beat a from-scratch "
@@ -164,3 +277,23 @@ def test_benchmark_incremental_ingest(results_dir):
         )
     )
     assert bootstrap.parameters["online"] is True
+
+
+def test_ingest_sweep_gates(ingest_sweep):
+    for point in ingest_sweep:
+        assert point["peak_bytes_per_nnz"] <= INGEST_BYTES_PER_NNZ, (
+            "one ingest at %d live points allocated %.1f B per adjacency "
+            "nonzero (gate %d)"
+            % (point["n_live"], point["peak_bytes_per_nnz"], INGEST_BYTES_PER_NNZ)
+        )
+    if bench_full():
+        ratio = ingest_sweep[-1]["ingest_s"] / ingest_sweep[0]["ingest_s"]
+        assert ratio <= LIVE_SIZE_RATIO_BOUND, (
+            "ingest at %d live points cost %.1fx one at %d (gate %.0fx)"
+            % (
+                ingest_sweep[-1]["n_live"],
+                ratio,
+                ingest_sweep[0]["n_live"],
+                LIVE_SIZE_RATIO_BOUND,
+            )
+        )

@@ -17,20 +17,17 @@ outcome of the ordinary sample/cluster phases) and then serves
    what :meth:`~repro.core.pipeline.RockPipeline.run_streaming` would
    assign the same points (and, by the PR-2 contract, independent of how
    the stream is split into batches).
-2. **Splice** the batch into the live link structure.  The inserted
-   points' neighbour rows are computed against the retained incidence
-   (one ``batch x live`` sparse product thresholded through the measure's
-   vectorized-counts capability; the within-batch block goes through the
-   pluggable backend registry via
-   :func:`~repro.core.neighbors.compute_neighbors`).  The point-level
-   link matrix is updated with three block products — inserting points
-   ``P`` with cross-adjacency ``C`` adds ``C^T C`` links between existing
-   pairs, ``C A + B C`` links between batch and existing points and
-   ``C C^T + B B^T`` links within the batch — which keeps the maintained
-   matrix bit-identical to :func:`~repro.core.links.links_from_neighbors`
-   recomputed from scratch over the live points (enforced by the property
-   suite).  The cluster-level cross-link matrix is updated with the same
-   deltas folded through the cluster membership.
+2. **Splice** the batch into the live adjacency and cluster links.  The
+   inserted points' neighbour rows are computed against the retained
+   incidence (one ``batch x live`` sparse product thresholded through the
+   measure's vectorized-counts capability; the within-batch block goes
+   through the pluggable backend registry via
+   :func:`~repro.core.neighbors.compute_neighbors`).  No point-level link
+   matrix is kept: the merge criterion reads only ``link[Ci, Cj]``, the
+   off-diagonal of ``M L M^T`` with ``L = Ā Ā^T`` (``A`` the adjacency,
+   ``Ā = A + I`` under the self-link convention, ``M`` the ``k x n``
+   cluster membership), which :meth:`IncrementalRock._splice` extends at
+   cluster granularity from the batch's neighbourhood alone.
 3. **Re-agglomerate the frontier**: the batch points enter as singleton
    clusters and the arena engine (:mod:`repro.core.engine_arena`) runs
    over the live clusters as weighted starting clusters — their sizes and
@@ -40,13 +37,14 @@ outcome of the ordinary sample/cluster phases) and then serves
 A ``refresh_threshold`` bounds drift: when the fraction of points
 inserted since the last full clustering exceeds it, the session re-runs
 its registered agglomeration engine (:mod:`repro.core.engines`; every
-engine is bit-identical) over the maintained link matrix of *all* live
-points, rebuilds the labeler against the refreshed clusters and resets
-the drift counter.  Labels assigned after a refresh are therefore no
-longer bit-identical to a streaming run on the union — they come from
-the refreshed clustering — but they remain fully seed-reproducible: the
-link matrix is split-independent, the engines are deterministic, and the
-labeler draws from the session generator in a fixed order.
+engine is bit-identical) over the link matrix of *all* live points,
+computed once from the live adjacency, rebuilds the labeler against the
+refreshed clusters and resets the drift counter.  Labels assigned after
+a refresh are therefore no longer bit-identical to a streaming run on
+the union — they come from the refreshed clustering — but they remain
+fully seed-reproducible: the link matrix is split-independent, the
+engines are deterministic, and the labeler draws from the session
+generator in a fixed order.
 
 Determinism contract (enforced by ``tests/test_core_incremental.py``,
 the property suite and the golden fixtures):
@@ -54,7 +52,9 @@ the property suite and the golden fixtures):
 * without a refresh trigger, ingesting the points of a stream in *any*
   batch split produces labels bit-identical to one
   ``run_streaming`` pass over the union on the same data and seed;
-* with refreshes, runs are seed-reproducible for a given batch split.
+* with refreshes, runs are seed-reproducible for a given batch split;
+* the adjacency and cluster links equal a from-scratch recomputation over
+  the live points after every ingest and eviction.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from repro.core.goodness import (
 from repro.core.labeling import StreamingLabeler
 from repro.core.links import links_from_neighbors
 from repro.core.neighbors import compute_neighbors, restored_backend_name
-from repro.core.neighbors.graph import complete_adjacency
+from repro.core.neighbors.graph import NeighborGraph, complete_adjacency
 from repro.data.encoding import build_item_index, transactions_to_incidence
 from repro.errors import ConfigurationError, DataValidationError
 from repro.similarity.base import SetSimilarity, supports_vectorized_counts
@@ -164,11 +164,10 @@ def _membership(cluster_of: np.ndarray, n_clusters: int) -> sparse.csr_matrix:
     )
 
 
-def _cross_links(
-    links: sparse.spmatrix, membership: sparse.csr_matrix
-) -> sparse.csr_matrix:
-    """Cross-group link counts ``M L M^T``, within-group mass dropped."""
-    folded = (membership @ links @ membership.T).tocoo()
+def _off_diagonal(product: sparse.spmatrix) -> sparse.csr_matrix:
+    """``product`` as a canonical int64 CSR, diagonal and zeros dropped
+    (the within-group mass of a fold such as ``M L M^T``)."""
+    folded = product.tocoo()
     off_diagonal = (folded.row != folded.col) & (folded.data != 0)
     cross = sparse.csr_matrix(
         (
@@ -233,11 +232,12 @@ class IncrementalRock:
         session.bootstrap(clustered_sample, kept_clusters)
         result = session.ingest(batch)       # labels + live-state update
 
-    The live state is inspectable through :attr:`live_points`,
-    :attr:`links_`, :attr:`adjacency_` and :meth:`live_clusters`; the
-    property-based test suite asserts after every ingest that the
-    maintained point- and cluster-level link matrices are bit-identical to
-    a from-scratch recomputation.
+    The live state is the incidence, the neighbour adjacency and the
+    ``k x k`` cluster links; it is inspectable through :attr:`live_points`,
+    :attr:`adjacency_`, :meth:`live_clusters` and the derived
+    :attr:`links_`.  The property-based test suite asserts after every
+    ingest and eviction that the maintained adjacency and cluster links are
+    bit-identical to a from-scratch recomputation.
     """
 
     def __init__(
@@ -376,10 +376,6 @@ class IncrementalRock:
             block_size=self.neighbor_block_size,
         )
         self._adjacency = graph.adjacency.tocsr()
-        self._links = links_from_neighbors(
-            graph, strategy=self.link_strategy, include_self=self.include_self_links
-        )
-
         self._assign_clusters(_partition(live_clusters, len(self._points)))
         self._base_points = len(self._points)
         self._inserted_since_refresh = 0
@@ -388,11 +384,15 @@ class IncrementalRock:
     def _assign_clusters(self, cluster_of: np.ndarray) -> None:
         """Set the live partition (cluster index per live point, every
         index in ``0 .. k - 1`` used) and fold its cross-cluster link
-        counts from the point-level links."""
+        counts ``offdiag(N^T N)`` from ``N = Ā M^T``, each point's
+        neighbour count per cluster (itself included under the self-link
+        convention)."""
         self._cluster_of = cluster_of
-        self._cluster_links = _cross_links(
-            self._links, _membership(cluster_of, int(cluster_of.max()) + 1)
-        )
+        membership_t = _membership(cluster_of, int(cluster_of.max()) + 1).T.tocsr()
+        per_cluster = self._adjacency @ membership_t
+        if self.include_self_links:
+            per_cluster = per_cluster + membership_t
+        self._cluster_links = _off_diagonal(per_cluster.T @ per_cluster)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -419,9 +419,16 @@ class IncrementalRock:
 
     @property
     def links_(self) -> sparse.csr_matrix:
-        """The maintained point-level link matrix over the live points."""
+        """The point-level link matrix over the live points.
+
+        Not maintained: every access runs a full link product over the live
+        adjacency with the session's ``link_strategy``.
+        """
         self._require_bootstrapped()
-        return self._links
+        graph = NeighborGraph(self._adjacency, self.theta, self.config_dict()["measure"])
+        return links_from_neighbors(
+            graph, strategy=self.link_strategy, include_self=self.include_self_links
+        )
 
     @property
     def adjacency_(self) -> sparse.csr_matrix:
@@ -488,11 +495,11 @@ class IncrementalRock:
         """Capture the complete live state for a snapshot.
 
         Everything a later :meth:`from_session_state` needs to continue the
-        session bit-for-bit: the maintained matrices, the live partition
-        (its cross-cluster links are re-folded from the point-level links
-        on restore, bit-identically), the labeler's retained fractions and
-        the RNG stream position.  The measure and exponent function are
-        code, not data — the caller re-supplies them on restore.
+        session bit-for-bit: the adjacency, incidence and set sizes, the
+        live partition (its cross-cluster links are re-folded from the
+        adjacency on restore, bit-identically), the labeler's retained
+        fractions and the RNG stream position.  The measure and exponent
+        function are code, not data — the caller re-supplies them on restore.
         """
         self._require_bootstrapped()
         return {
@@ -510,7 +517,6 @@ class IncrementalRock:
             "labeler": self._labeler.state(),
             "arrays": {
                 "adjacency": self._adjacency.copy(),
-                "links": self._links.copy(),
                 "incidence": self._incidence.copy(),
                 "sizes": self._sizes.copy(),
             },
@@ -529,7 +535,7 @@ class IncrementalRock:
         bit-identical to the uninterrupted original: matrices and the live
         partition are reinstated verbatim, the labeler is rebuilt without
         consuming RNG, and the generator resumes at the captured stream
-        position.
+        position.  A ``links`` entry in ``state["arrays"]`` is ignored.
         """
         config = state["config"]
         session = cls(
@@ -570,7 +576,6 @@ class IncrementalRock:
 
         arrays = state["arrays"]
         session._adjacency = arrays["adjacency"].tocsr()
-        session._links = arrays["links"].tocsr()
         session._incidence = arrays["incidence"].tocsr()
         session._sizes = np.asarray(arrays["sizes"], dtype=np.int64)
         # Checkpoints of the earlier id-per-merge layout compact to slots
@@ -603,12 +608,11 @@ class IncrementalRock:
         """Drop the ``n_evict`` oldest live points to label-only status.
 
         The serving front end's memory bound: evicted points leave the
-        maintained matrices and the live clustering (their rows/columns
-        are sliced out and the cluster links are re-folded over the
-        survivors), but the labeler keeps its own retained sample, so
-        labelling is untouched — without a refresh trigger, labels
-        assigned after an eviction are bit-identical to a run that never
-        evicted.  A refresh after eviction re-clusters only the surviving
+        adjacency and the live clustering (their rows/columns are sliced
+        out and the cluster links are re-folded over the survivors), but
+        the labeler keeps its own retained sample, so labelling is
+        untouched — without a refresh trigger, labels assigned after an
+        eviction are bit-identical to a run that never evicted.  A refresh after eviction re-clusters only the surviving
         live points.  At least one live point must survive.  Drift
         counters are left as they are (eviction is forgetting, not
         re-clustering).  Returns the number of points evicted.
@@ -625,13 +629,9 @@ class IncrementalRock:
         self._points = self._points[n_evict:]
         self._incidence = self._incidence[n_evict:].tocsr()
         self._sizes = self._sizes[n_evict:].copy()
-        keep = np.arange(n_evict, self._adjacency.shape[0])
-        adjacency = self._adjacency[keep][:, keep].tocsr()
+        adjacency = self._adjacency[n_evict:, n_evict:].tocsr()
         adjacency.sort_indices()
         self._adjacency = adjacency
-        links = self._links[keep][:, keep].tocsr()
-        links.sort_indices()
-        self._links = links
 
         self._assign_clusters(
             np.unique(self._cluster_of[n_evict:], return_inverse=True)[1]
@@ -677,7 +677,7 @@ class IncrementalRock:
         )
 
     # ------------------------------------------------------------------ #
-    # Splice: extend adjacency / links / cluster links with one batch
+    # Splice: extend the adjacency and the cluster links with one batch
     # ------------------------------------------------------------------ #
     def _batch_blocks(
         self, batch: list[frozenset]
@@ -772,64 +772,45 @@ class IncrementalRock:
         return cross, within
 
     def _splice(self, batch: list[frozenset]) -> None:
-        """Splice one batch into adjacency, links and the cluster links."""
-        n_old = len(self._points)
+        """Splice one batch into the adjacency and the cluster links."""
         cross, within = self._batch_blocks(batch)
-
-        cross_counts = cross.astype(np.int64)
-        adjacency_counts = self._adjacency.astype(np.int64)
-        if self.include_self_links:
-            identity_old = sparse.identity(n_old, dtype=np.int64, format="csr")
-            identity_new = sparse.identity(len(batch), dtype=np.int64, format="csr")
-            existing_bar = (adjacency_counts + identity_old).tocsr()
-            within_bar = (within.astype(np.int64) + identity_new).tocsr()
-        else:
-            existing_bar = adjacency_counts
-            within_bar = within.astype(np.int64)
-
-        # Link deltas of inserting the batch P with cross-adjacency C and
-        # within-batch adjacency B (both without self-loops; the self-link
-        # convention enters through the +I terms above):
-        #   existing x existing gains C^T C,
-        #   batch x existing is C (A + I) + (B + I) C,
-        #   batch x batch is C C^T + (B + I)(B + I)^T.
-        delta_existing = (cross_counts.T @ cross_counts).tocsr()
-        delta_existing.setdiag(0)
-        delta_existing.eliminate_zeros()
-        links_batch_existing = (
-            cross_counts @ existing_bar + within_bar @ cross_counts
-        ).tocsr()
-        links_batch_batch = (
-            cross_counts @ cross_counts.T + within_bar @ within_bar.T
-        ).tocsr()
-        links_batch_batch.setdiag(0)
-        links_batch_batch.eliminate_zeros()
-
-        self._adjacency = _grow_symmetric(
-            self._adjacency, cross, within, dtype=bool
-        )
-        self._links = _grow_symmetric(
-            self._links + delta_existing,
-            links_batch_existing,
-            links_batch_batch,
-            dtype=np.int64,
-        )
-        self._points.extend(batch)
-
-        # The same deltas at cluster granularity: existing pairs gain the
-        # fold of C^T C, and every batch point enters as a singleton
-        # cluster whose row is the fold of its links by cluster.
         n_live_clusters = self.n_live_clusters
-        membership = _membership(self._cluster_of, n_live_clusters)
+        membership_t = _membership(self._cluster_of, n_live_clusters).T.tocsr()
+        cross_counts = cross.astype(np.int64)
+        within_bar = within.astype(np.int64)
+        if self.include_self_links:
+            within_bar = within_bar + sparse.identity(
+                len(batch), dtype=np.int64, format="csr"
+            )
+
+        # With cross-adjacency C, within-batch adjacency B (both without
+        # self-loops; the self-link convention enters through the bars)
+        # and P = C M^T, each batch point's neighbour count per cluster:
+        #   existing cluster pairs gain offdiag(P^T P), the fold of C^T C;
+        #   batch point rows are (C Ā) M^T + B̄ P, where C Ā reads only
+        #   the adjacency rows of the batch's neighbours;
+        #   batch pairs link by offdiag(C C^T + B̄ B̄^T).
+        per_cluster = cross_counts @ membership_t
+        reached = np.unique(cross.indices)
+        batch_rows = (
+            cross_counts[:, reached] @ (self._adjacency[reached] @ membership_t)
+            + within_bar @ per_cluster
+        )
+        if self.include_self_links:
+            batch_rows = batch_rows + per_cluster
         self._cluster_links = _grow_symmetric(
-            self._cluster_links + _cross_links(delta_existing, membership),
-            (links_batch_existing @ membership.T).tocsr(),
-            links_batch_batch,
+            self._cluster_links + _off_diagonal(per_cluster.T @ per_cluster),
+            batch_rows.tocsr(),
+            _off_diagonal(cross_counts @ cross_counts.T + within_bar @ within_bar.T),
             dtype=np.int64,
         )
         self._cluster_of = np.concatenate(
             [self._cluster_of, n_live_clusters + np.arange(len(batch))]
         )
+        self._adjacency = _grow_symmetric(
+            self._adjacency, cross, within, dtype=bool
+        )
+        self._points.extend(batch)
 
     # ------------------------------------------------------------------ #
     # Frontier re-agglomeration
@@ -859,8 +840,9 @@ class IncrementalRock:
         for members in groups.values():
             first[members] = min(members)
         group_of = np.unique(first, return_inverse=True)[1]
-        self._cluster_links = _cross_links(
-            self._cluster_links, _membership(group_of, len(groups))
+        membership = _membership(group_of, len(groups))
+        self._cluster_links = _off_diagonal(
+            membership @ self._cluster_links @ membership.T
         )
         self._cluster_of = group_of[self._cluster_of]
 
@@ -872,17 +854,17 @@ class IncrementalRock:
 
         Runs the session's registered agglomeration engine (every engine
         is bit-identical, so the refresh contract does not depend on the
-        choice) over the maintained link matrix — no neighbour or link
-        computation is repeated — rebuilds the live clustering and
-        rebinds the labeler to the refreshed clusters; the refreshed
-        clusters are ordered by decreasing size (ties by smallest member),
-        which defines the new labelling space.  The engine's merge-loop
+        choice) over the link matrix computed once from the live adjacency
+        (no neighbour computation is repeated), rebuilds the live
+        clustering and rebinds the labeler to the refreshed clusters; the
+        refreshed clusters are ordered by decreasing size (ties by smallest
+        member), which defines the new labelling space.  The engine's merge-loop
         counters are retained in :attr:`last_refresh_counters` for the
         serve ``status`` verb and the benchmarks.
         """
         self._require_bootstrapped()
         run = get_engine(resolve_engine_name(self.engine)).agglomerate(
-            self._links,
+            self.links_,
             len(self._points),
             self.n_clusters,
             self.theta,

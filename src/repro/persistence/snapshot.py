@@ -6,7 +6,7 @@ On-disk layout of a snapshot directory::
         CURRENT                 # name of the live checkpoint, swapped atomically
         checkpoint-000003/
             MANIFEST.json       # version, session config, wal_seq, checksums
-            arrays.npz          # CSR blobs: adjacency / links / incidence + sizes
+            arrays.npz          # CSR blobs: adjacency / incidence + sizes
             objects.pkl         # points, partition, labeler, RNG, extra
         wal.log                 # write-ahead log since checkpoint-000003
 
@@ -20,11 +20,15 @@ raises a typed error naming the offending file on mismatch.
 The manifest's ``wal_seq`` is the sequence number of the last WAL record
 whose effect the checkpoint already contains; recovery replays only records
 above it (see :mod:`repro.persistence.wal`).
+
+Version 1 checkpoints still load: they differ only by the ``links_*``
+arrays in ``arrays.npz``, which the checksum covers but load() never reads.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -51,12 +55,13 @@ from repro.persistence import failpoints
 #: Format marker and version of the checkpoint layout.  Bump the version on
 #: any incompatible change; load() refuses other versions with a typed error.
 SNAPSHOT_FORMAT = "repro-session-snapshot"
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, SNAPSHOT_FORMAT_VERSION)
 
 MANIFEST_NAME = "MANIFEST.json"
 CURRENT_NAME = "CURRENT"
 _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{6})$")
-_CSR_NAMES = ("adjacency", "links", "incidence")
+_CSR_NAMES = ("adjacency", "incidence")
 
 
 def _fsync_path(path: Path) -> None:
@@ -259,7 +264,8 @@ class SessionSnapshot:
                 )
         blobs = cls._verified_blobs(checkpoint, manifest)
 
-        with np.load(checkpoint / "arrays.npz", allow_pickle=False) as bundle:
+        # Parse the checksummed bytes rather than re-reading the file.
+        with np.load(io.BytesIO(blobs["arrays.npz"]), allow_pickle=False) as bundle:
             arrays = {"sizes": bundle["sizes"]}
             for csr_name in _CSR_NAMES:
                 arrays[csr_name] = sparse.csr_matrix(
@@ -307,12 +313,12 @@ class SessionSnapshot:
                 % (checkpoint, MANIFEST_NAME, SNAPSHOT_FORMAT)
             )
         version = manifest.get("version")
-        if version != SNAPSHOT_FORMAT_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise SnapshotVersionError(
                 "checkpoint %s was written by snapshot format version %r but "
-                "this build reads version %d; restore with a matching build "
+                "this build reads versions %s; restore with a matching build "
                 "or re-create the snapshot"
-                % (checkpoint, version, SNAPSHOT_FORMAT_VERSION)
+                % (checkpoint, version, "/".join(map(str, _READABLE_VERSIONS)))
             )
         return manifest
 

@@ -8,6 +8,8 @@ are exercised through the :mod:`repro.persistence.failpoints` registry
 rather than actual signals, so every crash window is deterministic.
 """
 
+import hashlib
+import json
 import pickle
 import struct
 
@@ -400,12 +402,12 @@ class TestSnapshotValidation:
     def test_wrong_version_raises_version_error(self, tmp_path):
         checkpoint = self._saved(tmp_path)
         manifest_path = checkpoint / MANIFEST_NAME
-        text = manifest_path.read_text().replace(
-            '"version": %d' % SNAPSHOT_FORMAT_VERSION, '"version": 999'
-        )
-        manifest_path.write_text(text)
-        with pytest.raises(SnapshotVersionError, match="version 999"):
-            SessionSnapshot.load(tmp_path)
+        manifest = json.loads(manifest_path.read_text())
+        for version in (999, 0, SNAPSHOT_FORMAT_VERSION + 1, "2", None):
+            manifest["version"] = version
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(SnapshotVersionError, match="version %r" % version):
+                SessionSnapshot.load(tmp_path)
 
     def test_mismatched_config_raises_with_differing_keys(self, tmp_path):
         session = _session()
@@ -455,6 +457,104 @@ class TestSnapshotValidation:
             SnapshotConfigMismatchError,
         ):
             assert issubclass(error, PersistenceError)
+
+    def test_load_parses_the_verified_bytes(self, tmp_path, monkeypatch):
+        # A blob rewritten between its checksum and its parse must not be
+        # what gets loaded: the arrays come from the verified bytes.
+        session = _session()
+        _run_schedule(session, STREAM_BATCHES[:2])
+        SessionSnapshot(session).save(tmp_path)
+        verified_blobs = SessionSnapshot._verified_blobs
+
+        def verify_then_overwrite(checkpoint, manifest):
+            blobs = verified_blobs(checkpoint, manifest)
+            (checkpoint / "arrays.npz").write_bytes(b"rewritten after the check")
+            return blobs
+
+        monkeypatch.setattr(
+            SessionSnapshot, "_verified_blobs", staticmethod(verify_then_overwrite)
+        )
+        _assert_sessions_identical(SessionSnapshot.load(tmp_path).session, session)
+
+
+# --------------------------------------------------------------------- #
+# Format compatibility: version 1 carried the point-level link matrix
+# --------------------------------------------------------------------- #
+def _rewrite_as_version_1(checkpoint, links):
+    """Turn a current checkpoint into the version-1 layout: the same blobs
+    plus the ``links_*`` arrays, manifest version 1, checksums recomputed."""
+    arrays_path = checkpoint / "arrays.npz"
+    with np.load(arrays_path, allow_pickle=False) as bundle:
+        blobs = {name: bundle[name] for name in bundle.files}
+    assert not any(name.startswith("links_") for name in blobs)
+    blobs.update(
+        links_data=links.data,
+        links_indices=links.indices,
+        links_indptr=links.indptr,
+        links_shape=np.asarray(links.shape, dtype=np.int64),
+    )
+    with arrays_path.open("wb") as handle:
+        np.savez(handle, **blobs)
+    manifest_path = checkpoint / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = 1
+    manifest["files"]["arrays.npz"] = hashlib.sha256(
+        arrays_path.read_bytes()
+    ).hexdigest()
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+class TestSnapshotFormatCompatibility:
+    def test_current_checkpoint_holds_no_links(self, tmp_path):
+        SessionSnapshot(_session()).save(tmp_path)
+        checkpoint = latest_checkpoint(tmp_path)
+        manifest = json.loads((checkpoint / MANIFEST_NAME).read_text())
+        assert manifest["version"] == SNAPSHOT_FORMAT_VERSION == 2
+        with np.load(checkpoint / "arrays.npz", allow_pickle=False) as bundle:
+            assert {name.split("_")[0] for name in bundle.files} == {
+                "adjacency", "incidence", "sizes"
+            }
+
+    def test_version_1_checkpoint_resumes_bit_identically(self, tmp_path):
+        # A version-1 checkpoint plus its WAL tail resumes exactly like the
+        # uninterrupted session; its links blob is checksummed, not read.
+        reference = _session()
+        labels_reference = _run_schedule(reference, STREAM_BATCHES)
+
+        store = PersistentSession.create(tmp_path, _session())
+        labels = [store.ingest(batch).labels.tolist() for batch in STREAM_BATCHES[:1]]
+        store.snapshot()
+        labels += [
+            store.ingest(batch).labels.tolist() for batch in STREAM_BATCHES[1:2]
+        ]
+        checkpoint = latest_checkpoint(tmp_path)
+        _rewrite_as_version_1(checkpoint, store.session.links_)
+        del store  # simulated kill: the WAL holds the second batch
+
+        resumed = PersistentSession.resume(
+            tmp_path, expected_config=reference.config_dict()
+        )
+        assert resumed.n_replayed == 1
+        labels += [
+            resumed.ingest(batch).labels.tolist() for batch in STREAM_BATCHES[2:]
+        ]
+        assert labels == labels_reference
+        _assert_sessions_identical(resumed.session, reference)
+
+    @pytest.mark.parametrize("with_links", [False, True])
+    def test_from_session_state_with_or_without_links(self, with_links):
+        reference = _session()
+        _run_schedule(reference, STREAM_BATCHES[:2])
+        state = reference.session_state()
+        assert "links" not in state["arrays"]
+        if with_links:
+            state["arrays"]["links"] = reference.links_
+
+        restored = IncrementalRock.from_session_state(state)
+        _assert_sessions_identical(restored, reference)
+        assert _run_schedule(restored, STREAM_BATCHES[2:]) == _run_schedule(
+            reference, STREAM_BATCHES[2:]
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -251,39 +251,85 @@ class TestIncrementalProperties:
         )
         np.testing.assert_array_equal(incremental, expected)
 
+    @staticmethod
+    def _assert_matches_from_scratch(session, theta, include_self_links):
+        # The maintained adjacency, the derived link matrix and the cluster
+        # links equal a from-scratch recomputation over the live points,
+        # and the clusters partition them.
+        graph = compute_neighbors(session.live_points, theta=theta)
+        assert (session.adjacency_ != graph.adjacency).nnz == 0
+        fresh = links_from_neighbors(graph, include_self=include_self_links)
+        assert (session.links_ != fresh).nnz == 0
+        members = sorted(
+            index
+            for cluster in session.live_clusters()
+            for index in cluster
+        )
+        assert members == list(range(session.n_points))
+        n_slots = session.n_live_clusters
+        membership = np.zeros((n_slots, session.n_points), dtype=np.int64)
+        membership[session._cluster_of, np.arange(session.n_points)] = 1
+        assert membership.sum(axis=1).all()
+        expected = membership @ fresh.toarray() @ membership.T
+        np.fill_diagonal(expected, 0)
+        np.testing.assert_array_equal(session._cluster_links.toarray(), expected)
+
     @settings(deadline=None, max_examples=30)
     @given(
         schedule=ingest_schedules(),
         theta=st.floats(min_value=0.05, max_value=0.95),
+        include_self_links=st.booleans(),
     )
-    def test_link_matrix_and_cluster_links_after_every_ingest(self, schedule, theta):
-        # After every ingest the maintained adjacency and link matrix are
-        # bit-identical to a from-scratch recomputation over the live
-        # points, the clusters partition them, and the cluster-level
-        # cross-link matrix mirrors the link matrix exactly.
+    def test_link_matrix_and_cluster_links_after_every_ingest(
+        self, schedule, theta, include_self_links
+    ):
+        # After every ingest the adjacency and the cluster links spliced at
+        # cluster granularity equal a from-scratch recomputation, under
+        # either self-link convention (they fold through different N).
         bootstrap, _stream, batches = schedule
-        session, _clusters = _bootstrap_session(bootstrap, theta)
+        session, _clusters = _bootstrap_session(
+            bootstrap, theta, include_self_links=include_self_links
+        )
+        self._assert_matches_from_scratch(session, theta, include_self_links)
         for batch in batches:
             session.ingest(batch)
-            graph = compute_neighbors(session.live_points, theta=theta)
-            assert (session.adjacency_ != graph.adjacency).nnz == 0
-            fresh = links_from_neighbors(graph)
-            assert (session.links_ != fresh).nnz == 0
-            members = sorted(
-                index
-                for cluster in session.live_clusters()
-                for index in cluster
-            )
-            assert members == list(range(session.n_points))
-            n_slots = session.n_live_clusters
-            membership = np.zeros((n_slots, session.n_points), dtype=np.int64)
-            membership[session._cluster_of, np.arange(session.n_points)] = 1
-            assert membership.sum(axis=1).all()
-            expected = membership @ fresh.toarray() @ membership.T
-            np.fill_diagonal(expected, 0)
-            np.testing.assert_array_equal(
-                session._cluster_links.toarray(), expected
-            )
+            self._assert_matches_from_scratch(session, theta, include_self_links)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        schedule=ingest_schedules(),
+        theta=st.floats(min_value=0.05, max_value=0.95),
+        include_self_links=st.booleans(),
+        data=st.data(),
+    )
+    def test_state_after_eviction_equals_from_scratch(
+        self, schedule, theta, include_self_links, data
+    ):
+        # Evicting the oldest points at any point of a schedule leaves no
+        # trace of them: no survivor pair keeps an evicted point as a
+        # common neighbour, before or after further ingests.
+        bootstrap, _stream, batches = schedule
+        session, _clusters = _bootstrap_session(
+            bootstrap, theta, include_self_links=include_self_links
+        )
+        evict_at = data.draw(
+            st.integers(min_value=0, max_value=len(batches)), label="evict_at"
+        )
+        for batch in batches[:evict_at]:
+            session.ingest(batch)
+        n_evict = data.draw(
+            st.integers(min_value=1, max_value=session.n_points - 1)
+            if session.n_points > 1
+            else st.just(0),
+            label="n_evict",
+        )
+        survivors = session.live_points[n_evict:]
+        assert session.evict_oldest(n_evict) == n_evict
+        assert session.live_points == survivors
+        self._assert_matches_from_scratch(session, theta, include_self_links)
+        for batch in batches[evict_at:]:
+            session.ingest(batch)
+            self._assert_matches_from_scratch(session, theta, include_self_links)
 
     @settings(deadline=None, max_examples=20)
     @given(
