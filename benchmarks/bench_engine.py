@@ -16,8 +16,10 @@ agglomeration, labelling or blocked neighbour time regresses more than
 1.5x against the committed baseline (:mod:`repro.bench.perf_gate`); each
 phase only fails when its machine-robust relative signal regresses too.
 Every run times the ``auto`` neighbour call and the ``blocked`` backend
-and asserts their adjacencies identical (see
-``NEIGHBOR_BENCH_STRATEGIES``).
+(see ``NEIGHBOR_BENCH_STRATEGIES``).  They run the same overlap kernel, so
+instead of each other they are checked against the spec: at every size
+up to ``SPEC_CHECK_MAX`` (1000) both adjacencies are asserted identical to
+the ``bruteforce`` backend's.
 
 ``test_neighbor_memory_gate`` (every mode) traces one ``auto`` neighbour
 call at n=2000 and n=4000 and fails when its ``tracemalloc`` peak exceeds
@@ -61,8 +63,9 @@ GATE_SIZE = 500
 NEIGHBOR_MEMORY_GATE_SIZES = (2000, 4000)
 
 #: Ceiling on that call's traced peak, in bytes per block cell.  The
-#: blocked product measures ~41 (n=2000) and ~43 (n=4000); the retired
-#: one-shot product over all pairs measured ~126 and ~254.
+#: blocked product measures ~20 at n=2000 and n=4000 (~41 and ~43 while it
+#: tested float similarities per pair); the retired one-shot product over
+#: all pairs measured ~126 and ~254.
 MAX_NEIGHBOR_PEAK_BYTES_PER_CELL = 64.0
 
 

@@ -41,7 +41,7 @@ class NameRegistry:
 NAME_REGISTRIES: tuple[NameRegistry, ...] = (
     NameRegistry(
         label="neighbour backend",
-        names=frozenset({"bruteforce", "blocked", "inverted-index"}),
+        names=frozenset({"bruteforce", "blocked"}),
         home_prefixes=("repro.core.neighbors",),
     ),
     NameRegistry(

@@ -13,8 +13,10 @@ whose baskets share most of a small item pool), the regime ROCK targets:
 at ``theta = 0.5`` the in-cluster Jaccard similarities clear the threshold,
 giving a link graph dense enough to exercise the agglomeration engines
 properly.  Up to ``reference_max`` the arena engine's merge history is
-asserted bit-identical to the reference spec's, so every benchmark run
-doubles as an equivalence check on a full-size workload.
+asserted bit-identical to the reference spec's, and up to
+:data:`SPEC_CHECK_MAX` points every timed neighbour adjacency is asserted
+bit-identical to the ``bruteforce`` spec's, so every benchmark run doubles
+as an equivalence check on a full-size workload.
 """
 
 from __future__ import annotations
@@ -56,13 +58,16 @@ LABEL_BATCHES = 8
 
 #: Neighbour strategies timed per size, and the row keys their timings are
 #: recorded under.  ``auto`` comes first: its graph feeds the later phases
-#: and its time is ``neighbors_s``, the base of the labelling ratio.  Every
-#: further backend's adjacency is asserted identical to it, so the
-#: benchmark doubles as a backend-equivalence check at full workload size.
+#: and its time is ``neighbors_s``, the base of the labelling ratio.
 NEIGHBOR_BENCH_STRATEGIES = (
     ("auto", "neighbors_s"),
     ("blocked", "neighbors_blocked_s"),
 )
+
+#: Largest size at which every timed strategy's adjacency is asserted
+#: identical to the ``bruteforce`` spec's (untimed; ~1 s at n=1000), so
+#: each run doubles as a spec check at benchmark scale.
+SPEC_CHECK_MAX = 1000
 
 
 def engine_workload(n: int, rng: int = 0) -> list[frozenset]:
@@ -113,8 +118,11 @@ def time_engine_phases(
     transactions = engine_workload(n, rng=rng)
 
     # One timing loop per neighbour strategy; the first one's graph is
-    # what the link/agglomeration phases consume, and every further
-    # backend is asserted bit-identical to it.
+    # what the link/agglomeration phases consume.  Up to SPEC_CHECK_MAX
+    # every timed graph is asserted bit-identical to the bruteforce spec.
+    spec = None
+    if n <= SPEC_CHECK_MAX:
+        spec = compute_neighbors(transactions, theta=theta, strategy="bruteforce")
     neighbor_timings: dict[str, float] = {}
     graph = None
     for strategy, key in NEIGHBOR_BENCH_STRATEGIES:
@@ -122,10 +130,10 @@ def time_engine_phases(
         neighbor_timings[key] = seconds
         if graph is None:
             graph = candidate
-        elif (graph.adjacency != candidate.adjacency).nnz:
+        if spec is not None and (spec.adjacency != candidate.adjacency).nnz:
             raise AssertionError(
-                "neighbour backend mismatch at n=%d: %r disagrees with %r"
-                % (n, strategy, NEIGHBOR_BENCH_STRATEGIES[0][0])
+                "neighbour backend mismatch at n=%d: %r disagrees with the "
+                "bruteforce spec" % (n, strategy)
             )
     start = time.perf_counter()
     links = links_from_neighbors(graph)

@@ -451,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--neighbor-strategy", choices=list(neighbor_strategies()),
         default=DEFAULT_NEIGHBOR_STRATEGY,
-        help="neighbour-graph backend (auto picks bruteforce for "
-             "non-vectorizable measures, the one-shot matmul for small "
-             "inputs and the blocked product at scale)",
+        help="neighbour-graph backend (auto picks the blocked product for "
+             "vectorizable measures and bruteforce otherwise)",
     )
     cluster.add_argument(
         "--neighbor-block-size", type=int, default=None,

@@ -3,8 +3,8 @@
 The modules follow the structure of the ROCK paper:
 
 * :mod:`repro.core.neighbors` — thresholded similarity graph (Section 3.1),
-  built through a pluggable backend registry (bruteforce / blocked /
-  inverted-index, all bit-identical);
+  built through a pluggable backend registry (bruteforce / blocked,
+  bit-identical);
 * :mod:`repro.core.links` — link (common-neighbour) computation (Section 3.2
   and the ``compute_links`` procedure of Section 4);
 * :mod:`repro.core.goodness` — criterion function and goodness measure

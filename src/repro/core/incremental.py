@@ -19,9 +19,9 @@ outcome of the ordinary sample/cluster phases) and then serves
    the stream is split into batches).
 2. **Splice** the batch into the live adjacency and cluster links.  The
    inserted points' neighbour rows are computed against the retained
-   incidence (one ``batch x live`` sparse product thresholded through the
-   measure's vectorized-counts capability; the within-batch block goes
-   through the pluggable backend registry via
+   incidence (one ``batch x live`` sparse product decided by the exact
+   overlap kernel of :mod:`repro.core.neighbors.vectorized`; the
+   within-batch block goes through the pluggable backend registry via
    :func:`~repro.core.neighbors.compute_neighbors`).  No point-level link
    matrix is kept: the merge criterion reads only ``link[Ci, Cj]``, the
    off-diagonal of ``M L M^T`` with ``L = Ā Ā^T`` (``A`` the adjacency,
@@ -80,8 +80,15 @@ from repro.core.goodness import (
 )
 from repro.core.labeling import StreamingLabeler
 from repro.core.links import links_from_neighbors
-from repro.core.neighbors import compute_neighbors, restored_backend_name
-from repro.core.neighbors.graph import NeighborGraph, complete_adjacency
+from repro.core.neighbors import (
+    AUTO_STRATEGY,
+    compute_neighbors,
+    restored_backend_name,
+    select_backend_name,
+)
+from repro.core.neighbors.base import normalize_backend_name
+from repro.core.neighbors.graph import NeighborGraph
+from repro.core.neighbors.vectorized import overlap_thresholds, qualifying_pairs
 from repro.data.encoding import build_item_index, transactions_to_incidence
 from repro.errors import ConfigurationError, DataValidationError
 from repro.similarity.base import SetSimilarity, supports_vectorized_counts
@@ -288,7 +295,13 @@ class IncrementalRock:
         #: one ran, or when the refresh engine is uninstrumented).
         self.last_refresh_counters: dict = {}
         self._labeler: StreamingLabeler | None = None
-        self._vectorizable = supports_vectorized_counts(self.measure)
+        # The splice's cross block follows the session's neighbour backend:
+        # the overlap kernel where that resolves to what ``auto`` picks for
+        # a vectorizable measure, the measure pair by pair otherwise.
+        self._cross_by_kernel = supports_vectorized_counts(self.measure) and (
+            normalize_backend_name(neighbor_strategy)
+            in (AUTO_STRATEGY, select_backend_name(self.measure))
+        )
 
     # ------------------------------------------------------------------ #
     # Bootstrap
@@ -684,12 +697,13 @@ class IncrementalRock:
     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """Adjacency blocks of a batch: ``(batch x live, batch x batch)``.
 
-        The cross block is one sparse intersection product thresholded
-        through the measure's vectorized-counts capability (with the same
-        empty-pair and ``theta == 0`` conventions as the fast backends);
-        the within-batch block goes through the backend registry.  For
-        measures without the capability both blocks fall back to pair-by-
-        pair evaluation (the bruteforce spec).
+        The cross block is one sparse overlap product decided by the exact
+        overlap kernel (:mod:`repro.core.neighbors.vectorized`), the same
+        test the ``blocked`` backend makes; the within-batch block goes
+        through the backend registry.  For measures without the
+        vectorized-counts capability, or under an explicit ``bruteforce``
+        neighbour strategy, the cross block is evaluated pair by pair (the
+        bruteforce spec).
         """
         n_old = len(self._points)
         n_new = len(batch)
@@ -705,65 +719,33 @@ class IncrementalRock:
             self._incidence.resize((n_old, n_columns))
         batch_sizes = np.asarray([len(t) for t in batch], dtype=np.int64)
 
-        if self.theta == 0.0:
-            cross = sparse.csr_matrix(np.ones((n_new, n_old), dtype=bool))
-        elif self._vectorizable:
-            intersections = (batch_incidence @ self._incidence.T).tocoo()
-            rows, cols = intersections.row, intersections.col
-            similarity = self.measure.similarity_from_counts(
-                intersections.data.astype(np.int64),
-                batch_sizes[rows],
-                self._sizes[cols],
+        if self._cross_by_kernel:
+            batch_values, batch_group = np.unique(batch_sizes, return_inverse=True)
+            live_values, live_group = np.unique(self._sizes, return_inverse=True)
+            rows, cols = qualifying_pairs(
+                (batch_incidence @ self._incidence.T).tocsr(),
+                overlap_thresholds(self.measure, self.theta, batch_values, live_values),
+                batch_group,
+                live_group,
             )
-            keep = similarity >= self.theta
-            rows, cols = rows[keep], cols[keep]
-            # Empty-vs-empty pairs never intersect, so the product misses
-            # them; the measure decides whether they qualify (the same
-            # rule as empty_pair_edges / the labeler's zero thresholds).
-            zero = np.zeros(1, dtype=np.int64)
-            empty_similarity = float(
-                np.asarray(
-                    self.measure.similarity_from_counts(zero, zero, zero)
-                ).ravel()[0]
-            )
-            empty_new = np.nonzero(batch_sizes == 0)[0]
-            empty_old = np.nonzero(self._sizes == 0)[0]
-            if empty_similarity >= self.theta and empty_new.size and empty_old.size:
-                rows = np.concatenate(
-                    [rows, np.repeat(empty_new, empty_old.size)]
-                )
-                cols = np.concatenate([cols, np.tile(empty_old, empty_new.size)])
-            cross = sparse.coo_matrix(
-                (np.ones(len(rows), dtype=bool), (rows, cols)),
-                shape=(n_new, n_old),
-                dtype=bool,
-            ).tocsr()
         else:
-            rows_list: list[int] = []
-            cols_list: list[int] = []
-            for t, point in enumerate(batch):
-                for j, other in enumerate(self._points):
-                    if self.measure(point, other) >= self.theta:
-                        rows_list.append(t)
-                        cols_list.append(j)
-            cross = sparse.coo_matrix(
-                (np.ones(len(rows_list), dtype=bool), (rows_list, cols_list)),
-                shape=(n_new, n_old),
-                dtype=bool,
-            ).tocsr()
-
-        if n_new == 1:
-            within = sparse.csr_matrix((1, 1), dtype=bool)
-        elif self.theta == 0.0:
-            within = complete_adjacency(n_new)
-        else:
-            within = compute_neighbors(
-                batch,
-                theta=self.theta,
-                measure=self.measure,
-                strategy=self.neighbor_strategy,
-                block_size=self.neighbor_block_size,
-            ).adjacency.tocsr()
+            pairs = [
+                (t, j)
+                for t, point in enumerate(batch)
+                for j, other in enumerate(self._points)
+                if self.measure(point, other) >= self.theta
+            ]
+            rows, cols = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        cross = sparse.csr_matrix(
+            (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n_new, n_old)
+        )
+        within = compute_neighbors(
+            batch,
+            theta=self.theta,
+            measure=self.measure,
+            strategy=self.neighbor_strategy,
+            block_size=self.neighbor_block_size,
+        ).adjacency.tocsr()
 
         self._incidence = sparse.vstack(
             [self._incidence, batch_incidence], format="csr"

@@ -24,7 +24,7 @@ Two counting strategies implement the neighbour pass, selected by the
   cluster.  Requires a measure with the
   :class:`~repro.similarity.base.VectorizedSetSimilarity` capability
   (Jaccard, Dice, overlap coefficient, set cosine) — the same capability
-  the fast neighbour backends key on.
+  the ``blocked`` neighbour backend keys on.
 * ``"bruteforce"`` — evaluate ``measure(point, sample)`` pair by pair; works
   with any measure and is the reference implementation.
 * ``"auto"`` (default) — the sparse product for vectorizable measures,
@@ -40,22 +40,22 @@ point's neighbour counts depend only on the retained fractions, so the
 concatenation of the per-batch results is bit-identical to one
 :func:`label_points` call on the concatenated input.
 
-The count kernel behind ``"sparse-matmul"`` is exact.  For every pair of
-set sizes ``(a, b)`` it looks up the smallest overlap ``t`` with
-``similarity_from_counts(t, a, b) >= theta``, computed from the measure
-itself; since the similarity never falls as the overlap grows (the
-monotone-overlap contract of ``VectorizedSetSimilarity``), ``overlap >= t``
-is the float test, decided bit for bit.  The kernel has two forms, chosen
-once from the fill of the retained incidence (:data:`DENSE_MIN_FILL`):
+The count kernel behind ``"sparse-matmul"`` is exact: it decides every
+pair through the shared overlap kernel of
+:mod:`repro.core.neighbors.vectorized` — the same test the ``blocked``
+neighbour backend and the online splice make — which compares each overlap
+against an integer threshold table built from the measure itself.  The
+kernel has two forms, chosen once from the fill of the retained incidence
+(:data:`DENSE_MIN_FILL`):
 
 * **dense** — the retained incidence as float32 rows grouped by set size;
   per row block of the batch, one BLAS product into a ``retained × block``
-  buffer, one compare per size group and one ``membership @ buffer``
-  product.  Every value is an integer below ``2**24``
-  (:data:`FLOAT32_EXACT`), so float32 and any summation order are exact.
-* **sparse** — for wide, rare-item universes: the sparse product's
-  nonzeros are compared against the same table and the kept pairs
-  scattered into their clusters.
+  buffer, one compare per size group against the same table and one
+  ``membership @ buffer`` product.  Every value is an integer below
+  ``2**24`` (:data:`FLOAT32_EXACT`), so float32 and any summation order
+  are exact.
+* **sparse** — for wide, rare-item universes: the overlap kernel's
+  qualifying pairs of the sparse product, scattered into their clusters.
 
 Both forms walk a batch in row blocks of at most :data:`BLOCK_CELLS`
 buffer cells, so one large batch costs no more memory than a stream of
@@ -70,13 +70,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.goodness import ExponentFunction, default_expected_links_exponent
+from repro.core.neighbors.vectorized import overlap_thresholds, qualifying_pairs
 from repro.data.encoding import build_item_index, transactions_to_incidence
 from repro.errors import ConfigurationError, DataValidationError
-from repro.similarity.base import (
-    SetSimilarity,
-    VectorizedSetSimilarity,
-    supports_vectorized_counts,
-)
+from repro.similarity.base import SetSimilarity, supports_vectorized_counts
 from repro.similarity.jaccard import JaccardSimilarity
 
 #: Strategies accepted by :func:`label_points`.
@@ -94,6 +91,16 @@ BLOCK_CELLS = 1 << 21
 #: float32 holds every integer below this exactly: the dense form is refused
 #: whenever a count could reach it.
 FLOAT32_EXACT = 1 << 24
+
+
+def validate_labeling_strategy(strategy: str) -> str:
+    """``strategy`` unchanged when it is one of :data:`LABELING_STRATEGIES`."""
+    if strategy not in LABELING_STRATEGIES:
+        raise ConfigurationError(
+            "unknown labeling strategy %r; expected one of %s"
+            % (strategy, ", ".join(LABELING_STRATEGIES))
+        )
+    return strategy
 
 
 @dataclass
@@ -189,68 +196,6 @@ def _neighbor_counts_bruteforce(
     return counts
 
 
-def _overlap_thresholds(
-    measure: VectorizedSetSimilarity,
-    theta: float,
-    batch_sizes: np.ndarray,
-    retained_sizes: np.ndarray,
-) -> np.ndarray:
-    """Smallest qualifying overlap of every (batch size, retained size) pair.
-
-    Entry ``[i, j]`` is the least ``t`` in ``0 .. min(a, b)`` with
-    ``similarity_from_counts(t, a, b) >= theta``, for ``a = batch_sizes[i]``
-    and ``b = retained_sizes[j]``, or ``min(a, b) + 1`` when no overlap
-    qualifies.  Found by vectorised bisection: ``log2`` of the largest size
-    in rounds, each one evaluation of the measure over the whole table.
-
-    Each threshold is then spot-checked against the measure — just below
-    and at ``t``, and at both ends of the overlap range — and a measure
-    caught falling as the overlap grows raises :class:`ConfigurationError`.
-    The check cannot see every dip in between; the monotone-overlap contract
-    of :class:`~repro.similarity.base.VectorizedSetSimilarity` is what keeps
-    the table exact.
-    """
-    size_left = np.asarray(batch_sizes, dtype=np.int64)[:, np.newaxis]
-    size_right = np.asarray(retained_sizes, dtype=np.int64)[np.newaxis, :]
-    top = np.minimum(size_left, size_right)
-
-    def qualifies(overlap: np.ndarray) -> np.ndarray:
-        similarity = measure.similarity_from_counts(overlap, size_left, size_right)
-        return np.asarray(similarity) >= theta
-
-    low = np.zeros_like(top)
-    high = top + 1
-    while True:
-        active = low < high
-        if not active.any():
-            break
-        middle = (low + high) // 2
-        found = qualifies(np.minimum(middle, top))
-        high = np.where(active & found, middle, high)
-        low = np.where(active & ~found, middle + 1, low)
-
-    at, at_top, below, at_zero = qualifies(
-        np.stack([np.minimum(low, top), top, np.maximum(low - 1, 0), 0 * top])
-    )
-    upper_ok = (low > top) | (at & at_top)
-    lower_ok = (low == 0) | ~(below | at_zero)
-    bad = np.argwhere(~(upper_ok & lower_ok))
-    if bad.size:
-        i, j = bad[0]
-        raise ConfigurationError(
-            "measure %r is not non-decreasing in the overlap (set sizes %d and "
-            "%d, theta=%r), so the sparse-matmul labelling kernel cannot "
-            "threshold it exactly; use strategy='bruteforce'"
-            % (
-                getattr(measure, "name", measure),
-                size_left[i, 0],
-                size_right[0, j],
-                theta,
-            )
-        )
-    return low
-
-
 def _dense_rows(incidence, low: int, high: int) -> np.ndarray:
     """Rows ``low:high`` of a 0/1 CSR incidence as a dense float32 block."""
     indptr = incidence.indptr
@@ -300,11 +245,7 @@ class StreamingLabeler:
             measure = JaccardSimilarity()
         if exponent_function is None:
             exponent_function = default_expected_links_exponent
-        if strategy not in LABELING_STRATEGIES:
-            raise ConfigurationError(
-                "unknown labeling strategy %r; expected one of %s"
-                % (strategy, ", ".join(LABELING_STRATEGIES))
-            )
+        validate_labeling_strategy(strategy)
         vectorizable = supports_vectorized_counts(measure)
         if strategy == "sparse-matmul" and not vectorizable:
             raise ConfigurationError(
@@ -391,10 +332,6 @@ class StreamingLabeler:
             )
             self._group_bounds = list(zip(starts.tolist(), (starts + group_rows).tolist()))
             self._group_of_row = np.repeat(np.arange(len(group_rows)), group_rows)
-            self._group_cluster_sizes = np.bincount(
-                self._group_of_row * self.n_clusters + self._cluster_of_row,
-                minlength=len(group_rows) * self.n_clusters,
-            ).reshape(len(group_rows), self.n_clusters)
             # Items × retained, so the sparse form's product is CSR @ CSR.
             self._retained_columns = self._retained_incidence.T.tocsr()
             n_rows, n_items = self._retained_incidence.shape
@@ -488,7 +425,7 @@ class StreamingLabeler:
         sizes, size_of_point = np.unique(
             np.asarray([len(t) for t in batch], dtype=np.int64), return_inverse=True
         )
-        table = _overlap_thresholds(self.measure, self.theta, sizes, self._group_sizes)
+        table = overlap_thresholds(self.measure, self.theta, sizes, self._group_sizes)
         if self._dense_form:
             self._dense_counts(incidence, table, size_of_point, counts)
         else:
@@ -528,35 +465,26 @@ class StreamingLabeler:
             counts[low:high] = (membership @ overlaps).T
 
     def _sparse_counts(self, incidence, table, size_of_point, counts) -> None:
-        """Sparse form: threshold the sparse product's nonzeros, scatter."""
+        """Sparse form: the overlap kernel's qualifying pairs, scattered."""
         n_rows = self._retained_incidence.shape[0]
-        n_groups = len(self._group_bounds)
         k = self.n_clusters
-        flat_table = table.ravel()
         step = max(1, BLOCK_CELLS // max(n_rows, 1))
         for low in range(0, len(size_of_point), step):
             high = min(low + step, len(size_of_point))
             block = incidence if high - low == incidence.shape[0] else incidence[low:high]
-            product = block @ self._retained_columns
-            rows = np.repeat(np.arange(high - low), np.diff(product.indptr))
-            columns = product.indices
-            table_row = size_of_point[low:high] * n_groups
-            need = flat_table[table_row[rows] + self._group_of_row[columns]]
-            # Zero thresholds are left to the whole-group fix-up below.
-            keep = (product.data >= need) & (need > 0)
+            rows, columns = qualifying_pairs(
+                block @ self._retained_columns,
+                table,
+                size_of_point[low:high],
+                self._group_of_row,
+            )
             # A scatter over the kept pairs only: a bincount would zero a
             # block × k buffer, which dominates once k nears the sample size.
             np.add.at(
                 counts.reshape(-1),
-                (low + rows[keep]) * k + self._cluster_of_row[columns[keep]],
+                (low + rows) * k + self._cluster_of_row[columns],
                 1.0,
             )
-        # The product stores no zero overlaps, so every pair whose threshold
-        # is zero (with theta > 0 and the built-in measures, only pairs of
-        # empty sets) is added here, whole groups at once.
-        zero = table == 0
-        points = np.nonzero(zero.any(axis=1)[size_of_point])[0]
-        counts[points] += (zero @ self._group_cluster_sizes)[size_of_point[points]]
 
     # ------------------------------------------------------------------ #
     def label_batch(self, batch: Sequence[frozenset]) -> LabelingResult:

@@ -34,17 +34,24 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.neighbors import NeighborGraph
-from repro.core.pairfold import PAIR_FOLD_LIMIT, fold_pair_counts
 from repro.errors import ConfigurationError
 
-#: Module-level aliases of the shared pair-fold machinery
-#: (:mod:`repro.core.pairfold`); the folding loop reads them as globals so
-#: tests can shrink the buffer limit per module.
-_PAIR_FOLD_LIMIT = PAIR_FOLD_LIMIT
-_fold_pair_counts = fold_pair_counts
+#: Pair occurrences buffered before folding into the running unique-pair
+#: counts (bounds peak memory to unique pairs + one buffer, ~16 MB).
+_PAIR_FOLD_LIMIT = 2_000_000
 
 #: Strategies accepted by :func:`compute_links`.
 LINK_STRATEGIES = ("auto", "neighbor-lists", "sparse-matmul")
+
+
+def validate_link_strategy(strategy: str) -> str:
+    """``strategy`` unchanged when it is one of :data:`LINK_STRATEGIES`."""
+    if strategy not in LINK_STRATEGIES:
+        raise ConfigurationError(
+            "unknown link strategy %r; expected one of %s"
+            % (strategy, ", ".join(LINK_STRATEGIES))
+        )
+    return strategy
 
 
 def links_from_neighbors(
@@ -74,11 +81,7 @@ def links_from_neighbors(
         Symmetric integer matrix with ``links[i, j]`` = number of common
         neighbours of ``i`` and ``j``; the diagonal is zeroed.
     """
-    if strategy not in LINK_STRATEGIES:
-        raise ConfigurationError(
-            "unknown link strategy %r; expected one of %s"
-            % (strategy, ", ".join(LINK_STRATEGIES))
-        )
+    validate_link_strategy(strategy)
     adjacency = graph.adjacency
     if include_self:
         adjacency = (adjacency + sparse.identity(graph.n_points, dtype=bool, format="csr")).tocsr()
@@ -147,6 +150,23 @@ def _links_by_neighbor_lists(adjacency: sparse.csr_matrix) -> sparse.csr_matrix:
         (values, (encoded // n, encoded % n)), shape=(n, n)
     )
     return (upper + upper.T).tocsr()
+
+
+def _fold_pair_counts(
+    running: tuple[np.ndarray, np.ndarray] | None,
+    buffered: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge buffered pair-code chunks into the running ``(codes, counts)``."""
+    codes, occurrences = np.unique(np.concatenate(buffered), return_counts=True)
+    occurrences = occurrences.astype(np.int64)
+    if running is None:
+        return codes, occurrences
+    merged_codes = np.concatenate([running[0], codes])
+    merged_counts = np.concatenate([running[1], occurrences])
+    unique_codes, inverse = np.unique(merged_codes, return_inverse=True)
+    totals = np.zeros(unique_codes.size, dtype=np.int64)
+    np.add.at(totals, inverse, merged_counts)
+    return unique_codes, totals
 
 
 def compute_links(

@@ -6,26 +6,20 @@ Two points are *neighbours* when their similarity is at least ``theta``
 adjacency matrix that also keeps the parameters used to build it.
 
 Construction is delegated to a pluggable **backend registry**
-(:mod:`repro.core.neighbors.base`); three backends ship built in, all
+(:mod:`repro.core.neighbors.base`); two backends ship built in, both
 producing bit-identical adjacencies on the same inputs:
 
 * ``"bruteforce"`` — evaluate the measure for every pair.  Works with any
   :class:`~repro.similarity.base.SetSimilarity`; the reference spec.
-* ``"blocked"`` — sparse incidence products in row blocks over the upper
-  triangle, so the pairwise intersection counts never hold more than
-  ``block_size x n`` entries at once; works with every
+* ``"blocked"`` — sparse overlap products in row blocks over the upper
+  triangle, thresholded by the exact overlap kernel
+  (:mod:`repro.core.neighbors.vectorized`), so the pairwise overlaps never
+  hold more than ``block_size x n`` entries at once; works with every
   :class:`~repro.similarity.base.VectorizedSetSimilarity` (Jaccard, Dice,
   overlap coefficient, set cosine).
-* ``"inverted-index"`` — per-item posting lists generate candidate pairs,
-  a theta-dependent minimum-overlap bound prunes them, and the survivors
-  are verified exactly.
 
-``strategy="auto"`` (the default everywhere) picks brute force for
-non-vectorizable measures and the blocked product otherwise — except from
-:data:`AUTO_INVERTED_MIN_POINTS` points on, when the posting-list
-statistics mark the workload as sparse and rare-item
-(:func:`candidate_pair_density` at or below
-:data:`AUTO_INVERTED_MAX_DENSITY`), where it picks the inverted index; see
+``strategy="auto"`` (the default everywhere) depends on the measure alone:
+``blocked`` for a vectorizable measure, ``bruteforce`` otherwise; see
 :func:`select_backend_name`.
 """
 
@@ -34,20 +28,18 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.neighbors.base import (
-    AUTO_INVERTED_MAX_DENSITY,
-    AUTO_INVERTED_MIN_POINTS,
     AUTO_STRATEGY,
     DEFAULT_BLOCK_SIZE,
     DEFAULT_NEIGHBOR_STRATEGY,
     NeighborBackend,
     available_backends,
-    candidate_pair_density,
     get_backend,
     normalize_backend_name,
     register_backend,
     restored_backend_name,
     select_backend_name,
     validate_block_size,
+    validate_neighbor_strategy,
 )
 from repro.core.neighbors.blocked import BlockedBackend
 from repro.core.neighbors.bruteforce import BruteForceBackend
@@ -57,14 +49,12 @@ from repro.core.neighbors.graph import (
     complete_adjacency,
     validate_theta,
 )
-from repro.core.neighbors.inverted import InvertedIndexBackend
 from repro.errors import ConfigurationError
 from repro.similarity.base import SetSimilarity
 from repro.similarity.jaccard import JaccardSimilarity
 
 register_backend(BruteForceBackend())
 register_backend(BlockedBackend())
-register_backend(InvertedIndexBackend())
 
 def neighbor_strategies() -> tuple:
     """``"auto"`` plus every registered backend name, in registration order.
@@ -100,9 +90,8 @@ def compute_neighbors(
     measure:
         Similarity measure; defaults to the Jaccard coefficient.
     strategy:
-        A registered backend name (``"bruteforce"``, ``"blocked"``,
-        ``"inverted-index"``) or ``"auto"``, which picks a
-        backend from the measure's capabilities and the input size
+        A registered backend name (``"bruteforce"``, ``"blocked"``) or
+        ``"auto"``, which picks a backend from the measure's capabilities
         (:func:`select_backend_name`).
     item_index:
         Optional pre-built item-to-column index covering every item of
@@ -122,9 +111,11 @@ def compute_neighbors(
     ------
     ConfigurationError
         For an unknown strategy, an out-of-range ``theta`` or
-        ``block_size``, or a backend/measure capability mismatch (e.g. the
+        ``block_size``, a backend/measure capability mismatch (e.g. the
         blocked backend with a measure that does not implement
-        :class:`~repro.similarity.base.VectorizedSetSimilarity`).
+        :class:`~repro.similarity.base.VectorizedSetSimilarity`), or a
+        vectorizable measure the blocked backend catches breaking the
+        monotone-overlap contract.
     """
     theta = validate_theta(theta)
     transactions = as_transaction_list(transactions)
@@ -134,9 +125,7 @@ def compute_neighbors(
 
     name = normalize_backend_name(strategy)
     if name == AUTO_STRATEGY:
-        name = select_backend_name(
-            measure, len(transactions), transactions=transactions
-        )
+        name = select_backend_name(measure)
     backend = get_backend(name)
     if not backend.supports(measure):
         hint = getattr(
@@ -158,10 +147,7 @@ def compute_neighbors(
 
 
 __all__ = [
-    "AUTO_INVERTED_MAX_DENSITY",
-    "AUTO_INVERTED_MIN_POINTS",
     "AUTO_STRATEGY",
-    "candidate_pair_density",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_NEIGHBOR_STRATEGY",
     "NEIGHBOR_STRATEGIES",
@@ -169,7 +155,6 @@ __all__ = [
     "NeighborGraph",
     "BlockedBackend",
     "BruteForceBackend",
-    "InvertedIndexBackend",
     "available_backends",
     "complete_adjacency",
     "compute_neighbors",
@@ -178,4 +163,6 @@ __all__ = [
     "register_backend",
     "restored_backend_name",
     "select_backend_name",
+    "validate_block_size",
+    "validate_neighbor_strategy",
 ]

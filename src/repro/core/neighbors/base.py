@@ -16,8 +16,6 @@ every vectorizable measure.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Sequence
 from typing import Protocol, runtime_checkable
 
 from scipy import sparse
@@ -34,21 +32,6 @@ DEFAULT_NEIGHBOR_STRATEGY = AUTO_STRATEGY
 #: Row-block height of the blocked backend when none is requested.
 DEFAULT_BLOCK_SIZE = 512
 
-#: Point count at which ``auto`` starts considering the inverted index at
-#: all.  Below it the blocked product is fast regardless of sparsity, so
-#: the posting-list statistics pass is not worth running.
-AUTO_INVERTED_MIN_POINTS = 2048
-
-#: Candidate-pair density at or below which ``auto`` picks the inverted
-#: index over the blocked product.  The inverted index's work scales with
-#: the squared posting-list lengths (the candidate mass), not with
-#: ``n^2``: when the posting lists generate candidates for at most this
-#: fraction of all unordered pairs — a sparse, rare-item workload — it
-#: skips almost every pair, while the matmul backends still pay the block
-#: scheduling over all rows.  Dense tight-cluster workloads sit far above
-#: this bound and keep the blocked product.
-AUTO_INVERTED_MAX_DENSITY = 0.02
-
 
 @runtime_checkable
 class NeighborBackend(Protocol):
@@ -57,7 +40,7 @@ class NeighborBackend(Protocol):
     Backends may additionally set a ``capability_hint`` string describing
     what ``supports`` demands of a measure; the dispatcher appends it to
     the capability-mismatch error so a third-party backend can explain its
-    own requirement (the built-in fast backends use
+    own requirement (the built-in ``blocked`` backend uses
     :data:`VECTORIZED_CAPABILITY_HINT`).
     """
 
@@ -131,65 +114,30 @@ def get_backend(name: str) -> NeighborBackend:
         ) from None
 
 
-def candidate_pair_density(
-    transactions: Sequence[frozenset], n_points: int | None = None
-) -> float:
-    """Fraction of unordered pairs the posting lists generate as candidates.
-
-    The inverted-index backend enumerates, for every item, the pairs of
-    points sharing it; its total work is therefore bounded by the
-    *candidate mass* ``sum_i f_i (f_i - 1) / 2`` over the item frequencies
-    ``f_i`` (pairs counted once per shared item).  Dividing by the number
-    of unordered point pairs gives a scale-free density: ``0`` means no
-    two points share an item, values above ``1`` mean the average pair
-    shares more than one item (a dense workload where candidate pruning
-    cannot win).  One ``O(total items)`` counting pass — cheap next to any
-    neighbour computation.
-    """
-    counts = Counter(item for transaction in transactions for item in transaction)
-    n = len(transactions) if n_points is None else int(n_points)
-    if n < 2:
-        return 0.0
-    candidate_mass = sum(count * (count - 1) for count in counts.values()) / 2.0
-    return candidate_mass / (n * (n - 1) / 2.0)
+def validate_neighbor_strategy(name: str) -> str:
+    """``name`` unchanged when it is ``auto`` or a registered backend;
+    otherwise the unknown-strategy :class:`ConfigurationError`."""
+    if normalize_backend_name(name) != AUTO_STRATEGY:
+        get_backend(name)
+    return name
 
 
-def select_backend_name(
-    measure: SetSimilarity,
-    n_points: int,
-    transactions: Sequence[frozenset] | None = None,
-) -> str:
-    """The backend ``auto`` resolves to for ``measure`` at ``n_points``.
+def select_backend_name(measure: SetSimilarity) -> str:
+    """The backend ``auto`` resolves to for ``measure``.
 
     Measures without the
     :class:`~repro.similarity.base.VectorizedSetSimilarity` capability can
-    only be evaluated pair by pair (brute force).  Vectorizable measures
-    use the memory-bounded blocked product at every size (against a
-    one-shot product over all pairs it measured within 0.3 ms up to
-    n=1000, faster from n=1500 on, and never larger in traced peak; see
-    ``docs/ARCHITECTURE.md``) — unless ``transactions`` are supplied and
-    their posting-list statistics mark the workload as sparse and
-    rare-item (:func:`candidate_pair_density` at or below
-    :data:`AUTO_INVERTED_MAX_DENSITY` with at least
-    :data:`AUTO_INVERTED_MIN_POINTS` points), where the inverted index
-    skips almost every pair and wins.  Without ``transactions`` (size-only
-    callers) the choice is the blocked product.
+    only be evaluated pair by pair (brute force); every other measure uses
+    the memory-bounded blocked product, at every size and sparsity (see
+    ``docs/ARCHITECTURE.md`` for the measurements behind the retired
+    alternatives).
     """
-    if not supports_vectorized_counts(measure):
-        return "bruteforce"
-    if (
-        transactions is not None
-        and n_points >= AUTO_INVERTED_MIN_POINTS
-        and candidate_pair_density(transactions, n_points)
-        <= AUTO_INVERTED_MAX_DENSITY
-    ):
-        return "inverted-index"
-    return "blocked"
+    return "blocked" if supports_vectorized_counts(measure) else "bruteforce"
 
 
 #: Backends no longer registered whose checkpoints still restore: each
 #: built the adjacency every registered backend reproduces bit-identically.
-_RETIRED_BACKENDS = frozenset({"vectorized"})
+_RETIRED_BACKENDS = frozenset({"vectorized", "inverted-index"})
 
 
 def restored_backend_name(recorded: str) -> str:

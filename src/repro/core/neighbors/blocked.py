@@ -1,19 +1,19 @@
-"""Blocked neighbour backend: the intersection product in row blocks.
+"""Blocked neighbour backend: the overlap product in row blocks.
 
-Computes the pairwise intersection counts ``incidence @ incidence.T`` one
-row block at a time and only against the columns at or above the block
-(the strict upper triangle), so that
+Computes the pairwise overlaps ``incidence @ incidence.T`` one row block
+at a time and only against the columns at or above the block (the strict
+upper triangle), so that
 
-* the COO intermediate never exceeds ``block_size x n`` entries — a
-  one-shot product would materialise every pair sharing an item
+* the product never holds more than ``block_size x n`` entries at once —
+  a one-shot product would materialise every pair sharing an item
   (``O(nnz(n^2))``) at once, and
 * each unordered pair is counted once instead of twice.
 
-Only the pairs that actually clear ``theta`` are accumulated across
-blocks, so peak memory is ``O(block_size x n + edges)`` instead of
-``O(pairs with any shared item)``.  The result is bit-identical to the
-brute-force adjacency: the per-pair counts are exact integers and the
-similarity arithmetic is the measure's own ``similarity_from_counts``.
+Each block goes through the exact overlap kernel
+(:mod:`repro.core.neighbors.vectorized`), and only the pairs that pass
+``theta`` are kept across blocks, so peak memory is
+``O(block_size x n + edges)`` and the adjacency is bit-identical to the
+brute-force spec.
 """
 
 from __future__ import annotations
@@ -22,8 +22,12 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.neighbors.base import VECTORIZED_CAPABILITY_HINT, validate_block_size
-from repro.core.neighbors.graph import complete_adjacency, empty_pair_edges
-from repro.core.neighbors.vectorized import incidence_and_sizes, threshold_count_pairs
+from repro.core.neighbors.graph import complete_adjacency
+from repro.core.neighbors.vectorized import (
+    incidence_and_sizes,
+    overlap_thresholds,
+    qualifying_pairs,
+)
 from repro.similarity.base import (
     SetSimilarity,
     VectorizedSetSimilarity,
@@ -53,6 +57,8 @@ class BlockedBackend:
         if theta == 0.0:
             return complete_adjacency(n)
         incidence, sizes = incidence_and_sizes(transactions, item_index)
+        size_values, group = np.unique(sizes, return_inverse=True)
+        table = overlap_thresholds(measure, theta, size_values, size_values)
         # CSC so the per-block column slice [start:] is a cheap copy of the
         # trailing columns rather than a full-matrix conversion.
         transposed = incidence.T.tocsc()
@@ -61,30 +67,25 @@ class BlockedBackend:
         edge_cols: list[np.ndarray] = []
         for start in range(0, n, block_size):
             stop = min(start + block_size, n)
-            block = incidence[start:stop]
-            # (stop - start, n - start) counts: rows of the block against
-            # every column from the block's first row onward.  At most
-            # block_size x n entries live at once.
-            product = (block @ transposed[:, start:]).tocoo()
-            rows = product.row.astype(np.int64) + start
-            cols = product.col.astype(np.int64) + start
-            upper = cols > rows
-            rows, cols = threshold_count_pairs(
-                rows[upper], cols[upper], product.data[upper], sizes, theta, measure
+            # (stop - start, n - start) overlaps: rows of the block against
+            # every column from the block's first row onward.
+            product = (incidence[start:stop] @ transposed[:, start:]).tocsr()
+            rows, cols = qualifying_pairs(
+                product, table, group[start:stop], group[start:]
             )
-            edge_rows.append(rows)
-            edge_cols.append(cols)
+            upper = cols > rows
+            edge_rows.append(rows[upper] + start)
+            edge_cols.append(cols[upper] + start)
 
-        upper_rows = np.concatenate(edge_rows) if edge_rows else np.empty(0, dtype=np.int64)
-        upper_cols = np.concatenate(edge_cols) if edge_cols else np.empty(0, dtype=np.int64)
-        extra_rows, extra_cols = empty_pair_edges(sizes, theta, measure)
-        # Mirror the upper-triangle pairs; the empty-pair edges already
-        # come in both directions.
-        all_rows = np.concatenate([upper_rows, upper_cols, extra_rows])
-        all_cols = np.concatenate([upper_cols, upper_rows, extra_cols])
-        adjacency = sparse.coo_matrix(
-            (np.ones(len(all_rows), dtype=bool), (all_rows, all_cols)),
+        upper_rows = np.concatenate(edge_rows)
+        upper_cols = np.concatenate(edge_cols)
+        return sparse.coo_matrix(
+            (
+                np.ones(2 * len(upper_rows), dtype=bool),
+                (
+                    np.concatenate([upper_rows, upper_cols]),
+                    np.concatenate([upper_cols, upper_rows]),
+                ),
+            ),
             shape=(n, n), dtype=bool,
         ).tocsr()
-        adjacency.eliminate_zeros()
-        return adjacency

@@ -2,10 +2,9 @@
 
 Every neighbour backend (:mod:`repro.core.neighbors.base`) produces the
 same artefact — a boolean CSR adjacency matrix with an empty diagonal —
-and this module holds that result type plus the small helpers all
-backends share: parameter validation, the direct-CSR all-pairs graph used
-at ``theta == 0``, and the empty-transaction pair fix-up the incidence
-products cannot see.
+and this module holds that result type plus the small helpers the
+backends share: parameter validation and the direct-CSR all-pairs graph
+used at ``theta == 0``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import ConfigurationError, DataValidationError
-from repro.similarity.base import VectorizedSetSimilarity
 
 
 @dataclass
@@ -105,24 +103,3 @@ def complete_adjacency(n: int) -> sparse.csr_matrix:
         (np.ones(n * (n - 1), dtype=bool), indices, indptr), shape=(n, n)
     )
 
-
-def empty_pair_edges(
-    sizes: np.ndarray, theta: float, measure: VectorizedSetSimilarity
-) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edges between empty transactions, if the measure keeps them.
-
-    Incidence products never produce an entry for a pair of empty
-    transactions (there is nothing to intersect), but most set measures
-    define two empty sets as identical (similarity 1), so those pairs must
-    be added explicitly.  The measure decides: the pair qualifies exactly
-    when ``similarity_from_counts(0, 0, 0) >= theta``.
-    """
-    zero = np.zeros(1, dtype=np.int64)
-    empty_similarity = float(np.asarray(measure.similarity_from_counts(zero, zero, zero)).ravel()[0])
-    empty = np.nonzero(sizes == 0)[0]
-    if len(empty) > 1 and empty_similarity >= theta:
-        rows = np.repeat(empty, len(empty))
-        cols = np.tile(empty, len(empty))
-        off_diagonal = rows != cols
-        return rows[off_diagonal], cols[off_diagonal]
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)

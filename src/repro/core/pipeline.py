@@ -57,8 +57,18 @@ from repro.core.incremental import (
     IngestResult,
     validate_refresh_threshold,
 )
-from repro.core.labeling import LabelingResult, StreamingLabeler, label_points
-from repro.core.neighbors import compute_neighbors
+from repro.core.labeling import (
+    LabelingResult,
+    StreamingLabeler,
+    label_points,
+    validate_labeling_strategy,
+)
+from repro.core.links import validate_link_strategy
+from repro.core.neighbors import (
+    compute_neighbors,
+    validate_block_size,
+    validate_neighbor_strategy,
+)
 from repro.core.outliers import drop_small_clusters, partition_isolated_points
 from repro.core.rock import RockClustering, RockResult, as_transactions
 from repro.core.sampling import draw_sample, reservoir_sample
@@ -412,7 +422,11 @@ class RockPipeline:
         pipeline makes (pre-filter, clustering, summary merge).
     labeling_strategy:
         Neighbour-counting strategy of the labelling pass, passed to
-        :func:`repro.core.labeling.label_points`.
+        :func:`repro.core.labeling.label_points`.  An unknown neighbour,
+        link or labelling strategy, like an unknown engine or a
+        non-positive block size, raises
+        :class:`~repro.errors.ConfigurationError` at construction, whether
+        or not the phase that reads it runs.
     rng:
         Random generator or seed used for sampling and labelling fractions.
     strict:
@@ -467,10 +481,11 @@ class RockPipeline:
         self.exponent_function = exponent_function
         self.assign_outliers = bool(assign_outliers)
         self.engine = validate_engine_name(engine)
-        self.neighbor_strategy = neighbor_strategy
+        self.neighbor_strategy = validate_neighbor_strategy(neighbor_strategy)
+        validate_block_size(neighbor_block_size)
         self.neighbor_block_size = neighbor_block_size
-        self.link_strategy = link_strategy
-        self.labeling_strategy = labeling_strategy
+        self.link_strategy = validate_link_strategy(link_strategy)
+        self.labeling_strategy = validate_labeling_strategy(labeling_strategy)
         self.include_self_links = bool(include_self_links)
         self.rng = np.random.default_rng(rng)
         self.strict = bool(strict)

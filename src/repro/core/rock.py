@@ -171,7 +171,7 @@ class RockClustering:
     neighbor_strategy:
         Passed to :func:`repro.core.neighbors.compute_neighbors`: a
         registered neighbour-backend name (``"bruteforce"``,
-        ``"blocked"``, ``"inverted-index"``) or ``"auto"``.
+        ``"blocked"``) or ``"auto"``.
     neighbor_block_size:
         Row-block height of the ``"blocked"`` neighbour backend (``None``
         uses :data:`repro.core.neighbors.DEFAULT_BLOCK_SIZE`); ignored by

@@ -473,11 +473,12 @@ def cluster_shards(
     Raises
     ------
     ConfigurationError
-        Besides invalid arguments: when the process executor's workers die
-        while starting, before any shard task ran (typically a script
-        without an ``if __name__ == "__main__":`` guard).  This is raised
-        after one attempt, whatever ``strict`` is, since a retry cannot
-        succeed.
+        Besides invalid arguments: when a shard attempt raises one (e.g. an
+        unknown strategy in ``worker_config``), or when the process
+        executor's workers die while starting, before any shard task ran
+        (typically a script without an ``if __name__ == "__main__":``
+        guard).  Either is raised after one attempt, whatever ``strict``
+        is, with no warning, since a retry cannot succeed.
 
     Notes
     -----
@@ -521,6 +522,10 @@ def cluster_shards(
         for _ in range(retries + 1):
             try:
                 return attempt(*task), None
+            except ConfigurationError:
+                # A configuration error is no transient fault: every retry
+                # would fail alike, so it propagates on the first attempt.
+                raise
             # Deliberate fault-isolation boundary: a worker failure —
             # including an InjectedFaultError from the shard.worker
             # failpoint — is captured for the retry/degrade/strict logic
@@ -650,6 +655,9 @@ def _cluster_shards_process(
                 for position, future in zip(pending, futures):
                     try:
                         compact = future.result()
+                    except ConfigurationError:
+                        # Not retried, as on the thread path.
+                        raise
                     # Same fault-isolation boundary as the thread path's
                     # run_with_retry: a worker-process failure (injected
                     # fault, crash, BrokenProcessPool) is captured for the

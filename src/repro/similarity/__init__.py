@@ -7,8 +7,8 @@ explicitly.  All measures implement the :class:`SetSimilarity` protocol and
 are registered in a small name-based registry.  Measures that can be
 evaluated from pair counts alone additionally implement the
 :class:`VectorizedSetSimilarity` capability
-(``similarity_from_counts`` / ``minimum_intersection``), which is what the
-fast neighbour backends of :mod:`repro.core.neighbors` key on.
+(``similarity_from_counts``), which is what the exact overlap kernel of
+:mod:`repro.core.neighbors.vectorized` keys on.
 """
 
 from repro.similarity.base import (

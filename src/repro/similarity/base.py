@@ -1,8 +1,8 @@
 """Similarity protocol and shared helpers.
 
 A *set similarity* maps two item sets to a value in ``[0, 1]`` where 1 means
-identical and 0 means disjoint.  ROCK only ever thresholds similarities, so
-the protocol is intentionally tiny: a callable plus a name.
+identical.  ROCK only ever thresholds similarities, so the protocol is
+intentionally tiny: a callable plus a name.
 """
 
 from __future__ import annotations
@@ -31,33 +31,23 @@ class SetSimilarity(Protocol):
 class VectorizedSetSimilarity(SetSimilarity, Protocol):
     """Capability protocol for measures computable from pair *counts*.
 
-    A measure with this capability can evaluate whole arrays of pairs at
-    once given only the intersection size and the two set sizes — which is
-    exactly what the sparse incidence products of the fast neighbour
-    backends (:mod:`repro.core.neighbors`) produce.  Any measure
-    implementing it works with the ``blocked`` and ``inverted-index``
-    backends.
+    A measure with this capability evaluates whole arrays of pairs at once
+    from the overlap ``|A ∩ B|`` and the two set sizes alone, which is what
+    the exact overlap kernel (:mod:`repro.core.neighbors.vectorized`)
+    behind the ``blocked`` neighbour backend, the online splice and the
+    sparse-matmul labelling works with.  ``similarity_from_counts`` must
+    return what ``__call__`` returns on sets with those counts, through the
+    same IEEE-754 operations.
 
-    Contract (required by the candidate generation of those backends):
-    two *disjoint* sets must have similarity 0 unless both are empty —
-    i.e. ``similarity_from_counts(0, a, b) == 0`` whenever ``a + b > 0``.
-    All the built-in set measures (Jaccard, Dice, overlap coefficient,
-    set cosine) satisfy it.
-
-    Monotone-overlap contract (required by the labelling kernel of
-    :mod:`repro.core.labeling`): for fixed set sizes ``a`` and ``b``,
+    Contract (monotone overlap): for fixed set sizes ``a`` and ``b``,
     ``similarity_from_counts(i, a, b)`` is non-decreasing in the overlap
     ``i``.  The kernel then replaces each float test ``sim >= theta`` by an
     integer one, ``i >= t(a, b)``, with ``t`` the smallest overlap that
-    qualifies, computed from this same method.  The four built-in measures
-    satisfy it because correctly rounded division and ``sqrt`` are
-    monotone; a measure caught breaking it is rejected with a
-    :class:`~repro.errors.ConfigurationError`.
-
-    ``similarity_from_counts`` must agree bit-for-bit with ``__call__`` on
-    the same sizes: the cross-backend equivalence guarantee (brute force ≡
-    blocked ≡ inverted-index adjacency) rests on both paths
-    performing the same IEEE-754 operations.
+    qualifies, computed from this same method, so every decision matches
+    the brute-force spec bit for bit.  The four built-in measures (Jaccard,
+    Dice, overlap coefficient, set cosine) satisfy it because correctly
+    rounded division and ``sqrt`` are monotone; a measure caught breaking
+    it is rejected with a :class:`~repro.errors.ConfigurationError`.
     """
 
     def similarity_from_counts(
@@ -72,23 +62,6 @@ class VectorizedSetSimilarity(SetSimilarity, Protocol):
         ``|A ∩ B|`` and the set sizes ``|A|`` and ``|B|``.  Returns the
         float similarity per pair, identical to what ``__call__`` would
         return on sets with those counts.
-        """
-        ...  # pragma: no cover - protocol definition
-
-    def minimum_intersection(
-        self,
-        theta: float,
-        size_left: np.ndarray,
-        size_right: np.ndarray,
-    ) -> np.ndarray:
-        """Smallest intersection size at which a pair can reach ``theta``.
-
-        The exact mathematical bound (as a float array): a pair with
-        ``|A ∩ B| < minimum_intersection(theta, |A|, |B|)`` cannot have
-        similarity >= ``theta``.  The inverted-index backend uses it to
-        prune candidate pairs before exact verification; callers should
-        apply a small epsilon slack when comparing integer counts against
-        it so floating-point rounding never prunes a boundary pair.
         """
         ...  # pragma: no cover - protocol definition
 

@@ -43,8 +43,8 @@ class JaccardSimilarity:
     """Jaccard coefficient, the similarity measure of the ROCK paper.
 
     Implements the :class:`~repro.similarity.base.VectorizedSetSimilarity`
-    capability, so every fast neighbour backend (blocked /
-    inverted-index) accepts it.
+    capability, so the ``blocked`` neighbour backend, the online splice and
+    the sparse-matmul labelling evaluate it from overlap counts.
     """
 
     name = "jaccard"
@@ -58,11 +58,6 @@ class JaccardSimilarity:
         # union == 0 means both sets are empty: defined as identical (1.0).
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(union > 0, intersection / np.maximum(union, 1), 1.0)
-
-    def minimum_intersection(self, theta, size_left, size_right) -> np.ndarray:
-        # i / (a + b - i) >= theta  <=>  i >= theta * (a + b) / (1 + theta)
-        total = np.asarray(size_left) + np.asarray(size_right)
-        return theta * total / (1.0 + theta)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "JaccardSimilarity()"
@@ -88,11 +83,6 @@ class DiceSimilarity:
             return np.where(
                 total > 0, 2.0 * np.asarray(intersection) / np.maximum(total, 1), 1.0
             )
-
-    def minimum_intersection(self, theta, size_left, size_right) -> np.ndarray:
-        # 2i / (a + b) >= theta  <=>  i >= theta * (a + b) / 2
-        total = np.asarray(size_left) + np.asarray(size_right)
-        return theta * total / 2.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "DiceSimilarity()"
@@ -124,10 +114,6 @@ class OverlapCoefficientSimilarity:
                 empty_value,
             )
 
-    def minimum_intersection(self, theta, size_left, size_right) -> np.ndarray:
-        # i / min(a, b) >= theta  <=>  i >= theta * min(a, b)
-        return theta * np.minimum(np.asarray(size_left), np.asarray(size_right))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "OverlapCoefficientSimilarity()"
 
@@ -156,10 +142,6 @@ class SetCosineSimilarity:
                 np.asarray(intersection) / np.sqrt(np.maximum(product, 1)),
                 empty_value,
             )
-
-    def minimum_intersection(self, theta, size_left, size_right) -> np.ndarray:
-        # i / sqrt(a * b) >= theta  <=>  i >= theta * sqrt(a * b)
-        return theta * np.sqrt(np.asarray(size_left) * np.asarray(size_right))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "SetCosineSimilarity()"

@@ -442,7 +442,7 @@ class TestREG001:
 
     def test_choice_table_flagged(self):
         report = lint(
-            'CHOICES = ["inverted-index", "blocked"]\n',
+            'CHOICES = ["bruteforce", "blocked"]\n',
             module="repro.bench.fake",
             codes=["REG001"],
         )

@@ -194,7 +194,7 @@ class TestNeighborStrategyFlags:
             "cluster", str(path), "--format", "transactions",
             "--label-prefix", "class=", "--clusters", "3", "--theta", "0.3",
             "--sample-size", "60", "--stream",
-            "--neighbor-strategy", "inverted-index",
+            "--neighbor-strategy", "bruteforce",
         ])
         assert code == 0
         assert "streaming" in capsys.readouterr().out
@@ -389,6 +389,17 @@ class TestOnlineCli:
             )
         assert excinfo.value.code == 2
         assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+
+    def test_retired_inverted_index_strategy_rejected(self, capsys):
+        # Retired like the one-shot product: the choices drop it, so argparse
+        # rejects it as a usage error before any library call.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["cluster", "x.txt", "--clusters", "2",
+                 "--neighbor-strategy", "inverted-index"]
+            )
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'inverted-index'" in capsys.readouterr().err
 
 
 class TestShardedCli:

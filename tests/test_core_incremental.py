@@ -16,7 +16,23 @@ from repro.core.rock import RockClustering
 from repro.datasets.market_basket import generate_market_baskets
 from repro.errors import ConfigurationError, DataValidationError
 from repro.similarity.base import SetSimilarity
-from repro.similarity.jaccard import DiceSimilarity
+from repro.similarity.jaccard import (
+    DiceSimilarity,
+    JaccardSimilarity,
+    OverlapCoefficientSimilarity,
+    SetCosineSimilarity,
+)
+from toy_measures import NON_MONOTONE_RULES, OverlapRule, ShiftedOverlap
+
+#: The four built-in vectorizable measures plus a toy one that scores
+#: above 0 at zero overlap (disjoint sets can be neighbours).
+INGEST_MEASURES = (
+    JaccardSimilarity(),
+    DiceSimilarity(),
+    OverlapCoefficientSimilarity(),
+    SetCosineSimilarity(),
+    ShiftedOverlap(),
+)
 
 
 def bootstrapped_session(transactions, n_clusters=2, theta=0.3, rng=0, **kwargs):
@@ -30,9 +46,16 @@ def bootstrapped_session(transactions, n_clusters=2, theta=0.3, rng=0, **kwargs)
 
 
 def assert_live_state_consistent(session):
-    """Invariants of the maintained live state vs a from-scratch rebuild."""
+    """Invariants of the maintained live state vs a from-scratch rebuild.
+
+    The rebuild runs the ``bruteforce`` spec, not ``auto``: the splice and
+    the ``blocked`` backend share one overlap kernel, so comparing them
+    would check the kernel against itself.
+    """
     points = session.live_points
-    graph = compute_neighbors(points, theta=session.theta, measure=session.measure)
+    graph = compute_neighbors(
+        points, theta=session.theta, measure=session.measure, strategy="bruteforce"
+    )
     assert (session.adjacency_ != graph.adjacency).nnz == 0
     fresh_links = links_from_neighbors(
         graph, include_self=session.include_self_links
@@ -140,8 +163,23 @@ class TestIngestLabels:
 
 
 class TestLiveStateInvariants:
-    def test_invariants_hold_after_every_ingest(self, two_group_transactions):
-        session = bootstrapped_session(two_group_transactions)
+    @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("measure", INGEST_MEASURES, ids=lambda m: m.name)
+    def test_invariants_hold_after_every_ingest(
+        self, two_group_transactions, measure, theta
+    ):
+        # An empty basket in the live set and in a batch: its pairs never
+        # appear in an overlap product, yet every measure here scores two
+        # empty sets as identical.
+        # f(1) = 0 zeroes the paper's goodness denominator, so the frontier
+        # merges run under a constant exponent; the splice never reads it.
+        live = two_group_transactions + [frozenset()]
+        session = IncrementalRock(
+            n_clusters=2, theta=theta, measure=measure, rng=0,
+            exponent_function=lambda theta: 0.5,
+        )
+        session.bootstrap(live, [[0, 1, 2], [3, 4, 5, 6]])
+        assert_live_state_consistent(session)
         batches = [
             [frozenset({1, 2, 5}), frozenset({7, 8, 11})],
             [frozenset({1, 2, 3}), frozenset({50, 51})],
@@ -150,8 +188,29 @@ class TestLiveStateInvariants:
         for batch in batches:
             session.ingest(batch)
             assert_live_state_consistent(session)
-        assert session.n_points == len(two_group_transactions) + 7
+        assert session.n_points == len(live) + 7
         assert session.n_ingested == 7
+
+    @pytest.mark.parametrize("name, rule", NON_MONOTONE_RULES)
+    def test_non_monotone_measure_rejected_by_ingest(self, name, rule):
+        # Two empty live points leave nothing for the contract check to
+        # see; a batch of two-item sets brings the size pair that breaks it.
+        measure = OverlapRule(name, rule)
+        live = [frozenset(), frozenset()]
+        batch = [frozenset({1, 2}), frozenset({1, 3})]
+        session = IncrementalRock(n_clusters=1, theta=0.5, measure=measure, rng=0)
+        session.bootstrap(live, [[0, 1]])
+        with pytest.raises(ConfigurationError, match=name):
+            session.ingest(batch)
+        # Under the bruteforce strategies the session evaluates the measure
+        # pair by pair, like the spec, and accepts it.
+        session = IncrementalRock(
+            n_clusters=1, theta=0.5, measure=measure, rng=0,
+            neighbor_strategy="bruteforce", labeling_strategy="bruteforce",
+        )
+        session.bootstrap(live, [[0, 1]])
+        session.ingest(batch)
+        assert_live_state_consistent(session)
 
     def test_invariants_hold_for_non_vectorizable_measure(
         self, two_group_transactions

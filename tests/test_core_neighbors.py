@@ -83,11 +83,10 @@ class TestComputeNeighbors:
 
     def test_fast_backends_reject_non_vectorizable_measure(self, two_group_transactions):
         measure = SimpleMatchingSimilarity(n_attributes=8)
-        for strategy in ("blocked", "inverted-index"):
-            with pytest.raises(ConfigurationError):
-                compute_neighbors(
-                    two_group_transactions, 0.4, measure=measure, strategy=strategy
-                )
+        with pytest.raises(ConfigurationError):
+            compute_neighbors(
+                two_group_transactions, 0.4, measure=measure, strategy="blocked"
+            )
 
     def test_auto_falls_back_to_bruteforce_for_non_vectorizable(self, two_group_transactions):
         measure = SimpleMatchingSimilarity(n_attributes=8)
@@ -126,9 +125,7 @@ class TestComputeNeighbors:
         assert graph.n_edges() == 0
 
     def test_strategies_constant_is_consistent(self):
-        assert set(NEIGHBOR_STRATEGIES) == {
-            "auto", "bruteforce", "blocked", "inverted-index"
-        }
+        assert set(NEIGHBOR_STRATEGIES) == {"auto", "bruteforce", "blocked"}
         # The constant is derived from the registry, not a parallel list.
         assert NEIGHBOR_STRATEGIES == ("auto", *available_backends())
 

@@ -1,24 +1,23 @@
 """Cross-backend equivalence suite for the neighbour-backend registry.
 
-Every registered backend must produce a bit-identical adjacency matrix on
-the same inputs — over a theta grid including the 0 and 1 extremes, with
-empty and duplicate transactions, and for every measure implementing the
-vectorized-counts capability (Jaccard, overlap coefficient, Dice).  The
-registry's error paths (unknown backends, duplicate registration,
-capability mismatches, bad block sizes) are covered alongside.
+Every registered backend, and ``auto``, must produce an adjacency matrix
+bit-identical to the ``bruteforce`` spec on the same inputs — over a
+theta grid including the 0 and 1 extremes, with empty and duplicate
+transactions, at block boundaries, for every built-in measure with the
+vectorized-counts capability and for a toy measure that scores above 0 at
+zero overlap.  The registry's error paths (unknown and retired backends,
+duplicate registration, capability mismatches, measures breaking the
+monotone-overlap contract, bad block sizes) are covered alongside.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.neighbors import (
-    AUTO_INVERTED_MAX_DENSITY,
-    AUTO_INVERTED_MIN_POINTS,
     DEFAULT_BLOCK_SIZE,
     DEFAULT_NEIGHBOR_STRATEGY,
     NEIGHBOR_STRATEGIES,
     available_backends,
-    candidate_pair_density,
     compute_neighbors,
     get_backend,
     register_backend,
@@ -33,22 +32,28 @@ from repro.similarity.jaccard import (
     SetCosineSimilarity,
 )
 from repro.similarity.overlap import SimpleMatchingSimilarity
+from toy_measures import NON_MONOTONE_RULES, OverlapRule, ShiftedOverlap
 
-BACKENDS = ("bruteforce", "blocked", "inverted-index")
+BACKENDS = ("bruteforce", "blocked")
+
+#: Everything compared against the bruteforce spec: each further backend
+#: and the ``auto`` resolution.
+FAST_STRATEGIES = ("auto", *BACKENDS[1:])
 
 #: Thresholds exercised by the grid: both extremes plus interior values
 #: that sit exactly on representable similarity boundaries (0.5 is a
 #: common exact Jaccard/Dice value, so >= comparisons are stressed).
 THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-#: Every measure with the vectorized-counts capability — set cosine
-#: included: its sqrt-based minimum-overlap bound is the most
-#: rounding-prone, so it must face the inverted-index pruning too.
+#: Every built-in measure with the vectorized-counts capability, plus a
+#: toy measure that scores above 0 at zero overlap: its zero thresholds
+#: connect disjoint sets, which no overlap product can see.
 MEASURES = (
     JaccardSimilarity(),
     OverlapCoefficientSimilarity(),
     DiceSimilarity(),
     SetCosineSimilarity(),
+    ShiftedOverlap(),
 )
 
 
@@ -63,7 +68,7 @@ def assert_all_backends_agree(transactions, theta, measure, block_size=None):
     reference = compute_neighbors(
         transactions, theta, measure=measure, strategy="bruteforce"
     ).adjacency
-    for strategy in BACKENDS[1:]:
+    for strategy in FAST_STRATEGIES:
         fast = compute_neighbors(
             transactions, theta, measure=measure, strategy=strategy,
             block_size=block_size,
@@ -87,8 +92,8 @@ class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("theta", THETA_GRID)
     @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.name)
     def test_with_empty_transactions(self, theta, measure, rng):
-        # Empty sets never appear in an incidence product, yet all three
-        # measures define two empty sets as identical (similarity 1).
+        # Empty sets never appear in an incidence product, yet every
+        # measure scores two empty sets as identical (similarity 1).
         transactions = random_transactions(rng, 20) + [frozenset()] * 3
         assert_all_backends_agree(transactions, theta, measure)
 
@@ -165,139 +170,19 @@ class TestCrossBackendEquivalence:
 class TestAutoSelection:
     def test_non_vectorizable_measure_goes_bruteforce(self):
         measure = SimpleMatchingSimilarity(n_attributes=4)
-        assert select_backend_name(measure, 10) == "bruteforce"
-        assert select_backend_name(measure, 10**6) == "bruteforce"
+        assert select_backend_name(measure) == "bruteforce"
 
-    def test_small_inputs_use_blocked(self):
-        # No size threshold: vectorizable measures use blocked at every size.
-        for n in (1, 2, 100, 2000, AUTO_INVERTED_MIN_POINTS - 1):
-            assert select_backend_name(JaccardSimilarity(), n) == "blocked"
-            assert select_backend_name(DiceSimilarity(), n) == "blocked"
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.name)
+    def test_vectorizable_measures_use_blocked(self, measure):
+        # The measure alone decides: no size or sparsity input remains.
+        assert select_backend_name(measure) == "blocked"
 
-    def test_large_inputs_use_blocked(self):
-        for n in (AUTO_INVERTED_MIN_POINTS, AUTO_INVERTED_MIN_POINTS + 1, 10**6):
-            assert select_backend_name(JaccardSimilarity(), n) == "blocked"
-            assert select_backend_name(DiceSimilarity(), n) == "blocked"
-
-
-class TestAutoInvertedHeuristic:
-    """Decision boundary of the posting-list-density inverted-index pick."""
-
-    @staticmethod
-    def rare_item_transactions(n):
-        # Every item occurs exactly twice: candidate mass n/2 pairs out of
-        # n(n-1)/2, density ~ 1/(n-1) — deep inside the sparse regime.
-        return [frozenset({i // 2, 10**6 + i}) for i in range(n)]
-
-    @staticmethod
-    def dense_transactions(n):
-        # Every point shares item 0 with every other: density >= 1.
-        return [frozenset({0, i}) for i in range(n)]
-
-    def test_density_of_disjoint_transactions_is_zero(self):
-        assert candidate_pair_density([frozenset({1}), frozenset({2})]) == 0.0
-        assert candidate_pair_density([frozenset({1})]) == 0.0
-
-    def test_density_of_fully_shared_item_is_one(self):
-        assert candidate_pair_density(self.dense_transactions(100)) >= 1.0
-
-    def test_density_counts_pairs_once_per_shared_item(self):
-        # Two points sharing two items: mass 2 over 1 pair -> density 2.
-        transactions = [frozenset({1, 2}), frozenset({1, 2})]
-        assert candidate_pair_density(transactions) == pytest.approx(2.0)
-
-    def test_sparse_rare_item_workload_picks_inverted_index(self):
-        n = AUTO_INVERTED_MIN_POINTS
-        transactions = self.rare_item_transactions(n)
-        assert candidate_pair_density(transactions) <= AUTO_INVERTED_MAX_DENSITY
-        assert (
-            select_backend_name(JaccardSimilarity(), n, transactions)
-            == "inverted-index"
-        )
-
-    def test_dense_workload_keeps_blocked(self):
-        n = AUTO_INVERTED_MIN_POINTS
-        transactions = self.dense_transactions(n)
-        assert (
-            select_backend_name(JaccardSimilarity(), n, transactions) == "blocked"
-        )
-
-    def test_below_scale_threshold_stays_blocked_even_when_sparse(self):
-        n = AUTO_INVERTED_MIN_POINTS - 1
-        transactions = self.rare_item_transactions(n)
-        assert candidate_pair_density(transactions) <= AUTO_INVERTED_MAX_DENSITY
-        assert (
-            select_backend_name(JaccardSimilarity(), n, transactions)
-            == "blocked"
-        )
-
-    def test_without_transactions_the_size_only_choice_is_unchanged(self):
-        assert (
-            select_backend_name(JaccardSimilarity(), AUTO_INVERTED_MIN_POINTS)
-            == "blocked"
-        )
-
-    def test_non_vectorizable_measure_still_goes_bruteforce(self):
-        measure = SimpleMatchingSimilarity(n_attributes=4)
-        transactions = self.rare_item_transactions(AUTO_INVERTED_MIN_POINTS)
-        assert (
-            select_backend_name(measure, len(transactions), transactions)
-            == "bruteforce"
-        )
-
-    def test_boundary_density_is_inclusive(self):
-        # A synthetic workload sitting exactly on the density bound picks
-        # the inverted index (<=, not <): n points, one shared item per
-        # pair tuned so mass / pairs == AUTO_INVERTED_MAX_DENSITY.
-        n = AUTO_INVERTED_MIN_POINTS
-        pairs_budget = int(AUTO_INVERTED_MAX_DENSITY * n * (n - 1) / 2)
-        # items shared by exactly two points, one per budgeted pair
-        transactions = [frozenset({10**6 + i}) for i in range(n)]
-        transactions = [set(t) for t in transactions]
-        pair = 0
-        for item in range(pairs_budget):
-            left = (2 * item) % n
-            right = (2 * item + 1) % n
-            transactions[left].add(item)
-            transactions[right].add(item)
-            pair += 1
-        transactions = [frozenset(t) for t in transactions]
-        density = candidate_pair_density(transactions)
-        assert density == pytest.approx(AUTO_INVERTED_MAX_DENSITY, rel=1e-3)
-        assert (
-            select_backend_name(JaccardSimilarity(), n, transactions)
-            == "inverted-index"
-        )
-
-    @pytest.mark.parametrize("fold_limit", [1, 3, 7, 50])
-    def test_inverted_sweep_identical_under_tiny_fold_limits(
-        self, rng, monkeypatch, fold_limit
-    ):
-        # Forces every chunk path of the item-driven sweep — multi-list
-        # chunks, single-list chunks and template segmentation — and the
-        # mid-stream folds; the adjacency must stay bit-identical to the
-        # unchunked run (mirrors the links.py fold-limit test).
-        from repro.core.neighbors import inverted as inverted_module
-
-        transactions = random_transactions(rng, 40)
-        reference = compute_neighbors(
-            transactions, 0.4, strategy="inverted-index"
-        ).adjacency
-        monkeypatch.setattr(inverted_module, "PAIR_FOLD_LIMIT", fold_limit)
-        chunked = compute_neighbors(
-            transactions, 0.4, strategy="inverted-index"
-        ).adjacency
-        assert (reference != chunked).nnz == 0
-
-    def test_auto_compute_neighbors_uses_the_heuristic_end_to_end(self, rng):
-        # A small-scale sanity check that the auto path accepts the
-        # transactions argument: below the scale threshold it is blocked.
-        transactions = random_transactions(rng, 30)
-        auto = compute_neighbors(transactions, 0.4, strategy="auto").adjacency
-        explicit = compute_neighbors(
-            transactions, 0.4, strategy="blocked"
-        ).adjacency
-        assert (auto != explicit).nnz == 0
+    @pytest.mark.parametrize("theta", (0.3, 0.5))
+    def test_rare_item_workload_matches_bruteforce(self, theta):
+        # The shape the retired inverted index was picked for: every item
+        # occurs exactly twice, so almost no pair shares an item.
+        transactions = [frozenset({i // 2, 10**6 + i}) for i in range(300)]
+        assert_all_backends_agree(transactions, theta, JaccardSimilarity())
 
 
 class TestRegistryErrorPaths:
@@ -313,10 +198,34 @@ class TestRegistryErrorPaths:
             get_backend("definitely-not-registered")
 
     def test_underscore_alias_resolves(self):
-        # The issue-style spelling inverted_index is accepted as well.
-        assert get_backend("inverted_index").name == "inverted-index"
-        graph = compute_neighbors([{1, 2}, {1, 2, 3}], 0.5, strategy="inverted_index")
-        assert graph.adjacency[0, 1]
+        # Names are normalised (case, blanks, ``_`` == ``-``) wherever they
+        # are resolved: the retired inverted_index spelling restores too.
+        assert get_backend(" Blocked ").name == "blocked"
+        assert restored_backend_name("inverted_index") == DEFAULT_NEIGHBOR_STRATEGY
+
+    @pytest.mark.parametrize("strategy", ["inverted-index", "inverted_index"])
+    def test_retired_inverted_index_is_unknown(self, strategy):
+        # An explicit request for the retired backend gets the typed
+        # unknown-strategy error, which lists what is registered instead.
+        with pytest.raises(ConfigurationError) as excinfo:
+            compute_neighbors([{1, 2}, {1, 2, 3}], 0.5, strategy=strategy)
+        message = str(excinfo.value)
+        assert "unknown neighbour strategy 'inverted-index'" in message
+        assert "blocked" in message
+
+    @pytest.mark.parametrize("strategy", FAST_STRATEGIES)
+    @pytest.mark.parametrize("name, rule", NON_MONOTONE_RULES)
+    def test_non_monotone_measure_rejected(self, name, rule, strategy, rng):
+        # The overlap kernel cannot threshold a measure that falls as the
+        # overlap grows; the spec evaluates it pair by pair.
+        transactions = random_transactions(rng, 30)
+        measure = OverlapRule(name, rule)
+        with pytest.raises(ConfigurationError, match=name):
+            compute_neighbors(transactions, 0.5, measure=measure, strategy=strategy)
+        graph = compute_neighbors(
+            transactions, 0.5, measure=measure, strategy="bruteforce"
+        )
+        assert graph.n_points == len(transactions)
 
     def test_duplicate_registration_rejected(self):
         class Dummy:
@@ -345,11 +254,15 @@ class TestRegistryErrorPaths:
             compute_neighbors([{1, 2}, {2, 3}], 0.5, block_size=-4)
 
     def test_retired_backend_restores_under_auto(self):
-        # Durable state may record the retired one-shot backend; it resumes
-        # under the default strategy.  Every other name passes through.
-        for recorded in ("vectorized", "Vectorized", " VECTORIZED "):
+        # Durable state may record a retired backend (the one-shot product
+        # or the inverted index); it resumes under the default strategy.
+        # Every other name passes through.
+        for recorded in (
+            "vectorized", "Vectorized", " VECTORIZED ", "inverted-index",
+            "Inverted-Index",
+        ):
             assert restored_backend_name(recorded) == DEFAULT_NEIGHBOR_STRATEGY
-        for recorded in ("auto", "blocked", "bruteforce", "inverted-index", "bogus"):
+        for recorded in ("auto", "blocked", "bruteforce", "bogus"):
             assert restored_backend_name(recorded) == recorded
 
     def test_strategies_constant_mirrors_registry(self):

@@ -51,6 +51,22 @@ class TestRockPipelineBasics:
         with pytest.raises(ConfigurationError):
             RockPipeline(n_clusters=2, min_cluster_size=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"labeling_strategy": "bogus"},
+            {"link_strategy": "bogus"},
+            {"neighbor_strategy": "bogus"},
+            {"neighbor_strategy": "inverted-index"},
+            {"neighbor_block_size": 0},
+        ],
+        ids=lambda overrides: "%s=%s" % next(iter(overrides.items())),
+    )
+    def test_unknown_strategy_rejected_at_construction(self, overrides):
+        # Rejected even when the phase that reads it would never run.
+        with pytest.raises(ConfigurationError):
+            RockPipeline(n_clusters=2, **overrides)
+
 
 class TestSamplingAndLabeling:
     def test_sampled_run_labels_every_point(self, mushroom_small):

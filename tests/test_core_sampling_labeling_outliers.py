@@ -27,6 +27,7 @@ from repro.core.sampling import (
     split_dataset,
 )
 from repro.errors import ConfigurationError, DataValidationError
+from toy_measures import NON_MONOTONE_RULES, OverlapRule, ShiftedOverlap
 
 
 class TestChernoffSampleSize:
@@ -356,28 +357,15 @@ class TestLabelingStrategies:
         labeler._dense_form = dense
         return labeler._matmul_counts(batch)
 
-    class _ShiftedOverlap:
-        """Toy monotone measure ``(overlap + 1) / (min size + 1)``: it is
-        positive at overlap 0, so small sets get a zero threshold even
-        when they intersect."""
-
-        name = "shifted-overlap"
-
-        def __call__(self, left, right):
-            return (len(left & right) + 1) / (min(len(left), len(right)) + 1)
-
-        def similarity_from_counts(self, intersection, size_left, size_right):
-            smaller = np.minimum(np.asarray(size_left), np.asarray(size_right))
-            return (np.asarray(intersection) + 1) / (smaller + 1)
-
-        def minimum_intersection(self, theta, size_left, size_right):
-            return np.zeros(np.broadcast(size_left, size_right).shape)
-
     #: 0.1 + 0.2 is just above 3/10 in float64, so overlap 3 of union 10
     #: must not qualify; 1/3 sits exactly on a Jaccard/overlap value.
     KERNEL_THETAS = [0.1 + 0.2, 1 / 3, 0.7, 1.0]
 
-    @pytest.mark.parametrize("theta", KERNEL_THETAS)
+    #: The rest of the theta grid the neighbour and ingest suites run
+    #: (1.0 is in KERNEL_THETAS).
+    THETA_GRID = [0.0, 0.25, 0.5, 0.75]
+
+    @pytest.mark.parametrize("theta", KERNEL_THETAS + THETA_GRID)
     @pytest.mark.parametrize(
         "measure_name",
         ["jaccard", "dice", "overlap-coefficient", "set-cosine", "shifted-overlap"],
@@ -386,8 +374,8 @@ class TestLabelingStrategies:
     def test_kernel_forms_match_bruteforce(self, wide, measure_name, theta):
         from repro.similarity.registry import get_measure
 
-        if measure_name == self._ShiftedOverlap.name:
-            measure = self._ShiftedOverlap()
+        if measure_name == ShiftedOverlap.name:
+            measure = ShiftedOverlap()
         else:
             measure = get_measure(measure_name)
         unlabeled, sample, clusters, item_index = self._universe_setup(wide, seed=3)
@@ -490,39 +478,13 @@ class TestLabelingStrategies:
             brute = label_points(point, sample, [[0], [1]], theta=theta, strategy="bruteforce")
             assert brute.neighbor_counts[0, 0] == expected
 
-    class _OverlapRule:
-        """Toy vectorizable measure of the overlap alone: 1.0 where
-        ``rule(overlap)`` holds for two non-empty sets, else 0.0."""
-
-        def __init__(self, name, rule):
-            self.name = name
-            self.rule = rule
-
-        def __call__(self, left, right):
-            return float(bool(left and right) and self.rule(len(left & right)))
-
-        def similarity_from_counts(self, intersection, size_left, size_right):
-            both = (np.asarray(size_left) > 0) & (np.asarray(size_right) > 0)
-            return np.where(both & self.rule(np.asarray(intersection)), 1.0, 0.0)
-
-        def minimum_intersection(self, theta, size_left, size_right):
-            return np.zeros(np.broadcast(size_left, size_right).shape)
-
-    @pytest.mark.parametrize(
-        "name, rule",
-        [
-            # Falls as the overlap grows: only the check at overlap 0 sees it.
-            ("disjoint-only", lambda overlap: overlap == 0),
-            # Rises then falls: the check at the largest overlap sees it.
-            ("exactly-one", lambda overlap: overlap == 1),
-        ],
-    )
+    @pytest.mark.parametrize("name, rule", NON_MONOTONE_RULES)
     def test_non_monotone_measure_rejected(self, name, rule):
         unlabeled, sample, clusters, _ = self._universe_setup(False, seed=7)
         with pytest.raises(ConfigurationError, match=name):
             label_points(
                 unlabeled, sample, clusters, theta=0.5,
-                measure=self._OverlapRule(name, rule), strategy="sparse-matmul",
+                measure=OverlapRule(name, rule), strategy="sparse-matmul",
             )
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense-form", "sparse-form"])
@@ -541,12 +503,12 @@ class TestLabelingStrategies:
         "measure_name", ["jaccard", "dice", "overlap-coefficient", "set-cosine"]
     )
     def test_threshold_table_matches_linear_scan(self, measure_name, theta):
-        from repro.core.labeling import _overlap_thresholds
+        from repro.core.neighbors.vectorized import overlap_thresholds
         from repro.similarity.registry import get_measure
 
         measure = get_measure(measure_name)
         sizes = np.arange(0, 13)
-        table = _overlap_thresholds(measure, theta, sizes, sizes)
+        table = overlap_thresholds(measure, theta, sizes, sizes)
         for a in sizes:
             for b in sizes:
                 expected = next(

@@ -8,6 +8,7 @@ on the tight-cluster benchmark workload where the one-shot pipeline itself
 recovers the latent groups, so an agreement floor is meaningful.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -231,6 +232,27 @@ class TestShardFaultTolerance:
     def test_negative_retries_rejected(self):
         with pytest.raises(ConfigurationError):
             cluster_shards(self.SAMPLES, self._cluster_one, retries=-1)
+
+    @pytest.mark.parametrize("shard_workers", [None, 3])
+    def test_configuration_error_is_not_retried(self, shard_workers):
+        # A configuration error would fail every retry alike: it propagates
+        # on the first attempt, with no degraded run and no warning.
+        calls = []
+
+        def cluster_one(shard_id, sample, positions):
+            calls.append(shard_id)
+            raise ConfigurationError("bogus strategy")
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError, match="bogus strategy"):
+                cluster_shards(
+                    self.SAMPLES, cluster_one, shard_workers=shard_workers
+                )
+        assert len(calls) == len(set(calls))
+        if shard_workers is None:
+            assert calls == [0]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestMergeShardSummaries:
@@ -470,6 +492,31 @@ class TestProcessExecutor:
         return _pipeline().run_sharded(
             tight_baskets.transactions, n_shards=3, shard_workers=2
         )
+
+    def test_configuration_error_in_worker_is_not_retried(self, tight_baskets):
+        # The worker rebuilds a pipeline from the shipped config, which
+        # rejects the retired backend; the parent re-raises that error
+        # after one wave instead of retrying it as a worker crash.
+        config = dataclasses.replace(
+            ShardWorkerConfig.from_pipeline(_pipeline()),
+            neighbor_strategy="inverted-index",
+        )
+        transactions = tight_baskets.transactions
+        samples = [
+            (transactions[:40], list(range(40))),
+            (transactions[40:80], list(range(40, 80))),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError, match="inverted-index"):
+                cluster_shards(
+                    samples,
+                    lambda shard_id, sample, positions: None,
+                    shard_workers=2,
+                    executor=PROCESS_SHARD_EXECUTOR,
+                    worker_config=config,
+                )
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_process_matches_thread_bit_identically(
         self, tight_baskets, thread_run

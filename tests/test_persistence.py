@@ -290,15 +290,17 @@ class TestSnapshotRoundTrip:
         )
         assert loaded.session.engine == DEFAULT_ENGINE
 
-    def test_retired_vectorized_backend_checkpoint_resumes_under_auto(self, tmp_path):
-        # Checkpoints written while the one-shot "vectorized" backend was
-        # registered pass the resume config check under auto and keep
-        # ingesting bit-identically (the adjacency never depended on it).
+    @pytest.mark.parametrize("retired", ["vectorized", "inverted-index"])
+    def test_retired_backend_checkpoint_resumes_under_auto(self, tmp_path, retired):
+        # Checkpoints written while a retired backend (the one-shot product,
+        # the inverted index) was registered pass the resume config check
+        # under auto and keep ingesting bit-identically (the adjacency never
+        # depended on it).
         reference = _session()
         _run_schedule(reference, STREAM_BATCHES[:2])
         interrupted = _session()
         _run_schedule(interrupted, STREAM_BATCHES[:2])
-        interrupted.neighbor_strategy = "vectorized"
+        interrupted.neighbor_strategy = retired
         SessionSnapshot(interrupted).save(tmp_path)
 
         restored = SessionSnapshot.load(
@@ -322,9 +324,10 @@ class TestSnapshotRoundTrip:
             reference, STREAM_BATCHES[2:]
         )
 
-    def test_explicit_vectorized_request_is_an_unknown_strategy(self):
+    @pytest.mark.parametrize("retired", ["vectorized", "inverted-index"])
+    def test_explicit_retired_backend_request_is_an_unknown_strategy(self, retired):
         with pytest.raises(ConfigurationError, match="unknown neighbour strategy"):
-            _session(neighbor_strategy="vectorized")
+            _session(neighbor_strategy=retired)
 
     def test_other_recorded_backend_still_checked_on_resume(self, tmp_path):
         SessionSnapshot(_session(neighbor_strategy="blocked")).save(tmp_path)

@@ -19,7 +19,14 @@ from repro.evaluation.metrics import (
     clustering_error,
     purity,
 )
-from repro.similarity.jaccard import DiceSimilarity, jaccard
+from repro.similarity.jaccard import (
+    DiceSimilarity,
+    JaccardSimilarity,
+    OverlapCoefficientSimilarity,
+    SetCosineSimilarity,
+    jaccard,
+)
+from toy_measures import ShiftedOverlap
 
 # ----------------------------------------------------------------------- #
 # Strategies
@@ -31,6 +38,15 @@ transaction_lists = st.lists(
     max_size=18,
 )
 thetas = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+#: Every measure the exact overlap kernel thresholds: the four built-in
+#: ones and a toy one that scores above 0 at zero overlap.
+KERNEL_MEASURES = (
+    JaccardSimilarity(),
+    DiceSimilarity(),
+    OverlapCoefficientSimilarity(),
+    SetCosineSimilarity(),
+    ShiftedOverlap(),
+)
 
 
 # ----------------------------------------------------------------------- #
@@ -150,13 +166,17 @@ class TestClusteringProperties:
     @settings(deadline=None, max_examples=40)
     @given(
         transactions=transaction_lists,
-        theta=st.floats(min_value=0.05, max_value=0.95),
+        theta=thetas,
         block_size=st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
+        measure=st.sampled_from(KERNEL_MEASURES),
     )
-    def test_neighbor_strategies_agree(self, transactions, theta, block_size):
-        brute = compute_neighbors(transactions, theta, strategy="bruteforce")
+    def test_neighbor_strategies_agree(self, transactions, theta, block_size, measure):
+        brute = compute_neighbors(
+            transactions, theta, measure=measure, strategy="bruteforce"
+        )
         fast = compute_neighbors(
-            transactions, theta, strategy="blocked", block_size=block_size
+            transactions, theta, measure=measure, strategy="blocked",
+            block_size=block_size,
         )
         assert (brute.adjacency != fast.adjacency).nnz == 0
 
@@ -256,7 +276,9 @@ class TestIncrementalProperties:
         # The maintained adjacency, the derived link matrix and the cluster
         # links equal a from-scratch recomputation over the live points,
         # and the clusters partition them.
-        graph = compute_neighbors(session.live_points, theta=theta)
+        graph = compute_neighbors(
+            session.live_points, theta=theta, strategy="bruteforce"
+        )
         assert (session.adjacency_ != graph.adjacency).nnz == 0
         fresh = links_from_neighbors(graph, include_self=include_self_links)
         assert (session.links_ != fresh).nnz == 0
