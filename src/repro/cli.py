@@ -42,7 +42,7 @@ from pathlib import Path
 
 from repro.bench.harness import available_experiments, get_experiment
 from repro.core.neighbors import DEFAULT_NEIGHBOR_STRATEGY, neighbor_strategies
-from repro.core.pipeline import RockPipeline, rock_cluster
+from repro.core.pipeline import RockPipeline
 from repro.core.engines import DEFAULT_ENGINE, engine_choices
 from repro.core.sharding import (
     AUTO_SHARD_EXECUTOR,
@@ -116,7 +116,61 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _build_pipeline(arguments) -> RockPipeline:
+    """The pipeline ``cluster`` and ``serve`` run, from their shared flags."""
+    return RockPipeline(
+        n_clusters=arguments.clusters,
+        theta=arguments.theta,
+        sample_size=arguments.sample_size,
+        min_neighbors=arguments.min_neighbors,
+        min_cluster_size=arguments.min_cluster_size,
+        engine=arguments.engine,
+        neighbor_strategy=arguments.neighbor_strategy,
+        neighbor_block_size=arguments.neighbor_block_size,
+        rng=arguments.seed,
+    )
+
+
+#: ``cluster``'s modes: the entry point each calls, given the pipeline, the
+#: parsed flags and the loaded input (``None`` for the out-of-core modes,
+#: which read ``path`` batch by batch).
+CLUSTER_MODES = {
+    "in-memory": lambda pipeline, arguments, data: pipeline.run(data),
+    "streaming": lambda pipeline, arguments, data: pipeline.run_streaming(
+        arguments.path,
+        batch_size=arguments.batch_size,
+        label_prefix=arguments.label_prefix,
+    ),
+    "sharded": lambda pipeline, arguments, data: pipeline.run_sharded(
+        arguments.path,
+        n_shards=arguments.shards,
+        batch_size=arguments.batch_size,
+        shard_workers=arguments.shard_workers,
+        shard_strategy=arguments.shard_strategy,
+        shard_executor=arguments.shard_executor,
+        shard_retries=arguments.shard_retries,
+        merge_fan_in=arguments.merge_fan_in,
+        label_prefix=arguments.label_prefix,
+    ),
+    "online": lambda pipeline, arguments, data: pipeline.run_online(
+        arguments.path,
+        batch_size=arguments.batch_size,
+        refresh_threshold=arguments.refresh_threshold,
+        label_prefix=arguments.label_prefix,
+        snapshot_dir=arguments.snapshot_dir,
+        snapshot_every=arguments.snapshot_every,
+        resume=arguments.resume,
+    ),
+}
+
+
 def _command_cluster(arguments) -> int:
+    """Run ``cluster`` in the mode its flags select (see :data:`CLUSTER_MODES`).
+
+    ``--stream``, ``--shards N`` with N > 1 and ``--online`` label the file
+    out-of-core, batch by batch; they require the transactions format and
+    an explicit ``--sample-size``.
+    """
     if arguments.shards < 1:
         raise ConfigurationError(
             "--shards must be at least 1, got %d" % arguments.shards
@@ -141,108 +195,48 @@ def _command_cluster(arguments) -> int:
             "--snapshot-dir/--snapshot-every/--resume require --online "
             "(checkpoints capture the live incremental session)"
         )
-    if arguments.stream or arguments.online or arguments.shards > 1:
-        return _command_cluster_streaming(arguments)
-    transactions, labels, n_records = _load_input(arguments)
-    result = rock_cluster(
-        transactions,
-        n_clusters=arguments.clusters,
-        theta=arguments.theta,
-        sample_size=arguments.sample_size,
-        min_neighbors=arguments.min_neighbors,
-        min_cluster_size=arguments.min_cluster_size,
-        engine=arguments.engine,
-        neighbor_strategy=arguments.neighbor_strategy,
-        neighbor_block_size=arguments.neighbor_block_size,
-        rng=arguments.seed,
-    )
-    print("%d records -> %d clusters (%d outliers) in %.2fs" % (
-        n_records, result.n_clusters, result.n_outliers, result.timings["total"]))
-    if labels is not None:
-        table = composition_table(result.labels, labels)
-        print(format_composition_table(table, title="Cluster composition"))
-        print("clustering error: %.4f" % clustering_error(result.labels, labels))
-    else:
-        rows = [[i, len(members)] for i, members in enumerate(result.clusters)]
-        print(format_table(["cluster", "size"], rows, title="Cluster sizes"))
-    if arguments.output:
-        written = _write_labels(arguments.output, result.labels)
-        print("labels written to %s" % written)
-    return 0
-
-
-def _command_cluster_streaming(arguments) -> int:
-    """Out-of-core variant of ``cluster``: label the file batch by batch.
-
-    Handles ``--stream`` (one in-memory sample, streamed labelling),
-    ``--shards N`` with N > 1 (sharded clustering through
-    :meth:`RockPipeline.run_sharded`) and ``--online`` (incremental ingest
-    through :meth:`RockPipeline.run_online`); all modes require the
-    transactions format and an explicit ``--sample-size``.
-    """
     if arguments.shards > 1:
-        mode = "sharded x%d" % arguments.shards
+        mode = "sharded"
     elif arguments.online:
         mode = "online"
-    else:
+    elif arguments.stream:
         mode = "streaming"
-    if arguments.format != "transactions":
+    else:
+        mode = "in-memory"
+    data = labels = None
+    if mode == "in-memory":
+        data, labels, _ = _load_input(arguments)
+    elif arguments.format != "transactions":
         raise ConfigurationError(
             "--stream/--shards/--online require --format transactions "
             "(one transaction per line)"
         )
-    if arguments.sample_size is None:
+    elif arguments.sample_size is None:
         raise ConfigurationError(
             "--stream/--shards/--online require --sample-size: without it "
             "the whole file would be clustered in memory, defeating the "
             "out-of-core mode (see repro.core.sampling.chernoff_sample_size "
             "for how large the sample must be)"
         )
-    pipeline = RockPipeline(
-        n_clusters=arguments.clusters,
-        theta=arguments.theta,
-        sample_size=arguments.sample_size,
-        min_neighbors=arguments.min_neighbors,
-        min_cluster_size=arguments.min_cluster_size,
-        engine=arguments.engine,
-        neighbor_strategy=arguments.neighbor_strategy,
-        neighbor_block_size=arguments.neighbor_block_size,
-        rng=arguments.seed,
-    )
-    if arguments.shards > 1:
-        result = pipeline.run_sharded(
-            arguments.path,
-            n_shards=arguments.shards,
-            batch_size=arguments.batch_size,
-            shard_workers=arguments.shard_workers,
-            shard_strategy=arguments.shard_strategy,
-            shard_executor=arguments.shard_executor,
-            shard_retries=arguments.shard_retries,
-            merge_fan_in=arguments.merge_fan_in,
-            label_prefix=arguments.label_prefix,
-        )
-        mode += ", %s" % result.parameters["shard_executor"]
-    elif arguments.online:
-        result = pipeline.run_online(
-            arguments.path,
-            batch_size=arguments.batch_size,
-            refresh_threshold=arguments.refresh_threshold,
-            label_prefix=arguments.label_prefix,
-            snapshot_dir=arguments.snapshot_dir,
-            snapshot_every=arguments.snapshot_every,
-            resume=arguments.resume,
-        )
-        if result.parameters.get("n_refreshes"):
-            mode += ", %d refreshes" % result.parameters["n_refreshes"]
-    else:
-        result = pipeline.run_streaming(
-            arguments.path,
-            batch_size=arguments.batch_size,
-            label_prefix=arguments.label_prefix,
-        )
-    print("%d records -> %d clusters (%d outliers) in %.2fs [%s, batch=%d]" % (
+    result = CLUSTER_MODES[mode](_build_pipeline(arguments), arguments, data)
+    summary = "%d records -> %d clusters (%d outliers) in %.2fs" % (
         len(result.labels), result.n_clusters, result.n_outliers,
-        result.timings["total"], mode, arguments.batch_size))
+        result.timings["total"])
+    if mode != "in-memory":
+        detail = mode
+        if mode == "sharded":
+            detail = "sharded x%d, %s" % (
+                arguments.shards, result.parameters["shard_executor"])
+        elif result.parameters.get("n_refreshes"):
+            detail += ", %d refreshes" % result.parameters["n_refreshes"]
+        summary += " [%s, batch=%d]" % (detail, arguments.batch_size)
+        if arguments.label_prefix:
+            collected = read_transaction_labels(
+                arguments.path, label_prefix=arguments.label_prefix
+            )
+            if any(label is not None for label in collected):
+                labels = collected
+    print(summary)
     skipped = result.parameters.get("skipped_shards") or []
     if skipped:
         # A degraded run must be visible in the summary, not only in the
@@ -252,13 +246,6 @@ def _command_cluster_streaming(arguments) -> int:
             "WARNING: degraded run - %d shard(s) skipped after worker "
             "failures: %s" % (len(skipped), ", ".join(str(s) for s in skipped))
         )
-    labels = None
-    if arguments.label_prefix:
-        collected = read_transaction_labels(
-            arguments.path, label_prefix=arguments.label_prefix
-        )
-        if any(label is not None for label in collected):
-            labels = collected
     if labels is not None:
         table = composition_table(result.labels, labels)
         print(format_composition_table(table, title="Cluster composition"))
@@ -298,19 +285,8 @@ def _command_serve(arguments) -> int:
             "serve requires --sample-size: the live session is bootstrapped "
             "from a clustered sample exactly like --online"
         )
-    pipeline = RockPipeline(
-        n_clusters=arguments.clusters,
-        theta=arguments.theta,
-        sample_size=arguments.sample_size,
-        min_neighbors=arguments.min_neighbors,
-        min_cluster_size=arguments.min_cluster_size,
-        engine=arguments.engine,
-        neighbor_strategy=arguments.neighbor_strategy,
-        neighbor_block_size=arguments.neighbor_block_size,
-        rng=arguments.seed,
-    )
     try:
-        asyncio.run(_serve_async(arguments, pipeline))
+        asyncio.run(_serve_async(arguments, _build_pipeline(arguments)))
     except KeyboardInterrupt:
         # The WAL already holds every acked ingest; a later --resume run
         # recovers from the last durable checkpoint plus the WAL tail.

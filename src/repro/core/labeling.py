@@ -318,7 +318,8 @@ class StreamingLabeler:
             # Items no retained row holds can never overlap one, so the kernel
             # indexes the occupied columns alone: neither the fill nor the
             # dense rows span the unused columns of a wider shared index
-            # (``run`` passes the whole data set's).  With no column occupied
+            # (the pipeline passes the whole sample's, which also covers the
+            # rows outside the retained fractions).  With no column occupied
             # the index stays: the encoding keeps at least one column.
             occupied = np.bincount(incidence.indices, minlength=incidence.shape[1]) > 0
             if occupied.any() and not occupied.all():

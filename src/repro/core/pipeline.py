@@ -1,43 +1,46 @@
 """End-to-end ROCK pipeline: sample, cluster, label, handle outliers.
 
-This module composes the pieces exactly as the paper's overview figure does:
+The paper's pipeline is one sequence of phases:
 
 1. draw a random sample (optional — small data sets are clustered whole);
 2. optionally discard isolated points (outlier pre-filtering);
 3. run the agglomerative ROCK algorithm on the (filtered) sample;
 4. optionally prune tiny clusters (late-outlier handling);
-5. label every point that was not clustered — the rest of the sample and
-   the non-sampled remainder — against the sampled clusters.
+5. label every point that was not clustered — the non-sampled remainder
+   and the sample points phases 2 and 4 set aside — against the sampled
+   clusters.
 
-The result exposes labels over the *full* input, cluster membership, the
-intermediate artefacts and per-phase timings, which is what the scalability
-benchmarks consume.
+One private driver (:meth:`RockPipeline._drive`) runs that sequence for
+every entry point.  It normalises the source into re-iterable batches,
+draws the sample in one counting-and-collecting pass, seeds the labels of
+the clustered sample points, collects the set-aside sample points, times
+the phases and assembles every result in one finalizer.  The entry points
+differ at two plug points only:
 
-Four entry points share that structure.  :meth:`RockPipeline.run` takes
-the whole data set in memory.  :meth:`RockPipeline.run_streaming` takes a
-re-iterable source (a transaction file path, an in-memory collection or an
-iterator factory) and keeps peak memory bounded by the sample plus one
-batch: the sample is drawn from a first pass over the source, clustered in
-memory, and the disk-resident remainder is labelled batch by batch through
-one :class:`repro.core.labeling.StreamingLabeler` whose retained-fraction
-incidence is built exactly once.  On the same data and seed both entry
-points produce bit-identical labels.  :meth:`RockPipeline.run_sharded`
-additionally shards the *clustering* phase itself
-(:mod:`repro.core.sharding`): the source is partitioned into shards, every
-shard clusters its own sample (optionally in parallel), the per-shard
-cluster summaries are merged by a weighted summary agglomeration, and the
-merged clustering labels the full source through the same streaming
-labeler.  With one shard it takes the streaming path unchanged, so
-``n_shards=1`` is bit-identical to :meth:`RockPipeline.run_streaming`.
-:meth:`RockPipeline.run_online` is the online-ingest counterpart: the same
-sampling and clustering phases bootstrap an
-:class:`repro.core.incremental.IncrementalRock` session, the remainder is
-*ingested* batch by batch (labelled through the shared
-:class:`~repro.core.labeling.StreamingLabeler` while the live clustering
-absorbs every batch), and :meth:`RockPipeline.ingest` keeps accepting new
-batches after the run returns.  Without a refresh trigger the labels are
-bit-identical to :meth:`RockPipeline.run_streaming` on the same data and
-seed.
+* **the cluster phase** (phases 2-4): the whole sample as one shard through
+  :meth:`RockPipeline._cluster_sample`, or — :meth:`RockPipeline.run_sharded`
+  with several shards — every shard's sample through
+  :func:`repro.core.sharding.cluster_shards`, with the per-shard cluster
+  summaries merged by :func:`repro.core.sharding.merge_shard_summaries`;
+* **the label phase** (phase 5): one
+  :class:`repro.core.labeling.StreamingLabeler` over the pending batches,
+  or — :meth:`RockPipeline.run_online` — a bootstrapped
+  :class:`repro.core.incremental.IncrementalRock` session ingesting them,
+  write-ahead logged with ``snapshot_dir`` (a resumed run restores the
+  session and its label bookkeeping from a checkpoint and skips phases
+  1-4).
+
+:meth:`RockPipeline.run` is the driver over the in-memory data as a single
+batch; :meth:`RockPipeline.run_streaming` is the driver over a re-iterable
+source (a transaction file path, an in-memory collection or an iterator
+factory) in batches of ``batch_size``, keeping peak memory bounded by the
+sample plus two batches.  Because every mode walks the same phases, three
+contracts hold by construction: streaming ≡ in-memory, 1-shard ≡
+streaming and — without a refresh trigger — incremental ≡ streaming, each
+with bit-identical labels on the same data and seed.  The result exposes
+labels over the *full* input, cluster membership, the intermediate
+artefacts and per-phase timings, which is what the scalability benchmarks
+consume.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -60,7 +63,9 @@ from repro.core.incremental import (
 from repro.core.labeling import (
     LabelingResult,
     StreamingLabeler,
-    label_points,
+    # Kept as a module global for perfbench's ``labeling.label_points``
+    # span, which wraps it by this name.
+    label_points,  # noqa: F401
     validate_labeling_strategy,
 )
 from repro.core.links import validate_link_strategy
@@ -86,6 +91,7 @@ from repro.core.sharding import (
     count_shard_sizes,
     merge_shard_summaries,
     resolve_shard_executor,
+    validate_merge_options,
 )
 from repro.data.encoding import build_item_index
 from repro.data.io import iter_transactions
@@ -109,6 +115,8 @@ STREAMING_SAMPLE_METHODS = ("exact", "reservoir")
 class RockPipelineResult:
     """Outcome of the full ROCK pipeline on a data set.
 
+    Every entry point returns this shape.
+
     Attributes
     ----------
     labels:
@@ -116,31 +124,39 @@ class RockPipelineResult:
         outliers.
     clusters:
         For each label, the tuple of member indices into the full data set,
-        ordered by decreasing size.
+        ordered by decreasing size (ties: smaller first member first).
     sample_indices:
         Indices of the points that formed the clustered sample.
     rock_result:
-        The :class:`RockResult` of the agglomeration on the sample.
+        The :class:`RockResult` of the agglomeration on the sample (for a
+        multi-shard run, the merged clustering over the pooled shard
+        samples; for an online run, the bootstrap clustering).
     labeling_result:
-        The :class:`LabelingResult` of the final labelling pass, or ``None``
-        when every point was part of the clustered sample.  Its labels are
-        expressed in the *final* label space (the same one ``labels`` uses),
-        and row ``i`` describes the point at full-data-set index
-        ``labeled_indices[i]``.  Streaming runs leave ``neighbor_counts``
-        empty (shape ``(0, n_clusters)``): retaining a dense per-point count
-        matrix would break the bounded-memory contract of
-        :meth:`RockPipeline.run_streaming`.
+        The :class:`LabelingResult` of the labelling pass, or ``None`` when
+        every point was part of the clustered sample.  Its labels are
+        expressed in the *final* label space (the same one ``labels``
+        uses), and row ``i`` describes the point at full-data-set index
+        ``labeled_indices[i]``.  Its ``neighbor_counts`` is empty (shape
+        ``(0, n_clusters)``) in every mode: retaining a dense per-point
+        count matrix would break the bounded-memory contract of the
+        out-of-core modes.  :func:`repro.core.labeling.label_points`
+        returns the dense counts of a one-shot labelling.
     labeled_indices:
         Full-data-set index of each ``labeling_result`` row, or ``None``
-        when no labelling pass ran.
+        when no labelling pass ran: the non-sampled remainder in stream
+        order, then the sample points the pre-filter or the pruning set
+        aside, in increasing order.
     n_outliers:
         Number of points with label ``-1``.
     timings:
-        Wall-clock seconds per phase (``"sampling"``, ``"neighbors"``,
-        ``"clustering"``, ``"labeling"``, ``"total"``).  Note ``"neighbors"``
-        only covers the outlier pre-filter phase (the neighbour graph built
-        when ``min_neighbors > 0``); the neighbour computation the
-        agglomeration itself performs is part of ``"clustering"``.
+        Wall-clock seconds per phase.  A fresh run records ``"sampling"``,
+        ``"neighbors"``, ``"clustering"``, ``"labeling"`` and ``"total"``;
+        a multi-shard run adds ``"shard_clustering"`` and ``"merge"``; an
+        online run resumed from a checkpoint records only ``"labeling"``
+        (WAL replay plus ingest) and ``"total"``.  ``"neighbors"`` only
+        covers the outlier pre-filter (the neighbour graph built when
+        ``min_neighbors > 0``); the neighbour computation the agglomeration
+        itself performs is part of ``"clustering"``.
     parameters:
         The key parameters the pipeline ran with (for reporting).
     """
@@ -172,31 +188,23 @@ class RockPipelineResult:
         ]
 
 
-def _pending_sample_positions(
-    sample_indices, sample_position_of, isolated, pruned_points
-) -> list[int]:
-    """Full-data-set positions of sampled points the labeler must place.
-
-    The isolated points the pre-filter set aside plus the members of
-    pruned clusters, deduplicated in increasing stream order — shared by
-    every out-of-core entry point.
-    """
-    pending: list[int] = []
-    pending.extend(sample_indices[i] for i in isolated)
-    pending.extend(sample_position_of[j] for j in pruned_points)
-    return sorted(set(pending))
-
-
-def _pending_batches(batches, sample_set: set):
+def _pending_batches(batches, sample_set: set, n_points: int, mismatch):
     """Yield ``(transactions, positions)`` of the non-sample stream points.
 
     Walks the normalised source batch by batch, skipping the stream
-    positions in ``sample_set``; every out-of-core labelling/ingest path
-    shares this iteration so the batch boundaries (and with them the
-    bit-identical-labels contracts) can never drift apart.
+    positions in ``sample_set``.  The source must hold exactly
+    ``n_points`` transactions: each batch is held back until the next one
+    has been read, so the error ``mismatch(seen)`` builds (``seen``
+    describes the source's length) is raised before any batch that shows
+    a longer or shorter source is yielded.
     """
+    held = None
     position = 0
     for batch in batches():
+        if position + len(batch) > n_points:
+            raise mismatch("more than %d" % n_points)
+        if held is not None:
+            yield held
         pending_batch: list[frozenset] = []
         pending_positions: list[int] = []
         for transaction in batch:
@@ -204,8 +212,11 @@ def _pending_batches(batches, sample_set: set):
                 pending_batch.append(frozenset(transaction))
                 pending_positions.append(position)
             position += 1
-        if pending_batch:
-            yield pending_batch, pending_positions
+        held = (pending_batch, pending_positions) if pending_batch else None
+    if position != n_points:
+        raise mismatch(str(position))
+    if held is not None:
+        yield held
 
 
 def _rebatch(transactions, batch_size: int):
@@ -226,10 +237,10 @@ def _transaction_batches(
     delimiter: str | None = None,
     label_prefix: str | None = None,
 ):
-    """Normalise a streaming source to ``(batch_factory, length_or_None)``.
+    """Normalise a source to ``(batch_factory, length_or_None)``.
 
     ``batch_factory`` is a zero-argument callable returning a fresh iterator
-    of transaction batches on every call (streaming needs at least two
+    of transaction batches on every call (the driver needs at least two
     passes: one to sample, one to label).  Supported sources: a transaction
     file path (read through :func:`repro.data.io.iter_transactions`, with
     ``delimiter``/``label_prefix`` applied on every pass), a zero-argument
@@ -262,94 +273,184 @@ def _transaction_batches(
     return factory, len(transactions)
 
 
-class _OnlineIngestState:
-    """Mutable label bookkeeping of one :meth:`RockPipeline.run_online`.
+class _Clustering(NamedTuple):
+    """What a cluster phase hands the label phase.
 
-    Everything the final assembly needs that the ``IncrementalRock`` session
-    does not itself hold: the full-stream label array, per-batch label
-    chunks, the refresh label-space offsets and the progress counters saying
-    which pending batches were already absorbed.  ``to_extra`` packs it into
-    the snapshot's caller-state slot and ``from_extra`` rebuilds it, so a
+    ``clusters`` index ``sample`` (the sample points that were clustered),
+    ``positions[i]`` is the stream position of ``sample[i]``, and
+    ``set_aside`` lists the stream positions of the sample points the
+    pre-filter isolated or the pruning dissolved.  ``item_index`` covers
+    the sample (or the pooled shard samples) and ``parameters`` carries the
+    phase's own reporting keys.
+    """
+
+    sample: list
+    positions: list[int]
+    clusters: list
+    set_aside: list[int]
+    rock_result: RockResult
+    item_index: dict
+    parameters: dict
+
+
+@dataclass(frozen=True)
+class _ShardOptions:
+    """The sharded cluster phase's options, validated by ``run_sharded``."""
+
+    n_shards: int
+    strategy: str
+    workers: int | None
+    executor: str
+    retries: int
+    fan_in: int | None
+    representatives: int | str
+    worker_config: ShardWorkerConfig
+
+
+@dataclass(frozen=True)
+class _OnlineOptions:
+    """The online label phase's options, validated by ``run_online``."""
+
+    refresh_threshold: float | None
+    snapshot_dir: Any
+    snapshot_every: int | None
+    resume: bool
+
+
+@dataclass
+class _LabelState:
+    """Label bookkeeping of one run, shared by both label phases.
+
+    The full-stream label array (seeded with the clustered sample points'
+    labels), per-batch label chunks, the label-space offsets of online
+    refreshes and the progress counters saying which pending payloads were
+    already placed.  :meth:`pending` is the one walk over the payloads
+    every label phase places.  ``to_extra`` packs every field but
+    ``restored`` into an online snapshot's caller-state slot, under the
+    field's name, and ``from_extra`` rebuilds the state from it, so a
     resumed run continues exactly where the checkpoint left off.
     """
 
     KIND_REMAINDER = "remainder"
     KIND_SAMPLE = "sample"
 
-    def __init__(
-        self,
-        n_points: int,
-        labels: np.ndarray,
-        space_sizes,
-        sample_indices,
-        sample_pending,
-        sample_pending_transactions,
-        has_remainder: bool,
-        rock_result,
-        batch_size: int,
-        sample_method: str,
-    ):
-        self.n_points = int(n_points)
-        self.labels = labels
-        self.label_chunks: list[np.ndarray] = []
-        self.labeled_indices: list[int] = []
-        # Every refresh opens a fresh labelling space; global label ids
-        # are the per-space labels shifted by the previous spaces' sizes,
-        # so assignments from different spaces never collide.
-        self.offsets = [0]
-        self.space_sizes = list(space_sizes)
-        self.sample_indices = list(sample_indices)
-        self.sample_pending = list(sample_pending)
-        self.sample_pending_transactions = list(sample_pending_transactions)
-        self.has_remainder = bool(has_remainder)
-        self.rock_result = rock_result
-        self.batch_size = int(batch_size)
-        self.sample_method = sample_method
-        self.remainder_done = 0
-        self.sample_pending_done = False
+    n_points: int
+    labels: np.ndarray
+    space_sizes: list[int]
+    sample_indices: list[int]
+    #: Stream positions of the set-aside sample points, and their items.
+    sample_pending: list[int]
+    sample_pending_transactions: list[frozenset]
+    has_remainder: bool
+    rock_result: RockResult
+    batch_size: int
+    sample_method: str
+    label_chunks: list[np.ndarray] = field(default_factory=list)
+    labeled_indices: list[int] = field(default_factory=list)
+    # Every refresh opens a fresh labelling space; global label ids are the
+    # per-space labels shifted by the previous spaces' sizes, so
+    # assignments from different spaces never collide.
+    offsets: list[int] = field(default_factory=lambda: [0])
+    remainder_done: int = 0
+    sample_pending_done: bool = False
+    restored: bool = False
 
-    def apply(self, session: IncrementalRock, payload: Any) -> None:
-        """Splice one logged payload: ingest, place labels, advance progress."""
-        batch, positions, kind = payload
-        result = session.ingest(batch)
-        chunk = result.labels.copy()
-        chunk[chunk >= 0] += self.offsets[result.label_space]
+    @classmethod
+    def seeded(
+        cls, n_points: int, units, clustering: _Clustering, batch_size: int, sample_method: str
+    ) -> "_LabelState":
+        """The state of a fresh run after its cluster phase.
+
+        The clustered sample points carry their kept cluster's label; the
+        set-aside sample points are pending, in increasing stream order.
+        """
+        labels = np.full(n_points, -1, dtype=int)
+        for label, members in enumerate(clustering.clusters):
+            labels[[clustering.positions[i] for i in members]] = label
+        sample_indices = sorted(p for _, positions in units for p in positions)
+        set_aside = sorted(set(clustering.set_aside))
+        transaction_of = {
+            p: t for sample, positions in units for p, t in zip(positions, sample)
+        }
+        return cls(
+            n_points=n_points,
+            labels=labels,
+            space_sizes=[len(clustering.clusters)],
+            sample_indices=sample_indices,
+            sample_pending=set_aside,
+            sample_pending_transactions=[transaction_of[p] for p in set_aside],
+            has_remainder=n_points > len(sample_indices),
+            rock_result=clustering.rock_result,
+            batch_size=batch_size,
+            sample_method=sample_method,
+        )
+
+    def _mismatch(self, seen: str) -> Exception:
+        if self.restored:
+            return SnapshotConfigMismatchError(
+                "the resumed source holds %s points but the checkpoint covers "
+                "%d; resume with the source the run started on"
+                % (seen, self.n_points)
+            )
+        return DataValidationError(
+            "the source held %d points when sampled but %s when labelled; it "
+            "must not change between passes" % (self.n_points, seen)
+        )
+
+    def pending(self, batches):
+        """Yield every ``(transactions, positions, kind)`` payload to place.
+
+        The non-sample stream points batch by batch — skipping the batches
+        a restored checkpoint already absorbed — then the set-aside sample
+        points as one last batch.  Every label phase walks this one
+        sequence, so the batch boundaries (and with them the bit-identical
+        labels contracts) cannot drift apart between modes.  A restored
+        run walks the source even without a remainder, so a source whose
+        length differs from the checkpoint's is always rejected.
+        """
+        if self.has_remainder or self.restored:
+            for index, (batch, positions) in enumerate(
+                _pending_batches(
+                    batches, set(self.sample_indices), self.n_points, self._mismatch
+                )
+            ):
+                if index >= self.remainder_done:
+                    yield batch, positions, self.KIND_REMAINDER
+        if self.sample_pending and not self.sample_pending_done:
+            yield (
+                self.sample_pending_transactions,
+                self.sample_pending,
+                self.KIND_SAMPLE,
+            )
+
+    def place(self, positions, labels: np.ndarray, kind: str, label_space: int = 0) -> None:
+        """Record one labelled payload and advance the progress counters."""
+        chunk = labels.copy()
+        chunk[chunk >= 0] += self.offsets[label_space]
         self.labels[positions] = chunk
         self.labeled_indices.extend(positions)
         self.label_chunks.append(chunk)
-        if result.refreshed:
-            self.offsets.append(self.offsets[-1] + self.space_sizes[-1])
-            self.space_sizes.append(session.n_labeler_clusters)
         if kind == self.KIND_REMAINDER:
             self.remainder_done += 1
         else:
             self.sample_pending_done = True
 
+    def apply(self, session: IncrementalRock, payload: Any) -> None:
+        """Splice one logged payload into the live session and place it."""
+        batch, positions, kind = payload
+        result = session.ingest(batch)
+        self.place(positions, result.labels, kind, result.label_space)
+        if result.refreshed:
+            self.offsets.append(self.offsets[-1] + self.space_sizes[-1])
+            self.space_sizes.append(session.n_labeler_clusters)
+
     def to_extra(self) -> dict:
-        return {
-            "online": {
-                "n_points": self.n_points,
-                "labels": self.labels.copy(),
-                "label_chunks": [chunk.copy() for chunk in self.label_chunks],
-                "labeled_indices": list(self.labeled_indices),
-                "offsets": list(self.offsets),
-                "space_sizes": list(self.space_sizes),
-                "sample_indices": list(self.sample_indices),
-                "sample_pending": list(self.sample_pending),
-                "sample_pending_transactions": list(
-                    self.sample_pending_transactions
-                ),
-                "has_remainder": self.has_remainder,
-                "rock_result": self.rock_result,
-                "batch_size": self.batch_size,
-                "sample_method": self.sample_method,
-                "remainder_done": self.remainder_done,
-                "sample_pending_done": self.sample_pending_done,
-            }
-        }
+        stored = {item.name: getattr(self, item.name) for item in fields(self)}
+        del stored["restored"]
+        return {"online": stored}
 
     @classmethod
-    def from_extra(cls, extra: dict | None) -> "_OnlineIngestState":
+    def from_extra(cls, extra: dict | None) -> "_LabelState":
         stored = (extra or {}).get("online")
         if stored is None:
             raise SnapshotCorruptionError(
@@ -357,24 +458,7 @@ class _OnlineIngestState:
                 "written by run_online(snapshot_dir=...); resume the bare "
                 "session through PersistentSession.resume instead"
             )
-        state = cls(
-            n_points=stored["n_points"],
-            labels=stored["labels"],
-            space_sizes=stored["space_sizes"],
-            sample_indices=stored["sample_indices"],
-            sample_pending=stored["sample_pending"],
-            sample_pending_transactions=stored["sample_pending_transactions"],
-            has_remainder=stored["has_remainder"],
-            rock_result=stored["rock_result"],
-            batch_size=stored["batch_size"],
-            sample_method=stored["sample_method"],
-        )
-        state.label_chunks = list(stored["label_chunks"])
-        state.labeled_indices = list(stored["labeled_indices"])
-        state.offsets = list(stored["offsets"])
-        state.remainder_done = int(stored["remainder_done"])
-        state.sample_pending_done = bool(stored["sample_pending_done"])
-        return state
+        return cls(**stored, restored=True)
 
 
 class RockPipeline:
@@ -422,8 +506,8 @@ class RockPipeline:
         pipeline makes (pre-filter, clustering, summary merge).
     labeling_strategy:
         Neighbour-counting strategy of the labelling pass, passed to
-        :func:`repro.core.labeling.label_points`.  An unknown neighbour,
-        link or labelling strategy, like an unknown engine or a
+        :class:`repro.core.labeling.StreamingLabeler`.  An unknown
+        neighbour, link or labelling strategy, like an unknown engine or a
         non-positive block size, raises
         :class:`~repro.errors.ConfigurationError` at construction, whether
         or not the phase that reads it runs.
@@ -434,15 +518,14 @@ class RockPipeline:
 
     Notes
     -----
-    :meth:`run` builds the item-to-column index of the full data set once
-    per run (:func:`repro.data.encoding.build_item_index`) and shares it
-    with the vectorised neighbour and labelling phases, so the item universe
-    is only scanned once regardless of how many phases need an incidence
-    matrix.  :meth:`run_streaming` builds the index over the sample only —
-    remainder items outside it cannot intersect the sample and are handled
-    by the labeler without changing any label.  :meth:`run_sharded` builds
-    one index per shard sample for the per-shard clusterings plus one over
-    the pooled samples for the summary merge and the labelling pass.
+    Every entry point builds the item-to-column index
+    (:func:`repro.data.encoding.build_item_index`) over the sample only —
+    or, in a multi-shard run, one index per shard sample for the per-shard
+    clusterings plus one over the pooled samples for the summary merge —
+    and shares it with the vectorised neighbour and labelling phases.
+    Items of the non-sampled points outside it cannot intersect any
+    retained sample point, so the labeler ignores them without changing
+    any label.
     """
 
     def __init__(
@@ -553,207 +636,513 @@ class RockPipeline:
             pruned_points,
         )
 
-    # ------------------------------------------------------------------ #
-    def _finalize(
-        self,
-        n_points: int,
-        labels: np.ndarray,
-        n_base_clusters: int,
-        sample_indices: list[int],
-        rock_result: RockResult,
-        labeling_result: LabelingResult | None,
-        labeled_indices: list[int] | None,
-        timings: dict,
-        total_start: float,
-        extra_parameters: dict | None = None,
-    ) -> RockPipelineResult:
-        """Re-number clusters by decreasing size and assemble the result.
-
-        ``labels`` arrive in the pre-sort label space (indices into the kept
-        clusters); the final space orders clusters by decreasing size.  The
-        labelling result is remapped through the same permutation so its
-        labels agree 1:1 with the final ``labels`` array.
-        """
-        final_clusters: list[list[int]] = [[] for _ in range(n_base_clusters)]
-        for index, label in enumerate(labels):
-            if label >= 0:
-                final_clusters[label].append(index)
-        # Every base cluster holds at least its own sample members, so none
-        # of the lists is empty and the sort is a permutation.
-        order = sorted(
-            range(n_base_clusters),
-            key=lambda label: (-len(final_clusters[label]), final_clusters[label][0]),
+    def _cluster_shard(
+        self, shard_id: int, sample: list, positions: list[int], item_index: dict, timings: dict
+    ) -> tuple[ShardClusterResult, RockResult]:
+        """Phases 2-4 on one shard's sample, indices mapped to stream positions."""
+        (
+            clustered_sample,
+            participating,
+            isolated,
+            rock_result,
+            kept_clusters,
+            pruned_points,
+        ) = self._cluster_sample(sample, item_index, timings)
+        clustered_positions = [positions[i] for i in participating]
+        shard = ShardClusterResult(
+            shard_id=shard_id,
+            clustered_sample=clustered_sample,
+            clustered_positions=clustered_positions,
+            clusters=list(kept_clusters),
+            isolated_positions=[positions[i] for i in isolated],
+            pruned_positions=[clustered_positions[j] for j in pruned_points],
+            timings=timings,
         )
-        ordered = [tuple(final_clusters[label]) for label in order]
-        permutation = np.empty(n_base_clusters, dtype=int)
-        permutation[np.array(order, dtype=int)] = np.arange(n_base_clusters)
+        return shard, rock_result
 
-        final_labels = np.full(n_points, -1, dtype=int)
-        for label, members in enumerate(ordered):
-            final_labels[list(members)] = label
+    # ------------------------------------------------------------------ #
+    def _drive(
+        self,
+        source: Any,
+        batch_size: int,
+        parameters: dict,
+        sample_method: str = "exact",
+        delimiter: str | None = None,
+        label_prefix: str | None = None,
+        shards: _ShardOptions | None = None,
+        online: _OnlineOptions | None = None,
+    ) -> RockPipelineResult:
+        """The one phase driver behind every entry point.
 
-        if labeling_result is not None:
-            remapped = labeling_result.labels.copy()
-            placed = remapped >= 0
-            remapped[placed] = permutation[remapped[placed]]
-            labeling_result = LabelingResult(
-                labels=remapped,
-                neighbor_counts=labeling_result.neighbor_counts[:, order],
-                n_outliers=labeling_result.n_outliers,
+        Normalises ``source`` into batches of ``batch_size``, draws the
+        sample, runs the cluster phase (the whole sample as one shard, or
+        the sharded phase when ``shards`` is given), seeds the label state,
+        runs the label phase (streaming, or online when ``online`` is
+        given) and finalizes.  A resumable online checkpoint replaces the
+        first three steps by the restored session and label state.
+        ``parameters`` holds the entry point's own reporting keys.
+        """
+        if sample_method not in STREAMING_SAMPLE_METHODS:
+            raise ConfigurationError(
+                "unknown sample_method %r; expected one of %s"
+                % (sample_method, ", ".join(STREAMING_SAMPLE_METHODS))
+            )
+        total_start = time.perf_counter()
+        timings: dict[str, float] = {}
+        batches, known_length = _transaction_batches(
+            source, batch_size, delimiter=delimiter, label_prefix=label_prefix
+        )
+        clustering: _Clustering | None = None
+        store: PersistentSession | None = None
+        if (
+            online is not None
+            and online.resume
+            and PersistentSession.can_resume(online.snapshot_dir)
+        ):
+            store, state = self._resume_online(online, batch_size, sample_method)
+        else:
+            phase_start = time.perf_counter()
+            n_points, units, merge_rng = self._draw_sample(
+                batches, known_length, sample_method, shards
+            )
+            timings["sampling"] = time.perf_counter() - phase_start
+            if shards is None:
+                clustering = self._cluster_whole(units, timings)
+            else:
+                clustering = self._cluster_sharded(units, merge_rng, shards, timings)
+            parameters.update(clustering.parameters)
+            state = _LabelState.seeded(
+                n_points, units, clustering, batch_size, sample_method
             )
 
-        timings["total"] = time.perf_counter() - total_start
-        parameters = {
-            "n_clusters": self.n_clusters,
-            "theta": self.theta,
-            "sample_size": self.sample_size,
-            "min_neighbors": self.min_neighbors,
-            "min_cluster_size": self.min_cluster_size,
-            "labeling_fraction": self.labeling_fraction,
-            "assign_outliers": self.assign_outliers,
-            "engine": self.engine,
-            "merge_counters": dict(rock_result.merge_counters),
-        }
-        if extra_parameters:
-            parameters.update(extra_parameters)
-        return RockPipelineResult(
-            labels=final_labels,
-            clusters=list(ordered),
-            sample_indices=list(sample_indices),
-            rock_result=rock_result,
-            labeling_result=labeling_result,
-            labeled_indices=labeled_indices,
-            n_outliers=int(np.sum(final_labels == -1)),
-            timings=timings,
-            parameters=parameters,
+        phase_start = time.perf_counter()
+        if online is not None:
+            parameters.update(
+                self._label_online(state, clustering, batches, online, store)
+            )
+        else:
+            assert clustering is not None  # only an online run resumes
+            self._label_streaming(state, clustering, batches)
+        timings["labeling"] = time.perf_counter() - phase_start
+        return self._assemble(state, timings, total_start, parameters)
+
+    # ------------------------------------------------------------------ #
+    def _draw_sample(self, batches, known_length: int | None, sample_method: str, shards):
+        """Phase 1: count the source and draw the sample in one collecting pass.
+
+        Returns ``(n_points, units, merge_rng)``: ``units`` holds one
+        ``(sample, positions)`` pair per shard — a single pair without
+        ``shards`` — with positions in increasing stream order.  Without
+        shards the positions are drawn by :func:`draw_sample` over the
+        counted stream (or, for ``sample_method="reservoir"``, by
+        single-pass reservoir sampling).  With shards every shard draws its
+        share of the budget from its own seed, and ``merge_rng`` (``None``
+        otherwise) seeds the summary merge.  Raises
+        :class:`DataValidationError` on an empty source.
+        """
+        if sample_method == "reservoir" and self.sample_size is not None:
+            positions, sample, n_points = reservoir_sample(
+                itertools.chain.from_iterable(batches()),
+                self.sample_size,
+                rng=self.rng,
+            )
+            if not n_points:
+                raise DataValidationError("cannot cluster an empty streaming source")
+            return n_points, [(sample, positions)], None
+        plan = None
+        if shards is not None and shards.strategy == HASH_SHARD_STRATEGY:
+            plan = ShardPlan(shards.n_shards, shards.strategy)
+            shard_sizes, n_points = count_shard_sizes(batches, plan)
+        elif known_length is not None:
+            n_points = known_length
+        else:
+            n_points = sum(len(batch) for batch in batches())
+        if not n_points:
+            raise DataValidationError("cannot cluster an empty streaming source")
+        budget = self.sample_size if self.sample_size is not None else n_points
+
+        if shards is None:
+            positions = list(range(n_points))
+            if budget < n_points:
+                positions, _ = draw_sample(range(n_points), budget, rng=self.rng)
+            wanted = set(positions)
+            sample = [
+                frozenset(transaction)
+                for position, transaction in enumerate(
+                    itertools.chain.from_iterable(batches())
+                )
+                if position in wanted
+            ]
+            return n_points, [(sample, positions)], None
+
+        if plan is None:
+            plan = ShardPlan(shards.n_shards, shards.strategy, n_points=n_points)
+            shard_sizes = plan.positional_shard_sizes()
+        sample_sizes = (
+            allocate_sample_sizes(shard_sizes, budget)
+            if budget < n_points
+            else list(shard_sizes)
+        )
+        # One seed per shard plus one for the representative selection,
+        # all drawn from the pipeline generator in a fixed order: the same
+        # pipeline seed reproduces the same multi-shard run regardless of
+        # worker count or completion order.
+        seeds = self.rng.integers(0, 2**63 - 1, size=shards.n_shards + 1)
+        units = build_shard_samples(
+            batches,
+            plan,
+            shard_sizes,
+            sample_sizes,
+            [np.random.default_rng(int(seed)) for seed in seeds[:-1]],
+        )
+        return n_points, units, np.random.default_rng(int(seeds[-1]))
+
+    # ------------------------------------------------------------------ #
+    def _cluster_whole(self, units, timings: dict) -> _Clustering:
+        """The single-sample cluster phase: the whole sample is one shard."""
+        ((sample, positions),) = units
+        item_index = build_item_index(sample)
+        shard, rock_result = self._cluster_shard(0, sample, positions, item_index, timings)
+        return _Clustering(
+            shard.clustered_sample,
+            shard.clustered_positions,
+            shard.clusters,
+            shard.isolated_positions + shard.pruned_positions,
+            rock_result,
+            item_index,
+            {},
+        )
+
+    def _cluster_sharded(
+        self, units, merge_rng, shards: _ShardOptions, timings: dict
+    ) -> _Clustering:
+        """The sharded cluster phase: cluster every shard, merge the summaries.
+
+        Every shard's sample runs phases 2-4 on its own item index (on
+        worker threads or processes), the per-shard kept clusters become
+        weighted summaries, and :func:`merge_shard_summaries` merges them
+        over the pooled shard samples into the global clusters.
+        """
+        phase_start = time.perf_counter()
+        shard_results = cluster_shards(
+            units,
+            lambda shard_id, sample, positions: self._cluster_shard(
+                shard_id, sample, positions, build_item_index(sample), {}
+            )[0],
+            shards.workers,
+            retries=shards.retries,
+            strict=self.strict,
+            executor=shards.executor,
+            worker_config=shards.worker_config,
+        )
+        timings["neighbors"] = sum(
+            result.timings.get("neighbors", 0.0) for result in shard_results
+        )
+        timings["shard_clustering"] = time.perf_counter() - phase_start
+
+        merge_start = time.perf_counter()
+        pooled_sample: list[frozenset] = []
+        pooled_positions: list[int] = []
+        summaries: list[tuple] = []
+        summary_groups: list[list[int]] = []
+        for result in shard_results:
+            offset = len(pooled_sample)
+            first_summary = len(summaries)
+            pooled_sample.extend(result.clustered_sample)
+            pooled_positions.extend(result.clustered_positions)
+            summaries.extend(
+                tuple(offset + member for member in cluster)
+                for cluster in result.clusters
+            )
+            # One level-0 unit per surviving shard: the hierarchical merge
+            # combines shard groups, then groups of groups.
+            summary_groups.append(list(range(first_summary, len(summaries))))
+        item_index = build_item_index(pooled_sample)
+        merge = merge_shard_summaries(
+            pooled_sample,
+            summaries,
+            self.n_clusters,
+            self.theta,
+            measure=self.measure,
+            exponent_function=self.exponent_function,
+            representatives_per_cluster=shards.representatives,
+            rng=merge_rng,
+            neighbor_strategy=self.neighbor_strategy,
+            neighbor_block_size=self.neighbor_block_size,
+            link_strategy=self.link_strategy,
+            include_self_links=self.include_self_links,
+            item_index=item_index,
+            fan_in=shards.fan_in,
+            summary_groups=summary_groups if shards.fan_in is not None else None,
+        )
+        if merge.stopped_early and self.strict:
+            raise InsufficientLinksError(
+                "summary merge: no cross-summary links remain with %d global "
+                "clusters (requested %d); lower theta, reduce n_clusters or "
+                "use fewer shards" % (len(merge.groups), self.n_clusters)
+            )
+        kept_clusters = [
+            tuple(
+                index
+                for summary_id in group
+                for index in summaries[summary_id]
+            )
+            for group in merge.groups
+        ]
+        timings["merge"] = time.perf_counter() - merge_start
+        timings["clustering"] = time.perf_counter() - phase_start
+
+        # The merged clustering over the pooled shard samples, in the
+        # RockResult shape a single-sample cluster phase produces.
+        pooled_clusters = [tuple(sorted(members)) for members in kept_clusters]
+        pooled_clusters.sort(key=lambda cluster: (-len(cluster), cluster[0]))
+        pooled_labels = np.full(len(pooled_sample), -1, dtype=int)
+        for label, members in enumerate(pooled_clusters):
+            pooled_labels[list(members)] = label
+        rock_result = RockResult(
+            labels=pooled_labels,
+            clusters=pooled_clusters,
+            merge_history=merge.merge_history,
+            n_clusters=len(pooled_clusters),
+            criterion=merge.criterion,
+            theta=self.theta,
+            stopped_early=merge.stopped_early,
+            elapsed_seconds=timings["merge"],
+        )
+        return _Clustering(
+            pooled_sample,
+            pooled_positions,
+            kept_clusters,
+            [
+                position
+                for result in shard_results
+                for position in result.isolated_positions + result.pruned_positions
+            ],
+            rock_result,
+            item_index,
+            {
+                "merge_levels": merge.levels,
+                "skipped_shards": list(shard_results.skipped_shards),
+            },
         )
 
     # ------------------------------------------------------------------ #
-    def _label_out_of_core(
-        self,
-        batches,
-        sample_set: set,
-        retained_sample: list,
-        kept_clusters: list,
-        item_index: dict,
-        transaction_of_sample_index: dict,
-        sample_pending: list,
-        labels: np.ndarray,
-        has_remainder: bool,
-    ) -> tuple[LabelingResult | None, list[int] | None]:
-        """Shared phase-5 of the out-of-core entry points.
+    def _label_streaming(self, state: _LabelState, clustering: _Clustering, batches) -> None:
+        """The streaming label phase: one labeler places every pending payload.
 
-        Labels everything outside the clustered sample through one
-        :class:`StreamingLabeler`: the disk-resident remainder batch by
-        batch (stream positions in ``sample_set`` are skipped), then the
-        sampled-but-unclustered points in ``sample_pending`` (isolated or
-        pruned, looked up in ``transaction_of_sample_index``).  ``labels``
-        is filled in place at the labelled positions.
-
-        Only the integer labels are retained across batches: keeping every
-        batch's dense neighbour-count matrix would grow
-        ``O(n_points * n_clusters)`` and break the bounded-memory contract,
-        so the returned :class:`LabelingResult` carries an empty counts
-        matrix.
-
-        Returns
-        -------
-        (labeling_result, labeled_indices)
-            Both ``None`` when there was nothing to label.
+        The :class:`StreamingLabeler` builds its retained-fraction
+        incidence exactly once; only the integer labels of each batch are
+        kept, so memory stays bounded by the sample plus two batches.
         """
-        if not (has_remainder or sample_pending):
-            return None, None
+        if not (state.has_remainder or state.sample_pending):
+            return
         labeler = StreamingLabeler(
-            retained_sample,
-            kept_clusters,
+            clustering.sample,
+            clustering.clusters,
             theta=self.theta,
             measure=self.measure,
             exponent_function=self.exponent_function,
             labeling_fraction=self.labeling_fraction,
             rng=self.rng,
             strategy=self.labeling_strategy,
-            item_index=item_index,
+            item_index=clustering.item_index,
             assign_outliers=self.assign_outliers,
         )
-        label_chunks: list[np.ndarray] = []
-        labeled_indices: list[int] = []
-        if has_remainder:
-            for pending_batch, pending_positions in _pending_batches(
-                batches, sample_set
-            ):
-                result = labeler.label_batch(pending_batch)
-                labels[pending_positions] = result.labels
-                labeled_indices.extend(pending_positions)
-                label_chunks.append(result.labels)
-        if sample_pending:
-            result = labeler.label_batch(
-                [transaction_of_sample_index[i] for i in sample_pending]
-            )
-            labels[sample_pending] = result.labels
-            labeled_indices.extend(sample_pending)
-            label_chunks.append(result.labels)
-        labeling_result = LabelingResult(
-            labels=np.concatenate(label_chunks),
-            neighbor_counts=np.zeros((0, len(kept_clusters)), dtype=float),
-            n_outliers=labeler.n_outliers,
-        )
-        return labeling_result, labeled_indices
+        for batch, positions, kind in state.pending(batches):
+            state.place(positions, labeler.label_batch(batch).labels, kind)
 
-    # ------------------------------------------------------------------ #
-    def _draw_streaming_sample(
-        self, batches, known_length: int | None, sample_method: str, timings: dict
-    ) -> tuple[int, list[int], list[frozenset]]:
-        """Phase 1 of the out-of-core entry points: draw the sample.
+    def _label_online(
+        self,
+        state: _LabelState,
+        clustering: _Clustering | None,
+        batches,
+        online: _OnlineOptions,
+        store: PersistentSession | None,
+    ) -> dict:
+        """The online label phase: a live session ingests every pending payload.
 
-        Counts the source (unless its length is known), draws the sample
-        indices exactly as :meth:`run` does (or via single-pass reservoir
-        sampling for ``sample_method="reservoir"``) and collects the
-        sampled transactions in one pass.  Returns ``(n_points,
-        sample_indices, sample)`` and records the ``"sampling"`` timing.
-        Raises :class:`DataValidationError` on an empty source.
+        A fresh run bootstraps the session from ``clustering`` (and, with
+        ``snapshot_dir``, writes checkpoint 0); a resumed run gets the
+        restored ``store`` and replays its WAL tail first.  Each payload
+        is WAL-logged *before* the splice, and a checkpoint is written
+        every ``snapshot_every`` applied payloads plus once at the end.
+        Returns the phase's reporting keys.
         """
-        phase_start = time.perf_counter()
-        if sample_method == "reservoir" and self.sample_size is not None:
-            sample_indices, sample, n_points = reservoir_sample(
-                itertools.chain.from_iterable(batches()),
-                self.sample_size,
+        if clustering is None:
+            assert store is not None
+            session = store.session
+            store.replay_pending(lambda payload: state.apply(session, payload))
+        else:
+            session = IncrementalRock(
+                n_clusters=self.n_clusters,
+                theta=self.theta,
+                measure=self.measure,
+                exponent_function=self.exponent_function,
+                labeling_fraction=self.labeling_fraction,
+                labeling_strategy=self.labeling_strategy,
+                assign_outliers=self.assign_outliers,
+                neighbor_strategy=self.neighbor_strategy,
+                neighbor_block_size=self.neighbor_block_size,
+                link_strategy=self.link_strategy,
+                include_self_links=self.include_self_links,
+                refresh_threshold=online.refresh_threshold,
+                engine=self.engine,
                 rng=self.rng,
             )
-        else:
-            if known_length is not None:
-                n_points = known_length
-            else:
-                n_points = sum(len(batch) for batch in batches())
-            if n_points and (self.sample_size is None or self.sample_size >= n_points):
-                sample_indices = list(range(n_points))
-            elif n_points:
-                sample_indices, _ = draw_sample(
-                    range(n_points), self.sample_size, rng=self.rng
+            session.bootstrap(
+                clustering.sample, clustering.clusters, item_index=clustering.item_index
+            )
+            if online.snapshot_dir is not None:
+                store = PersistentSession.create(
+                    online.snapshot_dir,
+                    session,
+                    snapshot_every=online.snapshot_every,
+                    extra=state.to_extra(),
                 )
-            else:
-                sample_indices = []
-            wanted = set(sample_indices)
-            sample = []
-            position = 0
-            for batch in batches():
-                for transaction in batch:
-                    if position in wanted:
-                        sample.append(frozenset(transaction))
-                    position += 1
-        if not n_points:
-            raise DataValidationError("cannot cluster an empty streaming source")
-        timings["sampling"] = time.perf_counter() - phase_start
-        return n_points, sample_indices, sample
+        self._online_session = session
+        self._online_store = store
+
+        for payload in state.pending(batches):
+            if store is not None:
+                store.log(payload)
+            state.apply(session, payload)
+            if store is not None:
+                store.batch_applied(state.to_extra)
+        if store is not None:
+            store.close(extra=state.to_extra())
+        return {
+            "n_refreshes": session.n_refreshes,
+            "refresh_merge_counters": dict(session.last_refresh_counters),
+        }
+
+    def _resume_online(self, online: _OnlineOptions, batch_size: int, sample_method: str):
+        """Restore the durable store and label state of an interrupted run.
+
+        Recovery = restore the last durable checkpoint (session + label
+        bookkeeping); the label phase then replays the WAL tail and pushes
+        only the still-pending batches — no re-sampling, no re-clustering,
+        no RNG divergence.
+        """
+        store = PersistentSession.resume(
+            online.snapshot_dir,
+            snapshot_every=online.snapshot_every,
+            measure=self.measure,
+            exponent_function=self.exponent_function,
+            expected_config=self.online_expected_config(online.refresh_threshold),
+            defer_replay=True,
+        )
+        state = _LabelState.from_extra(store.extra)
+        if state.batch_size != int(batch_size) or state.sample_method != sample_method:
+            raise SnapshotConfigMismatchError(
+                "checkpoint in %s was written with batch_size=%d, "
+                "sample_method=%r but the resume requested batch_size=%d, "
+                "sample_method=%r — the stream split must match for the "
+                "resumed labels to stay identical"
+                % (
+                    online.snapshot_dir,
+                    state.batch_size,
+                    state.sample_method,
+                    int(batch_size),
+                    sample_method,
+                )
+            )
+        return store, state
+
+    # ------------------------------------------------------------------ #
+    def _assemble(
+        self, state: _LabelState, timings: dict, total_start: float, parameters: dict
+    ) -> RockPipelineResult:
+        """The one finalizer: renumber clusters by decreasing size, build the result.
+
+        Groups the placed points across every label space (an online
+        refresh opens a new one, and may leave globally unused labels) and
+        renumbers them by decreasing size, ties broken by first member —
+        fully vectorised, since this walks the whole stream.  The
+        labelling result is remapped through the same renumbering so its
+        labels agree 1:1 with the final ``labels`` array.
+        """
+        labels = state.labels
+        n_points = state.n_points
+        placed_positions = np.nonzero(labels >= 0)[0]
+        present, inverse = np.unique(labels[placed_positions], return_inverse=True)
+        group_sizes = np.bincount(inverse)
+        first_member = np.full(present.size, n_points, dtype=np.int64)
+        np.minimum.at(first_member, inverse, placed_positions)
+        order = sorted(
+            range(present.size),
+            key=lambda group: (-int(group_sizes[group]), int(first_member[group])),
+        )
+        # Lookup array over old (global-space) label ids -> final labels.
+        new_label_of = np.full(int(present[-1]) + 1 if present.size else 1, -1)
+        new_label_of[present[order]] = np.arange(present.size)
+        final_labels = np.full(n_points, -1, dtype=int)
+        final_labels[placed_positions] = new_label_of[labels[placed_positions]]
+
+        if placed_positions.size:
+            final_of_placed = new_label_of[labels[placed_positions]]
+            by_final_label = placed_positions[
+                np.argsort(final_of_placed, kind="stable")
+            ]
+            boundaries = np.cumsum(np.bincount(final_of_placed))[:-1]
+            clusters = [
+                tuple(members.tolist())
+                for members in np.split(by_final_label, boundaries)
+            ]
+        else:  # pragma: no cover - kept clusters always hold sample members
+            clusters = []
+
+        labeling_result: LabelingResult | None = None
+        labeled_indices: list[int] | None = None
+        if state.label_chunks:
+            labeling_labels = np.concatenate(state.label_chunks)
+            remapped = labeling_labels.copy()
+            placed = remapped >= 0
+            remapped[placed] = new_label_of[labeling_labels[placed]]
+            labeling_result = LabelingResult(
+                labels=remapped,
+                neighbor_counts=np.zeros((0, len(clusters)), dtype=float),
+                n_outliers=int(np.sum(remapped == -1)),
+            )
+            labeled_indices = list(state.labeled_indices)
+
+        timings["total"] = time.perf_counter() - total_start
+        return RockPipelineResult(
+            labels=final_labels,
+            clusters=clusters,
+            sample_indices=list(state.sample_indices),
+            rock_result=state.rock_result,
+            labeling_result=labeling_result,
+            labeled_indices=labeled_indices,
+            n_outliers=int(np.sum(final_labels == -1)),
+            timings=timings,
+            parameters={
+                "n_clusters": self.n_clusters,
+                "theta": self.theta,
+                "sample_size": self.sample_size,
+                "min_neighbors": self.min_neighbors,
+                "min_cluster_size": self.min_cluster_size,
+                "labeling_fraction": self.labeling_fraction,
+                "assign_outliers": self.assign_outliers,
+                "engine": self.engine,
+                "merge_counters": dict(state.rock_result.merge_counters),
+                **parameters,
+            },
+        )
 
     # ------------------------------------------------------------------ #
     def run(self, data: Any) -> RockPipelineResult:
         """Execute the pipeline on an in-memory data set.
 
+        The phase driver over ``data`` as a single batch: the labels are
+        bit-identical to :meth:`run_streaming` on the same data and seed.
+
         Parameters
         ----------
         data:
             Transactions, a dataset object or a binary matrix — any shape
-            :func:`repro.core.rock.as_transactions` accepts.
+            :func:`repro.core.rock.as_transactions` accepts.  A path string
+            is not read as a file here; use :meth:`run_streaming` or
+            :func:`repro.data.io.read_transactions` for that.
 
         Returns
         -------
@@ -769,86 +1158,8 @@ class RockPipeline:
             In ``strict`` mode, when the requested number of clusters
             cannot be reached.
         """
-        total_start = time.perf_counter()
         transactions = as_transactions(data)
-        n_points = len(transactions)
-        timings: dict[str, float] = {}
-        # One item index for the whole run; every vectorised phase shares it.
-        item_index = build_item_index(transactions)
-
-        # ---- Phase 1: sampling -------------------------------------- #
-        phase_start = time.perf_counter()
-        if self.sample_size is None or self.sample_size >= n_points:
-            sample_indices = list(range(n_points))
-            remainder_indices: list[int] = []
-        else:
-            sample_indices, remainder_indices = draw_sample(
-                transactions, self.sample_size, rng=self.rng
-            )
-        sample = [transactions[i] for i in sample_indices]
-        timings["sampling"] = time.perf_counter() - phase_start
-
-        # ---- Phases 2-4: pre-filter, agglomeration, pruning ---------- #
-        (
-            clustered_sample,
-            participating,
-            isolated,
-            rock_result,
-            kept_clusters,
-            pruned_points,
-        ) = self._cluster_sample(sample, item_index, timings)
-
-        # ---- Phase 5: labelling -------------------------------------- #
-        phase_start = time.perf_counter()
-        # Points needing labels: the non-sampled remainder, the isolated
-        # points set aside in phase 2 and the members of pruned clusters.
-        # Clustered-sample indices refer to `clustered_sample`; map back to
-        # positions in the full data set.
-        sample_position_of = {j: sample_indices[i] for j, i in enumerate(participating)}
-        cluster_members_full = [
-            tuple(sorted(sample_position_of[j] for j in members))
-            for members in kept_clusters
-        ]
-
-        pending_full_indices: list[int] = []
-        pending_full_indices.extend(remainder_indices)
-        pending_full_indices.extend(sample_indices[i] for i in isolated)
-        pending_full_indices.extend(sample_position_of[j] for j in pruned_points)
-        pending_full_indices = sorted(set(pending_full_indices))
-
-        labeling_result: LabelingResult | None = None
-        labels = np.full(n_points, -1, dtype=int)
-        for label, members in enumerate(cluster_members_full):
-            labels[list(members)] = label
-
-        if pending_full_indices:
-            labeling_result = label_points(
-                [transactions[i] for i in pending_full_indices],
-                clustered_sample,
-                kept_clusters,
-                theta=self.theta,
-                measure=self.measure,
-                exponent_function=self.exponent_function,
-                labeling_fraction=self.labeling_fraction,
-                rng=self.rng,
-                strategy=self.labeling_strategy,
-                item_index=item_index,
-                assign_outliers=self.assign_outliers,
-            )
-            labels[pending_full_indices] = labeling_result.labels
-        timings["labeling"] = time.perf_counter() - phase_start
-
-        return self._finalize(
-            n_points,
-            labels,
-            len(cluster_members_full),
-            sample_indices,
-            rock_result,
-            labeling_result,
-            pending_full_indices if labeling_result is not None else None,
-            timings,
-            total_start,
-        )
+        return self._drive(transactions, len(transactions), {})
 
     # ------------------------------------------------------------------ #
     def run_streaming(
@@ -864,7 +1175,8 @@ class RockPipeline:
         The streaming counterpart of :meth:`run` for data sets that never
         fit in memory at once.  Peak memory is bounded by the sample, the
         item index of the sample, one batch of ``batch_size`` transactions
-        and the labelling kernel's row-block buffer.
+        (two while the labelling pass reads ahead) and the labelling
+        kernel's row-block buffer.
 
         Parameters
         ----------
@@ -900,89 +1212,25 @@ class RockPipeline:
         Returns
         -------
         RockPipelineResult
-            The same result shape :meth:`run` produces, with
-            ``parameters["streaming"]`` set.  ``labeling_result`` keeps only
-            the per-point labels; its ``neighbor_counts`` matrix is left
-            empty so result memory stays O(n) integers rather than
-            O(n * n_clusters) floats.
+            The shared result shape, with ``parameters["streaming"]`` set.
+
+        Raises
+        ------
+        DataValidationError
+            When the source is empty, or changes length between passes.
         """
-        if sample_method not in STREAMING_SAMPLE_METHODS:
-            raise ConfigurationError(
-                "unknown sample_method %r; expected one of %s"
-                % (sample_method, ", ".join(STREAMING_SAMPLE_METHODS))
-            )
-        total_start = time.perf_counter()
-        timings: dict[str, float] = {}
-        batches, known_length = _transaction_batches(
-            source, batch_size, delimiter=delimiter, label_prefix=label_prefix
-        )
-
-        # ---- Phase 1: sampling pass(es) over the source -------------- #
-        n_points, sample_indices, sample = self._draw_streaming_sample(
-            batches, known_length, sample_method, timings
-        )
-        sample_set = set(sample_indices)
-
-        # ---- Phases 2-4 on the in-memory sample ---------------------- #
-        # The item index covers the sample only: remainder items outside it
-        # cannot intersect any retained point, so labels are unaffected.
-        item_index = build_item_index(sample)
-        (
-            clustered_sample,
-            participating,
-            isolated,
-            rock_result,
-            kept_clusters,
-            pruned_points,
-        ) = self._cluster_sample(sample, item_index, timings)
-
-        sample_position_of = {j: sample_indices[i] for j, i in enumerate(participating)}
-        cluster_members_full = [
-            tuple(sorted(sample_position_of[j] for j in members))
-            for members in kept_clusters
-        ]
-        labels = np.full(n_points, -1, dtype=int)
-        for label, members in enumerate(cluster_members_full):
-            labels[list(members)] = label
-
-        # ---- Phase 5: batched labelling pass ------------------------- #
-        phase_start = time.perf_counter()
-        transaction_of_sample_index = dict(zip(sample_indices, sample))
-        sample_pending = _pending_sample_positions(
-            sample_indices, sample_position_of, isolated, pruned_points
-        )
-        has_remainder = n_points > len(sample_indices)
-
-        labeling_result, labeled_indices = self._label_out_of_core(
-            batches,
-            sample_set,
-            clustered_sample,
-            kept_clusters,
-            item_index,
-            transaction_of_sample_index,
-            sample_pending,
-            labels,
-            has_remainder,
-        )
-        timings["labeling"] = time.perf_counter() - phase_start
-
-        return self._finalize(
-            n_points,
-            labels,
-            len(cluster_members_full),
-            sample_indices,
-            rock_result,
-            labeling_result,
-            labeled_indices,
-            timings,
-            total_start,
-            extra_parameters={
+        return self._drive(
+            source,
+            batch_size,
+            {
                 "streaming": True,
                 "batch_size": int(batch_size),
                 "sample_method": sample_method,
             },
+            sample_method=sample_method,
+            delimiter=delimiter,
+            label_prefix=label_prefix,
         )
-
 
     # ------------------------------------------------------------------ #
     @property
@@ -1074,23 +1322,20 @@ class RockPipeline:
         ingested batches of ``source`` are processed — the final result is
         bit-identical to the uninterrupted run (``source``, ``batch_size``
         and the session parameters must match; mismatches raise
-        :class:`~repro.errors.SnapshotConfigMismatchError`).  ``resume=True``
-        with no checkpoint on disk simply runs fresh, so a crash-recovery
-        loop can pass it unconditionally.
+        :class:`~repro.errors.SnapshotConfigMismatchError`.  A source whose
+        length differs from the checkpoint's is rejected before any batch
+        that shows the difference is logged, so the directory still
+        resumes on the original source).  ``resume=True`` with no
+        checkpoint on disk simply runs fresh, so a crash-recovery loop can
+        pass it unconditionally.
 
         Returns
         -------
         RockPipelineResult
             The shared result shape with ``parameters["online"]`` set.
             ``rock_result`` describes the bootstrap clustering of the
-            sample; ``labeling_result`` keeps only the per-point labels
-            (empty ``neighbor_counts``), like :meth:`run_streaming`.
+            sample.
         """
-        if sample_method not in STREAMING_SAMPLE_METHODS:
-            raise ConfigurationError(
-                "unknown sample_method %r; expected one of %s"
-                % (sample_method, ", ".join(STREAMING_SAMPLE_METHODS))
-            )
         refresh_threshold = validate_refresh_threshold(refresh_threshold)
         if snapshot_dir is None and snapshot_every is not None:
             raise ConfigurationError(
@@ -1102,162 +1347,19 @@ class RockPipeline:
                 "resume=True requires snapshot_dir (there is nothing to "
                 "resume from)"
             )
-        if resume and PersistentSession.can_resume(snapshot_dir):
-            return self._resume_online(
-                source,
-                batch_size,
-                refresh_threshold,
-                sample_method,
-                delimiter,
-                label_prefix,
-                snapshot_dir,
-                snapshot_every,
-            )
-        total_start = time.perf_counter()
-        timings: dict[str, float] = {}
-        batches, known_length = _transaction_batches(
-            source, batch_size, delimiter=delimiter, label_prefix=label_prefix
-        )
-
-        # ---- Phase 1: sampling pass(es) over the source -------------- #
-        n_points, sample_indices, sample = self._draw_streaming_sample(
-            batches, known_length, sample_method, timings
-        )
-        sample_set = set(sample_indices)
-
-        # ---- Phases 2-4 on the in-memory sample ---------------------- #
-        item_index = build_item_index(sample)
-        (
-            clustered_sample,
-            participating,
-            isolated,
-            rock_result,
-            kept_clusters,
-            pruned_points,
-        ) = self._cluster_sample(sample, item_index, timings)
-
-        sample_position_of = {j: sample_indices[i] for j, i in enumerate(participating)}
-        cluster_members_full = [
-            tuple(sorted(sample_position_of[j] for j in members))
-            for members in kept_clusters
-        ]
-        labels = np.full(n_points, -1, dtype=int)
-        for label, members in enumerate(cluster_members_full):
-            labels[list(members)] = label
-
-        # ---- Phase 5: bootstrap the live session, ingest the rest ---- #
-        phase_start = time.perf_counter()
-        session = IncrementalRock(
-            n_clusters=self.n_clusters,
-            theta=self.theta,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
-            labeling_fraction=self.labeling_fraction,
-            labeling_strategy=self.labeling_strategy,
-            assign_outliers=self.assign_outliers,
-            neighbor_strategy=self.neighbor_strategy,
-            neighbor_block_size=self.neighbor_block_size,
-            link_strategy=self.link_strategy,
-            include_self_links=self.include_self_links,
-            refresh_threshold=refresh_threshold,
-            engine=self.engine,
-            rng=self.rng,
-        )
-        session.bootstrap(clustered_sample, kept_clusters, item_index=item_index)
-        self._online_session = session
-
-        transaction_of_sample_index = dict(zip(sample_indices, sample))
-        sample_pending = _pending_sample_positions(
-            sample_indices, sample_position_of, isolated, pruned_points
-        )
-        state = _OnlineIngestState(
-            n_points=n_points,
-            labels=labels,
-            space_sizes=[len(kept_clusters)],
-            sample_indices=sample_indices,
-            sample_pending=sample_pending,
-            sample_pending_transactions=[
-                transaction_of_sample_index[i] for i in sample_pending
-            ],
-            has_remainder=n_points > len(sample_indices),
-            rock_result=rock_result,
-            batch_size=int(batch_size),
+        return self._drive(
+            source,
+            batch_size,
+            {
+                "online": True,
+                "batch_size": int(batch_size),
+                "sample_method": sample_method,
+                "refresh_threshold": refresh_threshold,
+            },
             sample_method=sample_method,
-        )
-        store = None
-        if snapshot_dir is not None:
-            store = PersistentSession.create(
-                snapshot_dir,
-                session,
-                snapshot_every=snapshot_every,
-                extra=state.to_extra(),
-            )
-        self._online_store = store
-
-        self._online_ingest_loop(session, store, state, batches)
-        timings["labeling"] = time.perf_counter() - phase_start
-
-        return self._finalize_online(
-            state, session, refresh_threshold, timings, total_start
-        )
-
-    # ------------------------------------------------------------------ #
-    def _resume_online(
-        self,
-        source,
-        batch_size: int,
-        refresh_threshold: float | None,
-        sample_method: str,
-        delimiter: str | None,
-        label_prefix: str | None,
-        snapshot_dir,
-        snapshot_every: int | None,
-    ) -> RockPipelineResult:
-        """Continue an interrupted :meth:`run_online` from its snapshots.
-
-        Recovery = restore the last durable checkpoint (session + label
-        bookkeeping), replay the WAL tail through the same bookkeeping, and
-        push only the still-pending batches of ``source`` — no re-sampling,
-        no re-clustering, no RNG divergence.
-        """
-        total_start = time.perf_counter()
-        timings: dict[str, float] = {}
-        batches, _known_length = _transaction_batches(
-            source, batch_size, delimiter=delimiter, label_prefix=label_prefix
-        )
-        store = PersistentSession.resume(
-            snapshot_dir,
-            snapshot_every=snapshot_every,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
-            expected_config=self.online_expected_config(refresh_threshold),
-            defer_replay=True,
-        )
-        session = store.session
-        state = _OnlineIngestState.from_extra(store.extra)
-        if state.batch_size != int(batch_size) or state.sample_method != sample_method:
-            raise SnapshotConfigMismatchError(
-                "checkpoint in %s was written with batch_size=%d, "
-                "sample_method=%r but the resume requested batch_size=%d, "
-                "sample_method=%r — the stream split must match for the "
-                "resumed labels to stay identical"
-                % (
-                    snapshot_dir,
-                    state.batch_size,
-                    state.sample_method,
-                    int(batch_size),
-                    sample_method,
-                )
-            )
-        phase_start = time.perf_counter()
-        store.replay_pending(lambda payload: state.apply(session, payload))
-        self._online_session = session
-        self._online_store = store
-
-        self._online_ingest_loop(session, store, state, batches)
-        timings["labeling"] = time.perf_counter() - phase_start
-        return self._finalize_online(
-            state, session, refresh_threshold, timings, total_start
+            delimiter=delimiter,
+            label_prefix=label_prefix,
+            online=_OnlineOptions(refresh_threshold, snapshot_dir, snapshot_every, resume),
         )
 
     def online_expected_config(self, refresh_threshold: float | None = None) -> dict:
@@ -1284,137 +1386,6 @@ class RockPipeline:
             "refresh_threshold": refresh_threshold,
             "engine": self.engine,
         }
-
-    def _online_ingest_loop(self, session, store, state, batches) -> None:
-        """Drive every still-pending batch through the live session.
-
-        Shared by the fresh and resumed paths: the progress counters in
-        ``state`` say which pending batches a restored checkpoint already
-        absorbed; each remaining payload is WAL-logged *before* the splice
-        and a checkpoint is written every ``snapshot_every`` applied batches
-        plus once at the end of the loop.
-        """
-
-        def ingest_payload(payload):
-            if store is not None:
-                store.log(payload)
-            state.apply(session, payload)
-            if store is not None:
-                store.batch_applied(state.to_extra)
-
-        if state.has_remainder:
-            sample_set = set(state.sample_indices)
-            skip = state.remainder_done
-            for index, (pending_batch, pending_positions) in enumerate(
-                _pending_batches(batches, sample_set)
-            ):
-                if index < skip:
-                    continue
-                ingest_payload(
-                    (pending_batch, pending_positions, state.KIND_REMAINDER)
-                )
-        if state.sample_pending and not state.sample_pending_done:
-            ingest_payload(
-                (
-                    state.sample_pending_transactions,
-                    state.sample_pending,
-                    state.KIND_SAMPLE,
-                )
-            )
-        if store is not None:
-            store.close(extra=state.to_extra())
-
-    def _finalize_online(
-        self,
-        state: _OnlineIngestState,
-        session: IncrementalRock,
-        refresh_threshold: float | None,
-        timings: dict,
-        total_start: float,
-    ) -> RockPipelineResult:
-        """Assemble the result of an online run from its ingest state."""
-        labels = state.labels
-        n_points = state.n_points
-        if state.label_chunks:
-            labeling_labels = np.concatenate(state.label_chunks)
-            labeled_indices = list(state.labeled_indices)
-        else:
-            labeling_labels, labeled_indices = None, None
-
-        # ---- Final assembly across labelling spaces ------------------ #
-        # The ordinary _finalize assumes one label space with no empty
-        # clusters; refreshed runs can leave globally-unused labels (a
-        # refreshed cluster no batch point landed in), so group and
-        # renumber by decreasing size (ties: first member) here — fully
-        # vectorised, since this walks the whole out-of-core stream.
-        placed_positions = np.nonzero(labels >= 0)[0]
-        present, inverse = np.unique(labels[placed_positions], return_inverse=True)
-        group_sizes = np.bincount(inverse)
-        first_member = np.full(present.size, n_points, dtype=np.int64)
-        np.minimum.at(first_member, inverse, placed_positions)
-        order = sorted(
-            range(present.size),
-            key=lambda group: (-int(group_sizes[group]), int(first_member[group])),
-        )
-        # Lookup array over old (global-space) label ids -> final labels.
-        new_label_of = np.full(int(present[-1]) + 1 if present.size else 1, -1)
-        new_label_of[present[order]] = np.arange(present.size)
-        final_labels = np.full(n_points, -1, dtype=int)
-        final_labels[placed_positions] = new_label_of[labels[placed_positions]]
-
-        if placed_positions.size:
-            final_of_placed = new_label_of[labels[placed_positions]]
-            by_final_label = placed_positions[
-                np.argsort(final_of_placed, kind="stable")
-            ]
-            boundaries = np.cumsum(np.bincount(final_of_placed))[:-1]
-            clusters = [
-                tuple(members.tolist())
-                for members in np.split(by_final_label, boundaries)
-            ]
-        else:  # pragma: no cover - kept clusters always hold sample members
-            clusters = []
-
-        labeling_result = None
-        if labeling_labels is not None:
-            remapped = labeling_labels.copy()
-            placed = remapped >= 0
-            remapped[placed] = new_label_of[labeling_labels[placed]]
-            labeling_result = LabelingResult(
-                labels=remapped,
-                neighbor_counts=np.zeros((0, len(clusters)), dtype=float),
-                n_outliers=int(np.sum(remapped == -1)),
-            )
-
-        timings["total"] = time.perf_counter() - total_start
-        parameters = {
-            "n_clusters": self.n_clusters,
-            "theta": self.theta,
-            "sample_size": self.sample_size,
-            "min_neighbors": self.min_neighbors,
-            "min_cluster_size": self.min_cluster_size,
-            "labeling_fraction": self.labeling_fraction,
-            "assign_outliers": self.assign_outliers,
-            "engine": self.engine,
-            "merge_counters": dict(state.rock_result.merge_counters),
-            "online": True,
-            "batch_size": state.batch_size,
-            "sample_method": state.sample_method,
-            "refresh_threshold": refresh_threshold,
-            "n_refreshes": session.n_refreshes,
-            "refresh_merge_counters": dict(session.last_refresh_counters),
-        }
-        return RockPipelineResult(
-            labels=final_labels,
-            clusters=clusters,
-            sample_indices=list(state.sample_indices),
-            rock_result=state.rock_result,
-            labeling_result=labeling_result,
-            labeled_indices=labeled_indices,
-            n_outliers=int(np.sum(final_labels == -1)),
-            timings=timings,
-            parameters=parameters,
-        )
 
     # ------------------------------------------------------------------ #
     def run_sharded(
@@ -1447,7 +1418,7 @@ class RockPipeline:
 
         Peak memory is bounded by the pooled per-shard samples (together
         at most ``sample_size`` points — the same bound as streaming), the
-        largest single-shard clustering state, and one batch.
+        largest single-shard clustering state, and two batches.
 
         Parameters
         ----------
@@ -1457,9 +1428,10 @@ class RockPipeline:
             collection); it is iterated several times (counting, sampling
             and labelling passes).
         n_shards:
-            Number of clustering shards.  ``1`` takes the streaming code
-            path unchanged, so the labels are bit-identical to
-            :meth:`run_streaming` on the same data and seed.
+            Number of clustering shards.  With ``1`` the whole sample is
+            the one shard and its clustering is final: the run takes the
+            phases of :meth:`run_streaming`, so the labels are
+            bit-identical to it on the same data and seed.
         batch_size:
             Transactions per labelling batch (see :meth:`run_streaming`).
         shard_workers:
@@ -1502,18 +1474,20 @@ class RockPipeline:
         Returns
         -------
         RockPipelineResult
-            The shared result shape, with ``parameters["sharded"]`` set and
-            ``timings`` extended by ``"shard_clustering"`` and ``"merge"``
-            (multi-shard runs only).  ``rock_result`` describes the merged
-            clustering over the pooled shard samples; its ``criterion`` is
-            evaluated on the summary representatives, not the full pooled
-            link matrix.
+            The shared result shape, with ``parameters["sharded"]`` set
+            (the same keys for any ``n_shards``; one shard reports
+            ``merge_levels`` 0) and, for multi-shard runs, ``timings``
+            extended by ``"shard_clustering"`` and ``"merge"``.
+            ``rock_result`` describes the merged clustering over the pooled
+            shard samples; its ``criterion`` is evaluated on the summary
+            representatives, not the full pooled link matrix.
 
         Raises
         ------
         ConfigurationError
             For a non-positive ``n_shards``/``shard_workers``, an unknown
-            ``shard_strategy``, or invalid streaming options.
+            ``shard_strategy``/``shard_executor``, invalid merge options or
+            invalid streaming options — all before the source is read.
         DataValidationError
             When the source is empty.
         InsufficientLinksError
@@ -1540,232 +1514,23 @@ class RockPipeline:
             raise ConfigurationError(
                 "shard_retries must be non-negative, got %r" % shard_retries
             )
-        if n_shards == 1:
-            # One shard degenerates to the streaming pipeline; reusing that
-            # code path verbatim is what makes the 1-shard determinism
-            # contract (bit-identical labels) hold by construction.
-            result = self.run_streaming(
-                source,
-                batch_size=batch_size,
-                delimiter=delimiter,
-                label_prefix=label_prefix,
+        representatives = validate_merge_options(representatives_per_cluster, merge_fan_in)
+        shards = None
+        if n_shards > 1:
+            shards = _ShardOptions(
+                n_shards,
+                shard_strategy,
+                shard_workers,
+                resolved_executor,
+                int(shard_retries),
+                merge_fan_in,
+                representatives,
+                worker_config,
             )
-            result.parameters.update(
-                {
-                    "sharded": True,
-                    "n_shards": 1,
-                    "shard_strategy": shard_strategy,
-                    "shard_workers": shard_workers,
-                    "shard_executor": resolved_executor,
-                    "shard_retries": int(shard_retries),
-                    "merge_fan_in": merge_fan_in,
-                }
-            )
-            return result
-
-        total_start = time.perf_counter()
-        timings: dict[str, float] = {}
-        batches, known_length = _transaction_batches(
-            source, batch_size, delimiter=delimiter, label_prefix=label_prefix
-        )
-
-        # ---- Phase 1: plan shards and draw every shard's sample ------ #
-        phase_start = time.perf_counter()
-        if shard_strategy == HASH_SHARD_STRATEGY:
-            plan = ShardPlan(n_shards, shard_strategy)
-            shard_sizes, n_points = count_shard_sizes(batches, plan)
-            if not n_points:
-                raise DataValidationError(
-                    "cannot cluster an empty streaming source"
-                )
-        else:
-            if known_length is not None:
-                n_points = known_length
-            else:
-                n_points = sum(len(batch) for batch in batches())
-            if not n_points:
-                raise DataValidationError(
-                    "cannot cluster an empty streaming source"
-                )
-            plan = ShardPlan(n_shards, shard_strategy, n_points=n_points)
-            shard_sizes = plan.positional_shard_sizes()
-
-        if self.sample_size is None or self.sample_size >= n_points:
-            sample_sizes = list(shard_sizes)
-        else:
-            sample_sizes = allocate_sample_sizes(shard_sizes, self.sample_size)
-
-        # One seed per shard plus one for the representative selection,
-        # all drawn from the pipeline generator in a fixed order: the same
-        # pipeline seed reproduces the same multi-shard run regardless of
-        # worker count or completion order.
-        seeds = self.rng.integers(0, 2**63 - 1, size=n_shards + 1)
-        shard_rngs = [np.random.default_rng(int(seed)) for seed in seeds[:-1]]
-        merge_rng = np.random.default_rng(int(seeds[-1]))
-
-        shard_samples = build_shard_samples(
-            batches, plan, shard_sizes, sample_sizes, shard_rngs
-        )
-        sample_indices = sorted(
-            position for _, positions in shard_samples for position in positions
-        )
-        sample_set = set(sample_indices)
-        transaction_of_sample_index = {
-            position: transaction
-            for sample, positions in shard_samples
-            for position, transaction in zip(positions, sample)
-        }
-        timings["sampling"] = time.perf_counter() - phase_start
-
-        # ---- Phases 2-4 per shard, then the summary merge ------------ #
-        phase_start = time.perf_counter()
-
-        def cluster_one(shard_id, sample, positions) -> ShardClusterResult:
-            shard_timings: dict[str, float] = {}
-            (
-                clustered_sample,
-                participating,
-                isolated,
-                _shard_rock_result,
-                kept_clusters,
-                pruned_points,
-            ) = self._cluster_sample(sample, build_item_index(sample), shard_timings)
-            clustered_positions = [positions[i] for i in participating]
-            return ShardClusterResult(
-                shard_id=shard_id,
-                clustered_sample=clustered_sample,
-                clustered_positions=clustered_positions,
-                clusters=list(kept_clusters),
-                isolated_positions=[positions[i] for i in isolated],
-                pruned_positions=[clustered_positions[j] for j in pruned_points],
-                timings=shard_timings,
-            )
-
-        shard_results = cluster_shards(
-            shard_samples,
-            cluster_one,
-            shard_workers,
-            retries=shard_retries,
-            strict=self.strict,
-            executor=resolved_executor,
-            worker_config=worker_config,
-        )
-        timings["neighbors"] = sum(
-            result.timings.get("neighbors", 0.0) for result in shard_results
-        )
-        timings["shard_clustering"] = time.perf_counter() - phase_start
-
-        merge_start = time.perf_counter()
-        pooled_sample: list[frozenset] = []
-        pooled_positions: list[int] = []
-        summaries: list[tuple] = []
-        summary_groups: list[list[int]] = []
-        for result in shard_results:
-            offset = len(pooled_sample)
-            first_summary = len(summaries)
-            pooled_sample.extend(result.clustered_sample)
-            pooled_positions.extend(result.clustered_positions)
-            summaries.extend(
-                tuple(offset + member for member in cluster)
-                for cluster in result.clusters
-            )
-            # One level-0 unit per surviving shard: the hierarchical merge
-            # combines shard groups, then groups of groups.
-            summary_groups.append(list(range(first_summary, len(summaries))))
-        item_index = build_item_index(pooled_sample)
-        merge = merge_shard_summaries(
-            pooled_sample,
-            summaries,
-            self.n_clusters,
-            self.theta,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
-            representatives_per_cluster=representatives_per_cluster,
-            rng=merge_rng,
-            neighbor_strategy=self.neighbor_strategy,
-            neighbor_block_size=self.neighbor_block_size,
-            link_strategy=self.link_strategy,
-            include_self_links=self.include_self_links,
-            item_index=item_index,
-            fan_in=merge_fan_in,
-            summary_groups=summary_groups if merge_fan_in is not None else None,
-        )
-        if merge.stopped_early and self.strict:
-            raise InsufficientLinksError(
-                "summary merge: no cross-summary links remain with %d global "
-                "clusters (requested %d); lower theta, reduce n_clusters or "
-                "use fewer shards" % (len(merge.groups), self.n_clusters)
-            )
-        kept_clusters = [
-            tuple(
-                index
-                for summary_id in group
-                for index in summaries[summary_id]
-            )
-            for group in merge.groups
-        ]
-        timings["merge"] = time.perf_counter() - merge_start
-        timings["clustering"] = time.perf_counter() - phase_start
-
-        # The merged clustering over the pooled shard samples, in the
-        # RockResult shape the in-memory entry points produce.
-        pooled_clusters = [tuple(sorted(members)) for members in kept_clusters]
-        pooled_clusters.sort(key=lambda cluster: (-len(cluster), cluster[0]))
-        pooled_labels = np.full(len(pooled_sample), -1, dtype=int)
-        for label, members in enumerate(pooled_clusters):
-            pooled_labels[list(members)] = label
-        rock_result = RockResult(
-            labels=pooled_labels,
-            clusters=pooled_clusters,
-            merge_history=merge.merge_history,
-            n_clusters=len(pooled_clusters),
-            criterion=merge.criterion,
-            theta=self.theta,
-            stopped_early=merge.stopped_early,
-            elapsed_seconds=timings["merge"],
-        )
-
-        # ---- Phase 5: batched labelling pass ------------------------- #
-        phase_start = time.perf_counter()
-        cluster_members_full = [
-            tuple(sorted(pooled_positions[i] for i in members))
-            for members in kept_clusters
-        ]
-        labels = np.full(n_points, -1, dtype=int)
-        for label, members in enumerate(cluster_members_full):
-            labels[list(members)] = label
-
-        sample_pending: list[int] = []
-        for result in shard_results:
-            sample_pending.extend(result.isolated_positions)
-            sample_pending.extend(result.pruned_positions)
-        sample_pending = sorted(set(sample_pending))
-        has_remainder = n_points > len(sample_indices)
-
-        labeling_result, labeled_indices = self._label_out_of_core(
-            batches,
-            sample_set,
-            pooled_sample,
-            kept_clusters,
-            item_index,
-            transaction_of_sample_index,
-            sample_pending,
-            labels,
-            has_remainder,
-        )
-        timings["labeling"] = time.perf_counter() - phase_start
-
-        return self._finalize(
-            n_points,
-            labels,
-            len(cluster_members_full),
-            sample_indices,
-            rock_result,
-            labeling_result,
-            labeled_indices,
-            timings,
-            total_start,
-            extra_parameters={
+        return self._drive(
+            source,
+            batch_size,
+            {
                 "sharded": True,
                 "n_shards": n_shards,
                 "shard_strategy": shard_strategy,
@@ -1773,15 +1538,14 @@ class RockPipeline:
                 "shard_executor": resolved_executor,
                 "shard_retries": int(shard_retries),
                 "merge_fan_in": merge_fan_in,
-                "merge_levels": merge.levels,
+                "merge_levels": 0,
                 "batch_size": int(batch_size),
-                "representatives_per_cluster": (
-                    representatives_per_cluster
-                    if isinstance(representatives_per_cluster, str)
-                    else int(representatives_per_cluster)
-                ),
-                "skipped_shards": list(shard_results.skipped_shards),
+                "representatives_per_cluster": representatives,
+                "skipped_shards": [],
             },
+            delimiter=delimiter,
+            label_prefix=label_prefix,
+            shards=shards,
         )
 
 

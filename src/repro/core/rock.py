@@ -77,7 +77,10 @@ def as_transactions(data) -> list[frozenset]:
     Accepted shapes: :class:`TransactionDataset`, :class:`CategoricalDataset`
     (records become ``(attribute, value)`` item sets, missing values
     ignored), a two-dimensional 0/1 NumPy array (rows become item sets of
-    their non-zero column indices) or any sequence of item collections.
+    their non-zero column indices) or any sequence of item collections.  A
+    ``str`` or ``bytes`` is not a collection of transactions, and neither is
+    a sequence holding a non-iterable element: both raise
+    :class:`DataValidationError`.
     """
     if isinstance(data, TransactionDataset):
         return data.transactions
@@ -85,8 +88,19 @@ def as_transactions(data) -> list[frozenset]:
         return [attribute_value_items(record) for record in data]
     if isinstance(data, np.ndarray):
         return binary_matrix_to_transactions(data).transactions
+    if isinstance(data, (str, bytes)):
+        raise DataValidationError(
+            "cannot cluster a %s as a collection of transactions; to cluster "
+            "a transaction file, pass its path to RockPipeline.run_streaming "
+            "or load it with repro.data.io.read_transactions" % type(data).__name__
+        )
     if isinstance(data, Sequence) or hasattr(data, "__iter__"):
-        transactions = [frozenset(t) for t in data]
+        try:
+            transactions = [frozenset(t) for t in data]
+        except TypeError as error:
+            raise DataValidationError(
+                "every transaction must be an iterable of hashable items: %s" % error
+            ) from error
         if not transactions:
             raise DataValidationError("cannot cluster an empty collection")
         return transactions

@@ -55,9 +55,11 @@ the result shape shared with :meth:`~repro.core.pipeline.RockPipeline.run`.
 
 Determinism
 -----------
-* ``n_shards=1`` takes the streaming code path unchanged, so its labels are
-  bit-identical to :meth:`~repro.core.pipeline.RockPipeline.run_streaming`
-  on the same data and seed (enforced by the test suite).
+* With ``n_shards=1`` the whole sample is the one shard and the pipeline's
+  phase driver runs exactly the phases of
+  :meth:`~repro.core.pipeline.RockPipeline.run_streaming`, so the labels
+  are bit-identical to it on the same data and seed (enforced by the test
+  suite).
 * Multi-shard runs are seed-reproducible: per-shard sample draws and the
   representative selection derive from the pipeline generator in a fixed
   order, shard workers never touch random state (thread, process or
@@ -796,6 +798,43 @@ def adaptive_representative_bounds(
     return bounds
 
 
+def validate_merge_options(
+    representatives_per_cluster: int | str, fan_in: int | None
+) -> int | str:
+    """Check the summary-merge options; return the normalised budget.
+
+    Shared by :func:`merge_shard_summaries` and
+    :meth:`repro.core.pipeline.RockPipeline.run_sharded`, which checks at
+    entry so a bad value fails before any shard is clustered, whatever the
+    shard count.  Returns ``representatives_per_cluster`` as an ``int``, or
+    :data:`ADAPTIVE_REPRESENTATIVES` unchanged.
+
+    Raises
+    ------
+    ConfigurationError
+        For a non-positive ``representatives_per_cluster`` (or a string
+        other than ``"auto"``), or a ``fan_in`` below 2.
+    """
+    if fan_in is not None and int(fan_in) < 2:
+        raise ConfigurationError(
+            "fan_in must be at least 2 (or None for a flat merge), got %r"
+            % fan_in
+        )
+    if isinstance(representatives_per_cluster, str):
+        if representatives_per_cluster != ADAPTIVE_REPRESENTATIVES:
+            raise ConfigurationError(
+                "representatives_per_cluster must be a positive int or %r, "
+                "got %r" % (ADAPTIVE_REPRESENTATIVES, representatives_per_cluster)
+            )
+        return representatives_per_cluster
+    if representatives_per_cluster < 1:
+        raise ConfigurationError(
+            "representatives_per_cluster must be positive, got %r"
+            % representatives_per_cluster
+        )
+    return int(representatives_per_cluster)
+
+
 def merge_shard_summaries(
     pooled_sample: Sequence[frozenset],
     summaries: Sequence[Sequence[int]],
@@ -894,25 +933,10 @@ def merge_shard_summaries(
         raise DataValidationError("summary merge requires at least one summary")
     if any(not len(members) for members in summaries):
         raise DataValidationError("summaries must be non-empty member lists")
-    if isinstance(representatives_per_cluster, str):
-        if representatives_per_cluster != ADAPTIVE_REPRESENTATIVES:
-            raise ConfigurationError(
-                "representatives_per_cluster must be a positive int or %r, "
-                "got %r" % (ADAPTIVE_REPRESENTATIVES, representatives_per_cluster)
-            )
-    elif representatives_per_cluster < 1:
-        raise ConfigurationError(
-            "representatives_per_cluster must be positive, got %r"
-            % representatives_per_cluster
-        )
+    validate_merge_options(representatives_per_cluster, fan_in)
     if n_clusters < 1:
         raise ConfigurationError(
             "n_clusters must be positive, got %r" % n_clusters
-        )
-    if fan_in is not None and int(fan_in) < 2:
-        raise ConfigurationError(
-            "fan_in must be at least 2 (or None for a flat merge), got %r"
-            % fan_in
         )
     if exponent_function is None:
         exponent_function = default_expected_links_exponent

@@ -317,23 +317,6 @@ class TestLabelingResultLabelSpace:
             result.labels[result.labeled_indices], result.labeling_result.labels
         )
 
-    def test_neighbor_counts_columns_in_final_space(self, mushroom_small):
-        from repro.data.encoding import records_to_transactions
-
-        dataset, _ = mushroom_small
-        transactions = records_to_transactions(dataset)
-        result = rock_cluster(
-            transactions, n_clusters=8, theta=0.8, sample_size=90,
-            min_cluster_size=2, rng=0,
-        )
-        counts = result.labeling_result.neighbor_counts
-        assert counts.shape[1] == result.n_clusters
-        # Every labelled point must have a positive raw count in the column
-        # of the cluster it was assigned to.
-        labels = result.labeling_result.labels
-        placed = labels >= 0
-        assert np.all(counts[np.nonzero(placed)[0], labels[placed]] > 0)
-
     def test_streaming_labeling_result_matches_final_labels(self, mushroom_small):
         from repro.data.encoding import records_to_transactions
 

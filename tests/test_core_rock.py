@@ -35,6 +35,26 @@ class TestAsTransactions:
         with pytest.raises(DataValidationError):
             as_transactions([])
 
+    @pytest.mark.parametrize(
+        "data",
+        ["/tmp/baskets.txt", b"1 2 3", [1, 2, 3]],
+        ids=["path-string", "bytes", "flat-ints"],
+    )
+    def test_non_transaction_shapes_rejected(self, data):
+        # None of these is a collection of transactions: a path string
+        # would be clustered as its characters, one item each.
+        from repro.core.pipeline import RockPipeline
+
+        with pytest.raises(DataValidationError):
+            as_transactions(data)
+        with pytest.raises(DataValidationError):
+            RockPipeline(n_clusters=2).run(data)
+        with pytest.raises(DataValidationError):
+            RockClustering(n_clusters=2).fit(data)
+
+    def test_string_elements_stay_item_sets(self):
+        assert as_transactions(["ab", "c"]) == [frozenset("ab"), frozenset("c")]
+
 
 class TestRockClustering:
     def test_two_group_recovery(self, two_group_transactions, two_group_labels):

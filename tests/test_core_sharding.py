@@ -864,6 +864,29 @@ class TestRunShardedValidation:
                 tight_baskets.transactions, n_shards=2, shard_workers=0
             )
 
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"merge_fan_in": 1},
+            {"representatives_per_cluster": 0},
+            {"representatives_per_cluster": "bogus"},
+        ],
+        ids=lambda options: "%s=%s" % next(iter(options.items())),
+    )
+    def test_merge_options_checked_before_any_shard_clusters(
+        self, tight_baskets, monkeypatch, n_shards, options
+    ):
+        clustered = []
+        monkeypatch.setattr(
+            RockPipeline, "_cluster_sample", lambda self, *args: clustered.append(args)
+        )
+        with pytest.raises(ConfigurationError):
+            _pipeline().run_sharded(
+                tight_baskets.transactions, n_shards=n_shards, **options
+            )
+        assert clustered == []
+
     def test_unknown_executor_rejected(self, tight_baskets):
         with pytest.raises(ConfigurationError, match="unknown shard executor"):
             _pipeline().run_sharded(

@@ -92,3 +92,63 @@ def test_refresh_fixture_actually_refreshed():
         golden.fixture_path("online_refresh").read_text(encoding="utf-8")
     )
     assert payload["n_refreshes"] >= 1
+
+
+#: Reporting keys every entry point shares.
+SHARED_PARAMETERS = {
+    "n_clusters", "theta", "sample_size", "min_neighbors", "min_cluster_size",
+    "labeling_fraction", "assign_outliers", "engine", "merge_counters",
+}
+
+#: The entry points behind the one phase driver: how each is called on the
+#: golden slice and the reporting keys it adds to the shared ones.
+CONTRACT_MODES = {
+    "run": (lambda pipeline, data: pipeline.run(data), set()),
+    "streaming": (
+        lambda pipeline, data: pipeline.run_streaming(data, batch_size=golden.BATCH_SIZE),
+        {"streaming", "batch_size", "sample_method"},
+    ),
+    "sharded-1": (
+        lambda pipeline, data: pipeline.run_sharded(
+            data, n_shards=1, batch_size=golden.BATCH_SIZE
+        ),
+        {
+            "sharded", "n_shards", "shard_strategy", "shard_workers",
+            "shard_executor", "shard_retries", "merge_fan_in", "merge_levels",
+            "batch_size", "representatives_per_cluster", "skipped_shards",
+        },
+    ),
+    "online": (
+        lambda pipeline, data: pipeline.run_online(data, batch_size=golden.BATCH_SIZE),
+        {
+            "online", "batch_size", "sample_method", "refresh_threshold",
+            "n_refreshes", "refresh_merge_counters",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(CONTRACT_MODES))
+def test_every_entry_point_gives_the_run_result(mode):
+    # streaming ≡ in-memory, 1-shard ≡ streaming and incremental ≡
+    # streaming, checked on one slice together with the result shape the
+    # shared finalizer gives every mode.
+    from repro.core.pipeline import RockPipeline
+
+    data = golden.golden_transactions()
+    reference = RockPipeline(**golden.PIPELINE_PARAMS).run(data)
+    call, mode_keys = CONTRACT_MODES[mode]
+    result = call(RockPipeline(**golden.PIPELINE_PARAMS), data)
+
+    assert result.labels.tolist() == reference.labels.tolist()
+    assert result.clusters == reference.clusters
+    assert result.n_outliers == reference.n_outliers
+    assert sorted(result.labeled_indices) == sorted(reference.labeled_indices)
+    assert result.labeling_result.neighbor_counts.shape == (0, result.n_clusters)
+    assert set(result.timings) == {
+        "sampling", "neighbors", "clustering", "labeling", "total",
+    }
+    assert set(result.parameters) == SHARED_PARAMETERS | mode_keys
+    if mode == "sharded-1":
+        # One shard reports every key a multi-shard run does.
+        assert set(result.parameters) == set(golden.run_case("sharded").parameters)

@@ -21,7 +21,8 @@ from repro.core.incremental import IncrementalRock
 from repro.core.neighbors import DEFAULT_NEIGHBOR_STRATEGY
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import RockClustering
-from repro.data.io import write_transactions
+from repro.data.dataset import TransactionDataset
+from repro.data.io import read_transactions, write_transactions
 from repro.datasets.market_basket import generate_market_baskets
 from repro.errors import (
     ConfigurationError,
@@ -828,6 +829,62 @@ class TestPipelinePersistence:
     def test_snapshot_every_without_dir_rejected(self, basket_path):
         with pytest.raises(ConfigurationError):
             self._pipeline().run_online(basket_path, snapshot_every=2)
+
+    @pytest.mark.parametrize("as_path", [False, True], ids=["in-memory", "path"])
+    def test_resume_on_longer_source_rejected_before_logging(
+        self, basket_path, tmp_path, as_path
+    ):
+        source = read_transactions(basket_path).transactions
+        longer = source + source[:50]
+        if as_path:
+            write_transactions(TransactionDataset(longer), tmp_path / "longer.txt")
+            source, longer = basket_path, tmp_path / "longer.txt"
+        plain = self._pipeline().run_online(source, batch_size=32)
+        snaps = tmp_path / "snaps"
+        self._pipeline().run_online(source, batch_size=32, snapshot_dir=snaps)
+        with pytest.raises(SnapshotConfigMismatchError, match="160"):
+            self._pipeline().run_online(
+                longer, batch_size=32, snapshot_dir=snaps, resume=True
+            )
+        # Nothing of the longer source reached the WAL: the directory
+        # still resumes, bit-identically, on the source it was written for.
+        resumed = self._pipeline().run_online(
+            source, batch_size=32, snapshot_dir=snaps, resume=True
+        )
+        assert np.array_equal(plain.labels, resumed.labels)
+        assert plain.clusters == resumed.clusters
+
+    def test_resume_on_shorter_source_after_crash_rejected(
+        self, basket_path, tmp_path, monkeypatch
+    ):
+        plain = self._pipeline().run_online(basket_path, batch_size=32)
+
+        # Crash before the third WAL append: the run is left half done.
+        calls = {"n": 0}
+        original = WriteAheadLog.append
+
+        def crashing_append(self, seq, payload):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                failpoints.activate("wal.before-append", times=1)
+            return original(self, seq, payload)
+
+        monkeypatch.setattr(WriteAheadLog, "append", crashing_append)
+        snaps = tmp_path / "snaps"
+        with pytest.raises(failpoints.InjectedFaultError):
+            self._pipeline().run_online(basket_path, batch_size=32, snapshot_dir=snaps)
+        monkeypatch.setattr(WriteAheadLog, "append", original)
+
+        shorter = read_transactions(basket_path).transactions[:100]
+        with pytest.raises(SnapshotConfigMismatchError, match="100"):
+            self._pipeline().run_online(
+                shorter, batch_size=32, snapshot_dir=snaps, resume=True
+            )
+        resumed = self._pipeline().run_online(
+            basket_path, batch_size=32, snapshot_dir=snaps, resume=True
+        )
+        assert np.array_equal(plain.labels, resumed.labels)
+        assert plain.clusters == resumed.clusters
 
     def test_resume_without_dir_rejected(self, basket_path):
         with pytest.raises(ConfigurationError):
