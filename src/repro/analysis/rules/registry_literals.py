@@ -51,8 +51,8 @@ NAME_REGISTRIES: tuple[NameRegistry, ...] = (
     ),
     NameRegistry(
         label="shard executor",
-        # "auto" is deliberately unregistered, like the neighbour
-        # registry: it is a resolution request, not an executor.
+        # Exactly the two pool classes; there is no "auto" executor (no
+        # measured crossover backs a choice between them).
         names=frozenset({"thread", "process"}),
         home_prefixes=("repro.core.sharding",),
     ),

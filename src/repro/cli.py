@@ -17,12 +17,12 @@ batch by batch (``--batch-size``), keeping peak memory bounded by the
 sample plus one batch while producing the same labels as an in-memory run.
 With ``--shards N`` (N > 1; implies the out-of-core mode) the clustering
 phase itself is sharded: every shard clusters its own slice of the sample
-(``--shard-workers`` in parallel — threads by default, or spawn-based
-processes with ``--shard-executor process``; failed workers are retried
-``--shard-retries`` times), the per-shard cluster summaries are merged
-(flat, or hierarchically with ``--merge-fan-in``), and the file is
-labelled against the merged clustering.  With
-``--online`` the file is *ingested* through the incremental engine
+(``--shard-workers`` at a time — threads by default, or spawn-based
+processes with ``--shard-executor process``, the same per-shard task
+either way; failed workers are retried ``--shard-retries`` times), the
+per-shard cluster summaries are merged (flat, or hierarchically with
+``--merge-fan-in``), and the file is labelled against the merged
+clustering.  With ``--online`` the file is *ingested* through the incremental engine
 (:mod:`repro.core.incremental`): every batch is labelled and spliced into
 a live clustering, and ``--refresh-threshold`` bounds its drift by
 triggering full re-clusters.
@@ -45,7 +45,6 @@ from repro.core.neighbors import DEFAULT_NEIGHBOR_STRATEGY, neighbor_strategies
 from repro.core.pipeline import RockPipeline
 from repro.core.engines import DEFAULT_ENGINE, engine_choices
 from repro.core.sharding import (
-    AUTO_SHARD_EXECUTOR,
     DEFAULT_SHARD_EXECUTOR,
     DEFAULT_SHARD_STRATEGY,
     SHARD_EXECUTORS,
@@ -498,12 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--shard-executor",
-        choices=[*SHARD_EXECUTORS, AUTO_SHARD_EXECUTOR],
+        choices=list(SHARD_EXECUTORS),
         default=DEFAULT_SHARD_EXECUTOR,
-        help="run shard workers as threads (default), as spawn-based "
-             "processes attaching the shard incidence from shared memory "
-             "(escapes the GIL; labels are bit-identical either way), or "
-             "pick automatically from the worker count and CPU count",
+        help="run shard workers as threads (default) or as spawn-based "
+             "processes (escapes the GIL at about a second of pool "
+             "start-up; the same per-shard task runs either way, so labels "
+             "are bit-identical)",
     )
     cluster.add_argument(
         "--shard-retries", type=int, default=1,

@@ -70,13 +70,16 @@ from repro.core.neighbors import (
     register_backend,
 )
 from repro.core.outliers import drop_small_clusters, isolated_point_mask
-from repro.core.pipeline import RockPipeline, RockPipelineResult, rock_cluster
+from repro.core.pipeline import (
+    RockPipeline,
+    RockPipelineResult,
+    ShardWorkerConfig,
+    cluster_shard,
+    rock_cluster,
+)
 from repro.core.rock import ENGINES, RockClustering, RockResult
 from repro.core.sampling import chernoff_sample_size, draw_sample, reservoir_sample
-from repro.core.shard_worker import ShardWorkerConfig
 from repro.core.sharding import (
-    ADAPTIVE_REPRESENTATIVES,
-    AUTO_SHARD_EXECUTOR,
     DEFAULT_SHARD_EXECUTOR,
     DEFAULT_SHARD_STRATEGY,
     PROCESS_SHARD_EXECUTOR,
@@ -86,7 +89,6 @@ from repro.core.sharding import (
     ShardPlan,
     ShardRunResults,
     SummaryMergeResult,
-    adaptive_representative_bounds,
     allocate_sample_sizes,
     cluster_shards,
     merge_shard_summaries,
@@ -131,14 +133,13 @@ __all__ = [
     "isolated_point_mask",
     "RockPipeline",
     "RockPipelineResult",
+    "cluster_shard",
     "rock_cluster",
     "RockClustering",
     "RockResult",
     "chernoff_sample_size",
     "draw_sample",
     "reservoir_sample",
-    "ADAPTIVE_REPRESENTATIVES",
-    "AUTO_SHARD_EXECUTOR",
     "DEFAULT_SHARD_EXECUTOR",
     "DEFAULT_SHARD_STRATEGY",
     "PROCESS_SHARD_EXECUTOR",
@@ -149,7 +150,6 @@ __all__ = [
     "ShardRunResults",
     "ShardWorkerConfig",
     "SummaryMergeResult",
-    "adaptive_representative_bounds",
     "allocate_sample_sizes",
     "cluster_shards",
     "merge_shard_summaries",

@@ -45,6 +45,7 @@ consume.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
@@ -77,7 +78,6 @@ from repro.core.neighbors import (
 from repro.core.outliers import drop_small_clusters, partition_isolated_points
 from repro.core.rock import RockClustering, RockResult, as_transactions
 from repro.core.sampling import draw_sample, reservoir_sample
-from repro.core.shard_worker import ShardWorkerConfig
 from repro.core.sharding import (
     DEFAULT_SHARD_EXECUTOR,
     DEFAULT_SHARD_STRATEGY,
@@ -92,6 +92,7 @@ from repro.core.sharding import (
     merge_shard_summaries,
     resolve_shard_executor,
     validate_merge_options,
+    validate_shard_workers,
 )
 from repro.data.encoding import build_item_index
 from repro.data.io import iter_transactions
@@ -303,8 +304,7 @@ class _ShardOptions:
     executor: str
     retries: int
     fan_in: int | None
-    representatives: int | str
-    worker_config: ShardWorkerConfig
+    representatives: int
 
 
 @dataclass(frozen=True)
@@ -818,22 +818,20 @@ class RockPipeline:
     ) -> _Clustering:
         """The sharded cluster phase: cluster every shard, merge the summaries.
 
-        Every shard's sample runs phases 2-4 on its own item index (on
-        worker threads or processes), the per-shard kept clusters become
-        weighted summaries, and :func:`merge_shard_summaries` merges them
-        over the pooled shard samples into the global clusters.
+        Every shard's sample runs phases 2-4 through :func:`cluster_shard`
+        (on worker threads or processes, the same picklable task either
+        way), the per-shard kept clusters become weighted summaries, and
+        :func:`merge_shard_summaries` merges them over the pooled shard
+        samples into the global clusters.
         """
         phase_start = time.perf_counter()
         shard_results = cluster_shards(
             units,
-            lambda shard_id, sample, positions: self._cluster_shard(
-                shard_id, sample, positions, build_item_index(sample), {}
-            )[0],
+            functools.partial(cluster_shard, ShardWorkerConfig.from_pipeline(self)),
             shards.workers,
             retries=shards.retries,
             strict=self.strict,
             executor=shards.executor,
-            worker_config=shards.worker_config,
         )
         timings["neighbors"] = sum(
             result.timings.get("neighbors", 0.0) for result in shard_results
@@ -1398,7 +1396,7 @@ class RockPipeline:
         shard_executor: str = DEFAULT_SHARD_EXECUTOR,
         shard_retries: int = 1,
         merge_fan_in: int | None = None,
-        representatives_per_cluster: int | str = 16,
+        representatives_per_cluster: int = 16,
         delimiter: str | None = None,
         label_prefix: str | None = None,
     ) -> RockPipelineResult:
@@ -1435,20 +1433,22 @@ class RockPipeline:
         batch_size:
             Transactions per labelling batch (see :meth:`run_streaming`).
         shard_workers:
-            Maximum number of workers clustering shards concurrently;
-            ``None`` or ``1`` clusters serially on the thread executor.
-            Shard clustering consumes no shared random state, so the
-            worker count never changes the result.
+            Maximum number of shards clustered concurrently; ``None`` (the
+            default) or ``1`` clusters them one at a time, on either
+            executor.  Shard clustering consumes no shared random state,
+            so the worker count never changes the result.
         shard_strategy:
             Partitioning strategy — ``"round-robin"`` (default),
             ``"contiguous"`` or ``"hash"``; see :class:`ShardPlan`.
         shard_executor:
-            ``"thread"`` (default), ``"process"`` or ``"auto"`` — see
-            :func:`repro.core.sharding.resolve_shard_executor`.  The
-            process executor escapes the GIL by clustering shards in
-            spawn-based worker processes that attach each shard's
-            incidence from shared memory; its labels are bit-identical to
-            the thread executor's on the same data and seed.
+            ``"thread"`` (default) or ``"process"``: the pool that runs the
+            per-shard task :func:`cluster_shard`.  The process executor
+            escapes the GIL by clustering shards in spawn-based worker
+            processes, at about a second of pool start-up; the task and
+            its shard sample are pickled to them, so a custom measure or
+            exponent function must be defined at module level.  Both run
+            the same task on the same items, so the labels are
+            bit-identical on the same data and seed.
         shard_retries:
             How many times a failed shard worker is re-attempted before
             the shard is skipped (degraded run) or, in ``strict`` mode,
@@ -1464,9 +1464,7 @@ class RockPipeline:
             ``None`` keeps the flat merge.
         representatives_per_cluster:
             Upper bound on the member transactions each per-shard cluster
-            contributes to the summary-merge link estimate, or
-            ``"auto"`` for a per-summary adaptive budget
-            (:func:`repro.core.sharding.adaptive_representative_bounds`).
+            contributes to the summary-merge link estimate.
         delimiter, label_prefix:
             Parse options for a file-path ``source`` (see
             :meth:`run_streaming`).
@@ -1487,7 +1485,9 @@ class RockPipeline:
         ConfigurationError
             For a non-positive ``n_shards``/``shard_workers``, an unknown
             ``shard_strategy``/``shard_executor``, invalid merge options or
-            invalid streaming options — all before the source is read.
+            invalid streaming options — all before the source is read,
+            whatever the shard count.  Also, without a retry, when the
+            process executor cannot start its workers or pickle the task.
         DataValidationError
             When the source is empty.
         InsufficientLinksError
@@ -1504,12 +1504,10 @@ class RockPipeline:
                 "unknown shard strategy %r; expected one of %s"
                 % (shard_strategy, ", ".join(SHARD_STRATEGIES))
             )
-        worker_config = ShardWorkerConfig.from_pipeline(self)
-        # Resolved here (not just in cluster_shards) so an unknown name
-        # fails fast on every path and the resolved choice is reportable.
-        resolved_executor = resolve_shard_executor(
-            shard_executor, shard_workers, worker_config
-        )
+        # Checked here (not just in cluster_shards) so a bad value fails
+        # before the source is read, whatever the shard count.
+        validate_shard_workers(shard_workers)
+        shard_executor = resolve_shard_executor(shard_executor)
         if shard_retries < 0:
             raise ConfigurationError(
                 "shard_retries must be non-negative, got %r" % shard_retries
@@ -1521,11 +1519,10 @@ class RockPipeline:
                 n_shards,
                 shard_strategy,
                 shard_workers,
-                resolved_executor,
+                shard_executor,
                 int(shard_retries),
                 merge_fan_in,
                 representatives,
-                worker_config,
             )
         return self._drive(
             source,
@@ -1535,7 +1532,7 @@ class RockPipeline:
                 "n_shards": n_shards,
                 "shard_strategy": shard_strategy,
                 "shard_workers": shard_workers,
-                "shard_executor": resolved_executor,
+                "shard_executor": shard_executor,
                 "shard_retries": int(shard_retries),
                 "merge_fan_in": merge_fan_in,
                 "merge_levels": 0,
@@ -1547,6 +1544,55 @@ class RockPipeline:
             label_prefix=label_prefix,
             shards=shards,
         )
+
+
+@dataclass(frozen=True)
+class ShardWorkerConfig:
+    """The pipeline fields the per-shard phases read, picklable for process workers.
+
+    The per-shard task of :meth:`RockPipeline.run_sharded` is
+    ``functools.partial(cluster_shard, ShardWorkerConfig.from_pipeline(pipeline))``
+    on either executor.  Every field must pickle for the process executor:
+    a custom ``measure`` or ``exponent_function`` that does not (e.g. a
+    lambda) needs the thread executor.
+    """
+
+    n_clusters: int
+    theta: float
+    measure: SetSimilarity | None
+    min_neighbors: int
+    min_cluster_size: int
+    exponent_function: ExponentFunction | None
+    engine: str
+    neighbor_strategy: str
+    neighbor_block_size: int | None
+    link_strategy: str
+    include_self_links: bool
+    strict: bool
+
+    @classmethod
+    def from_pipeline(cls, pipeline: RockPipeline) -> ShardWorkerConfig:
+        """Capture the shard-relevant fields of a pipeline instance."""
+        return cls(**{item.name: getattr(pipeline, item.name) for item in fields(cls)})
+
+    def build_pipeline(self) -> RockPipeline:
+        """A pipeline running the exact per-shard phases of the captured one."""
+        return RockPipeline(**{item.name: getattr(self, item.name) for item in fields(self)})
+
+
+def cluster_shard(
+    config: ShardWorkerConfig, shard_id: int, sample: list, positions: list[int]
+) -> ShardClusterResult:
+    """Phases 2-4 on one shard's sample: the task both shard executors run.
+
+    A module-level function, so ``functools.partial(cluster_shard, config)``
+    pickles for process workers; the thread executor calls the same
+    partial on the same items, which is why the two executors' labels are
+    bit-identical by construction.
+    """
+    return config.build_pipeline()._cluster_shard(
+        shard_id, sample, positions, build_item_index(sample), {}
+    )[0]
 
 
 def rock_cluster(

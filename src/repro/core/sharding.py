@@ -18,17 +18,15 @@ Three pieces compose the subsystem:
   ``n_shards``), ``"contiguous"`` (equal-width position blocks) or
   ``"hash"`` (a stable content hash, so identical baskets always land in
   the same shard regardless of position).
-* :func:`cluster_shards` — runs the per-shard clustering over every shard
-  sample, serially, through a
-  :class:`concurrent.futures.ThreadPoolExecutor`, or (``executor=
-  "process"``) through a spawn-based
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers attach
-  each shard's incidence structure from shared memory
-  (:class:`repro.data.encoding.SharedIncidence`) instead of unpickling
-  per-shard transaction copies.  Results are returned in shard order
-  whatever the completion order, and shard clustering is deterministic
-  (no random state is consumed inside workers), so neither the worker
-  count nor the executor choice ever changes the outcome.
+* :func:`cluster_shards` — runs one picklable per-shard task over every
+  shard sample on a :class:`~concurrent.futures.ThreadPoolExecutor` or
+  (``executor="process"``) a spawn-based
+  :class:`~concurrent.futures.ProcessPoolExecutor`, with retries.  Both
+  pools run the same task on the same items through the same wave loop;
+  the shard sample travels inside the pickled task.  Results are returned
+  in shard order whatever the completion order, and shard clustering is
+  deterministic (no random state is consumed inside workers), so neither
+  the worker count nor the executor choice ever changes the outcome.
 * :func:`merge_shard_summaries` — the summary-merge agglomeration.  Each
   per-shard cluster becomes one meta-point whose size is the *full* shard
   cluster size and whose link mass towards other meta-points is estimated
@@ -72,15 +70,21 @@ Determinism
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import os
+import pickle
 import warnings
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -98,9 +102,6 @@ from repro.persistence import failpoints
 from repro.similarity.base import SetSimilarity
 from repro.types import MergeStep
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.shard_worker import ShardWorkerConfig
-
 #: Partitioning strategies accepted by :class:`ShardPlan`.
 SHARD_STRATEGIES = ("round-robin", "contiguous", "hash")
 
@@ -116,10 +117,9 @@ HASH_SHARD_STRATEGY = SHARD_STRATEGIES[2]
 
 #: Shard executors accepted by :func:`cluster_shards` (a REG001 name
 #: registry — layers above import these constants instead of spelling
-#: the names).  ``"thread"`` shares the interpreter (cheap, GIL-bound);
-#: ``"process"`` runs the spawn-safe :mod:`repro.core.shard_worker` in a
-#: :class:`~concurrent.futures.ProcessPoolExecutor` with the shard
-#: incidence published through shared memory.
+#: the names).  They differ only in the pool class: ``"thread"`` shares
+#: the interpreter (cheap to start, GIL-bound); ``"process"`` starts
+#: spawn-based interpreters (about a second of start-up, escapes the GIL).
 SHARD_EXECUTORS = ("thread", "process")
 
 #: Executor used when none is requested.
@@ -129,37 +129,38 @@ DEFAULT_SHARD_EXECUTOR = SHARD_EXECUTORS[0]
 #: :data:`HASH_SHARD_STRATEGY`.
 PROCESS_SHARD_EXECUTOR = SHARD_EXECUTORS[1]
 
-#: Pseudo-executor resolving to a concrete one at run time (see
-#: :func:`resolve_shard_executor`); kept out of :data:`SHARD_EXECUTORS`
-#: like the neighbour registry keeps ``"auto"`` out of its backends.
-AUTO_SHARD_EXECUTOR = "auto"
 
+def resolve_shard_executor(executor: str) -> str:
+    """Validate a shard executor name; returns it unchanged.
 
-def resolve_shard_executor(
-    executor: str,
-    shard_workers: int | None = None,
-    worker_config: "ShardWorkerConfig | None" = None,
-) -> str:
-    """Resolve an executor request to a concrete :data:`SHARD_EXECUTORS` name.
-
-    ``"auto"`` picks the process executor only when it can pay off:
-    a worker config is available (the process path cannot run an
-    arbitrary ``cluster_one``), more than one worker was requested, and
-    the machine has more than one CPU.  Everything else resolves to the
-    thread executor.  Concrete names pass through after validation.
+    Raises
+    ------
+    ConfigurationError
+        For a name outside :data:`SHARD_EXECUTORS`.
     """
-    if executor == AUTO_SHARD_EXECUTOR:
-        if worker_config is None or shard_workers is None or int(shard_workers) <= 1:
-            return DEFAULT_SHARD_EXECUTOR
-        if (os.cpu_count() or 1) < 2:
-            return DEFAULT_SHARD_EXECUTOR
-        return PROCESS_SHARD_EXECUTOR
     if executor not in SHARD_EXECUTORS:
         raise ConfigurationError(
             "unknown shard executor %r; expected one of %s"
-            % (executor, ", ".join(SHARD_EXECUTORS + (AUTO_SHARD_EXECUTOR,)))
+            % (executor, ", ".join(SHARD_EXECUTORS))
         )
     return executor
+
+
+def validate_shard_workers(shard_workers: int | None) -> int:
+    """The pool size both executors use: ``None`` means 1 (serial).
+
+    Raises
+    ------
+    ConfigurationError
+        For a worker count below 1.
+    """
+    if shard_workers is None:
+        return 1
+    if int(shard_workers) < 1:
+        raise ConfigurationError(
+            "shard_workers must be positive or None, got %r" % shard_workers
+        )
+    return int(shard_workers)
 
 
 def stable_shard_hash(transaction) -> int:
@@ -419,9 +420,17 @@ def cluster_shards(
     retries: int = 1,
     strict: bool = False,
     executor: str = DEFAULT_SHARD_EXECUTOR,
-    worker_config: "ShardWorkerConfig | None" = None,
 ) -> ShardRunResults:
-    """Cluster every shard sample, optionally in parallel, with retries.
+    """Cluster every shard sample on a thread or process pool, with retries.
+
+    One loop serves both executors, which differ only in the pool class.
+    Each wave runs on a fresh pool of ``min(shard_workers, pending)``
+    workers: it first runs :func:`bootstrap_probe` with ``cluster_one`` as
+    its argument, then submits one attempt per pending shard in shard
+    order, keeping at most ``shard_workers`` attempts in flight.  Shards
+    whose attempt failed are retried by the next wave (a crashed process
+    worker breaks its pool, so a fresh pool keeps one shard's crash out of
+    another shard's retry).
 
     Parameters
     ----------
@@ -430,21 +439,18 @@ def cluster_shards(
         Shards with empty samples are skipped (they contribute no
         summaries).
     cluster_one:
-        Callable ``(shard_id, sample, positions) -> ShardClusterResult``
+        The task ``(shard_id, sample, positions) -> ShardClusterResult``
         performing the per-shard pre-filter/cluster/prune phases.  It must
-        be deterministic and must not consume shared random state: with
-        ``shard_workers > 1`` the calls run on a
-        :class:`~concurrent.futures.ThreadPoolExecutor` in unspecified
-        order — and the same two properties are what make a *retry* of a
-        failed shard reproduce the exact result a fault-free run would
-        have produced (the shard's sample was drawn before the worker ran).
-        The process executor does not call it (a closure cannot cross a
-        process boundary): per-shard clustering runs in
-        :mod:`repro.core.shard_worker` configured by ``worker_config``.
+        be deterministic and must not consume shared random state: the
+        attempts run in unspecified order, and the same two properties are
+        what make a *retry* of a failed shard reproduce the exact result a
+        fault-free run would have produced (the shard's sample was drawn
+        before the worker ran).  The process executor pickles it, with the
+        shard sample, for every attempt, so there it must be picklable
+        (e.g. a :func:`functools.partial` of a module-level function).
     shard_workers:
-        Maximum number of workers; ``None`` or ``1`` clusters the shards
-        serially on the thread executor (the process executor sizes its
-        pool to ``min(shard_workers or n_tasks, n_tasks)``).
+        Maximum number of attempts in flight; ``None`` means 1 (serial) on
+        either executor.
     retries:
         How many times a failed shard is re-attempted (same inputs, hence
         same result).  ``0`` disables retrying.
@@ -455,16 +461,7 @@ def cluster_shards(
         in ``skipped_shards`` and the surviving shards carry the run.  All
         shards failing raises regardless (there is nothing left to merge).
     executor:
-        One of :data:`SHARD_EXECUTORS` or ``"auto"``
-        (:func:`resolve_shard_executor`).  The process executor publishes
-        each shard's incidence structure once through
-        :class:`repro.data.encoding.SharedIncidence`, spawns workers that
-        attach it read-only, and retries failures in deterministic waves;
-        the labels it produces are bit-identical to the thread executor's.
-    worker_config:
-        :class:`repro.core.shard_worker.ShardWorkerConfig` describing the
-        per-shard clustering; required by (and only consulted for) the
-        process executor.
+        One of :data:`SHARD_EXECUTORS`.
 
     Returns
     -------
@@ -476,83 +473,53 @@ def cluster_shards(
     ------
     ConfigurationError
         Besides invalid arguments: when a shard attempt raises one (e.g. an
-        unknown strategy in ``worker_config``), or when the process
-        executor's workers die while starting, before any shard task ran
-        (typically a script without an ``if __name__ == "__main__":``
-        guard).  Either is raised after one attempt, whatever ``strict``
-        is, with no warning, since a retry cannot succeed.
+        unknown strategy in the task's configuration), when the process
+        executor's workers die while starting (typically a script without
+        an ``if __name__ == "__main__":`` guard), or when ``cluster_one``
+        cannot be pickled for the process executor.  Each is raised at
+        once, whatever ``strict`` is, with no warning and no further
+        attempt started, since a retry cannot succeed.
 
     Notes
     -----
     The failpoints ``shard.worker`` (any shard) and ``shard.worker.<id>``
-    (one specific shard) inject a failure at the start of a worker attempt;
-    armed with ``times=1`` they make exactly one attempt fail, which is how
-    the recovery suite asserts that a retried run is identical to a
-    fault-free one.  Under the process executor the budgets are consumed
-    in the parent (deterministic task order, so ``*N`` semantics do not
-    depend on the process count) and the fault is raised inside the child,
-    exercising the real cross-process error channel.
+    (one specific shard) inject a failure into a shard attempt; armed with
+    ``times=1`` they make exactly one attempt fail, which is how the
+    recovery suite asserts that a retried run is identical to a fault-free
+    one.  Their budgets are consumed in the parent as each attempt is
+    submitted (shard order, so ``*N`` semantics depend neither on the pool
+    nor on its size), and the fault is raised inside the worker, so under
+    the process executor it crosses the real cross-process error channel.
     """
+    workers = validate_shard_workers(shard_workers)
+    if retries < 0:
+        raise ConfigurationError("retries must be non-negative, got %r" % retries)
+    pool_class: Callable[..., Executor] = ThreadPoolExecutor
+    if resolve_shard_executor(executor) == PROCESS_SHARD_EXECUTOR:
+        pool_class = functools.partial(
+            ProcessPoolExecutor, mp_context=get_context("spawn")
+        )
     tasks = [
         (shard_id, sample, positions)
         for shard_id, (sample, positions) in enumerate(shard_samples)
         if sample
     ]
-    if shard_workers is not None and int(shard_workers) < 1:
-        raise ConfigurationError(
-            "shard_workers must be positive or None, got %r" % shard_workers
-        )
-    if retries < 0:
-        raise ConfigurationError("retries must be non-negative, got %r" % retries)
-    executor = resolve_shard_executor(executor, shard_workers, worker_config)
-    if executor == PROCESS_SHARD_EXECUTOR and worker_config is None:
-        raise ConfigurationError(
-            "the process shard executor requires worker_config (per-shard "
-            "clustering runs in repro.core.shard_worker; cluster_one cannot "
-            "cross a process boundary)"
-        )
-
-    def attempt(shard_id, sample, positions) -> ShardClusterResult:
-        failpoints.hit("shard.worker")
-        failpoints.hit("shard.worker.%d" % shard_id)
-        return cluster_one(shard_id, sample, positions)
-
-    def run_with_retry(task):
-        """Returns ``(result_or_None, error_or_None)`` for one shard."""
-        shard_id = task[0]
-        last_error: Exception | None = None
-        for _ in range(retries + 1):
-            try:
-                return attempt(*task), None
-            except ConfigurationError:
-                # A configuration error is no transient fault: every retry
-                # would fail alike, so it propagates on the first attempt.
-                raise
-            # Deliberate fault-isolation boundary: a worker failure —
-            # including an InjectedFaultError from the shard.worker
-            # failpoint — is captured for the retry/degrade/strict logic
-            # below instead of propagating, which is exactly what the
-            # fault-tolerance suite exercises.
-            # repro-lint: disable=ERR001 reason=shard worker isolation; error is retried then surfaced via skipped_shards or ShardExecutionError
-            except Exception as error:  # noqa: BLE001 - isolate worker faults
-                last_error = error
-        return None, last_error
-
-    if executor == PROCESS_SHARD_EXECUTOR and tasks:
-        outcomes = _cluster_shards_process(tasks, worker_config, shard_workers, retries)
-    elif shard_workers is None or shard_workers == 1 or len(tasks) <= 1:
-        outcomes = [run_with_retry(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=int(shard_workers)) as pool:
-            futures = [pool.submit(run_with_retry, task) for task in tasks]
-            outcomes = [future.result() for future in futures]
+    outcomes: dict[int, tuple] = {}
+    pending = tasks
+    for _ in range(retries + 1):
+        if not pending:
+            break
+        with pool_class(max_workers=min(workers, len(pending))) as pool:
+            _check_workers_bootstrap(pool, cluster_one)
+            _run_wave(pool, cluster_one, pending, workers, outcomes)
+        pending = [task for task in pending if outcomes[task[0]][1] is not None]
 
     results = ShardRunResults()
-    for task, (result, error) in zip(tasks, outcomes):
-        if result is not None:
+    for shard_id, _, _ in tasks:
+        result, error = outcomes[shard_id]
+        if error is None:
             results.append(result)
         else:
-            shard_id = task[0]
             results.skipped_shards.append(shard_id)
             results.errors[shard_id] = error
     if results.skipped_shards:
@@ -583,129 +550,89 @@ def cluster_shards(
     return results
 
 
-def _cluster_shards_process(
-    tasks: list[tuple],
-    worker_config: "ShardWorkerConfig",
-    shard_workers: int | None,
-    retries: int,
-) -> list[tuple]:
-    """Run shard tasks on a spawn-based process pool, retrying in waves.
+def bootstrap_probe(task) -> None:
+    """No-op that returns once a worker has started and received ``task``.
 
-    Each shard's incidence structure is published to shared memory once
-    and stays published across retries; workers attach read-only, so a
-    retry re-clusters the exact same bytes a fault-free attempt would
-    have seen.  Failed tasks are collected after each wave and resubmitted
-    (up to ``retries`` extra waves) on a fresh pool — a crashed worker can
-    break a :class:`~concurrent.futures.ProcessPoolExecutor` for every
-    queued future, and a fresh pool per wave keeps one shard's crash from
-    contaminating another shard's retry.
-
-    The first pool runs a no-op before any shard task
-    (:func:`_check_workers_bootstrap`), so workers that cannot start at
-    all raise a :class:`~repro.errors.ConfigurationError` instead of
-    being retried as crashes.
-
-    Returns ``(result_or_None, error_or_None)`` pairs aligned with
-    ``tasks``, exactly like the thread path's ``run_with_retry``.
+    Every wave of :func:`cluster_shards` runs it first.  On a process pool
+    ``task`` crosses the same pickle channel as every shard attempt, so a
+    pool whose workers cannot start and a task that cannot be pickled both
+    fail here, before any shard attempt ran.
     """
-    from repro.core.shard_worker import ShardTask, cluster_shard_task
-    from repro.data.encoding import SharedIncidence, transactions_to_incidence
 
-    max_workers = len(tasks) if shard_workers is None else min(int(shard_workers), len(tasks))
-    spawn_context = get_context("spawn")
-    results: list[ShardClusterResult | None] = [None] * len(tasks)
-    errors: list[Exception | None] = [None] * len(tasks)
-    published: list[SharedIncidence] = []
-    try:
-        for _, sample, _ in tasks:
-            incidence, _index = transactions_to_incidence(sample)
-            published.append(SharedIncidence.publish(incidence))
-        pending = list(range(len(tasks)))
-        for wave in range(retries + 1):
-            if not pending:
+
+def _attempt(task, inject: str | None, shard_id: int, sample, positions):
+    """One shard attempt inside a worker.
+
+    ``inject`` names the failpoint the parent consumed for this attempt;
+    it is raised here so the fault takes the worker's error channel.
+    """
+    if inject is not None:
+        raise failpoints.InjectedFaultError(inject)
+    return task(shard_id, sample, positions)
+
+
+def _run_wave(
+    pool: Executor, task, pending: list[tuple], workers: int, outcomes: dict
+) -> None:
+    """One attempt per pending shard, at most ``workers`` in flight, in shard order.
+
+    Sets ``outcomes[shard_id]`` to ``(result, None)`` or ``(None, error)``.
+    A :class:`~repro.errors.ConfigurationError` propagates at once.
+    """
+    queue = iter(pending)
+    in_flight: dict = {}
+    while True:
+        for shard_id, sample, positions in queue:
+            inject = None
+            for name in ("shard.worker", "shard.worker.%d" % shard_id):
+                if failpoints.consume(name):
+                    inject = name
+                    break
+            try:
+                future = pool.submit(_attempt, task, inject, shard_id, sample, positions)
+            except BrokenProcessPool as error:
+                # A crashed worker broke the pool: this attempt fails with
+                # it, and the next wave retries it on a fresh pool.
+                outcomes[shard_id] = (None, error)
+            else:
+                in_flight[future] = shard_id
+            if len(in_flight) == workers:
                 break
-            wave_tasks = []
-            for position in pending:
-                shard_id = tasks[position][0]
-                # Failpoint budgets are consumed here, in deterministic
-                # task order in the parent, and the fault is raised inside
-                # the child: ``*N`` semantics stay process-count
-                # independent while the real cross-process error channel
-                # is exercised.
-                inject = None
-                if failpoints.consume("shard.worker"):
-                    inject = "shard.worker"
-                elif failpoints.consume("shard.worker.%d" % shard_id):
-                    inject = "shard.worker.%d" % shard_id
-                wave_tasks.append(
-                    ShardTask(
-                        shard_id=shard_id,
-                        ref=published[position].ref,
-                        inject=inject,
-                    )
-                )
-            still_pending: list[int] = []
-            with ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=spawn_context
-            ) as pool:
-                if wave == 0:
-                    _check_workers_bootstrap(pool)
-                futures = [
-                    pool.submit(cluster_shard_task, worker_config, wave_task)
-                    for wave_task in wave_tasks
-                ]
-                for position, future in zip(pending, futures):
-                    try:
-                        compact = future.result()
-                    except ConfigurationError:
-                        # Not retried, as on the thread path.
-                        raise
-                    # Same fault-isolation boundary as the thread path's
-                    # run_with_retry: a worker-process failure (injected
-                    # fault, crash, BrokenProcessPool) is captured for the
-                    # retry/degrade/strict logic in cluster_shards.
-                    # repro-lint: disable=ERR001 reason=shard worker isolation; error is retried then surfaced via skipped_shards or ShardExecutionError
-                    except Exception as error:  # noqa: BLE001 - isolate worker faults
-                        errors[position] = error
-                        still_pending.append(position)
-                        continue
-                    shard_id, sample, positions = tasks[position]
-                    clustered_positions = [
-                        positions[i] for i in compact.participating
-                    ]
-                    results[position] = ShardClusterResult(
-                        shard_id=shard_id,
-                        clustered_sample=[sample[i] for i in compact.participating],
-                        clustered_positions=clustered_positions,
-                        clusters=list(compact.clusters),
-                        isolated_positions=[positions[i] for i in compact.isolated],
-                        pruned_positions=[
-                            clustered_positions[j] for j in compact.pruned_points
-                        ],
-                        timings=compact.timings,
-                    )
-            pending = still_pending
-    finally:
-        for handle in published:
-            handle.close()
-    return [
-        (result, None if result is not None else errors[position])
-        for position, result in enumerate(results)
-    ]
+        if not in_flight:
+            return
+        done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+        for future in done:
+            shard_id = in_flight.pop(future)
+            try:
+                outcomes[shard_id] = (future.result(), None)
+            except ConfigurationError:
+                # A configuration error is no transient fault: every retry
+                # would fail alike, so it propagates on the first attempt.
+                raise
+            # Deliberate fault-isolation boundary: a worker failure — an
+            # InjectedFaultError from the shard.worker failpoints, a
+            # crash, a BrokenProcessPool — is captured for the
+            # retry/degrade/strict logic of cluster_shards instead of
+            # propagating, which is exactly what the fault-tolerance suite
+            # exercises.
+            # repro-lint: disable=ERR001 reason=shard worker isolation; error is retried then surfaced via skipped_shards or ShardExecutionError
+            except Exception as error:  # noqa: BLE001 - isolate worker faults
+                outcomes[shard_id] = (None, error)
 
 
-def _check_workers_bootstrap(pool: ProcessPoolExecutor) -> None:
-    """Fail fast, without retrying, when spawned workers cannot start.
+def _check_workers_bootstrap(pool: Executor, task) -> None:
+    """Fail fast, without retrying, when ``task`` cannot reach a worker.
 
-    A pool that breaks under a no-op never ran a shard task, so this is no
-    transient crash.  The usual cause is a script that reaches the process
-    executor without a ``__main__`` guard: every spawned interpreter
-    re-runs the script while bootstrapping and dies.
+    A probe that fails never ran a shard attempt, so this is no transient
+    crash.  A process pool that breaks under it has workers that die while
+    starting; the usual cause is a script that reaches the process
+    executor without a ``__main__`` guard, whose spawned interpreters
+    re-run it while bootstrapping.  A probe that cannot be pickled carries
+    a task no worker process can ever receive, e.g. a pipeline with a
+    lambda as its measure or exponent function.
     """
-    from repro.core.shard_worker import bootstrap_probe
-
     try:
-        pool.submit(bootstrap_probe).result()
+        pool.submit(bootstrap_probe, task).result()
     except BrokenProcessPool as error:
         raise ConfigurationError(
             "shard worker processes died while starting, before any shard "
@@ -713,6 +640,13 @@ def _check_workers_bootstrap(pool: ProcessPoolExecutor) -> None:
             "re-import the main module, so a script using it must guard its "
             "entry point with 'if __name__ == \"__main__\":' (or use the %r "
             "executor)" % (PROCESS_SHARD_EXECUTOR, DEFAULT_SHARD_EXECUTOR)
+        ) from error
+    except (pickle.PicklingError, AttributeError, TypeError) as error:
+        raise ConfigurationError(
+            "the shard task cannot be pickled for the %r shard executor (%s); "
+            "define the measure and exponent function at module level (a "
+            "lambda or a local function does not pickle), or use the %r "
+            "executor" % (PROCESS_SHARD_EXECUTOR, error, DEFAULT_SHARD_EXECUTOR)
         ) from error
 
 
@@ -759,78 +693,29 @@ class SummaryMergeResult:
     levels: int = 1
 
 
-#: Sentinel for adaptive representative budgets (see
-#: :func:`adaptive_representative_bounds`).
-ADAPTIVE_REPRESENTATIVES = "auto"
-
-#: Bounds of the adaptive per-summary representative budget.
-ADAPTIVE_REPRESENTATIVES_FLOOR = 8
-ADAPTIVE_REPRESENTATIVES_CEILING = 64
-
-
-def adaptive_representative_bounds(
-    pooled_sample: Sequence[frozenset],
-    summaries: Sequence[Sequence[int]],
-    floor: int = ADAPTIVE_REPRESENTATIVES_FLOOR,
-    ceiling: int = ADAPTIVE_REPRESENTATIVES_CEILING,
-) -> np.ndarray:
-    """Per-summary representative budgets scaled by size and spread.
-
-    A fixed ``representatives_per_cluster`` over-samples tiny uniform
-    clusters and under-samples huge heterogeneous ones.  The adaptive
-    budget for a summary of ``s`` members is
-    ``ceil(sqrt(s) * (1 + cv))`` clipped to ``[floor, ceiling]``, where
-    ``cv`` is the coefficient of variation of the members' transaction
-    lengths: the square root keeps the pooled representative matrix
-    sub-linear in the sample size, and the variance term grants spread-out
-    summaries (whose link mass one small subset estimates poorly) a
-    proportionally larger budget.  Deterministic — no random state.
-    """
-    bounds = np.empty(len(summaries), dtype=np.int64)
-    for position, members in enumerate(summaries):
-        lengths = np.array(
-            [len(pooled_sample[i]) for i in members], dtype=np.float64
-        )
-        mean = float(lengths.mean())
-        spread = float(lengths.std() / mean) if mean > 0.0 else 0.0
-        scaled = np.sqrt(float(len(lengths))) * (1.0 + spread)
-        bounds[position] = int(np.clip(np.ceil(scaled), floor, ceiling))
-    return bounds
-
-
-def validate_merge_options(
-    representatives_per_cluster: int | str, fan_in: int | None
-) -> int | str:
-    """Check the summary-merge options; return the normalised budget.
+def validate_merge_options(representatives_per_cluster: int, fan_in: int | None) -> int:
+    """Check the summary-merge options; return the budget as an ``int``.
 
     Shared by :func:`merge_shard_summaries` and
     :meth:`repro.core.pipeline.RockPipeline.run_sharded`, which checks at
     entry so a bad value fails before any shard is clustered, whatever the
-    shard count.  Returns ``representatives_per_cluster`` as an ``int``, or
-    :data:`ADAPTIVE_REPRESENTATIVES` unchanged.
+    shard count.
 
     Raises
     ------
     ConfigurationError
-        For a non-positive ``representatives_per_cluster`` (or a string
-        other than ``"auto"``), or a ``fan_in`` below 2.
+        For a string or non-positive ``representatives_per_cluster``, or a
+        ``fan_in`` below 2.
     """
     if fan_in is not None and int(fan_in) < 2:
         raise ConfigurationError(
             "fan_in must be at least 2 (or None for a flat merge), got %r"
             % fan_in
         )
-    if isinstance(representatives_per_cluster, str):
-        if representatives_per_cluster != ADAPTIVE_REPRESENTATIVES:
-            raise ConfigurationError(
-                "representatives_per_cluster must be a positive int or %r, "
-                "got %r" % (ADAPTIVE_REPRESENTATIVES, representatives_per_cluster)
-            )
-        return representatives_per_cluster
-    if representatives_per_cluster < 1:
+    if isinstance(representatives_per_cluster, str) or representatives_per_cluster < 1:
         raise ConfigurationError(
-            "representatives_per_cluster must be positive, got %r"
-            % representatives_per_cluster
+            "representatives_per_cluster must be a positive int, got %r"
+            % (representatives_per_cluster,)
         )
     return int(representatives_per_cluster)
 
@@ -842,7 +727,7 @@ def merge_shard_summaries(
     theta: float,
     measure: SetSimilarity | None = None,
     exponent_function: ExponentFunction | None = None,
-    representatives_per_cluster: int | str = 16,
+    representatives_per_cluster: int = 16,
     rng: np.random.Generator | int | None = None,
     neighbor_strategy: str = "auto",
     neighbor_block_size: int | None = None,
@@ -895,9 +780,6 @@ def merge_shard_summaries(
     representatives_per_cluster:
         Upper bound on the members sampled per summary to estimate link
         counts; summaries at or below the bound contribute every member.
-        The string :data:`ADAPTIVE_REPRESENTATIVES` (``"auto"``) scales
-        the bound per summary by size and member-length variance
-        (:func:`adaptive_representative_bounds`).
     rng:
         Random generator or seed for representative selection.
     neighbor_strategy, neighbor_block_size, link_strategy, include_self_links:
@@ -925,15 +807,17 @@ def merge_shard_summaries(
     DataValidationError
         When ``summaries`` is empty or a summary has no members.
     ConfigurationError
-        For a non-positive ``representatives_per_cluster`` (or an unknown
-        string), a non-positive ``n_clusters``, a ``fan_in`` below 2, or
+        For a string or non-positive ``representatives_per_cluster``, a
+        non-positive ``n_clusters``, a ``fan_in`` below 2, or
         ``summary_groups`` not partitioning the summary ids.
     """
     if not summaries:
         raise DataValidationError("summary merge requires at least one summary")
     if any(not len(members) for members in summaries):
         raise DataValidationError("summaries must be non-empty member lists")
-    validate_merge_options(representatives_per_cluster, fan_in)
+    representatives_per_cluster = validate_merge_options(
+        representatives_per_cluster, fan_in
+    )
     if n_clusters < 1:
         raise ConfigurationError(
             "n_clusters must be positive, got %r" % n_clusters
@@ -1080,7 +964,7 @@ def _flat_summary_merge(
     theta: float,
     measure: SetSimilarity | None,
     exponent_function: ExponentFunction,
-    representatives_per_cluster: int | str,
+    representatives_per_cluster: int,
     generator: np.random.Generator,
     neighbor_strategy: str,
     neighbor_block_size: int | None,
@@ -1092,24 +976,17 @@ def _flat_summary_merge(
     n_summaries = len(summaries)
     sizes = np.array([len(members) for members in summaries], dtype=np.int64)
 
-    if isinstance(representatives_per_cluster, str):
-        bounds = adaptive_representative_bounds(pooled_sample, summaries)
-    else:
-        bounds = np.full(
-            n_summaries, int(representatives_per_cluster), dtype=np.int64
-        )
-
     # Representative selection: every summary keeps its members when small,
     # otherwise a uniform subset; the draw order is summary order, so one
     # generator gives reproducible selections.
     representative_indices: list[list[int]] = []
-    for members, bound in zip(summaries, bounds):
+    for members in summaries:
         members = list(members)
-        if len(members) <= bound:
+        if len(members) <= representatives_per_cluster:
             representative_indices.append(members)
         else:
             chosen = generator.choice(
-                len(members), size=int(bound), replace=False
+                len(members), size=representatives_per_cluster, replace=False
             )
             representative_indices.append([members[i] for i in sorted(chosen)])
 

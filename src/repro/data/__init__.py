@@ -14,9 +14,6 @@ missing-value policies.
 
 from repro.data.dataset import CategoricalDataset, TransactionDataset
 from repro.data.encoding import (
-    SharedIncidence,
-    SharedIncidenceRef,
-    attach_shared_transactions,
     attribute_value_items,
     binarize,
     one_hot_encode,
@@ -38,9 +35,6 @@ from repro.data.missing import (
 __all__ = [
     "CategoricalDataset",
     "TransactionDataset",
-    "SharedIncidence",
-    "SharedIncidenceRef",
-    "attach_shared_transactions",
     "attribute_value_items",
     "binarize",
     "one_hot_encode",

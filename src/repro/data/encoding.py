@@ -15,17 +15,13 @@ through both phases.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from repro.data.dataset import CategoricalDataset, TransactionDataset
-from repro.errors import ConfigurationError, DataValidationError
+from repro.errors import DataValidationError
 from repro.types import CategoricalValue
 
 
@@ -117,236 +113,6 @@ def incidence_batches(
             batch, item_index, ignore_unknown=ignore_unknown
         )
         yield incidence
-
-
-# --------------------------------------------------------------------- #
-# Shared-memory incidence handoff for process-based shard workers.
-#
-# A shard sample crosses a process boundary as the *structure* of its
-# incidence CSR (``indices``/``indptr``) published once by the parent:
-# workers attach read-only and decode each row back into an integer-coded
-# transaction, so the per-shard item sets are never pickled through the
-# executor pipe.  Column ``j`` of the incidence is the ``j``-th item in
-# :func:`build_item_index` order, so clustering the integer-coded rows
-# with the identity item index is bit-identical to clustering the
-# original sets (every similarity measure depends only on set sizes and
-# every tie-break on row order).
-# --------------------------------------------------------------------- #
-
-#: Handoff backends: POSIX shared memory, or a memory-mapped .npy spill
-#: directory for platforms/sizes where shared memory is unavailable.
-_SHM_BACKEND = "shm"
-_MMAP_BACKEND = "mmap"
-_SEGMENT_ALIGNMENT = 16
-
-
-@dataclass(frozen=True)
-class SharedIncidenceRef:
-    """Picklable descriptor of a published incidence CSR structure.
-
-    This is the only thing shipped to worker processes; the arrays
-    themselves live in the shared segment (or spill files) named by
-    ``location``.  Workers resolve it with
-    :func:`attach_shared_transactions`.
-    """
-
-    kind: str
-    location: str
-    n_rows: int
-    n_items: int
-    indices_dtype: str
-    indptr_dtype: str
-    indices_len: int
-    indptr_len: int
-    indptr_offset: int
-
-
-class SharedIncidence:
-    """Parent-side handle on a published incidence CSR structure.
-
-    Lifecycle: the parent calls :meth:`publish` once per shard before
-    submitting work, ships ``handle.ref`` (picklable) to any number of
-    workers, and calls :meth:`close` after the last worker is done —
-    ``close`` unlinks the shared segment (or removes the spill
-    directory), so refs must not be attached afterwards.  The handle is
-    also a context manager; exiting the block closes it.
-    """
-
-    def __init__(self, ref: SharedIncidenceRef, shm=None) -> None:
-        self.ref = ref
-        self._shm = shm
-        self._closed = False
-
-    @classmethod
-    def publish(
-        cls, incidence: sparse.csr_matrix, backend: str = "auto"
-    ) -> SharedIncidence:
-        """Publish ``incidence``'s CSR structure for cross-process attachment.
-
-        ``backend`` is ``"auto"`` (shared memory, spilling to a
-        memory-mapped directory when the segment cannot be created),
-        ``"shm"`` or ``"mmap"``.
-        """
-        if backend not in (_SHM_BACKEND, _MMAP_BACKEND, "auto"):
-            raise ConfigurationError(
-                "unknown shared-incidence backend %r; expected one of "
-                "shm, mmap, auto" % backend
-            )
-        indices = np.ascontiguousarray(incidence.indices)
-        indptr = np.ascontiguousarray(incidence.indptr)
-        n_rows, n_items = incidence.shape
-        if backend in (_SHM_BACKEND, "auto"):
-            try:
-                return cls._publish_shm(indices, indptr, n_rows, n_items)
-            except (ImportError, OSError):
-                if backend == _SHM_BACKEND:
-                    raise
-        return cls._publish_mmap(indices, indptr, n_rows, n_items)
-
-    @classmethod
-    def _publish_shm(cls, indices, indptr, n_rows, n_items) -> SharedIncidence:
-        from multiprocessing import shared_memory
-
-        indptr_offset = -(-indices.nbytes // _SEGMENT_ALIGNMENT) * _SEGMENT_ALIGNMENT
-        total = indptr_offset + indptr.nbytes
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        try:
-            np.frombuffer(
-                shm.buf, dtype=indices.dtype, count=len(indices), offset=0
-            )[:] = indices
-            np.frombuffer(
-                shm.buf, dtype=indptr.dtype, count=len(indptr), offset=indptr_offset
-            )[:] = indptr
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        ref = SharedIncidenceRef(
-            kind=_SHM_BACKEND,
-            location=shm.name,
-            n_rows=int(n_rows),
-            n_items=int(n_items),
-            indices_dtype=str(indices.dtype),
-            indptr_dtype=str(indptr.dtype),
-            indices_len=len(indices),
-            indptr_len=len(indptr),
-            indptr_offset=indptr_offset,
-        )
-        return cls(ref, shm=shm)
-
-    @classmethod
-    def _publish_mmap(cls, indices, indptr, n_rows, n_items) -> SharedIncidence:
-        spill_dir = tempfile.mkdtemp(prefix="repro-shard-incidence-")
-        try:
-            np.save(os.path.join(spill_dir, "indices.npy"), indices)
-            np.save(os.path.join(spill_dir, "indptr.npy"), indptr)
-        except BaseException:
-            shutil.rmtree(spill_dir, ignore_errors=True)
-            raise
-        ref = SharedIncidenceRef(
-            kind=_MMAP_BACKEND,
-            location=spill_dir,
-            n_rows=int(n_rows),
-            n_items=int(n_items),
-            indices_dtype=str(indices.dtype),
-            indptr_dtype=str(indptr.dtype),
-            indices_len=len(indices),
-            indptr_len=len(indptr),
-            indptr_offset=0,
-        )
-        return cls(ref)
-
-    def close(self) -> None:
-        """Release and unlink the published segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._shm is not None:
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-            self._shm = None
-        elif self.ref.kind == _MMAP_BACKEND:
-            shutil.rmtree(self.ref.location, ignore_errors=True)
-
-    def __enter__(self) -> SharedIncidence:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _attach_shared_memory(name: str):
-    """Attach to a named shared-memory segment without tracker ownership.
-
-    Before Python 3.13 ``SharedMemory(name=...)`` registers the segment
-    with the attaching process's resource tracker, which then *unlinks*
-    it when that process exits — destroying a segment the parent still
-    owns.  3.13 added ``track=False`` for exactly this case; on older
-    interpreters the registration is suppressed for the duration of the
-    attach instead.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - Python < 3.13 signature
-        pass
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-
-    def _register_except_shm(resource_name, rtype):  # pragma: no cover - py<3.13
-        if rtype != "shared_memory":
-            original_register(resource_name, rtype)
-
-    resource_tracker.register = _register_except_shm
-    try:  # pragma: no cover - py<3.13
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
-
-
-def attach_shared_transactions(ref: SharedIncidenceRef) -> list[frozenset]:
-    """Decode a published incidence back into integer-coded transactions.
-
-    Row ``i`` becomes ``frozenset`` of the column indices it holds; the
-    identity mapping ``{j: j for j in range(ref.n_items)}`` is the item
-    index matching these codes.  The shared segment is only read while
-    this call runs (the decoded sets own their data), so the caller needs
-    no further cleanup.
-    """
-    if ref.kind == _SHM_BACKEND:
-        shm = _attach_shared_memory(ref.location)
-        indices = indptr = None
-        try:
-            indices = np.frombuffer(
-                shm.buf, dtype=ref.indices_dtype, count=ref.indices_len, offset=0
-            )
-            indptr = np.frombuffer(
-                shm.buf,
-                dtype=ref.indptr_dtype,
-                count=ref.indptr_len,
-                offset=ref.indptr_offset,
-            )
-            return _decode_coded_rows(indices, indptr, ref.n_rows)
-        finally:
-            del indices, indptr
-            shm.close()
-    indices = np.load(
-        os.path.join(ref.location, "indices.npy"), mmap_mode="r"
-    )
-    indptr = np.load(os.path.join(ref.location, "indptr.npy"), mmap_mode="r")
-    return _decode_coded_rows(indices, indptr, ref.n_rows)
-
-
-def _decode_coded_rows(indices, indptr, n_rows: int) -> list[frozenset]:
-    return [
-        frozenset(int(code) for code in indices[indptr[i]:indptr[i + 1]])
-        for i in range(n_rows)
-    ]
 
 
 def attribute_value_items(

@@ -481,8 +481,9 @@ class TestREG001:
         assert report.findings == []
 
     def test_auto_is_a_resolution_request_not_an_executor(self):
-        # "auto" is deliberately unregistered: modules may compare against
-        # it without importing anything from the sharding registry.
+        # "auto" is no registered shard executor (only the engine and
+        # neighbour layers resolve it), so comparing against it is no
+        # registry literal.
         report = lint(
             'def f(executor):\n    return executor == "auto"\n',
             module="repro.cli",

@@ -420,13 +420,17 @@ class TestShardedCli:
         assert arguments.shard_retries == 1
         assert arguments.merge_fan_in is None
 
-    def test_unknown_shard_executor_rejected(self):
-        with pytest.raises(SystemExit):
+    # "auto" is no shard executor either: the choices are the two pools.
+    @pytest.mark.parametrize("executor", ["fiber", "auto"])
+    def test_unknown_shard_executor_rejected(self, capsys, executor):
+        with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
                 ["cluster", "x.txt", "--format", "transactions",
                  "--clusters", "2", "--shards", "2",
-                 "--shard-executor", "fiber"]
+                 "--shard-executor", executor]
             )
+        assert excinfo.value.code == 2
+        assert "invalid choice: %r" % executor in capsys.readouterr().err
 
     def test_unknown_shard_strategy_rejected(self):
         with pytest.raises(SystemExit):

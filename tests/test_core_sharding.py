@@ -9,29 +9,27 @@ recovers the latent groups, so an agreement floor is meaningful.
 """
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
 import textwrap
 import warnings
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bench.engine_bench import WORKLOAD
-from repro.core.pipeline import RockPipeline
-from repro.core.shard_worker import ShardWorkerConfig
+from repro.core import sharding
+from repro.core.pipeline import RockPipeline, ShardWorkerConfig, cluster_shard
 from repro.core.sharding import (
-    ADAPTIVE_REPRESENTATIVES,
-    ADAPTIVE_REPRESENTATIVES_CEILING,
-    ADAPTIVE_REPRESENTATIVES_FLOOR,
-    AUTO_SHARD_EXECUTOR,
     DEFAULT_SHARD_EXECUTOR,
     PROCESS_SHARD_EXECUTOR,
+    SHARD_EXECUTORS,
     SHARD_STRATEGIES,
     ShardPlan,
-    adaptive_representative_bounds,
     allocate_sample_sizes,
     cluster_shards,
     merge_shard_summaries,
@@ -170,6 +168,35 @@ class TestClusterShards:
         with pytest.raises(ConfigurationError):
             cluster_shards([], lambda *a: None, shard_workers=0)
 
+    @pytest.mark.parametrize("executor", SHARD_EXECUTORS)
+    @pytest.mark.parametrize(
+        "shard_workers, pool_size", [(None, 1), (2, 2), (64, 3)]
+    )
+    def test_one_pool_size_rule_for_both_executors(
+        self, monkeypatch, executor, shard_workers, pool_size
+    ):
+        # None means serial on either pool, and no pool outgrows the shard
+        # count.  A thread-backed stub stands in for both pool classes, so
+        # no process starts.
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(sharding, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sharding, "ProcessPoolExecutor", RecordingPool)
+        samples = [([frozenset({i})], [i]) for i in range(3)]
+        results = cluster_shards(
+            samples,
+            lambda shard_id, sample, positions: shard_id,
+            shard_workers=shard_workers,
+            executor=executor,
+        )
+        assert list(results) == [0, 1, 2]
+        assert sizes == [pool_size]
+
 
 class TestShardFaultTolerance:
     """cluster_shards retries failed workers and degrades gracefully."""
@@ -296,11 +323,14 @@ class TestMergeShardSummaries:
             merge_shard_summaries(pooled, [], n_clusters=1, theta=0.4)
         with pytest.raises(DataValidationError):
             merge_shard_summaries(pooled, [()], n_clusters=1, theta=0.4)
-        with pytest.raises(ConfigurationError):
-            merge_shard_summaries(
-                pooled, [(0,)], n_clusters=1, theta=0.4,
-                representatives_per_cluster=0,
-            )
+        for budget in (0, "auto"):
+            # A string budget is a typed configuration error, never a
+            # TypeError from comparing it with 1.
+            with pytest.raises(ConfigurationError, match="representatives"):
+                merge_shard_summaries(
+                    pooled, [(0,)], n_clusters=1, theta=0.4,
+                    representatives_per_cluster=budget,
+                )
 
 
 class TestRunShardedDeterminism:
@@ -428,9 +458,6 @@ class TestRunShardedQuality:
 
 
 class TestResolveShardExecutor:
-    def _worker_config(self):
-        return ShardWorkerConfig.from_pipeline(_pipeline())
-
     def test_concrete_names_pass_through(self):
         assert resolve_shard_executor(DEFAULT_SHARD_EXECUTOR) == DEFAULT_SHARD_EXECUTOR
         assert (
@@ -438,44 +465,18 @@ class TestResolveShardExecutor:
             == PROCESS_SHARD_EXECUTOR
         )
 
-    def test_unknown_executor_rejected(self):
+    @pytest.mark.parametrize("executor", ["psychic", "auto"])
+    def test_unknown_executor_rejected(self, executor):
         with pytest.raises(ConfigurationError, match="unknown shard executor"):
-            resolve_shard_executor("psychic")
+            resolve_shard_executor(executor)
 
-    def test_auto_without_worker_config_is_thread(self):
-        assert (
-            resolve_shard_executor(AUTO_SHARD_EXECUTOR, shard_workers=4)
-            == DEFAULT_SHARD_EXECUTOR
-        )
 
-    def test_auto_single_worker_is_thread(self):
-        resolved = resolve_shard_executor(
-            AUTO_SHARD_EXECUTOR, shard_workers=1, worker_config=self._worker_config()
-        )
-        assert resolved == DEFAULT_SHARD_EXECUTOR
-
-    def test_auto_prefers_process_on_multicore(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        resolved = resolve_shard_executor(
-            AUTO_SHARD_EXECUTOR, shard_workers=4, worker_config=self._worker_config()
-        )
-        assert resolved == PROCESS_SHARD_EXECUTOR
-
-    def test_auto_stays_on_thread_for_single_core(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
-        resolved = resolve_shard_executor(
-            AUTO_SHARD_EXECUTOR, shard_workers=4, worker_config=self._worker_config()
-        )
-        assert resolved == DEFAULT_SHARD_EXECUTOR
-
-    def test_process_executor_needs_worker_config(self):
-        samples = [([frozenset({1, 2})], [0])]
-        with pytest.raises(ConfigurationError, match="worker_config"):
-            cluster_shards(
-                samples,
-                lambda shard_id, sample, positions: shard_id,
-                executor=PROCESS_SHARD_EXECUTOR,
-            )
+def _crash_first_attempt(marker, shard_id, sample, positions):
+    """Shard task whose first attempt at shard 0 kills its worker process."""
+    if shard_id == 0 and not os.path.exists(marker):
+        Path(marker).touch()
+        os._exit(1)
+    return shard_id * 10
 
 
 class TestProcessExecutor:
@@ -511,10 +512,9 @@ class TestProcessExecutor:
             with pytest.raises(ConfigurationError, match="inverted-index"):
                 cluster_shards(
                     samples,
-                    lambda shard_id, sample, positions: None,
+                    functools.partial(cluster_shard, config),
                     shard_workers=2,
                     executor=PROCESS_SHARD_EXECUTOR,
-                    worker_config=config,
                 )
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -569,6 +569,77 @@ class TestProcessExecutor:
         assert result.parameters["skipped_shards"] == [1]
         assert len(result.labels) == 800
 
+    @pytest.mark.parametrize("shard_workers", [1, 2])
+    def test_crashed_worker_process_recovered_by_retry(self, tmp_path, shard_workers):
+        # A worker that dies breaks its pool: the in-flight attempts fail
+        # with it and every later submit of the wave is refused.  Each of
+        # those shards is retried on a fresh pool, so the run completes
+        # without a skipped shard.
+        samples = [([frozenset({i})], [i]) for i in range(4)]
+        results = cluster_shards(
+            samples,
+            functools.partial(_crash_first_attempt, str(tmp_path / "crashed")),
+            shard_workers=shard_workers,
+            executor=PROCESS_SHARD_EXECUTOR,
+        )
+        assert list(results) == [0, 10, 20, 30]
+        assert results.skipped_shards == []
+
+    def test_unpicklable_task_fails_once_with_configuration_error(
+        self, tight_baskets, monkeypatch
+    ):
+        # A lambda exponent function cannot reach a worker process.  That
+        # is a configuration error, raised by the bootstrap probe of the
+        # first pool: no shard attempt, no retry wave, no degraded-run
+        # warning, and a message naming the thread executor.
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sharding, "ProcessPoolExecutor", CountingPool)
+        pipeline = _pipeline(exponent_function=lambda t: (1 - t) / (1 + t))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError, match="'thread' executor"):
+                pipeline.run_sharded(
+                    tight_baskets.transactions,
+                    n_shards=2,
+                    shard_workers=2,
+                    shard_executor=PROCESS_SHARD_EXECUTOR,
+                )
+        assert pools == [2]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_unpicklable_task_rejected_by_the_probe(self):
+        # The same check one layer down: cluster_shards hands its task to
+        # the bootstrap probe, so a lambda task never reaches a shard
+        # attempt on the process pool.
+        samples = [([frozenset({1, 2})], [0]), ([frozenset({3})], [1])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError, match="cannot be pickled"):
+                cluster_shards(
+                    samples,
+                    lambda shard_id, sample, positions: shard_id,
+                    executor=PROCESS_SHARD_EXECUTOR,
+                )
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_thread_executor_runs_the_unpicklable_task(self, tight_baskets):
+        # The remedy the pickling error names: the thread pool never
+        # pickles the task, so the lambda exponent function runs there.
+        pipeline = _pipeline(exponent_function=lambda t: (1 - t) / (1 + t))
+        result = pipeline.run_sharded(
+            tight_baskets.transactions,
+            n_shards=2,
+            shard_workers=2,
+            shard_executor=DEFAULT_SHARD_EXECUTOR,
+        )
+        assert result.parameters["skipped_shards"] == []
+        assert len(result.labels) == 800
 
     def test_guardless_script_fails_once_with_configuration_error(self, tmp_path):
         # Without a __main__ guard every spawned worker re-runs the script
@@ -794,53 +865,6 @@ class TestHierarchicalMerge:
         assert adjusted_rand_index(first.labels, flat.labels) >= 0.6
 
 
-class TestAdaptiveRepresentatives:
-    def test_bounds_clip_to_floor_and_ceiling(self):
-        pooled = [frozenset({i, i + 1}) for i in range(0, 12000, 2)]
-        tiny = tuple(range(2))
-        huge = tuple(range(len(pooled)))
-        bounds = adaptive_representative_bounds(pooled, [tiny, huge])
-        assert bounds[0] == ADAPTIVE_REPRESENTATIVES_FLOOR
-        assert bounds[1] == ADAPTIVE_REPRESENTATIVES_CEILING
-
-    def test_spread_raises_the_budget(self):
-        uniform = [frozenset(range(5)) for _ in range(200)]
-        mixed = [
-            frozenset(range(1 + (i % 13))) for i in range(200)
-        ]
-        summary = tuple(range(200))
-        uniform_bound = adaptive_representative_bounds(uniform, [summary])[0]
-        mixed_bound = adaptive_representative_bounds(mixed, [summary])[0]
-        assert mixed_bound > uniform_bound
-
-    def test_merge_accepts_auto_budget(self):
-        pooled, summaries = _two_group_pool()
-        merged = merge_shard_summaries(
-            pooled, summaries, n_clusters=2, theta=0.4, rng=0,
-            representatives_per_cluster=ADAPTIVE_REPRESENTATIVES,
-        )
-        assert sorted(i for g in merged.groups for i in g) == list(range(8))
-
-    def test_unknown_string_budget_rejected(self):
-        pooled, summaries = _two_group_pool()
-        with pytest.raises(ConfigurationError, match="representatives"):
-            merge_shard_summaries(
-                pooled, summaries, n_clusters=2, theta=0.4, rng=0,
-                representatives_per_cluster="psychic",
-            )
-
-    def test_run_sharded_accepts_auto(self, tight_baskets):
-        result = _pipeline().run_sharded(
-            tight_baskets.transactions,
-            n_shards=3,
-            representatives_per_cluster=ADAPTIVE_REPRESENTATIVES,
-        )
-        assert result.parameters["representatives_per_cluster"] == (
-            ADAPTIVE_REPRESENTATIVES
-        )
-        assert len(result.labels) == 800
-
-
 class TestRunShardedValidation:
     def test_invalid_shard_count_rejected(self, tight_baskets):
         with pytest.raises(ConfigurationError):
@@ -871,6 +895,9 @@ class TestRunShardedValidation:
             {"merge_fan_in": 1},
             {"representatives_per_cluster": 0},
             {"representatives_per_cluster": "bogus"},
+            {"representatives_per_cluster": "auto"},
+            {"shard_workers": 0},
+            {"shard_workers": -3},
         ],
         ids=lambda options: "%s=%s" % next(iter(options.items())),
     )
@@ -887,17 +914,12 @@ class TestRunShardedValidation:
             )
         assert clustered == []
 
-    def test_unknown_executor_rejected(self, tight_baskets):
+    # "auto" is no executor: no measured crossover backs a choice between
+    # the two pools, so it gets the typed unknown-executor error too.
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize("executor", ["psychic", "auto"])
+    def test_unknown_executor_rejected(self, tight_baskets, executor, n_shards):
         with pytest.raises(ConfigurationError, match="unknown shard executor"):
             _pipeline().run_sharded(
-                tight_baskets.transactions, n_shards=2, shard_executor="psychic"
+                tight_baskets.transactions, n_shards=n_shards, shard_executor=executor
             )
-
-    def test_auto_executor_resolved_and_recorded(self, tight_baskets):
-        result = _pipeline().run_sharded(
-            tight_baskets.transactions, n_shards=2,
-            shard_executor=AUTO_SHARD_EXECUTOR,
-        )
-        assert result.parameters["shard_executor"] in (
-            DEFAULT_SHARD_EXECUTOR, PROCESS_SHARD_EXECUTOR
-        )

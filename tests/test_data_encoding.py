@@ -204,81 +204,3 @@ class TestStreamingIncidence:
         generator = (transactions[i:i + 1] for i in range(2))
         matrices = list(incidence_batches(generator, index))
         assert len(matrices) == 2
-
-
-class TestSharedIncidence:
-    """Publish/attach roundtrips of the cross-process incidence handoff."""
-
-    TRANSACTIONS = [
-        frozenset({"milk", "bread"}),
-        frozenset({"milk"}),
-        frozenset({"beer", "chips", "salsa"}),
-        frozenset(),
-    ]
-
-    def _coded(self, item_index):
-        return [
-            frozenset(item_index[item] for item in transaction)
-            for transaction in self.TRANSACTIONS
-        ]
-
-    def _publish(self, backend):
-        from repro.data.encoding import SharedIncidence, transactions_to_incidence
-
-        incidence, item_index = transactions_to_incidence(self.TRANSACTIONS)
-        return SharedIncidence.publish(incidence, backend=backend), item_index
-
-    @pytest.mark.parametrize("backend", ["shm", "mmap", "auto"])
-    def test_roundtrip_recovers_coded_transactions(self, backend):
-        from repro.data.encoding import attach_shared_transactions
-
-        handle, item_index = self._publish(backend)
-        try:
-            decoded = attach_shared_transactions(handle.ref)
-        finally:
-            handle.close()
-        assert decoded == self._coded(item_index)
-
-    def test_ref_survives_pickling(self):
-        import pickle
-
-        from repro.data.encoding import attach_shared_transactions
-
-        handle, item_index = self._publish("auto")
-        try:
-            ref = pickle.loads(pickle.dumps(handle.ref))
-            decoded = attach_shared_transactions(ref)
-        finally:
-            handle.close()
-        assert decoded == self._coded(item_index)
-
-    def test_mmap_spill_directory_removed_on_close(self):
-        import os
-
-        handle, _ = self._publish("mmap")
-        location = handle.ref.location
-        assert os.path.isdir(location)
-        handle.close()
-        assert not os.path.exists(location)
-
-    def test_close_is_idempotent(self):
-        handle, _ = self._publish("auto")
-        handle.close()
-        handle.close()
-
-    def test_context_manager_closes(self):
-        from repro.data.encoding import attach_shared_transactions
-
-        with self._publish("auto")[0] as handle:
-            ref = handle.ref
-            attach_shared_transactions(ref)
-        if ref.kind == "mmap":
-            import os
-
-            assert not os.path.exists(ref.location)
-
-    def test_unknown_backend_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="backend"):
-            self._publish("tape")
