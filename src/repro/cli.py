@@ -31,6 +31,12 @@ session from a transactions file and serves ``label``/``ingest`` traffic
 over the length-prefixed JSON protocol of :mod:`repro.serve`.
 ``experiment`` runs one of the reproduced paper experiments by id.
 ``sweep`` reports the theta-sensitivity table for a data file.
+
+``cluster`` and ``serve`` run every phase with the library's defaults and
+take no strategy flags: the frozen specs (``engine="reference"``, the
+``bruteforce`` neighbour backend) are selected through the library API
+only (:class:`repro.core.rock.RockClustering`,
+:func:`repro.core.neighbors.compute_neighbors`).
 """
 
 from __future__ import annotations
@@ -41,9 +47,7 @@ import sys
 from pathlib import Path
 
 from repro.bench.harness import available_experiments, get_experiment
-from repro.core.neighbors import DEFAULT_NEIGHBOR_STRATEGY, neighbor_strategies
 from repro.core.pipeline import RockPipeline
-from repro.core.engines import DEFAULT_ENGINE, engine_choices
 from repro.core.sharding import (
     DEFAULT_SHARD_EXECUTOR,
     DEFAULT_SHARD_STRATEGY,
@@ -123,9 +127,6 @@ def _build_pipeline(arguments) -> RockPipeline:
         sample_size=arguments.sample_size,
         min_neighbors=arguments.min_neighbors,
         min_cluster_size=arguments.min_cluster_size,
-        engine=arguments.engine,
-        neighbor_strategy=arguments.neighbor_strategy,
-        neighbor_block_size=arguments.neighbor_block_size,
         rng=arguments.seed,
     )
 
@@ -412,29 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--sample-size", type=int, default=None, help="random-sample size")
     cluster.add_argument("--min-neighbors", type=int, default=0, help="outlier pre-filter")
     cluster.add_argument("--min-cluster-size", type=int, default=1, help="prune smaller clusters")
-    # Choices come from the agglomeration-engine registry at parser-build
-    # time (same plugin-friendly contract as the neighbour backends).
-    cluster.add_argument(
-        "--engine", choices=engine_choices(), default=DEFAULT_ENGINE,
-        help="agglomeration engine (auto: fastest registered engine; "
-             "arena: batch-recompute; reference: paper pseudo-code — "
-             "bit-identical)",
-    )
-    # Choices come straight from the neighbour-backend registry at
-    # parser-build time, so a backend registered by a plugin before main()
-    # is accepted without touching the CLI.
-    cluster.add_argument(
-        "--neighbor-strategy", choices=list(neighbor_strategies()),
-        default=DEFAULT_NEIGHBOR_STRATEGY,
-        help="neighbour-graph backend (auto picks the blocked product for "
-             "vectorizable measures and bruteforce otherwise)",
-    )
-    cluster.add_argument(
-        "--neighbor-block-size", type=int, default=None,
-        help="row-block height of the blocked neighbour backend (bounds "
-             "the intersection-product intermediate at block-size x n "
-             "entries; default 512)",
-    )
     cluster.add_argument("--seed", type=int, default=0, help="random seed")
     cluster.add_argument(
         "--stream", action="store_true",
@@ -537,19 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--min-neighbors", type=int, default=0, help="outlier pre-filter")
     serve.add_argument("--min-cluster-size", type=int, default=1, help="prune smaller clusters")
-    serve.add_argument(
-        "--engine", choices=engine_choices(), default=DEFAULT_ENGINE,
-        help="agglomeration engine for the bootstrap clustering and "
-             "session refreshes (auto: fastest registered engine)",
-    )
-    serve.add_argument(
-        "--neighbor-strategy", choices=list(neighbor_strategies()),
-        default=DEFAULT_NEIGHBOR_STRATEGY, help="neighbour-graph backend",
-    )
-    serve.add_argument(
-        "--neighbor-block-size", type=int, default=None,
-        help="row-block height of the blocked neighbour backend",
-    )
     serve.add_argument("--seed", type=int, default=0, help="random seed")
     serve.add_argument(
         "--batch-size", type=int, default=1024,

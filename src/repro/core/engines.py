@@ -49,9 +49,10 @@ AUTO_ENGINE = "auto"
 REFERENCE_ENGINE = "reference"
 ARENA_ENGINE = "arena"
 
-#: Default engine for every user-facing surface (``RockClustering``,
-#: ``RockPipeline``, ``IncrementalRock``, the CLI).  ``auto`` so call sites
-#: track the fastest bit-identical engine without code changes.
+#: Default of ``RockClustering(engine=)``, the one public selector; the
+#: pipeline, the online session's refresh and the CLI always run under it.
+#: ``auto`` so they track the fastest bit-identical engine without code
+#: changes.
 DEFAULT_ENGINE = AUTO_ENGINE
 
 
@@ -144,24 +145,6 @@ def validate_engine_name(name: str) -> str:
     if key != AUTO_ENGINE:
         get_engine(key)
     return key
-
-
-#: Engines no longer registered whose checkpoints still restore: each ran
-#: the merge semantics every registered engine reproduces bit-identically.
-_RETIRED_ENGINES = frozenset({"flat"})
-
-
-def restored_engine_name(recorded: str | None) -> str:
-    """The engine a session restored from durable state runs under.
-
-    Checkpoints written before the registry record no engine, and ones
-    written under a retired engine record a name the registry no longer
-    holds; both resume under :data:`DEFAULT_ENGINE`.  Any other name is
-    returned unchanged (and validated where the session is built).
-    """
-    if recorded is None or normalize_engine_name(recorded) in _RETIRED_ENGINES:
-        return DEFAULT_ENGINE
-    return recorded
 
 
 def select_engine_name() -> str:

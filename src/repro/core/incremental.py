@@ -36,8 +36,8 @@ outcome of the ordinary sample/cluster phases) and then serves
 
 A ``refresh_threshold`` bounds drift: when the fraction of points
 inserted since the last full clustering exceeds it, the session re-runs
-its registered agglomeration engine (:mod:`repro.core.engines`; every
-engine is bit-identical) over the link matrix of *all* live points,
+the agglomeration engine ``auto`` resolves to (:mod:`repro.core.engines`;
+every engine is bit-identical) over the link matrix of *all* live points,
 computed once from the live adjacency, rebuilds the labeler against the
 refreshed clusters and resets the drift counter.  Labels assigned after
 a refresh are therefore no longer bit-identical to a streaming run on
@@ -67,27 +67,15 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.engine_arena import arena_agglomerate
-from repro.core.engines import (
-    DEFAULT_ENGINE,
-    get_engine,
-    resolve_engine_name,
-    restored_engine_name,
-    validate_engine_name,
-)
+from repro.core.engines import DEFAULT_ENGINE, get_engine, resolve_engine_name
 from repro.core.goodness import (
     ExponentFunction,
     default_expected_links_exponent,
 )
 from repro.core.labeling import StreamingLabeler
 from repro.core.links import links_from_neighbors
-from repro.core.neighbors import (
-    AUTO_STRATEGY,
-    compute_neighbors,
-    restored_backend_name,
-    select_backend_name,
-)
-from repro.core.neighbors.base import normalize_backend_name
-from repro.core.neighbors.graph import NeighborGraph
+from repro.core.neighbors import compute_neighbors
+from repro.core.neighbors.graph import NeighborGraph, validate_theta
 from repro.core.neighbors.vectorized import overlap_thresholds, qualifying_pairs
 from repro.data.encoding import build_item_index, transactions_to_incidence
 from repro.errors import ConfigurationError, DataValidationError
@@ -231,7 +219,9 @@ class IncrementalRock:
     :class:`~repro.core.pipeline.RockPipeline`); ``refresh_threshold`` is
     the drift bound described in the module docstring and ``rng`` seeds
     the labelling-fraction draws (sharing the pipeline generator keeps the
-    streaming equivalence bit-exact).
+    streaming equivalence bit-exact).  The neighbour, link, labelling and
+    refresh phases run with their library defaults: the path each takes
+    follows from whether the measure has the vectorized-counts capability.
 
     Usage::
 
@@ -254,24 +244,17 @@ class IncrementalRock:
         measure: SetSimilarity | None = None,
         exponent_function: ExponentFunction | None = None,
         labeling_fraction: float = 1.0,
-        labeling_strategy: str = "auto",
         assign_outliers: bool = True,
-        neighbor_strategy: str = "auto",
-        neighbor_block_size: int | None = None,
-        link_strategy: str = "auto",
         include_self_links: bool = True,
         refresh_threshold: float | None = None,
-        engine: str = DEFAULT_ENGINE,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         if int(n_clusters) < 1:
             raise ConfigurationError(
                 "n_clusters must be at least 1, got %r" % n_clusters
             )
-        if not 0.0 <= float(theta) <= 1.0:
-            raise ConfigurationError("theta must lie in [0, 1], got %r" % theta)
         self.n_clusters = int(n_clusters)
-        self.theta = float(theta)
+        self.theta = validate_theta(theta)
         self.measure = measure if measure is not None else JaccardSimilarity()
         self.exponent_function = (
             exponent_function
@@ -279,14 +262,9 @@ class IncrementalRock:
             else default_expected_links_exponent
         )
         self.labeling_fraction = float(labeling_fraction)
-        self.labeling_strategy = labeling_strategy
         self.assign_outliers = bool(assign_outliers)
-        self.neighbor_strategy = neighbor_strategy
-        self.neighbor_block_size = neighbor_block_size
-        self.link_strategy = link_strategy
         self.include_self_links = bool(include_self_links)
         self.refresh_threshold = validate_refresh_threshold(refresh_threshold)
-        self.engine = validate_engine_name(engine)
         self.rng = np.random.default_rng(rng)
 
         self.n_refreshes = 0
@@ -295,13 +273,6 @@ class IncrementalRock:
         #: one ran, or when the refresh engine is uninstrumented).
         self.last_refresh_counters: dict = {}
         self._labeler: StreamingLabeler | None = None
-        # The splice's cross block follows the session's neighbour backend:
-        # the overlap kernel where that resolves to what ``auto`` picks for
-        # a vectorizable measure, the measure pair by pair otherwise.
-        self._cross_by_kernel = supports_vectorized_counts(self.measure) and (
-            normalize_backend_name(neighbor_strategy)
-            in (AUTO_STRATEGY, select_backend_name(self.measure))
-        )
 
     # ------------------------------------------------------------------ #
     # Bootstrap
@@ -356,7 +327,6 @@ class IncrementalRock:
             exponent_function=self.exponent_function,
             labeling_fraction=self.labeling_fraction,
             rng=self.rng,
-            strategy=self.labeling_strategy,
             item_index=item_index,
             assign_outliers=self.assign_outliers,
         )
@@ -381,12 +351,7 @@ class IncrementalRock:
         self._sizes = np.asarray([len(t) for t in self._points], dtype=np.int64)
 
         graph = compute_neighbors(
-            self._points,
-            theta=self.theta,
-            measure=self.measure,
-            strategy=self.neighbor_strategy,
-            item_index=self._item_index,
-            block_size=self.neighbor_block_size,
+            self._points, theta=self.theta, measure=self.measure, item_index=self._item_index
         )
         self._adjacency = graph.adjacency.tocsr()
         self._assign_clusters(_partition(live_clusters, len(self._points)))
@@ -435,13 +400,11 @@ class IncrementalRock:
         """The point-level link matrix over the live points.
 
         Not maintained: every access runs a full link product over the live
-        adjacency with the session's ``link_strategy``.
+        adjacency.
         """
         self._require_bootstrapped()
         graph = NeighborGraph(self._adjacency, self.theta, self.config_dict()["measure"])
-        return links_from_neighbors(
-            graph, strategy=self.link_strategy, include_self=self.include_self_links
-        )
+        return links_from_neighbors(graph, include_self=self.include_self_links)
 
     @property
     def adjacency_(self) -> sparse.csr_matrix:
@@ -494,14 +457,9 @@ class IncrementalRock:
             "theta": self.theta,
             "measure": getattr(self.measure, "name", type(self.measure).__name__),
             "labeling_fraction": self.labeling_fraction,
-            "labeling_strategy": self.labeling_strategy,
             "assign_outliers": self.assign_outliers,
-            "neighbor_strategy": self.neighbor_strategy,
-            "neighbor_block_size": self.neighbor_block_size,
-            "link_strategy": self.link_strategy,
             "include_self_links": self.include_self_links,
             "refresh_threshold": self.refresh_threshold,
-            "engine": self.engine,
         }
 
     def session_state(self) -> dict:
@@ -548,7 +506,10 @@ class IncrementalRock:
         bit-identical to the uninterrupted original: matrices and the live
         partition are reinstated verbatim, the labeler is rebuilt without
         consuming RNG, and the generator resumes at the captured stream
-        position.  A ``links`` entry in ``state["arrays"]`` is ignored.
+        position.  A ``links`` entry in ``state["arrays"]`` is ignored, and
+        so is any config key :meth:`config_dict` no longer records (the
+        strategy choices earlier checkpoints carried; every one of them
+        reproduced the defaults' results bit-identically).
         """
         config = state["config"]
         session = cls(
@@ -557,14 +518,9 @@ class IncrementalRock:
             measure=measure,
             exponent_function=exponent_function,
             labeling_fraction=config["labeling_fraction"],
-            labeling_strategy=config["labeling_strategy"],
             assign_outliers=config["assign_outliers"],
-            neighbor_strategy=restored_backend_name(config["neighbor_strategy"]),
-            neighbor_block_size=config["neighbor_block_size"],
-            link_strategy=config["link_strategy"],
             include_self_links=config["include_self_links"],
             refresh_threshold=config["refresh_threshold"],
-            engine=restored_engine_name(config.get("engine")),
         )
         rng_state = state["rng"]
         bit_generator = getattr(np.random, rng_state["bit_generator"])()
@@ -701,9 +657,8 @@ class IncrementalRock:
         overlap kernel (:mod:`repro.core.neighbors.vectorized`), the same
         test the ``blocked`` backend makes; the within-batch block goes
         through the backend registry.  For measures without the
-        vectorized-counts capability, or under an explicit ``bruteforce``
-        neighbour strategy, the cross block is evaluated pair by pair (the
-        bruteforce spec).
+        vectorized-counts capability the cross block is evaluated pair by
+        pair (the bruteforce spec).
         """
         n_old = len(self._points)
         n_new = len(batch)
@@ -719,7 +674,7 @@ class IncrementalRock:
             self._incidence.resize((n_old, n_columns))
         batch_sizes = np.asarray([len(t) for t in batch], dtype=np.int64)
 
-        if self._cross_by_kernel:
+        if supports_vectorized_counts(self.measure):
             batch_values, batch_group = np.unique(batch_sizes, return_inverse=True)
             live_values, live_group = np.unique(self._sizes, return_inverse=True)
             rows, cols = qualifying_pairs(
@@ -740,11 +695,7 @@ class IncrementalRock:
             (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n_new, n_old)
         )
         within = compute_neighbors(
-            batch,
-            theta=self.theta,
-            measure=self.measure,
-            strategy=self.neighbor_strategy,
-            block_size=self.neighbor_block_size,
+            batch, theta=self.theta, measure=self.measure
         ).adjacency.tocsr()
 
         self._incidence = sparse.vstack(
@@ -832,9 +783,9 @@ class IncrementalRock:
     # Refresh
     # ------------------------------------------------------------------ #
     def refresh(self) -> None:
-        """Full re-cluster of every live point via the session's engine.
+        """Full re-cluster of every live point via the default engine.
 
-        Runs the session's registered agglomeration engine (every engine
+        Runs the agglomeration engine ``auto`` resolves to (every engine
         is bit-identical, so the refresh contract does not depend on the
         choice) over the link matrix computed once from the live adjacency
         (no neighbour computation is repeated), rebuilds the live
@@ -845,7 +796,7 @@ class IncrementalRock:
         serve ``status`` verb and the benchmarks.
         """
         self._require_bootstrapped()
-        run = get_engine(resolve_engine_name(self.engine)).agglomerate(
+        run = get_engine(resolve_engine_name(DEFAULT_ENGINE)).agglomerate(
             self.links_,
             len(self._points),
             self.n_clusters,
@@ -864,7 +815,6 @@ class IncrementalRock:
             exponent_function=self.exponent_function,
             labeling_fraction=self.labeling_fraction,
             rng=self.rng,
-            strategy=self.labeling_strategy,
             item_index=dict(self._item_index),
             assign_outliers=self.assign_outliers,
         )

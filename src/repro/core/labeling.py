@@ -70,6 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.goodness import ExponentFunction, default_expected_links_exponent
+from repro.core.neighbors.graph import validate_theta
 from repro.core.neighbors.vectorized import overlap_thresholds, qualifying_pairs
 from repro.data.encoding import build_item_index, transactions_to_incidence
 from repro.errors import ConfigurationError, DataValidationError
@@ -93,14 +94,18 @@ BLOCK_CELLS = 1 << 21
 FLOAT32_EXACT = 1 << 24
 
 
-def validate_labeling_strategy(strategy: str) -> str:
-    """``strategy`` unchanged when it is one of :data:`LABELING_STRATEGIES`."""
-    if strategy not in LABELING_STRATEGIES:
+def validate_labeling_fraction(fraction: float) -> float:
+    """``fraction`` as a float when it lies in ``(0, 1]``.
+
+    The share of each sampled cluster the labeller retains; checked here
+    and by :class:`~repro.core.pipeline.RockPipeline` at construction.
+    """
+    fraction = float(fraction)
+    if not 0.0 < fraction <= 1.0:
         raise ConfigurationError(
-            "unknown labeling strategy %r; expected one of %s"
-            % (strategy, ", ".join(LABELING_STRATEGIES))
+            "labeling fraction must lie in (0, 1], got %r" % fraction
         )
-    return strategy
+    return fraction
 
 
 @dataclass
@@ -160,8 +165,7 @@ def select_labeling_fractions(
     a tiny fraction of a tiny cluster can never round down to an empty
     ``L_i``).
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigurationError("fraction must lie in (0, 1], got %r" % fraction)
+    validate_labeling_fraction(fraction)
     generator = np.random.default_rng(rng)
     fractions: list[list[int]] = []
     for members in clusters:
@@ -239,13 +243,16 @@ class StreamingLabeler:
         item_index: dict | None = None,
         assign_outliers: bool = True,
     ) -> None:
-        if not 0.0 <= theta <= 1.0:
-            raise ConfigurationError("theta must lie in [0, 1], got %r" % theta)
+        theta = validate_theta(theta)
         if measure is None:
             measure = JaccardSimilarity()
         if exponent_function is None:
             exponent_function = default_expected_links_exponent
-        validate_labeling_strategy(strategy)
+        if strategy not in LABELING_STRATEGIES:
+            raise ConfigurationError(
+                "unknown labeling strategy %r; expected one of %s"
+                % (strategy, ", ".join(LABELING_STRATEGIES))
+            )
         vectorizable = supports_vectorized_counts(measure)
         if strategy == "sparse-matmul" and not vectorizable:
             raise ConfigurationError(

@@ -44,16 +44,6 @@ _PAIR_FOLD_LIMIT = 2_000_000
 LINK_STRATEGIES = ("auto", "neighbor-lists", "sparse-matmul")
 
 
-def validate_link_strategy(strategy: str) -> str:
-    """``strategy`` unchanged when it is one of :data:`LINK_STRATEGIES`."""
-    if strategy not in LINK_STRATEGIES:
-        raise ConfigurationError(
-            "unknown link strategy %r; expected one of %s"
-            % (strategy, ", ".join(LINK_STRATEGIES))
-        )
-    return strategy
-
-
 def links_from_neighbors(
     graph: NeighborGraph,
     strategy: str = "auto",
@@ -81,7 +71,11 @@ def links_from_neighbors(
         Symmetric integer matrix with ``links[i, j]`` = number of common
         neighbours of ``i`` and ``j``; the diagonal is zeroed.
     """
-    validate_link_strategy(strategy)
+    if strategy not in LINK_STRATEGIES:
+        raise ConfigurationError(
+            "unknown link strategy %r; expected one of %s"
+            % (strategy, ", ".join(LINK_STRATEGIES))
+        )
     adjacency = graph.adjacency
     if include_self:
         adjacency = (adjacency + sparse.identity(graph.n_points, dtype=bool, format="csr")).tocsr()

@@ -36,10 +36,8 @@ from repro.core.neighbors.base import (
     get_backend,
     normalize_backend_name,
     register_backend,
-    restored_backend_name,
     select_backend_name,
     validate_block_size,
-    validate_neighbor_strategy,
 )
 from repro.core.neighbors.blocked import BlockedBackend
 from repro.core.neighbors.bruteforce import BruteForceBackend
@@ -59,8 +57,8 @@ register_backend(BlockedBackend())
 def neighbor_strategies() -> tuple:
     """``"auto"`` plus every registered backend name, in registration order.
 
-    The live view of the registry: call it (the CLI does, at parser-build
-    time) so backends registered after import are picked up.
+    The live view of the registry: call it so backends registered after
+    import are picked up.
     """
     return (AUTO_STRATEGY, *available_backends())
 
@@ -161,8 +159,6 @@ __all__ = [
     "get_backend",
     "neighbor_strategies",
     "register_backend",
-    "restored_backend_name",
     "select_backend_name",
     "validate_block_size",
-    "validate_neighbor_strategy",
 ]

@@ -4,9 +4,10 @@ A *neighbour backend* is a named strategy for building the thresholded
 adjacency matrix of a point set.  Backends register themselves here by
 name; :func:`repro.core.neighbors.compute_neighbors` resolves the
 requested strategy through :func:`get_backend` and delegates construction
-to it.  The registry is what the CLI and pipeline strategy knobs
-enumerate, so adding a backend is one ``register_backend`` call — no layer
-above needs to change.
+to it.  ``compute_neighbors(strategy=)`` is the one place a caller picks a
+backend: every composite (pipeline, online session, summary merge, QROCK)
+calls it with ``auto``, so adding a backend is one ``register_backend``
+call — no layer above needs to change.
 
 Every backend must produce a **bit-identical** adjacency to the
 brute-force reference on the same inputs; the cross-backend equivalence
@@ -114,14 +115,6 @@ def get_backend(name: str) -> NeighborBackend:
         ) from None
 
 
-def validate_neighbor_strategy(name: str) -> str:
-    """``name`` unchanged when it is ``auto`` or a registered backend;
-    otherwise the unknown-strategy :class:`ConfigurationError`."""
-    if normalize_backend_name(name) != AUTO_STRATEGY:
-        get_backend(name)
-    return name
-
-
 def select_backend_name(measure: SetSimilarity) -> str:
     """The backend ``auto`` resolves to for ``measure``.
 
@@ -133,23 +126,6 @@ def select_backend_name(measure: SetSimilarity) -> str:
     alternatives).
     """
     return "blocked" if supports_vectorized_counts(measure) else "bruteforce"
-
-
-#: Backends no longer registered whose checkpoints still restore: each
-#: built the adjacency every registered backend reproduces bit-identically.
-_RETIRED_BACKENDS = frozenset({"vectorized", "inverted-index"})
-
-
-def restored_backend_name(recorded: str) -> str:
-    """The neighbour strategy a session restored from durable state runs under.
-
-    Checkpoints written under a retired backend record a name the registry
-    no longer holds; they resume under :data:`DEFAULT_NEIGHBOR_STRATEGY`.
-    Any other name is returned unchanged (and validated where it is used).
-    """
-    if normalize_backend_name(recorded) in _RETIRED_BACKENDS:
-        return DEFAULT_NEIGHBOR_STRATEGY
-    return recorded
 
 
 def validate_block_size(block_size: int | None) -> int:

@@ -54,7 +54,6 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.core.engines import DEFAULT_ENGINE, validate_engine_name
 from repro.core.goodness import ExponentFunction
 from repro.core.incremental import (
     IncrementalRock,
@@ -67,14 +66,9 @@ from repro.core.labeling import (
     # Kept as a module global for perfbench's ``labeling.label_points``
     # span, which wraps it by this name.
     label_points,  # noqa: F401
-    validate_labeling_strategy,
+    validate_labeling_fraction,
 )
-from repro.core.links import validate_link_strategy
-from repro.core.neighbors import (
-    compute_neighbors,
-    validate_block_size,
-    validate_neighbor_strategy,
-)
+from repro.core.neighbors import compute_neighbors, validate_theta
 from repro.core.outliers import drop_small_clusters, partition_isolated_points
 from repro.core.rock import RockClustering, RockResult, as_transactions
 from repro.core.sampling import draw_sample, reservoir_sample
@@ -105,7 +99,6 @@ from repro.errors import (
 )
 from repro.persistence.session import PersistentSession
 from repro.similarity.base import SetSimilarity
-from repro.similarity.jaccard import JaccardSimilarity
 from repro.types import ClusterSummary
 
 #: Sampling strategies accepted by :meth:`RockPipeline.run_streaming`.
@@ -467,9 +460,10 @@ class RockPipeline:
     Parameters
     ----------
     n_clusters:
-        Number of clusters requested from the agglomeration phase.
+        Number of clusters requested from the agglomeration phase (at
+        least 1).
     theta:
-        Similarity threshold.
+        Similarity threshold in ``[0, 1]``.
     sample_size:
         Number of points to sample for the clustering phase; ``None`` (the
         default) clusters the whole data set.
@@ -484,7 +478,8 @@ class RockPipeline:
         their points handed to the labelling pass (late-outlier handling).
         ``1`` disables the pruning.
     labeling_fraction:
-        Fraction of each cluster used when labelling leftover points.
+        Fraction of each cluster used when labelling leftover points, in
+        ``(0, 1]``.
     exponent_function:
         ``f(theta)``; defaults to the paper's.
     assign_outliers:
@@ -494,30 +489,27 @@ class RockPipeline:
         to the cluster with the highest raw neighbour count — with every
         count at zero that is the largest cluster — so no point is reported
         as an outlier by the labelling phase.
-    engine:
-        Agglomeration engine: a name registered in
-        :mod:`repro.core.engines` (``"arena"``, ``"reference"``) or
-        ``"auto"`` (the default), propagated to
-        :class:`RockClustering` and to online sessions.
-    neighbor_strategy, neighbor_block_size:
-        Neighbour-backend selection (a registered backend name or
-        ``"auto"``) and the blocked backend's row-block height, propagated
-        to every :func:`repro.core.neighbors.compute_neighbors` call the
-        pipeline makes (pre-filter, clustering, summary merge).
-    labeling_strategy:
-        Neighbour-counting strategy of the labelling pass, passed to
-        :class:`repro.core.labeling.StreamingLabeler`.  An unknown
-        neighbour, link or labelling strategy, like an unknown engine or a
-        non-positive block size, raises
-        :class:`~repro.errors.ConfigurationError` at construction, whether
-        or not the phase that reads it runs.
+    include_self_links:
+        Whether a point counts as its own neighbour when counting common
+        neighbours (see :class:`RockClustering`).
     rng:
         Random generator or seed used for sampling and labelling fractions.
     strict:
         Propagated to :class:`RockClustering`.
 
+    An out-of-range value raises :class:`~repro.errors.ConfigurationError`
+    at construction, before any source is read.
+
     Notes
     -----
+    Every phase calls the library with its defaults, so the path each
+    takes (the neighbour backend, the link product, the merge engine, the
+    labelling kernel) follows from what the code can observe: whether the
+    measure has the vectorized-counts capability.  The frozen specs are
+    selected at the library entry points only
+    (:class:`RockClustering`'s ``engine``,
+    :func:`repro.core.neighbors.compute_neighbors`'s ``strategy``).
+
     Every entry point builds the item-to-column index
     (:func:`repro.data.encoding.build_item_index`) over the sample only —
     or, in a multi-shard run, one index per shard sample for the per-shard
@@ -539,15 +531,12 @@ class RockPipeline:
         labeling_fraction: float = 1.0,
         exponent_function: ExponentFunction | None = None,
         assign_outliers: bool = True,
-        engine: str = DEFAULT_ENGINE,
-        neighbor_strategy: str = "auto",
-        neighbor_block_size: int | None = None,
-        link_strategy: str = "auto",
-        labeling_strategy: str = "auto",
         include_self_links: bool = True,
         rng: np.random.Generator | int | None = None,
         strict: bool = False,
     ) -> None:
+        if int(n_clusters) < 1:
+            raise ConfigurationError("n_clusters must be at least 1, got %r" % n_clusters)
         if sample_size is not None and sample_size < 1:
             raise ConfigurationError("sample_size must be positive or None")
         if min_neighbors < 0:
@@ -555,20 +544,14 @@ class RockPipeline:
         if min_cluster_size < 1:
             raise ConfigurationError("min_cluster_size must be at least 1")
         self.n_clusters = int(n_clusters)
-        self.theta = float(theta)
+        self.theta = validate_theta(theta)
         self.sample_size = sample_size
         self.measure = measure
         self.min_neighbors = int(min_neighbors)
         self.min_cluster_size = int(min_cluster_size)
-        self.labeling_fraction = float(labeling_fraction)
+        self.labeling_fraction = validate_labeling_fraction(labeling_fraction)
         self.exponent_function = exponent_function
         self.assign_outliers = bool(assign_outliers)
-        self.engine = validate_engine_name(engine)
-        self.neighbor_strategy = validate_neighbor_strategy(neighbor_strategy)
-        validate_block_size(neighbor_block_size)
-        self.neighbor_block_size = neighbor_block_size
-        self.link_strategy = validate_link_strategy(link_strategy)
-        self.labeling_strategy = validate_labeling_strategy(labeling_strategy)
         self.include_self_links = bool(include_self_links)
         self.rng = np.random.default_rng(rng)
         self.strict = bool(strict)
@@ -587,12 +570,7 @@ class RockPipeline:
         phase_start = time.perf_counter()
         if self.min_neighbors > 0:
             graph = compute_neighbors(
-                sample,
-                theta=self.theta,
-                measure=self.measure,
-                strategy=self.neighbor_strategy,
-                item_index=item_index,
-                block_size=self.neighbor_block_size,
+                sample, theta=self.theta, measure=self.measure, item_index=item_index
             )
             participating, isolated = partition_isolated_points(
                 graph, min_neighbors=self.min_neighbors
@@ -610,10 +588,6 @@ class RockPipeline:
             n_clusters=self.n_clusters,
             theta=self.theta,
             measure=self.measure,
-            engine=self.engine,
-            neighbor_strategy=self.neighbor_strategy,
-            neighbor_block_size=self.neighbor_block_size,
-            link_strategy=self.link_strategy,
             include_self_links=self.include_self_links,
             exponent_function=self.exponent_function,
             strict=self.strict,
@@ -865,9 +839,6 @@ class RockPipeline:
             exponent_function=self.exponent_function,
             representatives_per_cluster=shards.representatives,
             rng=merge_rng,
-            neighbor_strategy=self.neighbor_strategy,
-            neighbor_block_size=self.neighbor_block_size,
-            link_strategy=self.link_strategy,
             include_self_links=self.include_self_links,
             item_index=item_index,
             fan_in=shards.fan_in,
@@ -942,7 +913,6 @@ class RockPipeline:
             exponent_function=self.exponent_function,
             labeling_fraction=self.labeling_fraction,
             rng=self.rng,
-            strategy=self.labeling_strategy,
             item_index=clustering.item_index,
             assign_outliers=self.assign_outliers,
         )
@@ -971,22 +941,7 @@ class RockPipeline:
             session = store.session
             store.replay_pending(lambda payload: state.apply(session, payload))
         else:
-            session = IncrementalRock(
-                n_clusters=self.n_clusters,
-                theta=self.theta,
-                measure=self.measure,
-                exponent_function=self.exponent_function,
-                labeling_fraction=self.labeling_fraction,
-                labeling_strategy=self.labeling_strategy,
-                assign_outliers=self.assign_outliers,
-                neighbor_strategy=self.neighbor_strategy,
-                neighbor_block_size=self.neighbor_block_size,
-                link_strategy=self.link_strategy,
-                include_self_links=self.include_self_links,
-                refresh_threshold=online.refresh_threshold,
-                engine=self.engine,
-                rng=self.rng,
-            )
+            session = self._new_online_session(online.refresh_threshold)
             session.bootstrap(
                 clustering.sample, clustering.clusters, item_index=clustering.item_index
             )
@@ -1121,7 +1076,6 @@ class RockPipeline:
                 "min_cluster_size": self.min_cluster_size,
                 "labeling_fraction": self.labeling_fraction,
                 "assign_outliers": self.assign_outliers,
-                "engine": self.engine,
                 "merge_counters": dict(state.rock_result.merge_counters),
                 **parameters,
             },
@@ -1369,21 +1323,25 @@ class RockPipeline:
         session under different parameters would silently break the
         served ≡ ``run_online`` contract.
         """
-        measure = self.measure if self.measure is not None else JaccardSimilarity()
-        return {
-            "n_clusters": self.n_clusters,
-            "theta": self.theta,
-            "measure": getattr(measure, "name", type(measure).__name__),
-            "labeling_fraction": self.labeling_fraction,
-            "labeling_strategy": self.labeling_strategy,
-            "assign_outliers": self.assign_outliers,
-            "neighbor_strategy": self.neighbor_strategy,
-            "neighbor_block_size": self.neighbor_block_size,
-            "link_strategy": self.link_strategy,
-            "include_self_links": self.include_self_links,
-            "refresh_threshold": refresh_threshold,
-            "engine": self.engine,
-        }
+        return self._new_online_session(refresh_threshold).config_dict()
+
+    def _new_online_session(self, refresh_threshold: float | None) -> IncrementalRock:
+        """The unbootstrapped online session of this pipeline.
+
+        It shares the pipeline's generator (``default_rng`` returns a
+        generator unchanged), so building one draws nothing.
+        """
+        return IncrementalRock(
+            n_clusters=self.n_clusters,
+            theta=self.theta,
+            measure=self.measure,
+            exponent_function=self.exponent_function,
+            labeling_fraction=self.labeling_fraction,
+            assign_outliers=self.assign_outliers,
+            include_self_links=self.include_self_links,
+            refresh_threshold=refresh_threshold,
+            rng=self.rng,
+        )
 
     # ------------------------------------------------------------------ #
     def run_sharded(
@@ -1563,10 +1521,6 @@ class ShardWorkerConfig:
     min_neighbors: int
     min_cluster_size: int
     exponent_function: ExponentFunction | None
-    engine: str
-    neighbor_strategy: str
-    neighbor_block_size: int | None
-    link_strategy: str
     include_self_links: bool
     strict: bool
 

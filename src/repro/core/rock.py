@@ -19,9 +19,10 @@ by the ``engine`` parameter and registered in :mod:`repro.core.engines`:
 Both engines produce bit-identical merge histories, labels and criterion
 values (enforced by the test suite and the engine benchmarks);
 ``"reference"`` exists as the executable specification the arena engine
-is tested against.  The neighbour and link phases have
-their own strategy knobs (``neighbor_strategy``, ``link_strategy``)
-documented in :mod:`repro.core.neighbors` and :mod:`repro.core.links`.
+is tested against.  The neighbour and link phases run with their
+defaults (``auto``); their specs are selected at
+:func:`repro.core.neighbors.compute_neighbors` and
+:func:`repro.core.links.links_from_neighbors`.
 
 The public entry point is :class:`RockClustering`, a scikit-learn-flavoured
 estimator (``fit`` / ``fit_predict`` / ``labels_``) that accepts transaction
@@ -54,7 +55,7 @@ from repro.core.goodness import (
 )
 from repro.core.heaps import AddressableMaxHeap
 from repro.core.links import links_from_neighbors
-from repro.core.neighbors import NeighborGraph, compute_neighbors
+from repro.core.neighbors import NeighborGraph, compute_neighbors, validate_theta
 from repro.data.dataset import CategoricalDataset, TransactionDataset
 from repro.data.encoding import attribute_value_items, binary_matrix_to_transactions
 from repro.errors import (
@@ -182,16 +183,6 @@ class RockClustering:
         :mod:`repro.core.engines` (``"arena"``, ``"reference"``) or
         ``"auto"`` (the default, resolving to the fastest registered
         engine).  Every engine produces identical results.
-    neighbor_strategy:
-        Passed to :func:`repro.core.neighbors.compute_neighbors`: a
-        registered neighbour-backend name (``"bruteforce"``,
-        ``"blocked"``) or ``"auto"``.
-    neighbor_block_size:
-        Row-block height of the ``"blocked"`` neighbour backend (``None``
-        uses :data:`repro.core.neighbors.DEFAULT_BLOCK_SIZE`); ignored by
-        the other backends.
-    link_strategy:
-        Passed to :func:`repro.core.links.links_from_neighbors`.
     include_self_links:
         Whether a point counts as its own neighbour when counting common
         neighbours.  Default ``True`` (the paper's convention: a point's
@@ -217,24 +208,16 @@ class RockClustering:
         theta: float = 0.5,
         measure: SetSimilarity | None = None,
         engine: str = DEFAULT_ENGINE,
-        neighbor_strategy: str = "auto",
-        neighbor_block_size: int | None = None,
-        link_strategy: str = "auto",
         include_self_links: bool = True,
         exponent_function: ExponentFunction | None = None,
         strict: bool = False,
     ) -> None:
         if int(n_clusters) < 1:
             raise ConfigurationError("n_clusters must be at least 1, got %r" % n_clusters)
-        if not 0.0 <= float(theta) <= 1.0:
-            raise ConfigurationError("theta must lie in [0, 1], got %r" % theta)
         self.n_clusters = int(n_clusters)
-        self.theta = float(theta)
+        self.theta = validate_theta(theta)
         self.measure = measure
         self.engine = validate_engine_name(engine)
-        self.neighbor_strategy = neighbor_strategy
-        self.neighbor_block_size = neighbor_block_size
-        self.link_strategy = link_strategy
         self.include_self_links = bool(include_self_links)
         self.exponent_function = exponent_function
         self.strict = bool(strict)
@@ -298,16 +281,9 @@ class RockClustering:
         """
         transactions = as_transactions(data)
         graph = compute_neighbors(
-            transactions,
-            theta=self.theta,
-            measure=self.measure,
-            strategy=self.neighbor_strategy,
-            item_index=item_index,
-            block_size=self.neighbor_block_size,
+            transactions, theta=self.theta, measure=self.measure, item_index=item_index
         )
-        links = links_from_neighbors(
-            graph, strategy=self.link_strategy, include_self=self.include_self_links
-        )
+        links = links_from_neighbors(graph, include_self=self.include_self_links)
         self._neighbor_graph = graph
         self._links = links
         self._result = self._agglomerate(links, len(transactions))

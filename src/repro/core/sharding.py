@@ -428,9 +428,16 @@ def cluster_shards(
     workers: it first runs :func:`bootstrap_probe` with ``cluster_one`` as
     its argument, then submits one attempt per pending shard in shard
     order, keeping at most ``shard_workers`` attempts in flight.  Shards
-    whose attempt failed are retried by the next wave (a crashed process
-    worker breaks its pool, so a fresh pool keeps one shard's crash out of
-    another shard's retry).
+    whose attempt failed are retried by the next wave.
+
+    A crashed process worker breaks its pool: every attempt in flight
+    fails with it, and the pool refuses further submits.  The crash is
+    charged to a shard only when its attempt ran alone in the pool; the
+    other attempts it failed, and the refused submits, re-run uncharged.
+    Every wave after a break keeps one attempt in flight, so the next
+    crash names its shard and the healthy shards still complete.  A
+    thread pool never breaks, so its waves keep ``shard_workers``
+    attempts in flight.
 
     Parameters
     ----------
@@ -473,7 +480,7 @@ def cluster_shards(
     ------
     ConfigurationError
         Besides invalid arguments: when a shard attempt raises one (e.g. an
-        unknown strategy in the task's configuration), when the process
+        out-of-range value in the task's configuration), when the process
         executor's workers die while starting (typically a script without
         an ``if __name__ == "__main__":`` guard), or when ``cluster_one``
         cannot be pickled for the process executor.  Each is raised at
@@ -504,24 +511,27 @@ def cluster_shards(
         for shard_id, (sample, positions) in enumerate(shard_samples)
         if sample
     ]
-    outcomes: dict[int, tuple] = {}
+    completed: dict[int, ShardClusterResult] = {}
+    failures: dict[int, list[Exception]] = {task[0]: [] for task in tasks}
     pending = tasks
-    for _ in range(retries + 1):
-        if not pending:
-            break
+    while pending:
         with pool_class(max_workers=min(workers, len(pending))) as pool:
             _check_workers_bootstrap(pool, cluster_one)
-            _run_wave(pool, cluster_one, pending, workers, outcomes)
-        pending = [task for task in pending if outcomes[task[0]][1] is not None]
+            if _run_wave(pool, cluster_one, pending, workers, completed, failures):
+                workers = 1
+        pending = [
+            task
+            for task in pending
+            if task[0] not in completed and len(failures[task[0]]) <= retries
+        ]
 
     results = ShardRunResults()
     for shard_id, _, _ in tasks:
-        result, error = outcomes[shard_id]
-        if error is None:
-            results.append(result)
+        if shard_id in completed:
+            results.append(completed[shard_id])
         else:
             results.skipped_shards.append(shard_id)
-            results.errors[shard_id] = error
+            results.errors[shard_id] = failures[shard_id][-1]
     if results.skipped_shards:
         detail = "; ".join(
             "shard %d: %s" % (shard_id, results.errors[shard_id])
@@ -572,17 +582,26 @@ def _attempt(task, inject: str | None, shard_id: int, sample, positions):
 
 
 def _run_wave(
-    pool: Executor, task, pending: list[tuple], workers: int, outcomes: dict
-) -> None:
+    pool: Executor, task, pending: list[tuple], workers: int, completed: dict, failures: dict
+) -> bool:
     """One attempt per pending shard, at most ``workers`` in flight, in shard order.
 
-    Sets ``outcomes[shard_id]`` to ``(result, None)`` or ``(None, error)``.
-    A :class:`~repro.errors.ConfigurationError` propagates at once.
+    Records each result in ``completed`` and appends each charged failure
+    to ``failures[shard_id]``.  Once the pool breaks, nothing more is
+    submitted; the break is charged only to an attempt that ran alone, so
+    the shards of the other attempts it failed re-run uncharged.  Returns
+    whether the pool broke.  A :class:`~repro.errors.ConfigurationError`
+    propagates at once.
     """
     queue = iter(pending)
     in_flight: dict = {}
+    broken = False
     while True:
-        for shard_id, sample, positions in queue:
+        while not broken and len(in_flight) < workers:
+            next_task = next(queue, None)
+            if next_task is None:
+                break
+            shard_id, sample, positions = next_task
             inject = None
             for name in ("shard.worker", "shard.worker.%d" % shard_id):
                 if failpoints.consume(name):
@@ -590,34 +609,36 @@ def _run_wave(
                     break
             try:
                 future = pool.submit(_attempt, task, inject, shard_id, sample, positions)
-            except BrokenProcessPool as error:
-                # A crashed worker broke the pool: this attempt fails with
-                # it, and the next wave retries it on a fresh pool.
-                outcomes[shard_id] = (None, error)
+            except BrokenProcessPool:
+                # A crash the wait below has not seen yet broke the pool.
+                broken = True
             else:
                 in_flight[future] = shard_id
-            if len(in_flight) == workers:
-                break
         if not in_flight:
-            return
+            return broken
+        alone = len(in_flight) == 1 and not broken
         done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
         for future in done:
             shard_id = in_flight.pop(future)
             try:
-                outcomes[shard_id] = (future.result(), None)
+                completed[shard_id] = future.result()
             except ConfigurationError:
                 # A configuration error is no transient fault: every retry
                 # would fail alike, so it propagates on the first attempt.
                 raise
+            except BrokenProcessPool as error:
+                broken = True
+                if alone:
+                    failures[shard_id].append(error)
             # Deliberate fault-isolation boundary: a worker failure — an
-            # InjectedFaultError from the shard.worker failpoints, a
-            # crash, a BrokenProcessPool — is captured for the
+            # InjectedFaultError from the shard.worker failpoints or any
+            # other exception the task raised — is captured for the
             # retry/degrade/strict logic of cluster_shards instead of
             # propagating, which is exactly what the fault-tolerance suite
             # exercises.
             # repro-lint: disable=ERR001 reason=shard worker isolation; error is retried then surfaced via skipped_shards or ShardExecutionError
             except Exception as error:  # noqa: BLE001 - isolate worker faults
-                outcomes[shard_id] = (None, error)
+                failures[shard_id].append(error)
 
 
 def _check_workers_bootstrap(pool: Executor, task) -> None:
@@ -729,9 +750,6 @@ def merge_shard_summaries(
     exponent_function: ExponentFunction | None = None,
     representatives_per_cluster: int = 16,
     rng: np.random.Generator | int | None = None,
-    neighbor_strategy: str = "auto",
-    neighbor_block_size: int | None = None,
-    link_strategy: str = "auto",
     include_self_links: bool = True,
     item_index: dict | None = None,
     fan_in: int | None = None,
@@ -782,9 +800,8 @@ def merge_shard_summaries(
         counts; summaries at or below the bound contribute every member.
     rng:
         Random generator or seed for representative selection.
-    neighbor_strategy, neighbor_block_size, link_strategy, include_self_links:
-        Forwarded to :func:`repro.core.neighbors.compute_neighbors` and
-        :func:`repro.core.links.links_from_neighbors`.
+    include_self_links:
+        Forwarded to :func:`repro.core.links.links_from_neighbors`.
     item_index:
         Optional pre-built item-to-column index covering ``pooled_sample``.
     fan_in:
@@ -847,9 +864,6 @@ def merge_shard_summaries(
             exponent_function,
             representatives_per_cluster,
             generator,
-            neighbor_strategy,
-            neighbor_block_size,
-            link_strategy,
             include_self_links,
             item_index,
         )
@@ -966,9 +980,6 @@ def _flat_summary_merge(
     exponent_function: ExponentFunction,
     representatives_per_cluster: int,
     generator: np.random.Generator,
-    neighbor_strategy: str,
-    neighbor_block_size: int | None,
-    link_strategy: str,
     include_self_links: bool,
     item_index: dict | None,
 ) -> SummaryMergeResult:
@@ -1004,16 +1015,9 @@ def _flat_summary_merge(
 
     # Link counts recomputed on the representative incidence.
     graph = compute_neighbors(
-        representatives,
-        theta=theta,
-        measure=measure,
-        strategy=neighbor_strategy,
-        item_index=item_index,
-        block_size=neighbor_block_size,
+        representatives, theta=theta, measure=measure, item_index=item_index
     )
-    links = links_from_neighbors(
-        graph, strategy=link_strategy, include_self=include_self_links
-    )
+    links = links_from_neighbors(graph, include_self=include_self_links)
 
     # Weighted summary-by-summary cross-link estimate: W L W folded through
     # the owner incidence.  The engine ignores the diagonal (within-summary

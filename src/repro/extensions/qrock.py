@@ -57,9 +57,6 @@ class QRock:
         Similarity measure; defaults to Jaccard.
     min_cluster_size:
         Components smaller than this are reported as outliers (label ``-1``).
-    neighbor_strategy, neighbor_block_size:
-        Neighbour-backend selection and blocked-product row height,
-        forwarded to :func:`repro.core.neighbors.compute_neighbors`.
 
     Examples
     --------
@@ -73,14 +70,10 @@ class QRock:
         theta: float,
         measure: SetSimilarity | None = None,
         min_cluster_size: int = 1,
-        neighbor_strategy: str = "auto",
-        neighbor_block_size: int | None = None,
     ) -> None:
         self.theta = float(theta)
         self.measure = measure
         self.min_cluster_size = int(min_cluster_size)
-        self.neighbor_strategy = neighbor_strategy
-        self.neighbor_block_size = neighbor_block_size
         self._labels: np.ndarray | None = None
         self._clusters: list[tuple] | None = None
 
@@ -106,13 +99,7 @@ class QRock:
     def fit(self, data) -> "QRock":
         """Cluster ``data`` by connected components of the neighbour graph."""
         transactions = as_transactions(data)
-        graph = compute_neighbors(
-            transactions,
-            theta=self.theta,
-            measure=self.measure,
-            strategy=self.neighbor_strategy,
-            block_size=self.neighbor_block_size,
-        )
+        graph = compute_neighbors(transactions, theta=self.theta, measure=self.measure)
         labels, clusters = connected_component_clusters(graph)
         if self.min_cluster_size > 1:
             kept = [c for c in clusters if len(c) >= self.min_cluster_size]

@@ -21,8 +21,11 @@ The manifest's ``wal_seq`` is the sequence number of the last WAL record
 whose effect the checkpoint already contains; recovery replays only records
 above it (see :mod:`repro.persistence.wal`).
 
-Version 1 checkpoints still load: they differ only by the ``links_*``
+Versions 1 and 2 still load.  Version 1 differs only by the ``links_*``
 arrays in ``arrays.npz``, which the checksum covers but load() never reads.
+Versions 1 and 2 record the strategy choices the session no longer has
+(:data:`_RETIRED_CONFIG_KEYS`) in their config; a resume ignores them,
+since every choice reproduced the defaults' results bit-identically.
 """
 
 from __future__ import annotations
@@ -40,9 +43,7 @@ from typing import Any, Callable
 import numpy as np
 from scipy import sparse
 
-from repro.core.engines import restored_engine_name
 from repro.core.incremental import IncrementalRock
-from repro.core.neighbors import restored_backend_name
 from repro.data.io import atomic_write_text
 from repro.errors import (
     SnapshotConfigMismatchError,
@@ -55,8 +56,15 @@ from repro.persistence import failpoints
 #: Format marker and version of the checkpoint layout.  Bump the version on
 #: any incompatible change; load() refuses other versions with a typed error.
 SNAPSHOT_FORMAT = "repro-session-snapshot"
-SNAPSHOT_FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, SNAPSHOT_FORMAT_VERSION)
+SNAPSHOT_FORMAT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, SNAPSHOT_FORMAT_VERSION)
+
+#: Session config keys versions 1 and 2 recorded and this build no longer
+#: has: the resume check skips them.  Any other key the checkpoint records
+#: and the caller does not expect still mismatches.
+_RETIRED_CONFIG_KEYS = frozenset(
+    {"engine", "neighbor_strategy", "neighbor_block_size", "link_strategy", "labeling_strategy"}
+)
 
 MANIFEST_NAME = "MANIFEST.json"
 CURRENT_NAME = "CURRENT"
@@ -237,15 +245,11 @@ class SessionSnapshot:
             )
         manifest = cls._read_manifest(checkpoint)
         if expected_config is not None:
-            recorded = dict(manifest.get("config", {}))
-            # A retired engine or neighbour backend compares as the one the
-            # session resumes under.
-            if "engine" in recorded:
-                recorded["engine"] = restored_engine_name(recorded["engine"])
-            if "neighbor_strategy" in recorded:
-                recorded["neighbor_strategy"] = restored_backend_name(
-                    recorded["neighbor_strategy"]
-                )
+            recorded = {
+                key: value
+                for key, value in manifest.get("config", {}).items()
+                if key not in _RETIRED_CONFIG_KEYS
+            }
             differing = sorted(
                 key
                 for key in set(recorded) | set(expected_config)

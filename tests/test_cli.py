@@ -111,93 +111,23 @@ class TestOtherCommands:
         assert "recommended theta" in captured
 
 
-class TestEngineFlag:
-    def test_engine_flag_parsed(self, votes_csv):
-        arguments = build_parser().parse_args(
-            ["cluster", str(votes_csv), "--clusters", "2", "--engine", "reference"]
-        )
-        assert arguments.engine == "reference"
+class TestRetiredStrategyFlags:
+    """Both subcommands run the library defaults: no strategy flags."""
 
-    def test_engine_defaults_to_auto(self, votes_csv):
-        arguments = build_parser().parse_args(
-            ["cluster", str(votes_csv), "--clusters", "2"]
-        )
-        assert arguments.engine == "auto"
-
-    def test_arena_engine_accepted(self, votes_csv):
-        arguments = build_parser().parse_args(
-            ["cluster", str(votes_csv), "--clusters", "2", "--engine", "arena"]
-        )
-        assert arguments.engine == "arena"
-
-    def test_unknown_engine_rejected(self, votes_csv):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--engine", "reference"), ("--neighbor-strategy", "blocked"),
+         ("--neighbor-block-size", "16")],
+    )
+    @pytest.mark.parametrize("command", ["cluster", "serve"])
+    def test_rejected_by_parser(self, basket_file, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
-                ["cluster", str(votes_csv), "--clusters", "2", "--engine", "warp"]
+                [command, str(basket_file), "--clusters", "2",
+                 "--sample-size", "40", flag, value]
             )
-
-    def test_cluster_with_reference_engine_runs(self, basket_file, capsys):
-        code = main([
-            "cluster", str(basket_file), "--format", "transactions",
-            "--label-prefix", "class=", "--clusters", "2", "--theta", "0.3",
-            "--engine", "reference",
-        ])
-        assert code == 0
-        assert "clusters" in capsys.readouterr().out
-
-
-class TestNeighborStrategyFlags:
-    def test_choices_come_from_the_registry(self):
-        # The CLI enumerates the backend registry — no drifting literals.
-        from repro.core.neighbors import NEIGHBOR_STRATEGIES
-
-        parser = build_parser()
-        for strategy in NEIGHBOR_STRATEGIES:
-            arguments = parser.parse_args(
-                ["cluster", "x.txt", "--clusters", "2",
-                 "--neighbor-strategy", strategy]
-            )
-            assert arguments.neighbor_strategy == strategy
-
-    def test_defaults(self):
-        arguments = build_parser().parse_args(["cluster", "x.txt", "--clusters", "2"])
-        assert arguments.neighbor_strategy == "auto"
-        assert arguments.neighbor_block_size is None
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["cluster", "x.txt", "--clusters", "2",
-                 "--neighbor-strategy", "warp"]
-            )
-
-    def test_blocked_backend_end_to_end(self, basket_file, capsys, tmp_path):
-        blocked_out = tmp_path / "blocked.txt"
-        auto_out = tmp_path / "auto.txt"
-        base = [
-            "cluster", str(basket_file), "--format", "transactions",
-            "--label-prefix", "class=", "--clusters", "2", "--theta", "0.2",
-            "--seed", "3",
-        ]
-        assert main(base + ["--neighbor-strategy", "blocked",
-                            "--neighbor-block-size", "16",
-                            "--output", str(blocked_out)]) == 0
-        assert main(base + ["--output", str(auto_out)]) == 0
-        capsys.readouterr()
-        assert blocked_out.read_text() == auto_out.read_text()
-
-    def test_streaming_honours_neighbor_strategy(self, tmp_path, capsys):
-        baskets = generate_market_baskets(rng=3, n_transactions=120, n_clusters=3)
-        path = tmp_path / "big.txt"
-        write_transactions(baskets, path, label_prefix="class=")
-        code = main([
-            "cluster", str(path), "--format", "transactions",
-            "--label-prefix", "class=", "--clusters", "3", "--theta", "0.3",
-            "--sample-size", "60", "--stream",
-            "--neighbor-strategy", "bruteforce",
-        ])
-        assert code == 0
-        assert "streaming" in capsys.readouterr().out
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
 
 class TestStreamingCli:
@@ -363,43 +293,6 @@ class TestOnlineCli:
         ])
         assert code == 3
         assert "require --sample-size" in capsys.readouterr().err
-
-    def test_unknown_neighbor_strategy_lists_the_registry(self, capsys):
-        # argparse rejects the value and its message enumerates the live
-        # registry choices, so a user sees what is actually available.
-        from repro.core.neighbors import NEIGHBOR_STRATEGIES
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["cluster", "x.txt", "--clusters", "2",
-                 "--neighbor-strategy", "warp"]
-            )
-        message = capsys.readouterr().err
-        assert "warp" in message
-        for strategy in NEIGHBOR_STRATEGIES:
-            assert strategy in message
-
-    def test_retired_vectorized_strategy_rejected(self, capsys):
-        # The one-shot backend left the registry, so the CLI's choices no
-        # longer offer it: argparse rejects it like any unknown strategy.
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(
-                ["cluster", "x.txt", "--clusters", "2",
-                 "--neighbor-strategy", "vectorized"]
-            )
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
-
-    def test_retired_inverted_index_strategy_rejected(self, capsys):
-        # Retired like the one-shot product: the choices drop it, so argparse
-        # rejects it as a usage error before any library call.
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(
-                ["cluster", "x.txt", "--clusters", "2",
-                 "--neighbor-strategy", "inverted-index"]
-            )
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'inverted-index'" in capsys.readouterr().err
 
 
 class TestShardedCli:

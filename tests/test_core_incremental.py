@@ -202,15 +202,6 @@ class TestLiveStateInvariants:
         session.bootstrap(live, [[0, 1]])
         with pytest.raises(ConfigurationError, match=name):
             session.ingest(batch)
-        # Under the bruteforce strategies the session evaluates the measure
-        # pair by pair, like the spec, and accepts it.
-        session = IncrementalRock(
-            n_clusters=1, theta=0.5, measure=measure, rng=0,
-            neighbor_strategy="bruteforce", labeling_strategy="bruteforce",
-        )
-        session.bootstrap(live, [[0, 1]])
-        session.ingest(batch)
-        assert_live_state_consistent(session)
 
     def test_invariants_hold_for_non_vectorizable_measure(
         self, two_group_transactions

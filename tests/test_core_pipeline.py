@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import RockPipeline, RockPipelineResult, rock_cluster
+from repro.core.rock import RockClustering
 from repro.data.encoding import records_to_transactions
 from repro.errors import ConfigurationError
 from repro.evaluation.metrics import clustering_error
+from repro.extensions.qrock import QRock
+from toy_measures import NON_MONOTONE_RULES, OverlapRule
 
 
 class TestRockPipelineBasics:
@@ -54,18 +57,19 @@ class TestRockPipelineBasics:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"labeling_strategy": "bogus"},
-            {"link_strategy": "bogus"},
-            {"neighbor_strategy": "bogus"},
-            {"neighbor_strategy": "inverted-index"},
-            {"neighbor_block_size": 0},
+            {"n_clusters": 0},
+            {"theta": 1.5},
+            {"theta": -0.1},
+            {"labeling_fraction": 0.0},
+            {"labeling_fraction": 1.5},
         ],
         ids=lambda overrides: "%s=%s" % next(iter(overrides.items())),
     )
-    def test_unknown_strategy_rejected_at_construction(self, overrides):
-        # Rejected even when the phase that reads it would never run.
+    def test_out_of_range_value_rejected_at_construction(self, overrides):
+        # Rejected before any source is read, even when the phase that
+        # reads it would never run.
         with pytest.raises(ConfigurationError):
-            RockPipeline(n_clusters=2, **overrides)
+            RockPipeline(**{"n_clusters": 2, **overrides})
 
 
 class TestSamplingAndLabeling:
@@ -367,3 +371,34 @@ class TestStreamingReaderOptions:
         assert result.labeling_result is not None
         assert result.labeling_result.neighbor_counts.shape[0] == 0
         assert len(result.labeling_result.labels) == len(result.labeled_indices)
+
+
+#: Every composite the strategy options left, each run at its defaults.
+COMPOSITE_RUNS = {
+    "RockClustering.fit": lambda measure, data: RockClustering(
+        n_clusters=2, theta=0.5, measure=measure
+    ).fit(data),
+    "QRock.fit": lambda measure, data: QRock(theta=0.5, measure=measure).fit(data),
+    "RockPipeline.run": lambda measure, data: RockPipeline(
+        n_clusters=2, theta=0.5, measure=measure, rng=0
+    ).run(data),
+    "RockPipeline.run_sharded": lambda measure, data: RockPipeline(
+        n_clusters=2, theta=0.5, measure=measure, rng=0
+    ).run_sharded(data, n_shards=2),
+}
+
+
+class TestMeasureContract:
+    @pytest.mark.parametrize("run", COMPOSITE_RUNS.values(), ids=COMPOSITE_RUNS.keys())
+    def test_non_monotone_measure_rejected_by_every_composite(self, run):
+        # No composite offers the pair-by-pair spec, so each runs the exact
+        # overlap kernel, which refuses a vectorizable measure that falls
+        # as the overlap grows.  compute_neighbors(strategy="bruteforce")
+        # still evaluates it.
+        name, rule = NON_MONOTONE_RULES[1]
+        data = [
+            frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}),
+            frozenset({7, 8}), frozenset({7, 9}), frozenset({8, 9}),
+        ]
+        with pytest.raises(ConfigurationError, match=name):
+            run(OverlapRule(name, rule), data)

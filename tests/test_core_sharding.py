@@ -479,6 +479,13 @@ def _crash_first_attempt(marker, shard_id, sample, positions):
     return shard_id * 10
 
 
+def _crash_shard_zero(shard_id, sample, positions):
+    """Shard task whose every attempt at shard 0 kills its worker process."""
+    if shard_id == 0:
+        os._exit(1)
+    return shard_id * 10
+
+
 class TestProcessExecutor:
     """The process executor is invisible: labels match the thread path."""
 
@@ -496,11 +503,10 @@ class TestProcessExecutor:
 
     def test_configuration_error_in_worker_is_not_retried(self, tight_baskets):
         # The worker rebuilds a pipeline from the shipped config, which
-        # rejects the retired backend; the parent re-raises that error
+        # rejects the cluster size bound; the parent re-raises that error
         # after one wave instead of retrying it as a worker crash.
         config = dataclasses.replace(
-            ShardWorkerConfig.from_pipeline(_pipeline()),
-            neighbor_strategy="inverted-index",
+            ShardWorkerConfig.from_pipeline(_pipeline()), min_cluster_size=0
         )
         transactions = tight_baskets.transactions
         samples = [
@@ -509,7 +515,7 @@ class TestProcessExecutor:
         ]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ConfigurationError, match="inverted-index"):
+            with pytest.raises(ConfigurationError, match="min_cluster_size"):
                 cluster_shards(
                     samples,
                     functools.partial(cluster_shard, config),
@@ -584,6 +590,46 @@ class TestProcessExecutor:
         )
         assert list(results) == [0, 10, 20, 30]
         assert results.skipped_shards == []
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    @pytest.mark.parametrize("shard_workers", [1, 2])
+    def test_crashing_shard_degrades_to_the_healthy_shards(self, shard_workers, retries):
+        # A crash is charged to a shard only when its attempt ran alone in
+        # the pool.  The attempts the break failed beside it, and the
+        # submits the broken pool refused, re-run uncharged, so the healthy
+        # shards complete and only the crashing one is skipped.
+        samples = [([frozenset({i})], [i]) for i in range(4)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = cluster_shards(
+                samples,
+                _crash_shard_zero,
+                shard_workers=shard_workers,
+                retries=retries,
+                executor=PROCESS_SHARD_EXECUTOR,
+            )
+        assert list(results) == [10, 20, 30]
+        assert results.skipped_shards == [0]
+        degraded = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(degraded) == 1
+        assert "shard 0:" in str(degraded[0].message)
+        assert "1 of 4 shard worker(s) failed after %d attempt(s)" % (retries + 1) in str(
+            degraded[0].message
+        )
+
+    def test_strict_run_names_only_the_crashing_shard(self):
+        samples = [([frozenset({i})], [i]) for i in range(4)]
+        with pytest.raises(ShardExecutionError, match="1 of 4 shard") as excinfo:
+            cluster_shards(
+                samples,
+                _crash_shard_zero,
+                shard_workers=2,
+                retries=0,
+                strict=True,
+                executor=PROCESS_SHARD_EXECUTOR,
+            )
+        assert "shard 0:" in str(excinfo.value)
+        assert "shard 1" not in str(excinfo.value)
 
     def test_unpicklable_task_fails_once_with_configuration_error(
         self, tight_baskets, monkeypatch

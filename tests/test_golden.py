@@ -97,7 +97,7 @@ def test_refresh_fixture_actually_refreshed():
 #: Reporting keys every entry point shares.
 SHARED_PARAMETERS = {
     "n_clusters", "theta", "sample_size", "min_neighbors", "min_cluster_size",
-    "labeling_fraction", "assign_outliers", "engine", "merge_counters",
+    "labeling_fraction", "assign_outliers", "merge_counters",
 }
 
 #: The entry points behind the one phase driver: how each is called on the

@@ -16,9 +16,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.engines import DEFAULT_ENGINE
 from repro.core.incremental import IncrementalRock
-from repro.core.neighbors import DEFAULT_NEIGHBOR_STRATEGY
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import RockClustering
 from repro.data.dataset import TransactionDataset
@@ -65,6 +63,16 @@ STREAM_BATCHES = [
     [frozenset({3, 4}), frozenset({7, 9})],
 ]
 
+#: The strategy keys snapshot format versions 1 and 2 recorded, at the
+#: defaults every session then ran under.
+RECORDED_STRATEGY_DEFAULTS = {
+    "engine": "auto",
+    "neighbor_strategy": "auto",
+    "neighbor_block_size": None,
+    "link_strategy": "auto",
+    "labeling_strategy": "auto",
+}
+
 
 @pytest.fixture(autouse=True)
 def _clean_failpoints():
@@ -91,6 +99,32 @@ def _assert_sessions_identical(left, right):
 
 def _run_schedule(session, batches):
     return [session.ingest(batch).labels.tolist() for batch in batches]
+
+
+def _assert_recorded_choice_resumes(directory, monkeypatch, key, value):
+    """A format-version-2 checkpoint whose config recorded ``key=value``
+    (every other strategy key at its default) resumes under the current
+    session config and keeps ingesting bit-identically."""
+    reference = _session()
+    _run_schedule(reference, STREAM_BATCHES[:2])
+    interrupted = _session()
+    _run_schedule(interrupted, STREAM_BATCHES[:2])
+    recorded = {**interrupted.config_dict(), **RECORDED_STRATEGY_DEFAULTS, key: value}
+    monkeypatch.setattr(interrupted, "config_dict", lambda: recorded)
+    SessionSnapshot(interrupted).save(directory)
+    manifest_path = latest_checkpoint(directory) / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["config"][key] == value
+    manifest["version"] = 2
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+    restored = SessionSnapshot.load(
+        directory, expected_config=_session().config_dict()
+    ).session
+    assert _run_schedule(restored, STREAM_BATCHES[2:]) == _run_schedule(
+        reference, STREAM_BATCHES[2:]
+    )
+    _assert_sessions_identical(restored, reference)
 
 
 # --------------------------------------------------------------------- #
@@ -251,7 +285,7 @@ class TestSnapshotRoundTrip:
         # Checkpoints written while every merge minted a fresh cluster id
         # carry sparse ids plus the retired heap stores, and may record the
         # retired flat engine; they restore to the same partition,
-        # compacted to slots in id order, under the default engine.
+        # compacted to slots in id order.
         reference = _session()
         _run_schedule(reference, STREAM_BATCHES[:2])
         state = reference.session_state()
@@ -261,7 +295,6 @@ class TestSnapshotRoundTrip:
         state["config"]["engine"] = "flat"
 
         restored = IncrementalRock.from_session_state(state)
-        assert restored.engine == DEFAULT_ENGINE
         _assert_sessions_identical(restored, reference)
         assert _run_schedule(restored, STREAM_BATCHES[2:]) == _run_schedule(
             reference, STREAM_BATCHES[2:]
@@ -282,57 +315,56 @@ class TestSnapshotRoundTrip:
         )
         assert loaded.session.config_dict() == session.config_dict()
 
-    def test_retired_flat_engine_checkpoint_resumes_under_default(self, tmp_path):
-        session = _session()
-        session.engine = "flat"
-        SessionSnapshot(session).save(tmp_path)
-        loaded = SessionSnapshot.load(
-            tmp_path, expected_config=_session().config_dict()
-        )
-        assert loaded.session.engine == DEFAULT_ENGINE
+    def test_retired_flat_engine_checkpoint_resumes_under_default(
+        self, tmp_path, monkeypatch
+    ):
+        _assert_recorded_choice_resumes(tmp_path, monkeypatch, "engine", "flat")
 
     @pytest.mark.parametrize("retired", ["vectorized", "inverted-index"])
-    def test_retired_backend_checkpoint_resumes_under_auto(self, tmp_path, retired):
+    def test_retired_backend_checkpoint_resumes_under_auto(
+        self, tmp_path, monkeypatch, retired
+    ):
         # Checkpoints written while a retired backend (the one-shot product,
-        # the inverted index) was registered pass the resume config check
-        # under auto and keep ingesting bit-identically (the adjacency never
-        # depended on it).
-        reference = _session()
-        _run_schedule(reference, STREAM_BATCHES[:2])
-        interrupted = _session()
-        _run_schedule(interrupted, STREAM_BATCHES[:2])
-        interrupted.neighbor_strategy = retired
-        SessionSnapshot(interrupted).save(tmp_path)
-
-        restored = SessionSnapshot.load(
-            tmp_path, expected_config=_session().config_dict()
-        ).session
-        assert restored.neighbor_strategy == DEFAULT_NEIGHBOR_STRATEGY
-        assert _run_schedule(restored, STREAM_BATCHES[2:]) == _run_schedule(
-            reference, STREAM_BATCHES[2:]
+        # the inverted index) was registered resume and keep ingesting
+        # bit-identically (the adjacency never depended on it).
+        _assert_recorded_choice_resumes(
+            tmp_path, monkeypatch, "neighbor_strategy", retired
         )
-        _assert_sessions_identical(restored, reference)
 
     def test_retired_vectorized_backend_state_restores_under_auto(self):
         reference = _session()
         _run_schedule(reference, STREAM_BATCHES[:2])
         state = reference.session_state()
-        state["config"]["neighbor_strategy"] = "Vectorized"
+        state["config"].update(RECORDED_STRATEGY_DEFAULTS, neighbor_strategy="Vectorized")
 
         restored = IncrementalRock.from_session_state(state)
-        assert restored.neighbor_strategy == DEFAULT_NEIGHBOR_STRATEGY
+        assert restored.config_dict() == reference.config_dict()
         assert _run_schedule(restored, STREAM_BATCHES[2:]) == _run_schedule(
             reference, STREAM_BATCHES[2:]
         )
 
-    @pytest.mark.parametrize("retired", ["vectorized", "inverted-index"])
-    def test_explicit_retired_backend_request_is_an_unknown_strategy(self, retired):
-        with pytest.raises(ConfigurationError, match="unknown neighbour strategy"):
-            _session(neighbor_strategy=retired)
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("engine", "reference"),
+            ("neighbor_strategy", "blocked"),
+            ("neighbor_block_size", 16),
+            ("link_strategy", "neighbor-lists"),
+            ("labeling_strategy", "bruteforce"),
+        ],
+    )
+    def test_recorded_strategy_choice_resumes(self, tmp_path, monkeypatch, key, value):
+        # Format version 2 refused to resume under any choice but the one it
+        # recorded.  Each choice reproduced the defaults' results, so a
+        # checkpoint that recorded one now resumes under the defaults.
+        _assert_recorded_choice_resumes(tmp_path, monkeypatch, key, value)
 
-    def test_other_recorded_backend_still_checked_on_resume(self, tmp_path):
-        SessionSnapshot(_session(neighbor_strategy="blocked")).save(tmp_path)
-        with pytest.raises(SnapshotConfigMismatchError, match="neighbor_strategy"):
+    def test_unknown_recorded_key_still_mismatches(self, tmp_path, monkeypatch):
+        session = _session()
+        recorded = dict(session.config_dict(), warp=9)
+        monkeypatch.setattr(session, "config_dict", lambda: recorded)
+        SessionSnapshot(session).save(tmp_path)
+        with pytest.raises(SnapshotConfigMismatchError, match="warp"):
             SessionSnapshot.load(tmp_path, expected_config=_session().config_dict())
 
     def test_keep_garbage_collects_old_checkpoints(self, tmp_path):
@@ -513,7 +545,7 @@ class TestSnapshotFormatCompatibility:
         SessionSnapshot(_session()).save(tmp_path)
         checkpoint = latest_checkpoint(tmp_path)
         manifest = json.loads((checkpoint / MANIFEST_NAME).read_text())
-        assert manifest["version"] == SNAPSHOT_FORMAT_VERSION == 2
+        assert manifest["version"] == SNAPSHOT_FORMAT_VERSION == 3
         with np.load(checkpoint / "arrays.npz", allow_pickle=False) as bundle:
             assert {name.split("_")[0] for name in bundle.files} == {
                 "adjacency", "incidence", "sizes"
