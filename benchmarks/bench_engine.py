@@ -24,8 +24,13 @@ the ``bruteforce`` backend's.
 ``test_neighbor_memory_gate`` (every mode) traces one ``auto`` neighbour
 call at n=2000 and n=4000 and fails when its ``tracemalloc`` peak exceeds
 ``MAX_NEIGHBOR_PEAK_BYTES_PER_CELL`` bytes per block cell
-(``DEFAULT_BLOCK_SIZE x n``).  Allocation sizes do not depend on the
-machine, so this gate holds on any hardware.
+(``DEFAULT_BLOCK_SIZE x n``).  ``test_link_memory_gate`` (every mode)
+traces one link product on Instacart-shaped baskets at theta 0.3 at
+n=2000 (below the pool crossover: the one call) and n=4000 (above it: the
+row blocks on the link pool, given a second CPU) and fails when its peak
+exceeds ``MAX_LINK_PEAK_BYTES_PER_NNZ`` bytes per link nonzero.
+Allocation sizes do not depend on the machine, so these gates hold on any
+hardware.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from repro.data.io import atomic_write_text
 from repro.bench.engine_bench import (
     run_engine_bench,
     time_engine_phases,
+    trace_link_peak,
     trace_neighbor_peak,
 )
 from repro.bench.perf_gate import (
@@ -67,6 +73,16 @@ NEIGHBOR_MEMORY_GATE_SIZES = (2000, 4000)
 #: tested float similarities per pair); the retired one-shot product over
 #: all pairs measured ~126 and ~254.
 MAX_NEIGHBOR_PEAK_BYTES_PER_CELL = 64.0
+
+#: Sizes whose link product the link memory gate traces: 26M multiply-adds
+#: at n=2000 (the one call) and 219M at n=4000 (the pool's row blocks).
+LINK_MEMORY_GATE_SIZES = (2000, 4000)
+
+#: Ceiling on that product's traced peak, in bytes per link nonzero.  The
+#: result alone takes 12 (int64 counts, int32 indices).  Both paths measure
+#: ~19-20; the one call measured ~24 while it multiplied by a transposed
+#: copy of the adjacency.
+MAX_LINK_PEAK_BYTES_PER_NNZ = 24.0
 
 
 def _render(payload: dict) -> str:
@@ -159,6 +175,40 @@ def test_neighbor_memory_gate(results_dir):
                 row["neighbors_peak_bytes"],
                 row["block_cells"],
                 MAX_NEIGHBOR_PEAK_BYTES_PER_CELL,
+            )
+        )
+
+
+def test_link_memory_gate(results_dir):
+    rows = [trace_link_peak(n) for n in LINK_MEMORY_GATE_SIZES]
+    lines = ["[ENGINE] link memory gate: one link product, traced peak per link nonzero"]
+    for row in rows:
+        lines.append(
+            "  n=%-5d multiply-adds=%.1fM path=%-6s nnz=%d  peak %.1f MiB  "
+            "%.1f B/nnz (limit %.0f)"
+            % (
+                row["n"],
+                row["multiply_adds"] / 1e6,
+                row["path"],
+                row["links_nnz"],
+                row["links_peak_bytes"] / 2**20,
+                row["links_peak_bytes_per_nnz"],
+                MAX_LINK_PEAK_BYTES_PER_NNZ,
+            )
+        )
+    write_record(results_dir, "ENGINE_link_memory", "\n".join(lines))
+    for row in rows:
+        assert row["links_peak_bytes_per_nnz"] <= MAX_LINK_PEAK_BYTES_PER_NNZ, (
+            "link product at n=%d (%s path) peaked at %.1f bytes per link "
+            "nonzero (%d bytes traced for %d nonzeros), above the %.0f B/nnz "
+            "ceiling"
+            % (
+                row["n"],
+                row["path"],
+                row["links_peak_bytes_per_nnz"],
+                row["links_peak_bytes"],
+                row["links_nnz"],
+                MAX_LINK_PEAK_BYTES_PER_NNZ,
             )
         )
 

@@ -5,8 +5,9 @@ link matrix, agglomeration (per engine) and labelling (one-shot and
 batched through the streaming labeler) — on a reproducible synthetic
 random-basket workload, and emits the ``BENCH_engine.json`` perf baseline
 consumed by :mod:`repro.bench.perf_gate`.  :func:`trace_neighbor_peak`
-measures the ``auto`` neighbour call's traced allocation peak for the
-benchmark's memory gate.
+and :func:`trace_link_peak` measure the traced allocation peaks of one
+``auto`` neighbour call and one link product for the benchmark's memory
+gates.
 
 The workload is a tight-cluster market-basket shape (eight latent groups
 whose baskets share most of a small item pool), the regime ROCK targets:
@@ -28,13 +29,17 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import links as links_module
 from repro.core.engines import ARENA_ENGINE, REFERENCE_ENGINE
 from repro.core.labeling import label_points, label_points_streaming
 from repro.data.io import atomic_write_text
 from repro.core.links import links_from_neighbors
 from repro.core.neighbors import DEFAULT_BLOCK_SIZE, compute_neighbors
 from repro.core.rock import RockClustering
-from repro.datasets.market_basket import generate_market_baskets
+from repro.datasets.market_basket import (
+    generate_instacart_baskets,
+    generate_market_baskets,
+)
 
 #: Parameters of the benchmark's random-basket workload (see module doc).
 WORKLOAD = {
@@ -253,6 +258,37 @@ def trace_neighbor_peak(n: int, theta: float = BENCH_THETA, rng: int = 0) -> dic
         "neighbors_peak_bytes": peak,
         "block_cells": cells,
         "neighbors_peak_bytes_per_cell": peak / cells,
+    }
+
+
+#: Theta of the link memory gate's Instacart-shaped baskets (the perfbench
+#: workloads' theta).
+LINK_GATE_THETA = 0.3
+
+
+def trace_link_peak(n: int, theta: float = LINK_GATE_THETA, rng: int = 0) -> dict:
+    """Traced allocation peak of one link product on ``n`` Instacart-shaped
+    baskets.
+
+    Returns the peak in bytes (``links_peak_bytes``) and per nonzero of the
+    link matrix (``links_peak_bytes_per_nnz``), the product's multiply-adds
+    and the path it took (``"pool"`` for the row blocks on the link pool,
+    ``"single"`` for the one call).  Allocation sizes do not depend on the
+    machine, so the per-nonzero figure is gateable anywhere.
+    """
+    transactions = generate_instacart_baskets(n_transactions=n, rng=rng).transactions
+    graph = compute_neighbors(transactions, theta=theta)
+    links, peak = traced_call(links_from_neighbors, graph)
+    lengths = graph.neighbor_counts().astype(np.int64) + 1
+    multiply_adds = int(lengths @ lengths)
+    pooled = links_module._link_pool(multiply_adds) is not None
+    return {
+        "n": n,
+        "links_nnz": int(links.nnz),
+        "multiply_adds": multiply_adds,
+        "path": "pool" if pooled else "single",
+        "links_peak_bytes": peak,
+        "links_peak_bytes_per_nnz": peak / max(1, links.nnz),
     }
 
 

@@ -72,7 +72,7 @@ from repro.core.goodness import (
     ExponentFunction,
     default_expected_links_exponent,
 )
-from repro.core.labeling import StreamingLabeler
+from repro.core.labeling import StreamingLabeler, validate_labeling_fraction
 from repro.core.links import links_from_neighbors
 from repro.core.neighbors import compute_neighbors
 from repro.core.neighbors.graph import NeighborGraph, validate_theta
@@ -261,7 +261,7 @@ class IncrementalRock:
             if exponent_function is not None
             else default_expected_links_exponent
         )
-        self.labeling_fraction = float(labeling_fraction)
+        self.labeling_fraction = validate_labeling_fraction(labeling_fraction)
         self.assign_outliers = bool(assign_outliers)
         self.include_self_links = bool(include_self_links)
         self.refresh_threshold = validate_refresh_threshold(refresh_threshold)
@@ -282,6 +282,8 @@ class IncrementalRock:
         sample: Sequence[frozenset],
         clusters: Sequence[Sequence[int]],
         item_index: dict | None = None,
+        *,
+        _live_adjacency: sparse.csr_matrix | None = None,
     ) -> "IncrementalRock":
         """Bind the session to a clustered sample.
 
@@ -301,6 +303,12 @@ class IncrementalRock:
             The session keeps a private *growable* copy: items first seen
             in later batches are appended so the live link structure stays
             exact, while the labeler's bounded index is never mutated.
+        _live_adjacency:
+            Private to :meth:`RockPipeline.run_online
+            <repro.core.pipeline.RockPipeline.run_online>`: the neighbour
+            adjacency over the cluster members, in sample order, that its
+            fit already built (the same matrix, dtypes included, that this
+            method would compute).  Without it the adjacency is computed.
         """
         sample = [frozenset(t) for t in sample]
         if not clusters:
@@ -350,10 +358,11 @@ class IncrementalRock:
         self._incidence, _ = transactions_to_incidence(self._points, self._item_index)
         self._sizes = np.asarray([len(t) for t in self._points], dtype=np.int64)
 
-        graph = compute_neighbors(
-            self._points, theta=self.theta, measure=self.measure, item_index=self._item_index
-        )
-        self._adjacency = graph.adjacency.tocsr()
+        if _live_adjacency is None:
+            _live_adjacency = compute_neighbors(
+                self._points, theta=self.theta, measure=self.measure, item_index=self._item_index
+            ).adjacency.tocsr()
+        self._adjacency = _live_adjacency
         self._assign_clusters(_partition(live_clusters, len(self._points)))
         self._base_points = len(self._points)
         self._inserted_since_refresh = 0

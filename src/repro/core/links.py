@@ -17,6 +17,23 @@ agglomeration engines (see :mod:`repro.core.rock`) rely on that order for
 their deterministic tie-breaking, so the choice of link strategy never
 changes the clustering.
 
+The matrix product runs one of two ways, with the same result down to the
+index order and the dtypes:
+
+* **one call** — one SciPy product over the whole adjacency (which releases
+  the GIL), then the diagonal is dropped and the indices sorted;
+* **row blocks on the link pool** — only the strict upper triangle is
+  formed, in row blocks balanced by estimated work, on one lazily created
+  thread pool sized to the CPUs the process may use; each block lands in
+  the final arrays twice, once as is and once transposed.
+
+The blocks are used only on the main thread of a process that may use at
+least two CPUs and is not a multiprocessing child, for a product above
+:data:`_POOL_MIN_MULTIPLY_ADDS`.  So shard tasks keep the one call on
+either executor: their worker threads or processes already keep the CPUs
+busy.  The pool's threads do not survive ``fork``: a forked child drops
+the inherited pool and makes its own on first use.
+
 A convention detail: because ``sim(p, p) = 1 >= theta`` always holds, the
 paper treats every point as a neighbour of itself, so two points that are
 neighbours of each other contribute (at least) two common neighbours —
@@ -30,6 +47,12 @@ implementations (only *other* common neighbours count).  The ablation bench
 
 from __future__ import annotations
 
+import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import Executor, ThreadPoolExecutor
+
 import numpy as np
 from scipy import sparse
 
@@ -42,6 +65,73 @@ _PAIR_FOLD_LIMIT = 2_000_000
 
 #: Strategies accepted by :func:`compute_links`.
 LINK_STRATEGIES = ("auto", "neighbor-lists", "sparse-matmul")
+
+#: Multiply-adds of the product, the sum of the squared row lengths of the
+#: adjacency (with the self-links when counted), above which it runs in
+#: row blocks on the link pool.  On 2 CPUs the blocks took 0.07 s against
+#: 0.12 s for the one call at 27M (2000 Instacart baskets), but forced onto
+#: the pool at that size inmem-40k won 2 of 6 pairs and its peak RSS rose
+#: 3.3 MB; at 207M stream-100k won 10 of 10.  The bound sits between the
+#: two, below the 77.5M of ``bench_engine`` at n=4000.
+_POOL_MIN_MULTIPLY_ADDS = 64_000_000
+
+#: Row blocks per pool thread, so the threads finish close together.
+_BLOCKS_PER_WORKER = 4
+
+#: Most estimated multiply-adds one row block may take, which bounds what
+#: a block holds while it runs as the product grows.
+_MAX_BLOCK_MULTIPLY_ADDS = 32_000_000
+
+#: The link pool and its thread count, made on first use (see
+#: :func:`_link_pool`); a forked child starts without one.
+_pool: tuple[ThreadPoolExecutor, int] | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the pool a forked child inherited: its threads did not survive."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _link_pool(multiply_adds: int) -> tuple[Executor, int] | None:
+    """The link pool and its thread count when a product of
+    ``multiply_adds`` should run in row blocks here, else ``None``.
+
+    Blocks need a product above the crossover, a second CPU, and the main
+    thread of a process that is not a multiprocessing child: a shard task
+    runs on a worker thread or in a spawned process, so it keeps the one
+    call on either executor.
+    """
+    global _pool
+    if (
+        multiply_adds < _POOL_MIN_MULTIPLY_ADDS
+        or threading.current_thread() is not threading.main_thread()
+        or multiprocessing.parent_process() is not None
+    ):
+        return None
+    workers = _usable_cpus()
+    if workers < 2:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            _pool = (
+                ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-links"),
+                workers,
+            )
+        return _pool
 
 
 def links_from_neighbors(
@@ -83,6 +173,10 @@ def links_from_neighbors(
     if strategy == "neighbor-lists":
         links = _links_by_neighbor_lists(adjacency)
     else:
+        lengths = np.diff(adjacency.indptr).astype(np.int64)
+        pool = _link_pool(int(lengths @ lengths))
+        if pool is not None:
+            return _links_in_blocks(adjacency, *pool)
         links = _links_by_matmul(adjacency)
 
     links.setdiag(0)
@@ -96,8 +190,155 @@ def links_from_neighbors(
 
 
 def _links_by_matmul(adjacency: sparse.csr_matrix) -> sparse.csr_matrix:
+    # The adjacency is symmetric, so it is its own transpose: multiplying
+    # by it directly skips converting a transposed copy back to CSR.
     counted = adjacency.astype(np.int64)
-    return (counted @ counted.T).tocsr()
+    return counted @ counted
+
+
+def _links_in_blocks(
+    adjacency: sparse.csr_matrix, pool: Executor, workers: int
+) -> sparse.csr_matrix:
+    """The link matrix from the strict upper triangle of the product,
+    computed in row blocks on ``pool`` (``workers`` threads).
+
+    Block ``low:high`` multiplies the trailing rows ``low:`` by the
+    transpose of its own rows.  The adjacency is symmetric, so that is the
+    transpose of ``A[low:high] @ A_csc[:, low:]``: the same pairs, from a
+    view of the trailing rows (SciPy's own row slice would copy them) and
+    the small transpose of the block's rows, instead of a copy of every
+    trailing column per block.  Row ``r`` of a product is row ``low + r``
+    of the link matrix over the columns ``low:high``;
+    :func:`_earlier_links` keeps each row's links with earlier rows.
+
+    Once every block is in, the row lengths of the result are known: row
+    ``i`` holds its links with earlier rows (row ``i`` of every block from
+    ``i``'s own on), then those with later rows (column ``i - low`` of its
+    own block).  Each block is written straight into the final arrays at
+    those places, in block order, so every row comes out sorted and
+    nothing the size of the result is built twice.
+    """
+    n = adjacency.shape[0]
+    counted = adjacency.astype(np.int32)
+    bounds = _row_blocks(counted, workers)
+    # The workers only multiply: the operands are made here and every
+    # product is cut down here as it arrives, so what a worker allocates is
+    # freed before it takes its next block.  The workers' malloc arenas,
+    # which the rest of the process never reuses, stay about one product
+    # large.
+    operands = [
+        (_row_view(counted, low, n), _row_view(counted, low, high).T.tocsr())
+        for low, high in bounds
+    ]
+    products = pool.map(_multiply, operands)
+    del operands, counted
+    blocks = []
+    for (low, high), product in zip(bounds, products):
+        blocks.append(_earlier_links(product, high - low))
+        del product
+
+    earlier = np.zeros(n, dtype=np.int64)
+    later = np.zeros(n, dtype=np.int64)
+    for (low, high), block in zip(bounds, blocks):
+        earlier[low:] += np.diff(block.indptr)
+        later[low:high] += np.bincount(block.indices, minlength=high - low)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(earlier + later, out=indptr[1:])
+    nnz = int(indptr[-1])
+    index_dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(nnz, dtype=index_dtype)
+    data = np.empty(nnz, dtype=np.int64)
+
+    cursor = indptr[:-1].copy()
+    later_start = indptr[:-1] + earlier
+    for (low, high), block in zip(bounds, blocks):
+        lengths = np.diff(block.indptr)
+        _scatter(indices, data, cursor[low:], block, low)
+        cursor[low:] += lengths
+        _scatter(indices, data, later_start[low:high], block.tocsc(), low)
+    links = sparse.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=(n, n))
+    links.has_sorted_indices = True
+    return links
+
+
+def _row_blocks(counted: sparse.csr_matrix, workers: int) -> list[tuple[int, int]]:
+    """Row ranges of about equal estimated work, at least
+    :data:`_BLOCKS_PER_WORKER` per thread and none above
+    :data:`_MAX_BLOCK_MULTIPLY_ADDS`.
+
+    Row ``i``'s full product costs the summed row lengths of its
+    neighbours; the upper triangle keeps the share of it at or after ``i``,
+    about ``(n - i) / n`` of it for points in random order.
+    """
+    n = counted.shape[0]
+    lengths = np.diff(counted.indptr).astype(np.float64)
+    work = np.cumsum((counted @ lengths) * np.arange(n, 0, -1) / max(n, 1))
+    total = float(work[-1]) if n else 0.0
+    pieces = max(_BLOCKS_PER_WORKER * workers, math.ceil(total / _MAX_BLOCK_MULTIPLY_ADDS))
+    cuts = np.searchsorted(work, total * np.arange(1, pieces) / pieces)
+    edges = np.unique(np.concatenate(([0], cuts, [n]))).tolist()
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _multiply(operands: tuple[sparse.csr_matrix, sparse.csr_matrix]) -> sparse.csr_matrix:
+    """One block's product, the only step that runs on a pool thread."""
+    left, right = operands
+    return left @ right
+
+
+def _row_view(matrix: sparse.csr_matrix, low: int, high: int) -> sparse.csr_matrix:
+    """Rows ``low:high`` of ``matrix`` sharing its index and data arrays."""
+    start, stop = matrix.indptr[low], matrix.indptr[high]
+    return sparse.csr_matrix(
+        (
+            matrix.data[start:stop],
+            matrix.indices[start:stop],
+            matrix.indptr[low : high + 1] - start,
+        ),
+        shape=(high - low, matrix.shape[1]),
+    )
+
+
+def _earlier_links(product: sparse.csr_matrix, size: int) -> sparse.csr_matrix:
+    """A block product cut to each row's links with earlier rows.
+
+    Only the first ``size`` rows (the block's own) reach a column at or
+    after their own row; the result keeps the columns before it, with
+    sorted indices.
+    """
+    indptr = product.indptr
+    head = int(indptr[size])
+    rows = np.repeat(np.arange(size, dtype=indptr.dtype), np.diff(indptr[: size + 1]))
+    keep = product.indices[:head] < rows
+    kept = np.zeros_like(indptr)
+    np.cumsum(np.bincount(rows[keep], minlength=size), out=kept[1 : size + 1])
+    kept[size + 1 :] = indptr[size + 1 :] - head + kept[size]
+    block = sparse.csr_matrix(
+        (
+            np.concatenate((product.data[:head][keep], product.data[head:])),
+            np.concatenate((product.indices[:head][keep], product.indices[head:])),
+            kept,
+        ),
+        shape=product.shape,
+    )
+    block.sort_indices()
+    return block
+
+
+def _scatter(
+    indices: np.ndarray,
+    data: np.ndarray,
+    row_starts: np.ndarray,
+    part: sparse.spmatrix,
+    offset: int,
+) -> None:
+    """Write each compressed row ``r`` of ``part`` at ``row_starts[r]`` of
+    the final arrays, its indices shifted by ``offset``."""
+    lengths = np.diff(part.indptr)
+    destination = np.repeat(row_starts - part.indptr[:-1], lengths)
+    destination += np.arange(part.nnz)
+    indices[destination] = part.indices + offset
+    data[destination] = part.data
 
 
 def _links_by_neighbor_lists(adjacency: sparse.csr_matrix) -> sparse.csr_matrix:

@@ -68,7 +68,7 @@ from repro.core.labeling import (
     label_points,  # noqa: F401
     validate_labeling_fraction,
 )
-from repro.core.neighbors import compute_neighbors, validate_theta
+from repro.core.neighbors import NeighborGraph, compute_neighbors, validate_theta
 from repro.core.outliers import drop_small_clusters, partition_isolated_points
 from repro.core.rock import RockClustering, RockResult, as_transactions
 from repro.core.sampling import draw_sample, reservoir_sample
@@ -275,7 +275,10 @@ class _Clustering(NamedTuple):
     ``set_aside`` lists the stream positions of the sample points the
     pre-filter isolated or the pruning dissolved.  ``item_index`` covers
     the sample (or the pooled shard samples) and ``parameters`` carries the
-    phase's own reporting keys.
+    phase's own reporting keys.  ``live_adjacency`` is the fit's neighbour
+    adjacency over the clustered points (every member of ``clusters``, in
+    sample order) when an online session will bootstrap from it, so the
+    session does not build it again; otherwise ``None``.
     """
 
     sample: list
@@ -285,6 +288,7 @@ class _Clustering(NamedTuple):
     rock_result: RockResult
     item_index: dict
     parameters: dict
+    live_adjacency: Any = None
 
 
 @dataclass(frozen=True)
@@ -563,9 +567,10 @@ class RockPipeline:
         """Phases 2-4 on an in-memory sample: pre-filter, cluster, prune.
 
         Returns ``(clustered_sample, participating, isolated, rock_result,
-        kept_clusters, pruned_points)``; ``participating``/``isolated`` are
-        positions in ``sample``, cluster members and ``pruned_points`` are
-        positions in ``clustered_sample``.
+        kept_clusters, pruned_points, graph)``; ``participating``/``isolated``
+        are positions in ``sample``, cluster members and ``pruned_points``
+        are positions in ``clustered_sample``, and ``graph`` is the fit's
+        neighbour graph over ``clustered_sample``.
         """
         phase_start = time.perf_counter()
         if self.min_neighbors > 0:
@@ -608,12 +613,14 @@ class RockPipeline:
             rock_result,
             kept_clusters,
             pruned_points,
+            model.neighbor_graph_,
         )
 
     def _cluster_shard(
         self, shard_id: int, sample: list, positions: list[int], item_index: dict, timings: dict
-    ) -> tuple[ShardClusterResult, RockResult]:
-        """Phases 2-4 on one shard's sample, indices mapped to stream positions."""
+    ) -> tuple[ShardClusterResult, RockResult, NeighborGraph]:
+        """Phases 2-4 on one shard's sample, indices mapped to stream
+        positions; also returns the fit's neighbour graph."""
         (
             clustered_sample,
             participating,
@@ -621,6 +628,7 @@ class RockPipeline:
             rock_result,
             kept_clusters,
             pruned_points,
+            graph,
         ) = self._cluster_sample(sample, item_index, timings)
         clustered_positions = [positions[i] for i in participating]
         shard = ShardClusterResult(
@@ -632,7 +640,7 @@ class RockPipeline:
             pruned_positions=[clustered_positions[j] for j in pruned_points],
             timings=timings,
         )
-        return shard, rock_result
+        return shard, rock_result, graph
 
     # ------------------------------------------------------------------ #
     def _drive(
@@ -681,7 +689,7 @@ class RockPipeline:
             )
             timings["sampling"] = time.perf_counter() - phase_start
             if shards is None:
-                clustering = self._cluster_whole(units, timings)
+                clustering = self._cluster_whole(units, timings, online is not None)
             else:
                 clustering = self._cluster_sharded(units, merge_rng, shards, timings)
             parameters.update(clustering.parameters)
@@ -772,11 +780,21 @@ class RockPipeline:
         return n_points, units, np.random.default_rng(int(seeds[-1]))
 
     # ------------------------------------------------------------------ #
-    def _cluster_whole(self, units, timings: dict) -> _Clustering:
-        """The single-sample cluster phase: the whole sample is one shard."""
+    def _cluster_whole(self, units, timings: dict, online: bool) -> _Clustering:
+        """The single-sample cluster phase: the whole sample is one shard.
+
+        For an ``online`` run it also keeps the fit's neighbour adjacency
+        over the clustered points, which is the session's live adjacency.
+        """
         ((sample, positions),) = units
         item_index = build_item_index(sample)
-        shard, rock_result = self._cluster_shard(0, sample, positions, item_index, timings)
+        shard, rock_result, graph = self._cluster_shard(
+            0, sample, positions, item_index, timings
+        )
+        live_adjacency = None
+        if online:
+            live = sorted(member for members in shard.clusters for member in members)
+            live_adjacency = graph.subgraph(live).adjacency
         return _Clustering(
             shard.clustered_sample,
             shard.clustered_positions,
@@ -785,6 +803,7 @@ class RockPipeline:
             rock_result,
             item_index,
             {},
+            live_adjacency,
         )
 
     def _cluster_sharded(
@@ -943,7 +962,10 @@ class RockPipeline:
         else:
             session = self._new_online_session(online.refresh_threshold)
             session.bootstrap(
-                clustering.sample, clustering.clusters, item_index=clustering.item_index
+                clustering.sample,
+                clustering.clusters,
+                item_index=clustering.item_index,
+                _live_adjacency=clustering.live_adjacency,
             )
             if online.snapshot_dir is not None:
                 store = PersistentSession.create(

@@ -119,7 +119,8 @@ HASH_SHARD_STRATEGY = SHARD_STRATEGIES[2]
 #: registry — layers above import these constants instead of spelling
 #: the names).  They differ only in the pool class: ``"thread"`` shares
 #: the interpreter (cheap to start, GIL-bound); ``"process"`` starts
-#: spawn-based interpreters (about a second of start-up, escapes the GIL).
+#: spawn-based interpreters (about 0.6 s from pool start to a worker's
+#: first answer on 2 CPUs; escapes the GIL).
 SHARD_EXECUTORS = ("thread", "process")
 
 #: Executor used when none is requested.

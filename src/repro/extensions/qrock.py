@@ -14,9 +14,8 @@ mirroring :class:`repro.core.rock.RockClustering`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csgraph
 
-from repro.core.neighbors import NeighborGraph, compute_neighbors
+from repro.core.neighbors import NeighborGraph, compute_neighbors, validate_theta
 from repro.core.rock import as_transactions
 from repro.errors import NotFittedError
 from repro.similarity.base import SetSimilarity
@@ -32,6 +31,11 @@ def connected_component_clusters(graph: NeighborGraph) -> tuple[np.ndarray, list
         decreasing component size; ``clusters`` lists the member indices of
         each label.
     """
+    # Imported here: scipy.sparse.csgraph loads scipy.sparse.linalg and
+    # scipy.linalg, which nothing else on the import path of ``repro``,
+    # the pipeline, the server or the CLI needs.
+    from scipy.sparse import csgraph
+
     n_components, raw_labels = csgraph.connected_components(
         graph.adjacency, directed=False
     )
@@ -71,7 +75,7 @@ class QRock:
         measure: SetSimilarity | None = None,
         min_cluster_size: int = 1,
     ) -> None:
-        self.theta = float(theta)
+        self.theta = validate_theta(theta)
         self.measure = measure
         self.min_cluster_size = int(min_cluster_size)
         self._labels: np.ndarray | None = None

@@ -98,6 +98,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             IncrementalRock(n_clusters=2, refresh_threshold=0.0)
 
+    @pytest.mark.parametrize("fraction", [1.5, 0.0, -0.2])
+    def test_labeling_fraction_outside_unit_interval_rejected_at_construction(
+        self, fraction
+    ):
+        with pytest.raises(ConfigurationError, match="labeling fraction"):
+            IncrementalRock(n_clusters=1, labeling_fraction=fraction)
+
     def test_ingest_before_bootstrap_rejected(self):
         session = IncrementalRock(n_clusters=2)
         with pytest.raises(ConfigurationError):
@@ -302,6 +309,58 @@ class TestRunOnlinePipeline:
         return generate_market_baskets(
             n_transactions=260, rng=2, n_clusters=3
         ).transactions
+
+    @pytest.mark.parametrize(
+        "theta, min_neighbors, min_cluster_size",
+        [(0.35, 0, 1), (0.35, 1, 3), (0.0, 0, 1), (0.6, 2, 4)],
+    )
+    def test_bootstrap_takes_the_fit_graph_unchanged(
+        self, baskets, monkeypatch, theta, min_neighbors, min_cluster_size
+    ):
+        """run_online builds the neighbour graph once: the session adopts
+        the fit's graph over its live points, which equals a fresh
+        computation in every array and dtype."""
+        import repro.core.incremental as incremental_module
+
+        graph_calls = []
+        original_neighbors = incremental_module.compute_neighbors
+
+        def counting_neighbors(*args, **kwargs):
+            graph_calls.append(len(args[0]))
+            return original_neighbors(*args, **kwargs)
+
+        monkeypatch.setattr(incremental_module, "compute_neighbors", counting_neighbors)
+        bootstrapped = []
+        original_bootstrap = IncrementalRock.bootstrap
+
+        def capturing_bootstrap(session, *args, **kwargs):
+            before = len(graph_calls)
+            result = original_bootstrap(session, *args, **kwargs)
+            bootstrapped.append(
+                (len(graph_calls) - before, session.live_points, session.adjacency_.copy())
+            )
+            return result
+
+        monkeypatch.setattr(IncrementalRock, "bootstrap", capturing_bootstrap)
+        pipeline = RockPipeline(
+            n_clusters=3,
+            theta=theta,
+            sample_size=90,
+            min_neighbors=min_neighbors,
+            min_cluster_size=min_cluster_size,
+            rng=5,
+        )
+        pipeline.run_online(baskets, batch_size=64)
+        ((rebuilt, live_points, adjacency),) = bootstrapped
+        assert rebuilt == 0
+        fresh = original_neighbors(live_points, theta=theta).adjacency
+        for name in ("data", "indices", "indptr"):
+            assert getattr(adjacency, name).dtype == getattr(fresh, name).dtype
+            np.testing.assert_array_equal(getattr(adjacency, name), getattr(fresh, name))
+
+        session = IncrementalRock(n_clusters=3, theta=theta, rng=0)
+        session.bootstrap(live_points, [list(range(len(live_points)))])
+        assert bootstrapped[-1][0] == 1  # a direct call computes its own graph
 
     @pytest.mark.parametrize("batch_size", [17, 64, 1024])
     def test_run_online_matches_run_streaming(self, baskets, batch_size):

@@ -1,5 +1,11 @@
 """Tests for the repro.extensions subpackage (QROCK and theta sweep)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,6 +73,56 @@ class TestQRock:
         kept = labels >= 0
         error = clustering_error(labels[kept], np.asarray(groups)[kept].tolist())
         assert error < 0.1
+
+    @pytest.mark.parametrize("theta", [1.5, -0.1, float("nan")])
+    def test_theta_outside_unit_interval_rejected_at_construction(self, theta):
+        with pytest.raises(ConfigurationError, match="theta"):
+            QRock(theta=theta)
+
+
+#: SciPy subpackages only QRock's connected components need.
+_GRAPH_MODULES = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+def _fresh_interpreter(code: str) -> str:
+    source_root = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(source_root)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestImportFootprint:
+    """QRock loads SciPy's graph stack only when it runs."""
+
+    @pytest.mark.parametrize(
+        "module", ["repro", "repro.core.pipeline", "repro.serve", "repro.cli"]
+    )
+    def test_import_leaves_the_graph_stack_unloaded(self, module):
+        loaded = json.loads(
+            _fresh_interpreter(
+                "import importlib, json, sys\n"
+                "importlib.import_module(%r)\n"
+                "print(json.dumps([m for m in %r if m in sys.modules]))" % (module, _GRAPH_MODULES)
+            )
+        )
+        assert loaded == []
+
+    def test_qrock_still_fits_after_a_plain_import(self):
+        labels = json.loads(
+            _fresh_interpreter(
+                "import json\n"
+                "from repro import QRock\n"
+                "model = QRock(theta=0.4).fit([{1, 2, 3}, {1, 2, 4}, {7, 8, 9}, {7, 8, 10}])\n"
+                "print(json.dumps(model.labels_.tolist()))"
+            )
+        )
+        assert labels == [0, 0, 1, 1]
 
 
 class TestThetaSweep:
