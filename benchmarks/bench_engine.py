@@ -27,7 +27,7 @@ call at n=2000 and n=4000 and fails when its ``tracemalloc`` peak exceeds
 (``DEFAULT_BLOCK_SIZE x n``).  ``test_link_memory_gate`` (every mode)
 traces one link product on Instacart-shaped baskets at theta 0.3 at
 n=2000 (below the pool crossover: the one call) and n=4000 (above it: the
-row blocks on the link pool, given a second CPU) and fails when its peak
+row blocks on the CPU pool, given a second CPU) and fails when its peak
 exceeds ``MAX_LINK_PEAK_BYTES_PER_NNZ`` bytes per link nonzero.
 Allocation sizes do not depend on the machine, so these gates hold on any
 hardware.

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -86,23 +87,24 @@ def _best_of(repeats: int, measure) -> float:
     return min(measure() for _ in range(max(1, repeats)))
 
 
-def _time_neighbors(transactions, theta: float, strategy: str, repeats: int):
-    """Time one neighbour backend; return ``(graph, best_seconds)``.
+def _first_and_best_of(repeats: int, call):
+    """``call()``'s first result and its smallest wall-clock time over
+    ``repeats`` calls.
 
     Best-of-``repeats`` like every other gated phase (a single measurement
     of a millisecond-scale phase would let one scheduler stall trip the
-    gate), and the first run's graph is reused as the result rather than
-    built again outside the timed region.
+    gate), and the first run's result is reused rather than built again
+    outside the timed region.
     """
-    graph = None
+    result = None
     best = float("inf")
-    for _ in range(max(1, repeats)):
+    for attempt in range(max(1, repeats)):
         start = time.perf_counter()
-        candidate = compute_neighbors(transactions, theta=theta, strategy=strategy)
+        candidate = call()
         best = min(best, time.perf_counter() - start)
-        if graph is None:
-            graph = candidate
-    return graph, best
+        if attempt == 0:
+            result = candidate
+    return result, best
 
 
 def time_engine_phases(
@@ -131,7 +133,9 @@ def time_engine_phases(
     neighbor_timings: dict[str, float] = {}
     graph = None
     for strategy, key in NEIGHBOR_BENCH_STRATEGIES:
-        candidate, seconds = _time_neighbors(transactions, theta, strategy, repeats)
+        candidate, seconds = _first_and_best_of(
+            repeats, partial(compute_neighbors, transactions, theta=theta, strategy=strategy)
+        )
         neighbor_timings[key] = seconds
         if graph is None:
             graph = candidate
@@ -140,9 +144,7 @@ def time_engine_phases(
                 "neighbour backend mismatch at n=%d: %r disagrees with the "
                 "bruteforce spec" % (n, strategy)
             )
-    start = time.perf_counter()
-    links = links_from_neighbors(graph)
-    links_seconds = time.perf_counter() - start
+    links, links_seconds = _first_and_best_of(repeats, partial(links_from_neighbors, graph))
 
     def agglomerate(engine: str):
         model = RockClustering(n_clusters=n_clusters, theta=theta, engine=engine)
@@ -272,7 +274,7 @@ def trace_link_peak(n: int, theta: float = LINK_GATE_THETA, rng: int = 0) -> dic
 
     Returns the peak in bytes (``links_peak_bytes``) and per nonzero of the
     link matrix (``links_peak_bytes_per_nnz``), the product's multiply-adds
-    and the path it took (``"pool"`` for the row blocks on the link pool,
+    and the path it took (``"pool"`` for the row blocks on the CPU pool,
     ``"single"`` for the one call).  Allocation sizes do not depend on the
     machine, so the per-nonzero figure is gateable anywhere.
     """

@@ -48,27 +48,37 @@ against an integer threshold table built from the measure itself.  The
 kernel has two forms, chosen once from the fill of the retained incidence
 (:data:`DENSE_MIN_FILL`):
 
-* **dense** — the retained incidence as float32 rows grouped by set size;
-  per row block of the batch, one BLAS product into a ``retained × block``
-  buffer, one compare per size group against the same table and one
-  ``membership @ buffer`` product.  Every value is an integer below
-  ``2**24`` (:data:`FLOAT32_EXACT`), so float32 and any summation order
-  are exact.
+* **dense** — integer arithmetic only, no BLAS.  One operand per labeller
+  holds the retained incidence transposed (items × retained rows, columns
+  grouped by cluster) stacked on one row ``-t`` per batch set size, added
+  the first time that size appears.  Per row block of the batch: one SciPy
+  product of the batch incidence plus a one-hot size column with the
+  operand, which yields ``overlap - t`` of every pair; one in-place
+  ``>= 0``; one ``np.add.reduceat`` over the cluster column ranges.  The
+  dtype is the smallest signed integer that holds both the retained row
+  count and ``-(largest retained set + 1)``, so every value, partial sum
+  and count fits and the arithmetic is exact.
 * **sparse** — for wide, rare-item universes: the overlap kernel's
   qualifying pairs of the sparse product, scattered into their clusters.
 
 Both forms walk a batch in row blocks of at most :data:`BLOCK_CELLS`
-buffer cells, so one large batch costs no more memory than a stream of
-small ones.
+product cells, so one large batch costs no more memory than a stream of
+small ones.  A dense batch of more than one block runs its blocks on the
+process's CPU pool (:mod:`repro.core.cpu_pool`), split so that the blocks
+in flight hold one serial block's cells between them; a batch of one block
+(a served read, a small ingest) runs inline.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
+from repro.core.cpu_pool import cpu_pool
 from repro.core.goodness import ExponentFunction, default_expected_links_exponent
 from repro.core.neighbors.graph import validate_theta
 from repro.core.neighbors.vectorized import overlap_thresholds, qualifying_pairs
@@ -84,14 +94,20 @@ LABELING_STRATEGIES = ("auto", "bruteforce", "sparse-matmul")
 #: count kernel takes its dense form; sparser universes take the sparse form.
 DENSE_MIN_FILL = 1.0 / 64
 
-#: Most cells of one row block's product buffer (float32: 8 MiB).  Blocks
-#: of 2**20 to 2**22 cells ran fastest on a 2-CPU host (the buffer stays in
-#: cache); 2**24 cells ran ~25% slower.
-BLOCK_CELLS = 1 << 21
+#: Most cells of one serial row block's product (``points × retained``);
+#: a pooled batch splits them among the pool's threads.  On a 2-CPU host
+#: (4096 Instacart baskets against 4000 retained rows, int16) blocks of
+#: 2**18 to 2**22 cells timed within noise of each other, serial or pooled;
+#: 2**20 keeps the blocks in flight at 2 MiB there.
+BLOCK_CELLS = 1 << 20
 
-#: float32 holds every integer below this exactly: the dense form is refused
-#: whenever a count could reach it.
-FLOAT32_EXACT = 1 << 24
+#: Signed integer dtypes the dense form's operand may take, smallest first.
+_OPERAND_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+#: Threshold rows the dense form's operand first makes room for.  When a
+#: batch brings more new set sizes than there is room left, the operand is
+#: copied once with room for as many threshold rows again as it then holds.
+_SIZE_ROWS_AHEAD = 32
 
 
 def validate_labeling_fraction(fraction: float) -> float:
@@ -200,25 +216,18 @@ def _neighbor_counts_bruteforce(
     return counts
 
 
-def _dense_rows(incidence, low: int, high: int) -> np.ndarray:
-    """Rows ``low:high`` of a 0/1 CSR incidence as a dense float32 block."""
-    indptr = incidence.indptr
-    block = np.zeros((high - low, incidence.shape[1]), dtype=np.float32)
-    rows = np.repeat(np.arange(high - low), np.diff(indptr[low:high + 1]))
-    block[rows, incidence.indices[indptr[low]:indptr[high]]] = 1.0
-    return block
-
-
 class StreamingLabeler:
     """Labels batches of points against a fixed sampled clustering.
 
     All per-clustering work happens once, in the constructor: the retained
     fractions ``L_i`` are drawn, the normalisers are computed and — under the
-    sparse strategy — the retained-sample incidence matrix is built, grouped
-    by set size, and the kernel form is chosen from its fill.  Each
-    :meth:`label_batch` call then costs the count kernel (or a brute-force
-    sweep) over the batch only, so a disk-resident data set can be labelled
-    with peak memory bounded by the sample, one batch and one row block.
+    sparse strategy — the retained-sample incidence matrix is built in
+    cluster order, the kernel form is chosen from its fill and the dense
+    form's operand is made.  Each :meth:`label_batch` call then costs the
+    count kernel (or a brute-force sweep) over the batch only, plus one
+    threshold row per set size the labeller has not seen yet, so a
+    disk-resident data set can be labelled with peak memory bounded by the
+    sample, one batch and one row block.
 
     Items of a batch that never occur in the sample are ignored by the
     sparse encoding (they cannot intersect any retained point) while still
@@ -309,22 +318,17 @@ class StreamingLabeler:
             if item_index is None:
                 item_index = build_item_index(self.sample)
             self._item_index = item_index
+            # Retained rows in cluster order: the dense form sums each
+            # cluster's column range, and every cluster keeps one row at least.
             retained = [self.sample[i] for subset in self.fractions for i in subset]
-            cluster_of_row = np.repeat(
-                np.arange(self.n_clusters), [len(s) for s in self.fractions]
-            )
-            # Retained rows sorted by set size: every size group shares one
-            # threshold per batch point.
-            sizes = np.asarray([len(t) for t in retained], dtype=np.int64)
-            order = np.argsort(sizes, kind="stable")
-            self._cluster_of_row = cluster_of_row[order]
+            rows_per_cluster = [len(subset) for subset in self.fractions]
+            self._cluster_of_row = np.repeat(np.arange(self.n_clusters), rows_per_cluster)
+            self._cluster_starts = np.cumsum([0] + rows_per_cluster[:-1])
             # Built exactly once; every batch reuses it.
-            incidence, _ = transactions_to_incidence(
-                [retained[i] for i in order], item_index
-            )
+            incidence, _ = transactions_to_incidence(retained, item_index)
             # Items no retained row holds can never overlap one, so the kernel
             # indexes the occupied columns alone: neither the fill nor the
-            # dense rows span the unused columns of a wider shared index
+            # dense operand spans the unused columns of a wider shared index
             # (the pipeline passes the whole sample's, which also covers the
             # rows outside the retained fractions).  With no column occupied
             # the index stays: the encoding keeps at least one column.
@@ -335,23 +339,23 @@ class StreamingLabeler:
                 incidence = incidence[:, occupied]
             self._kernel_index = item_index
             self._retained_incidence = incidence
-            self._group_sizes, starts, group_rows = np.unique(
-                sizes[order], return_index=True, return_counts=True
+            # Every retained row of one set size shares one threshold per
+            # batch point.
+            self._group_sizes, self._group_of_row = np.unique(
+                np.asarray([len(t) for t in retained], dtype=np.int64),
+                return_inverse=True,
             )
-            self._group_bounds = list(zip(starts.tolist(), (starts + group_rows).tolist()))
-            self._group_of_row = np.repeat(np.arange(len(group_rows)), group_rows)
             # Items × retained, so the sparse form's product is CSR @ CSR.
-            self._retained_columns = self._retained_incidence.T.tocsr()
-            n_rows, n_items = self._retained_incidence.shape
-            self._fill = self._retained_incidence.nnz / max(n_rows * n_items, 1)
-            # Dense counts are exact only below 2**24: an overlap is at most
-            # ``n_items`` and a per-cluster count at most ``n_rows``.
-            self._dense_form = (
-                self._fill >= DENSE_MIN_FILL and max(n_rows, n_items) < FLOAT32_EXACT
-            )
-            self._dense_retained: tuple[np.ndarray, np.ndarray] | None = None
-            if self._dense_form:
-                self._dense_operands()
+            self._retained_columns = incidence.T.tocsr()
+            n_rows, n_items = incidence.shape
+            self._fill = incidence.nnz / max(n_rows * n_items, 1)
+            self._dense_form = self._fill >= DENSE_MIN_FILL
+            # The dense form's operand and the operand row of each batch set
+            # size seen so far; the lock keeps concurrent batches from adding
+            # the same row twice.
+            self._operand = self._item_rows() if self._dense_form else None
+            self._size_row: dict[int, int] = {}
+            self._operand_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def state(self) -> dict:
@@ -433,44 +437,99 @@ class StreamingLabeler:
         sizes, size_of_point = np.unique(
             np.asarray([len(t) for t in batch], dtype=np.int64), return_inverse=True
         )
-        table = overlap_thresholds(self.measure, self.theta, sizes, self._group_sizes)
         if self._dense_form:
-            self._dense_counts(incidence, table, size_of_point, counts)
+            self._dense_counts(incidence, sizes, size_of_point, counts)
         else:
+            table = overlap_thresholds(self.measure, self.theta, sizes, self._group_sizes)
             self._sparse_counts(incidence, table, size_of_point, counts)
         return counts
 
-    def _dense_operands(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dense form's float32 retained rows and cluster membership."""
-        if self._dense_retained is None:
-            n_rows = self._retained_incidence.shape[0]
-            membership = np.zeros((self.n_clusters, n_rows), dtype=np.float32)
-            membership[self._cluster_of_row, np.arange(n_rows)] = 1.0
-            self._dense_retained = (
-                _dense_rows(self._retained_incidence, 0, n_rows),
-                membership,
-            )
-        return self._dense_retained
+    def _item_rows(self) -> np.ndarray:
+        """The dense form's operand before any threshold row: the retained
+        incidence transposed, in the smallest signed dtype that holds both
+        the retained row count and ``-(largest retained set + 1)``, with
+        :data:`_SIZE_ROWS_AHEAD` rows of room below it."""
+        incidence = self._retained_incidence
+        n_rows, n_items = incidence.shape
+        largest = int(self._group_sizes.max(initial=0))
+        dtype = next(
+            d for d in _OPERAND_DTYPES
+            if n_rows <= np.iinfo(d).max and -(largest + 1) >= np.iinfo(d).min
+        )
+        operand = np.zeros((n_items + _SIZE_ROWS_AHEAD, n_rows), dtype=dtype)
+        rows = np.repeat(np.arange(n_rows), np.diff(incidence.indptr))
+        operand[incidence.indices, rows] = 1
+        return operand
 
-    def _dense_counts(self, incidence, table, size_of_point, counts) -> None:
-        """Dense form: BLAS overlaps, one compare per size group, BLAS sums."""
-        retained, membership = self._dense_operands()
-        n_rows, n_items = retained.shape
-        n_points = len(size_of_point)
-        # One row per size group, capped at "never" = n_items + 1 so every
-        # threshold is an exact float32 integer.
-        by_group = np.minimum(table, n_items + 1).T.astype(np.float32)
-        step = max(1, BLOCK_CELLS // max(n_rows, n_items))
-        buffer = np.empty(n_rows * min(step, n_points), dtype=np.float32)
-        for low in range(0, n_points, step):
-            high = min(low + step, n_points)
-            overlaps = buffer[: n_rows * (high - low)].reshape(n_rows, high - low)
-            np.matmul(retained, _dense_rows(incidence, low, high).T, out=overlaps)
-            thresholds = by_group[:, size_of_point[low:high]]
-            for group, (start, stop) in enumerate(self._group_bounds):
-                rows = overlaps[start:stop]
-                np.greater_equal(rows, thresholds[group], out=rows)
-            counts[low:high] = (membership @ overlaps).T
+    def _size_rows(self, sizes: list[int]) -> tuple[list[int], np.ndarray]:
+        """The operand row of each batch set size in ``sizes`` and the
+        operand down to its last row in use.
+
+        A size seen for the first time gets its row ``-t(size, b)`` for
+        every retained row ``b`` here, from :func:`overlap_thresholds`;
+        earlier rows never move, and the operand is copied only when it
+        runs out of room.  The view returned stays valid whatever a later
+        batch adds.
+        """
+        with self._operand_lock:
+            if self._operand is None:
+                self._operand = self._item_rows()
+            operand, row_of = self._operand, self._size_row
+            used = self._retained_incidence.shape[1] + len(row_of)
+            new = [size for size in sizes if size not in row_of]
+            if new:
+                table = overlap_thresholds(self.measure, self.theta, new, self._group_sizes)
+                if used + len(new) > len(operand):
+                    room = max(len(row_of) + len(new), _SIZE_ROWS_AHEAD)
+                    grown = np.zeros((used + len(new) + room, operand.shape[1]), operand.dtype)
+                    grown[:used] = operand[:used]
+                    operand = self._operand = grown
+                operand[used:used + len(new)] = -table[:, self._group_of_row]
+                row_of.update(zip(new, range(used, used + len(new))))
+                used += len(new)
+            return [row_of[size] for size in sizes], operand[:used]
+
+    def _dense_counts(self, incidence, sizes, size_of_point, counts) -> None:
+        """Dense form: ``overlap - t`` from one integer product per row
+        block, ``>= 0`` in place, one sum per cluster's column range."""
+        rows_of_size, operand = self._size_rows(sizes.tolist())
+        n_points = incidence.shape[0]
+        n_rows = operand.shape[1]
+        # The batch incidence with one more 1 per point, in the column of its
+        # size's threshold row: its product with the operand is ``overlap - t``.
+        indptr = incidence.indptr + np.arange(n_points + 1)
+        indices = np.insert(
+            incidence.indices,
+            incidence.indptr[1:],
+            np.asarray(rows_of_size, dtype=incidence.indices.dtype)[size_of_point],
+        )
+        data = np.ones(len(indices), dtype=operand.dtype)
+        starts = self._cluster_starts
+
+        def count(bounds: tuple[int, int]) -> None:
+            low, high = bounds
+            start, stop = indptr[low], indptr[high]
+            rows = sparse.csr_matrix(
+                (data[start:stop], indices[start:stop], indptr[low:high + 1] - start),
+                shape=(high - low, len(operand)),
+            )
+            block = rows @ operand
+            np.greater_equal(block, 0, out=block)
+            counts[low:high] = np.add.reduceat(block, starts, axis=1, dtype=block.dtype)
+
+        # The pool pays from two serial blocks up.  On 2 CPUs against 4000
+        # retained rows (262-point blocks), pooled vs inline label_batch,
+        # medians of 60 alternating pairs: 131 points 1.78 vs 1.51 ms (pool
+        # faster in 7/60), 262 points 2.40 vs 2.62 ms (34/60), 524 points
+        # 4.21 vs 4.58 ms (39/60), 4096 points 28.4 vs 33.4 ms (53/60).
+        step = max(1, BLOCK_CELLS // n_rows)
+        pool = cpu_pool() if n_points > step else None
+        run = map
+        if pool is not None:
+            executor, workers = pool
+            run, step = executor.map, max(1, step // workers)
+        for _ in run(count, [(low, min(low + step, n_points)) for low in range(0, n_points, step)]):
+            pass
 
     def _sparse_counts(self, incidence, table, size_of_point, counts) -> None:
         """Sparse form: the overlap kernel's qualifying pairs, scattered."""

@@ -22,17 +22,17 @@ index order and the dtypes:
 
 * **one call** — one SciPy product over the whole adjacency (which releases
   the GIL), then the diagonal is dropped and the indices sorted;
-* **row blocks on the link pool** — only the strict upper triangle is
-  formed, in row blocks balanced by estimated work, on one lazily created
-  thread pool sized to the CPUs the process may use; each block lands in
-  the final arrays twice, once as is and once transposed.
+* **row blocks on the CPU pool** — only the strict upper triangle is
+  formed, in row blocks balanced by estimated work, on the process's
+  shared thread pool (:mod:`repro.core.cpu_pool`, sized to the CPUs the
+  process may use); each block lands in the final arrays twice, once as
+  is and once transposed.
 
-The blocks are used only on the main thread of a process that may use at
-least two CPUs and is not a multiprocessing child, for a product above
-:data:`_POOL_MIN_MULTIPLY_ADDS`.  So shard tasks keep the one call on
-either executor: their worker threads or processes already keep the CPUs
-busy.  The pool's threads do not survive ``fork``: a forked child drops
-the inherited pool and makes its own on first use.
+The blocks are used for a product above :data:`_POOL_MIN_MULTIPLY_ADDS`
+wherever :func:`~repro.core.cpu_pool.cpu_pool` allows the pool: on the
+main thread of a process that may use at least two CPUs and is not a
+multiprocessing child.  So shard tasks keep the one call on either
+executor: their worker threads or processes already keep the CPUs busy.
 
 A convention detail: because ``sim(p, p) = 1 >= theta`` always holds, the
 paper treats every point as a neighbour of itself, so two points that are
@@ -48,14 +48,12 @@ implementations (only *other* common neighbours count).  The ablation bench
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import threading
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor
 
 import numpy as np
 from scipy import sparse
 
+from repro.core.cpu_pool import cpu_pool
 from repro.core.neighbors import NeighborGraph
 from repro.errors import ConfigurationError
 
@@ -68,7 +66,7 @@ LINK_STRATEGIES = ("auto", "neighbor-lists", "sparse-matmul")
 
 #: Multiply-adds of the product, the sum of the squared row lengths of the
 #: adjacency (with the self-links when counted), above which it runs in
-#: row blocks on the link pool.  On 2 CPUs the blocks took 0.07 s against
+#: row blocks on the CPU pool.  On 2 CPUs the blocks took 0.07 s against
 #: 0.12 s for the one call at 27M (2000 Instacart baskets), but forced onto
 #: the pool at that size inmem-40k won 2 of 6 pairs and its peak RSS rose
 #: 3.3 MB; at 207M stream-100k won 10 of 10.  The bound sits between the
@@ -82,56 +80,13 @@ _BLOCKS_PER_WORKER = 4
 #: a block holds while it runs as the product grows.
 _MAX_BLOCK_MULTIPLY_ADDS = 32_000_000
 
-#: The link pool and its thread count, made on first use (see
-#: :func:`_link_pool`); a forked child starts without one.
-_pool: tuple[ThreadPoolExecutor, int] | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """Drop the pool a forked child inherited: its threads did not survive."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where there is one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
 
 def _link_pool(multiply_adds: int) -> tuple[Executor, int] | None:
-    """The link pool and its thread count when a product of
-    ``multiply_adds`` should run in row blocks here, else ``None``.
-
-    Blocks need a product above the crossover, a second CPU, and the main
-    thread of a process that is not a multiprocessing child: a shard task
-    runs on a worker thread or in a spawned process, so it keeps the one
-    call on either executor.
-    """
-    global _pool
-    if (
-        multiply_adds < _POOL_MIN_MULTIPLY_ADDS
-        or threading.current_thread() is not threading.main_thread()
-        or multiprocessing.parent_process() is not None
-    ):
+    """The CPU pool and its thread count when a product of
+    ``multiply_adds`` should run in row blocks here, else ``None``."""
+    if multiply_adds < _POOL_MIN_MULTIPLY_ADDS:
         return None
-    workers = _usable_cpus()
-    if workers < 2:
-        return None
-    with _pool_lock:
-        if _pool is None:
-            _pool = (
-                ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-links"),
-                workers,
-            )
-        return _pool
+    return cpu_pool()
 
 
 def links_from_neighbors(

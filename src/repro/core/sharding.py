@@ -516,8 +516,9 @@ def cluster_shards(
     failures: dict[int, list[Exception]] = {task[0]: [] for task in tasks}
     pending = tasks
     while pending:
-        with pool_class(max_workers=min(workers, len(pending))) as pool:
-            _check_workers_bootstrap(pool, cluster_one)
+        pool_workers = min(workers, len(pending))
+        with pool_class(max_workers=pool_workers) as pool:
+            _check_workers_bootstrap(pool, cluster_one, pool_workers)
             if _run_wave(pool, cluster_one, pending, workers, completed, failures):
                 workers = 1
         pending = [
@@ -642,7 +643,7 @@ def _run_wave(
                 failures[shard_id].append(error)
 
 
-def _check_workers_bootstrap(pool: Executor, task) -> None:
+def _check_workers_bootstrap(pool: Executor, task, workers: int) -> None:
     """Fail fast, without retrying, when ``task`` cannot reach a worker.
 
     A probe that fails never ran a shard attempt, so this is no transient
@@ -652,9 +653,17 @@ def _check_workers_bootstrap(pool: Executor, task) -> None:
     re-run it while bootstrapping.  A probe that cannot be pickled carries
     a task no worker process can ever receive, e.g. a pipeline with a
     lambda as its measure or exponent function.
+
+    One probe per worker, all in flight at once, so the pool has started
+    all of its ``workers`` before any shard attempt runs.  A process pool
+    starts workers as tasks are submitted, and on CPython 3.11 a worker
+    started while a crashing attempt breaks the pool can miss the pool's
+    terminate step: the pool's shutdown then waits for it forever.
     """
     try:
-        pool.submit(bootstrap_probe, task).result()
+        probes = [pool.submit(bootstrap_probe, task) for _ in range(workers)]
+        for probe in probes:
+            probe.result()
     except BrokenProcessPool as error:
         raise ConfigurationError(
             "shard worker processes died while starting, before any shard "

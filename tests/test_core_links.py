@@ -3,17 +3,14 @@
 import argparse
 import functools
 import inspect
-import multiprocessing
-import os
 import threading
-import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import repro.core.cpu_pool as cpu_pool_module
 import repro.core.links as links_module
 from repro.core.links import (
     LINK_STRATEGIES,
@@ -256,9 +253,10 @@ class TestPooledProduct:
 
 
 class TestPoolSelection:
-    """The pool is used only where the code can see it pays: the main
-    thread of a process with a second CPU that is not a multiprocessing
-    child, above the multiply-add crossover."""
+    """The link product takes the CPU pool only above the multiply-add
+    crossover, and only where the pool itself allows it (the main thread
+    of a process with a second CPU that is not a multiprocessing child;
+    those rules are tested with the pool, in ``test_core_cpu_pool.py``)."""
 
     @pytest.fixture
     def spy(self, monkeypatch):
@@ -273,7 +271,7 @@ class TestPoolSelection:
         return calls
 
     def test_crossover_picks_the_path_and_keeps_the_matrix(self, rng, monkeypatch, spy):
-        if links_module._usable_cpus() < 2:
+        if cpu_pool_module._usable_cpus() < 2:
             pytest.skip("the pool needs a second CPU")
         small = _random_graph(rng, 60, 0.05)
         large = _random_graph(rng, 60, 0.4)
@@ -290,38 +288,15 @@ class TestPoolSelection:
         _assert_identical(links_from_neighbors(large), expected[id(large)])
         assert spy == [threading.main_thread()]
 
-    def test_the_pool_is_shared_and_sized_to_the_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(links_module, "_pool", None)
-        monkeypatch.setattr(links_module, "_usable_cpus", lambda: 3)
-        first = links_module._link_pool(links_module._POOL_MIN_MULTIPLY_ADDS)
-        second = links_module._link_pool(links_module._POOL_MIN_MULTIPLY_ADDS)
-        assert first is second
-        pool, workers = first
-        assert workers == 3
-        pool.shutdown()
-
     def test_no_pool_below_the_crossover_or_on_one_cpu(self, monkeypatch):
         crossover = links_module._POOL_MIN_MULTIPLY_ADDS
-        monkeypatch.setattr(links_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cpu_pool_module, "_usable_cpus", lambda: 2)
         assert links_module._link_pool(crossover - 1) is None
-        monkeypatch.setattr(links_module, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cpu_pool_module, "_usable_cpus", lambda: 1)
         assert links_module._link_pool(crossover) is None
 
-    def test_no_pool_off_the_main_thread(self, monkeypatch):
-        monkeypatch.setattr(links_module, "_usable_cpus", lambda: 2)
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            chosen = executor.submit(
-                links_module._link_pool, links_module._POOL_MIN_MULTIPLY_ADDS
-            ).result()
-        assert chosen is None
-
-    def test_no_pool_in_a_multiprocessing_child(self, monkeypatch):
-        monkeypatch.setattr(links_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-        assert links_module._link_pool(links_module._POOL_MIN_MULTIPLY_ADDS) is None
-
     def test_thread_executor_shard_tasks_never_submit(self, monkeypatch, spy):
-        if links_module._usable_cpus() < 2:
+        if cpu_pool_module._usable_cpus() < 2:
             pytest.skip("the pool needs a second CPU")
         monkeypatch.setattr(links_module, "_POOL_MIN_MULTIPLY_ADDS", 0)
         link_threads = []
@@ -388,49 +363,6 @@ def _count_pool_use_in_shard(config, shard_id, sample, positions):
     result = cluster_shard(config, shard_id, sample, positions)
     result.timings.update(counts)
     return result
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_completes_a_pooled_product(rng, monkeypatch):
-    """The pool's threads do not survive a fork: a raw ``os.fork()`` child
-    drops the inherited pool, makes its own and finishes the product."""
-    monkeypatch.setattr(links_module, "_POOL_MIN_MULTIPLY_ADDS", 0)
-    monkeypatch.setattr(links_module, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(links_module, "_pool", None)
-    graph = _random_graph(rng, 150, 0.2, isolated=4)
-    expected = links_from_neighbors(graph)
-    parent_pool = links_module._pool
-    assert parent_pool is not None  # the parent's pool exists and has run
-    with warnings.catch_warnings():
-        # Python 3.12+ warns that forking a multi-threaded process may
-        # deadlock the child: that hazard is what this test covers.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:  # pragma: no cover - runs in the child
-        code = 1
-        try:
-            inherited = links_module._pool
-            result = links_from_neighbors(graph)
-            same = all(
-                np.array_equal(getattr(result, name), getattr(expected, name))
-                for name in ("indptr", "indices", "data")
-            )
-            if inherited is None and links_module._pool is not None and same:
-                code = 0
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 60
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() > deadline:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child hung on the pooled product")
-        time.sleep(0.05)
-    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-    parent_pool[0].shutdown()
 
 
 def test_no_new_option_or_environment_variable():

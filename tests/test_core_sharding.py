@@ -617,6 +617,36 @@ class TestProcessExecutor:
             degraded[0].message
         )
 
+    def test_every_worker_starts_before_the_first_attempt(self, monkeypatch):
+        # A process pool starts one worker per submitted task until it has
+        # them all.  On CPython 3.11 a worker started while a crashing
+        # attempt breaks the pool can miss the pool's terminate step, and
+        # the pool's shutdown then waits for it forever (an intermittent
+        # hang of the crash tests here).  So each wave first sends one probe
+        # per worker, all in flight together, before any shard attempt.
+        calls = []
+        original = ProcessPoolExecutor.submit
+
+        def recording(pool, fn, *args, **kwargs):
+            calls.append((id(pool), fn.__name__))
+            return original(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+        samples = [([frozenset({i})], [i]) for i in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            results = cluster_shards(
+                samples,
+                _crash_shard_zero,
+                shard_workers=2,
+                retries=0,
+                executor=PROCESS_SHARD_EXECUTOR,
+            )
+        assert results.skipped_shards == [0]
+        first_pool = calls[0][0]
+        names = [name for pool, name in calls if pool == first_pool]
+        assert names[:3] == ["bootstrap_probe", "bootstrap_probe", "_attempt"]
+
     def test_strict_run_names_only_the_crashing_shard(self):
         samples = [([frozenset({i})], [i]) for i in range(4)]
         with pytest.raises(ShardExecutionError, match="1 of 4 shard") as excinfo:
