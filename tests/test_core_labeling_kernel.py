@@ -16,8 +16,7 @@ import repro.core.cpu_pool as cpu_pool_module
 import repro.core.labeling as labeling_module
 from repro.core.labeling import StreamingLabeler, label_points
 from repro.errors import ConfigurationError
-from repro.similarity.registry import get_measure
-from toy_measures import NON_MONOTONE_RULES, OverlapRule, ShiftedOverlap
+from toy_measures import NON_MONOTONE_RULES, OverlapRule
 
 
 def _random_case(seed, n_sample=60, n_batch=40, n_items=14):
@@ -72,19 +71,6 @@ class TestIntegerForm:
         _assert_same(
             _forms(sample, clusters, batch, theta=theta, labeling_fraction=fraction)
         )
-
-    @pytest.mark.parametrize(
-        "measure_name", ["dice", "overlap-coefficient", "set-cosine", "shifted-overlap"]
-    )
-    @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
-    def test_integer_form_beyond_jaccard(self, measure_name, theta):
-        measure = (
-            ShiftedOverlap()
-            if measure_name == ShiftedOverlap.name
-            else get_measure(measure_name)
-        )
-        sample, clusters, batch = _random_case(5)
-        _assert_same(_forms(sample, clusters, batch, theta=theta, measure=measure))
 
     @pytest.mark.parametrize(
         "rows_per_cluster, largest, dtype",
