@@ -12,9 +12,11 @@ Two phases, run as separate processes so the env-var failpoint activation
     completes and exits 0.
 
 ``recover <dir>``
-    In a clean process, resume from the directory — the torn trailing
-    record must be truncated, not crashed on — then re-ingest the stream
-    and assert the result matches an uninterrupted session bit for bit.
+    In a clean process, resume from the directory under the session config
+    the writer ran with — the checkpoint's recorded config is checked
+    against it, and the torn trailing record must be truncated, not
+    crashed on — then re-ingest the stream and assert the result matches an
+    uninterrupted session bit for bit.
 
 Usage::
 
@@ -68,8 +70,8 @@ def write(directory: str) -> int:
 
 
 def recover(directory: str) -> int:
-    store = PersistentSession.resume(directory)
     reference = _session()
+    store = PersistentSession.resume(directory, expected_config=reference.config_dict())
     assert (store.session.links_ != reference.links_).nnz == 0
     assert store.session.live_clusters() == reference.live_clusters()
     assert store.session.rng.bit_generator.state == reference.rng.bit_generator.state

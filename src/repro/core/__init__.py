@@ -27,9 +27,12 @@ The modules follow the structure of the ROCK paper:
   accepts new points in batches (splice + frontier re-agglomeration +
   drift-triggered refresh);
 * :mod:`repro.core.pipeline` — the end-to-end sample/cluster/label pipeline
-  (in-memory, streaming, sharded and online entry points).
+  (in-memory, streaming, sharded and online entry points);
+* :mod:`repro.core.config` — the validated model parameters every
+  composite above shares.
 """
 
+from repro.core.config import RockConfig
 from repro.core.goodness import (
     criterion_function,
     default_expected_links_exponent,
@@ -73,7 +76,6 @@ from repro.core.outliers import drop_small_clusters, isolated_point_mask
 from repro.core.pipeline import (
     RockPipeline,
     RockPipelineResult,
-    ShardWorkerConfig,
     cluster_shard,
     rock_cluster,
 )
@@ -97,6 +99,7 @@ from repro.core.sharding import (
 )
 
 __all__ = [
+    "RockConfig",
     "criterion_function",
     "default_expected_links_exponent",
     "expected_pairwise_links",
@@ -148,7 +151,6 @@ __all__ = [
     "ShardClusterResult",
     "ShardPlan",
     "ShardRunResults",
-    "ShardWorkerConfig",
     "SummaryMergeResult",
     "allocate_sample_sizes",
     "cluster_shards",

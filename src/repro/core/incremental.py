@@ -66,21 +66,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from repro.core.config import RockConfig
 from repro.core.engine_arena import arena_agglomerate
 from repro.core.engines import DEFAULT_ENGINE, get_engine, resolve_engine_name
-from repro.core.goodness import (
-    ExponentFunction,
-    default_expected_links_exponent,
-)
-from repro.core.labeling import StreamingLabeler, validate_labeling_fraction
+from repro.core.goodness import ExponentFunction
+from repro.core.labeling import StreamingLabeler
 from repro.core.links import links_from_neighbors
 from repro.core.neighbors import compute_neighbors
-from repro.core.neighbors.graph import NeighborGraph, validate_theta
+from repro.core.neighbors.graph import NeighborGraph
 from repro.core.neighbors.vectorized import overlap_thresholds, qualifying_pairs
 from repro.data.encoding import build_item_index, transactions_to_incidence
 from repro.errors import ConfigurationError, DataValidationError
 from repro.similarity.base import SetSimilarity, supports_vectorized_counts
-from repro.similarity.jaccard import JaccardSimilarity
 
 
 def validate_refresh_threshold(refresh_threshold: float | None) -> float | None:
@@ -216,12 +213,12 @@ class IncrementalRock:
     """A live ROCK clustering that accepts new points in batches.
 
     Parameters mirror the pipeline knobs (see
-    :class:`~repro.core.pipeline.RockPipeline`); ``refresh_threshold`` is
-    the drift bound described in the module docstring and ``rng`` seeds
-    the labelling-fraction draws (sharing the pipeline generator keeps the
-    streaming equivalence bit-exact).  The neighbour, link, labelling and
-    refresh phases run with their library defaults: the path each takes
-    follows from whether the measure has the vectorized-counts capability.
+    :class:`~repro.core.pipeline.RockPipeline`) and are held as :attr:`config`;
+    ``refresh_threshold`` is the drift bound described in the module docstring
+    and ``rng`` seeds the labelling-fraction draws (sharing the pipeline
+    generator keeps the streaming equivalence bit-exact).  The neighbour,
+    link, labelling and refresh phases run with their library defaults: the
+    path each takes follows from the measure's vectorized-counts capability.
 
     Usage::
 
@@ -249,24 +246,25 @@ class IncrementalRock:
         refresh_threshold: float | None = None,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        if int(n_clusters) < 1:
-            raise ConfigurationError(
-                "n_clusters must be at least 1, got %r" % n_clusters
-            )
-        self.n_clusters = int(n_clusters)
-        self.theta = validate_theta(theta)
-        self.measure = measure if measure is not None else JaccardSimilarity()
-        self.exponent_function = (
-            exponent_function
-            if exponent_function is not None
-            else default_expected_links_exponent
+        config = RockConfig(
+            n_clusters=n_clusters, theta=theta, measure=measure,
+            exponent_function=exponent_function, labeling_fraction=labeling_fraction,
+            assign_outliers=assign_outliers, include_self_links=include_self_links,
         )
-        self.labeling_fraction = validate_labeling_fraction(labeling_fraction)
-        self.assign_outliers = bool(assign_outliers)
-        self.include_self_links = bool(include_self_links)
+        self._bind(config, refresh_threshold, rng)
+
+    @classmethod
+    def _from_config(cls, config: RockConfig, refresh_threshold, rng) -> "IncrementalRock":
+        """An unbootstrapped session under ``config``: the one path the
+        pipeline's online mode and a restore take."""
+        session = cls.__new__(cls)
+        session._bind(config, refresh_threshold, rng)
+        return session
+
+    def _bind(self, config: RockConfig, refresh_threshold, rng) -> None:
+        self.config = config
         self.refresh_threshold = validate_refresh_threshold(refresh_threshold)
         self.rng = np.random.default_rng(rng)
-
         self.n_refreshes = 0
         self.n_ingested = 0
         #: Merge-loop counters of the most recent full refresh (empty until
@@ -327,17 +325,7 @@ class IncrementalRock:
                     )
                 seen.add(index)
 
-        self._labeler = StreamingLabeler(
-            sample,
-            clusters,
-            theta=self.theta,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
-            labeling_fraction=self.labeling_fraction,
-            rng=self.rng,
-            item_index=item_index,
-            assign_outliers=self.assign_outliers,
-        )
+        self._labeler = self.config.labeler(sample, clusters, self.rng, item_index)
 
         # Live points: the members of the bootstrap clusters, in sample
         # order (pruned sample points stay out of the live clustering).
@@ -360,7 +348,8 @@ class IncrementalRock:
 
         if _live_adjacency is None:
             _live_adjacency = compute_neighbors(
-                self._points, theta=self.theta, measure=self.measure, item_index=self._item_index
+                self._points, theta=self.config.theta, measure=self.config.measure,
+                item_index=self._item_index,
             ).adjacency.tocsr()
         self._adjacency = _live_adjacency
         self._assign_clusters(_partition(live_clusters, len(self._points)))
@@ -377,7 +366,7 @@ class IncrementalRock:
         self._cluster_of = cluster_of
         membership_t = _membership(cluster_of, int(cluster_of.max()) + 1).T.tocsr()
         per_cluster = self._adjacency @ membership_t
-        if self.include_self_links:
+        if self.config.include_self_links:
             per_cluster = per_cluster + membership_t
         self._cluster_links = _off_diagonal(per_cluster.T @ per_cluster)
 
@@ -412,8 +401,8 @@ class IncrementalRock:
         adjacency.
         """
         self._require_bootstrapped()
-        graph = NeighborGraph(self._adjacency, self.theta, self.config_dict()["measure"])
-        return links_from_neighbors(graph, include_self=self.include_self_links)
+        graph = NeighborGraph(self._adjacency, self.config.theta, self.config_dict()["measure"])
+        return links_from_neighbors(graph, include_self=self.config.include_self_links)
 
     @property
     def adjacency_(self) -> sparse.csr_matrix:
@@ -456,20 +445,13 @@ class IncrementalRock:
     def config_dict(self) -> dict:
         """The session configuration as JSON-compatible values.
 
+        Derived from :attr:`config` (:meth:`RockConfig.session_dict`).
         Recorded in every snapshot manifest and compared on restore: resuming
         under different parameters would break the restore ≡ uninterrupted
         contract, so a mismatch is refused
         (:class:`~repro.errors.SnapshotConfigMismatchError`).
         """
-        return {
-            "n_clusters": self.n_clusters,
-            "theta": self.theta,
-            "measure": getattr(self.measure, "name", type(self.measure).__name__),
-            "labeling_fraction": self.labeling_fraction,
-            "assign_outliers": self.assign_outliers,
-            "include_self_links": self.include_self_links,
-            "refresh_threshold": self.refresh_threshold,
-        }
+        return self.config.session_dict(self.refresh_threshold)
 
     def session_state(self) -> dict:
         """Capture the complete live state for a snapshot.
@@ -479,7 +461,9 @@ class IncrementalRock:
         live partition (its cross-cluster links are re-folded from the
         adjacency on restore, bit-identically), the labeler's retained
         fractions and the RNG stream position.  The measure and exponent
-        function are code, not data — the caller re-supplies them on restore.
+        function are code, not data — the caller re-supplies them on
+        restore, and the config records their name and ``f(theta)`` so the
+        restore can check them.
         """
         self._require_bootstrapped()
         return {
@@ -518,22 +502,17 @@ class IncrementalRock:
         position.  A ``links`` entry in ``state["arrays"]`` is ignored, and
         so is any config key :meth:`config_dict` no longer records (the
         strategy choices earlier checkpoints carried; every one of them
-        reproduced the defaults' results bit-identically).
+        reproduced the defaults' results bit-identically).  That ``measure``
+        and ``exponent_function`` are the recorded ones is checked by
+        :meth:`~repro.persistence.snapshot.SessionSnapshot.load`.
         """
-        config = state["config"]
-        session = cls(
-            n_clusters=config["n_clusters"],
-            theta=config["theta"],
-            measure=measure,
-            exponent_function=exponent_function,
-            labeling_fraction=config["labeling_fraction"],
-            assign_outliers=config["assign_outliers"],
-            include_self_links=config["include_self_links"],
-            refresh_threshold=config["refresh_threshold"],
-        )
+        recorded = state["config"]
         rng_state = state["rng"]
-        bit_generator = getattr(np.random, rng_state["bit_generator"])()
-        session.rng = np.random.Generator(bit_generator)
+        session = cls._from_config(
+            RockConfig.from_session_dict(recorded, measure, exponent_function),
+            recorded["refresh_threshold"],
+            np.random.Generator(getattr(np.random, rng_state["bit_generator"])()),
+        )
         session.rng.bit_generator.state = rng_state
 
         counters = state["counters"]
@@ -542,13 +521,7 @@ class IncrementalRock:
         session._base_points = counters["base_points"]
         session._inserted_since_refresh = counters["inserted_since_refresh"]
 
-        session._labeler = StreamingLabeler.from_state(
-            state["labeler"],
-            theta=session.theta,
-            measure=session.measure,
-            exponent_function=session.exponent_function,
-            assign_outliers=session.assign_outliers,
-        )
+        session._labeler = session.config.restored_labeler(state["labeler"])
         session._points = [frozenset(t) for t in state["points"]]
         session._item_index = dict(state["item_index"])
 
@@ -683,12 +656,13 @@ class IncrementalRock:
             self._incidence.resize((n_old, n_columns))
         batch_sizes = np.asarray([len(t) for t in batch], dtype=np.int64)
 
-        if supports_vectorized_counts(self.measure):
+        measure, theta = self.config.measure, self.config.theta
+        if supports_vectorized_counts(measure):
             batch_values, batch_group = np.unique(batch_sizes, return_inverse=True)
             live_values, live_group = np.unique(self._sizes, return_inverse=True)
             rows, cols = qualifying_pairs(
                 (batch_incidence @ self._incidence.T).tocsr(),
-                overlap_thresholds(self.measure, self.theta, batch_values, live_values),
+                overlap_thresholds(measure, theta, batch_values, live_values),
                 batch_group,
                 live_group,
             )
@@ -697,15 +671,13 @@ class IncrementalRock:
                 (t, j)
                 for t, point in enumerate(batch)
                 for j, other in enumerate(self._points)
-                if self.measure(point, other) >= self.theta
+                if measure(point, other) >= theta
             ]
             rows, cols = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         cross = sparse.csr_matrix(
             (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n_new, n_old)
         )
-        within = compute_neighbors(
-            batch, theta=self.theta, measure=self.measure
-        ).adjacency.tocsr()
+        within = compute_neighbors(batch, theta=theta, measure=measure).adjacency.tocsr()
 
         self._incidence = sparse.vstack(
             [self._incidence, batch_incidence], format="csr"
@@ -720,7 +692,7 @@ class IncrementalRock:
         membership_t = _membership(self._cluster_of, n_live_clusters).T.tocsr()
         cross_counts = cross.astype(np.int64)
         within_bar = within.astype(np.int64)
-        if self.include_self_links:
+        if self.config.include_self_links:
             within_bar = within_bar + sparse.identity(
                 len(batch), dtype=np.int64, format="csr"
             )
@@ -738,7 +710,7 @@ class IncrementalRock:
             cross_counts[:, reached] @ (self._adjacency[reached] @ membership_t)
             + within_bar @ per_cluster
         )
-        if self.include_self_links:
+        if self.config.include_self_links:
             batch_rows = batch_rows + per_cluster
         self._cluster_links = _grow_symmetric(
             self._cluster_links + _off_diagonal(per_cluster.T @ per_cluster),
@@ -766,14 +738,15 @@ class IncrementalRock:
         their relative order.
         """
         n_live_clusters = self.n_live_clusters
-        if n_live_clusters <= self.n_clusters:
+        config = self.config
+        if n_live_clusters <= config.n_clusters:
             return
         merge_history, groups, _, _ = arena_agglomerate(
             self._cluster_links,
             n_live_clusters,
-            self.n_clusters,
-            self.theta,
-            self.exponent_function,
+            config.n_clusters,
+            config.theta,
+            config.exponent_function,
             np.bincount(self._cluster_of, minlength=n_live_clusters),
         )
         if not merge_history:
@@ -805,27 +778,20 @@ class IncrementalRock:
         serve ``status`` verb and the benchmarks.
         """
         self._require_bootstrapped()
+        config = self.config
         run = get_engine(resolve_engine_name(DEFAULT_ENGINE)).agglomerate(
             self.links_,
             len(self._points),
-            self.n_clusters,
-            self.theta,
-            self.exponent_function,
+            config.n_clusters,
+            config.theta,
+            config.exponent_function,
         )
         members = run.members
         self.last_refresh_counters = dict(run.counters)
         ordered = [tuple(sorted(cluster)) for cluster in members.values()]
         ordered.sort(key=lambda cluster: (-len(cluster), cluster[0]))
-        self._labeler = StreamingLabeler(
-            self._points,
-            ordered,
-            theta=self.theta,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
-            labeling_fraction=self.labeling_fraction,
-            rng=self.rng,
-            item_index=dict(self._item_index),
-            assign_outliers=self.assign_outliers,
+        self._labeler = config.labeler(
+            self._points, ordered, self.rng, dict(self._item_index)
         )
         self._assign_clusters(_partition(ordered, len(self._points)))
         self._base_points = len(self._points)

@@ -114,7 +114,7 @@ def validate_labeling_fraction(fraction: float) -> float:
     """``fraction`` as a float when it lies in ``(0, 1]``.
 
     The share of each sampled cluster the labeller retains; checked here
-    and by :class:`~repro.core.pipeline.RockPipeline` at construction.
+    and by :class:`~repro.core.config.RockConfig` at construction.
     """
     fraction = float(fraction)
     if not 0.0 < fraction <= 1.0:

@@ -18,8 +18,8 @@ the phases and assembles every result in one finalizer.  The entry points
 differ at two plug points only:
 
 * **the cluster phase** (phases 2-4): the whole sample as one shard through
-  :meth:`RockPipeline._cluster_sample`, or — :meth:`RockPipeline.run_sharded`
-  with several shards — every shard's sample through
+  the shard task's phases, or — :meth:`RockPipeline.run_sharded` with several
+  shards — every shard's sample through :func:`cluster_shard` on
   :func:`repro.core.sharding.cluster_shards`, with the per-shard cluster
   summaries merged by :func:`repro.core.sharding.merge_shard_summaries`;
 * **the label phase** (phase 5): one
@@ -54,6 +54,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from repro.core.config import RockConfig
 from repro.core.goodness import ExponentFunction
 from repro.core.incremental import (
     IncrementalRock,
@@ -62,13 +63,11 @@ from repro.core.incremental import (
 )
 from repro.core.labeling import (
     LabelingResult,
-    StreamingLabeler,
     # Kept as a module global for perfbench's ``labeling.label_points``
     # span, which wraps it by this name.
     label_points,  # noqa: F401
-    validate_labeling_fraction,
 )
-from repro.core.neighbors import NeighborGraph, compute_neighbors, validate_theta
+from repro.core.neighbors import NeighborGraph, compute_neighbors
 from repro.core.outliers import drop_small_clusters, partition_isolated_points
 from repro.core.rock import RockClustering, RockResult, as_transactions
 from repro.core.sampling import draw_sample, reservoir_sample
@@ -501,8 +500,11 @@ class RockPipeline:
     strict:
         Propagated to :class:`RockClustering`.
 
-    An out-of-range value raises :class:`~repro.errors.ConfigurationError`
-    at construction, before any source is read.
+    Every parameter but ``sample_size`` and ``rng`` is held as
+    :attr:`config`, the :class:`~repro.core.config.RockConfig` every phase
+    reads.  An out-of-range value raises
+    :class:`~repro.errors.ConfigurationError` at construction, before any
+    source is read.
 
     Notes
     -----
@@ -539,108 +541,18 @@ class RockPipeline:
         rng: np.random.Generator | int | None = None,
         strict: bool = False,
     ) -> None:
-        if int(n_clusters) < 1:
-            raise ConfigurationError("n_clusters must be at least 1, got %r" % n_clusters)
+        self.config = RockConfig(
+            n_clusters=n_clusters, theta=theta, measure=measure,
+            exponent_function=exponent_function, labeling_fraction=labeling_fraction,
+            assign_outliers=assign_outliers, include_self_links=include_self_links,
+            min_neighbors=min_neighbors, min_cluster_size=min_cluster_size, strict=strict,
+        )
         if sample_size is not None and sample_size < 1:
             raise ConfigurationError("sample_size must be positive or None")
-        if min_neighbors < 0:
-            raise ConfigurationError("min_neighbors must be non-negative")
-        if min_cluster_size < 1:
-            raise ConfigurationError("min_cluster_size must be at least 1")
-        self.n_clusters = int(n_clusters)
-        self.theta = validate_theta(theta)
         self.sample_size = sample_size
-        self.measure = measure
-        self.min_neighbors = int(min_neighbors)
-        self.min_cluster_size = int(min_cluster_size)
-        self.labeling_fraction = validate_labeling_fraction(labeling_fraction)
-        self.exponent_function = exponent_function
-        self.assign_outliers = bool(assign_outliers)
-        self.include_self_links = bool(include_self_links)
         self.rng = np.random.default_rng(rng)
-        self.strict = bool(strict)
         self._online_session: IncrementalRock | None = None
         self._online_store: PersistentSession | None = None
-
-    # ------------------------------------------------------------------ #
-    def _cluster_sample(self, sample: list[frozenset], item_index: dict, timings: dict):
-        """Phases 2-4 on an in-memory sample: pre-filter, cluster, prune.
-
-        Returns ``(clustered_sample, participating, isolated, rock_result,
-        kept_clusters, pruned_points, graph)``; ``participating``/``isolated``
-        are positions in ``sample``, cluster members and ``pruned_points``
-        are positions in ``clustered_sample``, and ``graph`` is the fit's
-        neighbour graph over ``clustered_sample``.
-        """
-        phase_start = time.perf_counter()
-        if self.min_neighbors > 0:
-            graph = compute_neighbors(
-                sample, theta=self.theta, measure=self.measure, item_index=item_index
-            )
-            participating, isolated = partition_isolated_points(
-                graph, min_neighbors=self.min_neighbors
-            )
-            if not participating:
-                # Every sampled point is isolated: fall back to clustering all.
-                participating, isolated = list(range(len(sample))), []
-        else:
-            participating, isolated = list(range(len(sample))), []
-        clustered_sample = [sample[i] for i in participating]
-        timings["neighbors"] = time.perf_counter() - phase_start
-
-        phase_start = time.perf_counter()
-        model = RockClustering(
-            n_clusters=self.n_clusters,
-            theta=self.theta,
-            measure=self.measure,
-            include_self_links=self.include_self_links,
-            exponent_function=self.exponent_function,
-            strict=self.strict,
-        )
-        rock_result = model.fit(clustered_sample, item_index=item_index).result_
-        timings["clustering"] = time.perf_counter() - phase_start
-
-        kept_clusters, pruned_points = drop_small_clusters(
-            rock_result.clusters, self.min_cluster_size
-        )
-        if not kept_clusters:
-            kept_clusters = [tuple(range(len(clustered_sample)))]
-            pruned_points = []
-        return (
-            clustered_sample,
-            participating,
-            isolated,
-            rock_result,
-            kept_clusters,
-            pruned_points,
-            model.neighbor_graph_,
-        )
-
-    def _cluster_shard(
-        self, shard_id: int, sample: list, positions: list[int], item_index: dict, timings: dict
-    ) -> tuple[ShardClusterResult, RockResult, NeighborGraph]:
-        """Phases 2-4 on one shard's sample, indices mapped to stream
-        positions; also returns the fit's neighbour graph."""
-        (
-            clustered_sample,
-            participating,
-            isolated,
-            rock_result,
-            kept_clusters,
-            pruned_points,
-            graph,
-        ) = self._cluster_sample(sample, item_index, timings)
-        clustered_positions = [positions[i] for i in participating]
-        shard = ShardClusterResult(
-            shard_id=shard_id,
-            clustered_sample=clustered_sample,
-            clustered_positions=clustered_positions,
-            clusters=list(kept_clusters),
-            isolated_positions=[positions[i] for i in isolated],
-            pruned_positions=[clustered_positions[j] for j in pruned_points],
-            timings=timings,
-        )
-        return shard, rock_result, graph
 
     # ------------------------------------------------------------------ #
     def _drive(
@@ -788,8 +700,8 @@ class RockPipeline:
         """
         ((sample, positions),) = units
         item_index = build_item_index(sample)
-        shard, rock_result, graph = self._cluster_shard(
-            0, sample, positions, item_index, timings
+        shard, rock_result, graph = _cluster_sample(
+            self.config, 0, sample, positions, item_index, timings
         )
         live_adjacency = None
         if online:
@@ -818,12 +730,13 @@ class RockPipeline:
         samples into the global clusters.
         """
         phase_start = time.perf_counter()
+        config = self.config
         shard_results = cluster_shards(
             units,
-            functools.partial(cluster_shard, ShardWorkerConfig.from_pipeline(self)),
+            functools.partial(cluster_shard, config),
             shards.workers,
             retries=shards.retries,
-            strict=self.strict,
+            strict=config.strict,
             executor=shards.executor,
         )
         timings["neighbors"] = sum(
@@ -852,22 +765,22 @@ class RockPipeline:
         merge = merge_shard_summaries(
             pooled_sample,
             summaries,
-            self.n_clusters,
-            self.theta,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
+            config.n_clusters,
+            config.theta,
+            measure=config.measure,
+            exponent_function=config.exponent_function,
             representatives_per_cluster=shards.representatives,
             rng=merge_rng,
-            include_self_links=self.include_self_links,
+            include_self_links=config.include_self_links,
             item_index=item_index,
             fan_in=shards.fan_in,
             summary_groups=summary_groups if shards.fan_in is not None else None,
         )
-        if merge.stopped_early and self.strict:
+        if merge.stopped_early and config.strict:
             raise InsufficientLinksError(
                 "summary merge: no cross-summary links remain with %d global "
                 "clusters (requested %d); lower theta, reduce n_clusters or "
-                "use fewer shards" % (len(merge.groups), self.n_clusters)
+                "use fewer shards" % (len(merge.groups), config.n_clusters)
             )
         kept_clusters = [
             tuple(
@@ -893,7 +806,7 @@ class RockPipeline:
             merge_history=merge.merge_history,
             n_clusters=len(pooled_clusters),
             criterion=merge.criterion,
-            theta=self.theta,
+            theta=config.theta,
             stopped_early=merge.stopped_early,
             elapsed_seconds=timings["merge"],
         )
@@ -924,16 +837,8 @@ class RockPipeline:
         """
         if not (state.has_remainder or state.sample_pending):
             return
-        labeler = StreamingLabeler(
-            clustering.sample,
-            clustering.clusters,
-            theta=self.theta,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
-            labeling_fraction=self.labeling_fraction,
-            rng=self.rng,
-            item_index=clustering.item_index,
-            assign_outliers=self.assign_outliers,
+        labeler = self.config.labeler(
+            clustering.sample, clustering.clusters, self.rng, clustering.item_index
         )
         for batch, positions, kind in state.pending(batches):
             state.place(positions, labeler.label_batch(batch).labels, kind)
@@ -960,7 +865,8 @@ class RockPipeline:
             session = store.session
             store.replay_pending(lambda payload: state.apply(session, payload))
         else:
-            session = self._new_online_session(online.refresh_threshold)
+            # Shares the pipeline's generator: making the session draws nothing.
+            session = IncrementalRock._from_config(self.config, online.refresh_threshold, self.rng)
             session.bootstrap(
                 clustering.sample,
                 clustering.clusters,
@@ -1001,8 +907,8 @@ class RockPipeline:
         store = PersistentSession.resume(
             online.snapshot_dir,
             snapshot_every=online.snapshot_every,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
+            measure=self.config.measure,
+            exponent_function=self.config.exponent_function,
             expected_config=self.online_expected_config(online.refresh_threshold),
             defer_replay=True,
         )
@@ -1091,13 +997,13 @@ class RockPipeline:
             n_outliers=int(np.sum(final_labels == -1)),
             timings=timings,
             parameters={
-                "n_clusters": self.n_clusters,
-                "theta": self.theta,
+                "n_clusters": self.config.n_clusters,
+                "theta": self.config.theta,
                 "sample_size": self.sample_size,
-                "min_neighbors": self.min_neighbors,
-                "min_cluster_size": self.min_cluster_size,
-                "labeling_fraction": self.labeling_fraction,
-                "assign_outliers": self.assign_outliers,
+                "min_neighbors": self.config.min_neighbors,
+                "min_cluster_size": self.config.min_cluster_size,
+                "labeling_fraction": self.config.labeling_fraction,
+                "assign_outliers": self.config.assign_outliers,
                 "merge_counters": dict(state.rock_result.merge_counters),
                 **parameters,
             },
@@ -1345,25 +1251,7 @@ class RockPipeline:
         session under different parameters would silently break the
         served ≡ ``run_online`` contract.
         """
-        return self._new_online_session(refresh_threshold).config_dict()
-
-    def _new_online_session(self, refresh_threshold: float | None) -> IncrementalRock:
-        """The unbootstrapped online session of this pipeline.
-
-        It shares the pipeline's generator (``default_rng`` returns a
-        generator unchanged), so building one draws nothing.
-        """
-        return IncrementalRock(
-            n_clusters=self.n_clusters,
-            theta=self.theta,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
-            labeling_fraction=self.labeling_fraction,
-            assign_outliers=self.assign_outliers,
-            include_self_links=self.include_self_links,
-            refresh_threshold=refresh_threshold,
-            rng=self.rng,
-        )
+        return self.config.session_dict(validate_refresh_threshold(refresh_threshold))
 
     # ------------------------------------------------------------------ #
     def run_sharded(
@@ -1526,38 +1414,8 @@ class RockPipeline:
         )
 
 
-@dataclass(frozen=True)
-class ShardWorkerConfig:
-    """The pipeline fields the per-shard phases read, picklable for process workers.
-
-    The per-shard task of :meth:`RockPipeline.run_sharded` is
-    ``functools.partial(cluster_shard, ShardWorkerConfig.from_pipeline(pipeline))``
-    on either executor.  Every field must pickle for the process executor:
-    a custom ``measure`` or ``exponent_function`` that does not (e.g. a
-    lambda) needs the thread executor.
-    """
-
-    n_clusters: int
-    theta: float
-    measure: SetSimilarity | None
-    min_neighbors: int
-    min_cluster_size: int
-    exponent_function: ExponentFunction | None
-    include_self_links: bool
-    strict: bool
-
-    @classmethod
-    def from_pipeline(cls, pipeline: RockPipeline) -> ShardWorkerConfig:
-        """Capture the shard-relevant fields of a pipeline instance."""
-        return cls(**{item.name: getattr(pipeline, item.name) for item in fields(cls)})
-
-    def build_pipeline(self) -> RockPipeline:
-        """A pipeline running the exact per-shard phases of the captured one."""
-        return RockPipeline(**{item.name: getattr(self, item.name) for item in fields(self)})
-
-
 def cluster_shard(
-    config: ShardWorkerConfig, shard_id: int, sample: list, positions: list[int]
+    config: RockConfig, shard_id: int, sample: list, positions: list[int]
 ) -> ShardClusterResult:
     """Phases 2-4 on one shard's sample: the task both shard executors run.
 
@@ -1566,9 +1424,65 @@ def cluster_shard(
     partial on the same items, which is why the two executors' labels are
     bit-identical by construction.
     """
-    return config.build_pipeline()._cluster_shard(
-        shard_id, sample, positions, build_item_index(sample), {}
+    return _cluster_sample(
+        config, shard_id, sample, positions, build_item_index(sample), {}
     )[0]
+
+
+def _cluster_sample(
+    config: RockConfig, shard_id: int, sample: list[frozenset], positions: list[int],
+    item_index: dict, timings: dict,
+) -> tuple[ShardClusterResult, RockResult, NeighborGraph]:
+    """Phases 2-4 on an in-memory sample: pre-filter, cluster, prune.
+
+    Returns the shard's result (members index its clustered sample, every
+    set-aside point is a stream position), the fit's :class:`RockResult`
+    and the fit's neighbour graph over the clustered sample.
+    """
+    phase_start = time.perf_counter()
+    participating = list(range(len(sample)))
+    isolated: list[int] = []
+    if config.min_neighbors > 0:
+        graph = compute_neighbors(
+            sample, theta=config.theta, measure=config.measure, item_index=item_index
+        )
+        kept, dropped = partition_isolated_points(
+            graph, min_neighbors=config.min_neighbors
+        )
+        # When every sampled point is isolated, cluster them all.
+        if kept:
+            participating, isolated = kept, dropped
+    clustered_sample = [sample[i] for i in participating]
+    timings["neighbors"] = time.perf_counter() - phase_start
+
+    phase_start = time.perf_counter()
+    model = RockClustering(
+        n_clusters=config.n_clusters,
+        theta=config.theta,
+        measure=config.measure,
+        include_self_links=config.include_self_links,
+        exponent_function=config.exponent_function,
+        strict=config.strict,
+    )
+    rock_result = model.fit(clustered_sample, item_index=item_index).result_
+    timings["clustering"] = time.perf_counter() - phase_start
+
+    kept_clusters, pruned_points = drop_small_clusters(
+        rock_result.clusters, config.min_cluster_size
+    )
+    if not kept_clusters:
+        kept_clusters, pruned_points = [tuple(range(len(clustered_sample)))], []
+    clustered_positions = [positions[i] for i in participating]
+    shard = ShardClusterResult(
+        shard_id=shard_id,
+        clustered_sample=clustered_sample,
+        clustered_positions=clustered_positions,
+        clusters=list(kept_clusters),
+        isolated_positions=[positions[i] for i in isolated],
+        pruned_positions=[clustered_positions[j] for j in pruned_points],
+        timings=timings,
+    )
+    return shard, rock_result, model.neighbor_graph_
 
 
 def rock_cluster(

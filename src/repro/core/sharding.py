@@ -89,12 +89,9 @@ from multiprocessing import get_context
 import numpy as np
 from scipy import sparse
 
+from repro.core.config import RockConfig
 from repro.core.engine_arena import arena_agglomerate
-from repro.core.goodness import (
-    ExponentFunction,
-    criterion_function,
-    default_expected_links_exponent,
-)
+from repro.core.goodness import ExponentFunction, criterion_function
 from repro.core.links import links_from_neighbors
 from repro.core.neighbors import compute_neighbors
 from repro.errors import ConfigurationError, DataValidationError, ShardExecutionError
@@ -845,12 +842,10 @@ def merge_shard_summaries(
     representatives_per_cluster = validate_merge_options(
         representatives_per_cluster, fan_in
     )
-    if n_clusters < 1:
-        raise ConfigurationError(
-            "n_clusters must be positive, got %r" % n_clusters
-        )
-    if exponent_function is None:
-        exponent_function = default_expected_links_exponent
+    config = RockConfig(
+        n_clusters=n_clusters, theta=theta, measure=measure,
+        exponent_function=exponent_function, include_self_links=include_self_links,
+    )
     generator = np.random.default_rng(rng)
 
     if summary_groups is None:
@@ -868,13 +863,9 @@ def merge_shard_summaries(
         return _flat_summary_merge(
             pooled_sample,
             level_summaries,
-            n_clusters,
-            theta,
-            measure,
-            exponent_function,
+            config,
             representatives_per_cluster,
             generator,
-            include_self_links,
             item_index,
         )
 
@@ -984,13 +975,9 @@ def _hierarchical_summary_merge(
 def _flat_summary_merge(
     pooled_sample: Sequence[frozenset],
     summaries: Sequence[Sequence[int]],
-    n_clusters: int,
-    theta: float,
-    measure: SetSimilarity | None,
-    exponent_function: ExponentFunction,
+    config: RockConfig,
     representatives_per_cluster: int,
     generator: np.random.Generator,
-    include_self_links: bool,
     item_index: dict | None,
 ) -> SummaryMergeResult:
     """One flat summary agglomeration (the pre-hierarchy merge, verbatim)."""
@@ -1025,9 +1012,9 @@ def _flat_summary_merge(
 
     # Link counts recomputed on the representative incidence.
     graph = compute_neighbors(
-        representatives, theta=theta, measure=measure, item_index=item_index
+        representatives, theta=config.theta, measure=config.measure, item_index=item_index
     )
-    links = links_from_neighbors(graph, include_self=include_self_links)
+    links = links_from_neighbors(graph, include_self=config.include_self_links)
 
     # Weighted summary-by-summary cross-link estimate: W L W folded through
     # the owner incidence.  The engine ignores the diagonal (within-summary
@@ -1043,7 +1030,7 @@ def _flat_summary_merge(
     # The summaries are weighted starting clusters of the one merge loop:
     # true summary sizes in the normaliser, float64 link mass.
     merge_history, members, stopped_early, _ = arena_agglomerate(
-        cross, n_summaries, n_clusters, theta, exponent_function, sizes
+        cross, n_summaries, config.n_clusters, config.theta, config.exponent_function, sizes
     )
     groups = [tuple(sorted(group)) for group in members.values()]
     groups.sort(key=lambda group: (-int(sizes[list(group)].sum()), group[0]))
@@ -1057,7 +1044,7 @@ def _flat_summary_merge(
         for group_id in range(len(groups))
     ]
     criterion = criterion_function(
-        links, representative_groups, theta, exponent_function
+        links, representative_groups, config.theta, config.exponent_function
     )
     return SummaryMergeResult(
         groups=groups,

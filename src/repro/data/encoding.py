@@ -89,32 +89,6 @@ def transactions_to_incidence(
     return incidence, item_index
 
 
-def incidence_batches(
-    batches,
-    item_index: dict,
-    ignore_unknown: bool = False,
-):
-    """Yield one incidence matrix per transaction batch, sharing one index.
-
-    The streaming counterpart of :func:`transactions_to_incidence`: the item
-    index is built once by the caller (typically over the in-memory sample,
-    :func:`build_item_index`) and every batch is encoded against it, so the
-    item universe is never re-scanned and all batches share a common column
-    space.  ``batches`` may be any iterable of transaction sequences, for
-    example :func:`repro.data.io.iter_transactions`.
-
-    Yields
-    ------
-    scipy.sparse.csr_matrix
-        The ``(len(batch), n_items)`` incidence matrix of each batch.
-    """
-    for batch in batches:
-        incidence, _ = transactions_to_incidence(
-            batch, item_index, ignore_unknown=ignore_unknown
-        )
-        yield incidence
-
-
 def attribute_value_items(
     record: Sequence[CategoricalValue],
     include_missing: bool = False,

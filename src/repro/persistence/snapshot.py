@@ -26,6 +26,9 @@ arrays in ``arrays.npz``, which the checksum covers but load() never reads.
 Versions 1 and 2 record the strategy choices the session no longer has
 (:data:`_RETIRED_CONFIG_KEYS`) in their config; a resume ignores them,
 since every choice reproduced the defaults' results bit-identically.
+Checkpoints of every version written before the session config recorded
+``exponent`` (``f(theta)``) lack that key, and a restore skips comparing
+it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import os
 import pickle
 import re
 import shutil
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Any, Callable
 
@@ -114,6 +118,29 @@ def latest_checkpoint(directory: str | os.PathLike) -> Path | None:
             return target
     checkpoints = list_checkpoints(root)
     return checkpoints[-1] if checkpoints else None
+
+
+def _check_config(checkpoint: Path, recorded: dict, requested: dict, keys: Iterable[str]) -> None:
+    """Refuse a restore whose ``requested`` session config differs from the
+    ``recorded`` one on any of ``keys``; a checkpoint that records no
+    ``exponent`` skips that key."""
+    differing = sorted(
+        key
+        for key in keys
+        if recorded.get(key) != requested.get(key)
+        and (key in recorded or key != "exponent")
+    )
+    if differing:
+        raise SnapshotConfigMismatchError(
+            "checkpoint %s was written under a different session "
+            "configuration (mismatched: %s); resume with the original "
+            "parameters or start a fresh snapshot directory"
+            % (checkpoint, ", ".join(
+                "%s (snapshot %r != requested %r)"
+                % (key, recorded.get(key), requested.get(key))
+                for key in differing
+            ))
+        )
 
 
 class SessionSnapshot:
@@ -234,7 +261,10 @@ class SessionSnapshot:
             The checkpoint was written by an incompatible format version.
         SnapshotConfigMismatchError
             ``expected_config`` disagrees with the recorded session
-            configuration (the message lists the differing keys).
+            configuration, or the session rebuilt under ``measure`` and
+            ``exponent_function`` (``None``: the defaults) records another
+            ``measure`` or ``exponent`` than the checkpoint (the message
+            lists the differing keys).
         """
         root = Path(directory)
         checkpoint = latest_checkpoint(root)
@@ -244,28 +274,14 @@ class SessionSnapshot:
                 "with --snapshot-dir to create one" % root
             )
         manifest = cls._read_manifest(checkpoint)
+        recorded = {
+            key: value
+            for key, value in manifest.get("config", {}).items()
+            if key not in _RETIRED_CONFIG_KEYS
+        }
         if expected_config is not None:
-            recorded = {
-                key: value
-                for key, value in manifest.get("config", {}).items()
-                if key not in _RETIRED_CONFIG_KEYS
-            }
-            differing = sorted(
-                key
-                for key in set(recorded) | set(expected_config)
-                if recorded.get(key) != expected_config.get(key)
-            )
-            if differing:
-                raise SnapshotConfigMismatchError(
-                    "checkpoint %s was written under a different session "
-                    "configuration (mismatched: %s); resume with the original "
-                    "parameters or start a fresh snapshot directory"
-                    % (checkpoint, ", ".join(
-                        "%s (snapshot %r != requested %r)"
-                        % (key, recorded.get(key), expected_config.get(key))
-                        for key in differing
-                    ))
-                )
+            keys = set(recorded) | set(expected_config)
+            _check_config(checkpoint, recorded, expected_config, keys)
         blobs = cls._verified_blobs(checkpoint, manifest)
 
         # Parse the checksummed bytes rather than re-reading the file.
@@ -292,6 +308,9 @@ class SessionSnapshot:
         session = IncrementalRock.from_session_state(
             state, measure=measure, exponent_function=exponent_function
         )
+        # The measure and f are code the caller re-supplies: a restore runs
+        # under the ones the checkpoint was written with, or not at all.
+        _check_config(checkpoint, recorded, session.config_dict(), ("measure", "exponent"))
         return cls(session, extra=extra, wal_seq=int(manifest.get("wal_seq", -1)))
 
     # ------------------------------------------------------------------ #

@@ -54,11 +54,14 @@ def assert_live_state_consistent(session):
     """
     points = session.live_points
     graph = compute_neighbors(
-        points, theta=session.theta, measure=session.measure, strategy="bruteforce"
+        points,
+        theta=session.config.theta,
+        measure=session.config.measure,
+        strategy="bruteforce",
     )
     assert (session.adjacency_ != graph.adjacency).nnz == 0
     fresh_links = links_from_neighbors(
-        graph, include_self=session.include_self_links
+        graph, include_self=session.config.include_self_links
     )
     assert (session.links_ != fresh_links).nnz == 0
 

@@ -20,7 +20,7 @@ from repro.core.links import (
     links_from_neighbors,
 )
 from repro.core.neighbors import NeighborGraph, compute_neighbors
-from repro.core.pipeline import RockPipeline, ShardWorkerConfig, cluster_shard
+from repro.core.pipeline import RockPipeline, cluster_shard
 from repro.core.sharding import cluster_shards
 from repro.datasets.market_basket import generate_market_baskets
 from repro.errors import ConfigurationError
@@ -319,9 +319,7 @@ class TestPoolSelection:
         assert all(thread is threading.main_thread() for thread in spy)
 
     def test_process_executor_shard_tasks_never_submit(self):
-        config = ShardWorkerConfig.from_pipeline(
-            RockPipeline(n_clusters=2, theta=0.4, rng=0)
-        )
+        config = RockPipeline(n_clusters=2, theta=0.4, rng=0).config
         baskets = generate_market_baskets(n_transactions=120, rng=0, n_clusters=2)
         samples = [
             (baskets.transactions[start::2], list(range(start, 120, 2)))

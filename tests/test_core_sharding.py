@@ -23,7 +23,8 @@ import pytest
 
 from repro.bench.engine_bench import WORKLOAD
 from repro.core import sharding
-from repro.core.pipeline import RockPipeline, ShardWorkerConfig, cluster_shard
+from repro.core import pipeline as pipeline_module
+from repro.core.pipeline import RockPipeline, cluster_shard
 from repro.core.sharding import (
     DEFAULT_SHARD_EXECUTOR,
     PROCESS_SHARD_EXECUTOR,
@@ -41,6 +42,7 @@ from repro.datasets.market_basket import generate_market_baskets
 from repro.errors import ConfigurationError, DataValidationError, ShardExecutionError
 from repro.evaluation.metrics import adjusted_rand_index
 from repro.persistence import failpoints
+from toy_measures import OverlapRule, overlap_is_zero
 
 
 @pytest.fixture(scope="module")
@@ -501,13 +503,17 @@ class TestProcessExecutor:
             tight_baskets.transactions, n_shards=3, shard_workers=2
         )
 
+    def test_out_of_range_config_fails_before_any_worker(self):
+        # The shipped config is validated where it is made, in the parent.
+        with pytest.raises(ConfigurationError, match="min_cluster_size"):
+            dataclasses.replace(_pipeline().config, min_cluster_size=0)
+
     def test_configuration_error_in_worker_is_not_retried(self, tight_baskets):
-        # The worker rebuilds a pipeline from the shipped config, which
-        # rejects the cluster size bound; the parent re-raises that error
-        # after one wave instead of retrying it as a worker crash.
-        config = dataclasses.replace(
-            ShardWorkerConfig.from_pipeline(_pipeline()), min_cluster_size=0
-        )
+        # The measure pickles but is not monotone in the overlap, so the
+        # overlap kernel rejects it inside the shard's neighbour phase; the
+        # parent re-raises that error after one wave instead of retrying it
+        # as a worker crash.
+        config = _pipeline(measure=OverlapRule("disjoint-only", overlap_is_zero)).config
         transactions = tight_baskets.transactions
         samples = [
             (transactions[:40], list(range(40))),
@@ -515,7 +521,7 @@ class TestProcessExecutor:
         ]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ConfigurationError, match="min_cluster_size"):
+            with pytest.raises(ConfigurationError, match="non-decreasing"):
                 cluster_shards(
                     samples,
                     functools.partial(cluster_shard, config),
@@ -982,7 +988,7 @@ class TestRunShardedValidation:
     ):
         clustered = []
         monkeypatch.setattr(
-            RockPipeline, "_cluster_sample", lambda self, *args: clustered.append(args)
+            pipeline_module, "_cluster_sample", lambda *args: clustered.append(args)
         )
         with pytest.raises(ConfigurationError):
             _pipeline().run_sharded(

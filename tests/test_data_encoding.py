@@ -177,30 +177,3 @@ class TestStreamingIncidence:
         index = build_item_index([frozenset({"a"})])
         with pytest.raises(KeyError):
             transactions_to_incidence([frozenset({"zzz"})], index)
-
-    def test_incidence_batches_match_one_shot(self):
-        from repro.data.encoding import (
-            build_item_index,
-            incidence_batches,
-            transactions_to_incidence,
-        )
-
-        transactions = [frozenset({i, i + 1, (i * 7) % 5}) for i in range(23)]
-        index = build_item_index(transactions)
-        full, _ = transactions_to_incidence(transactions, index)
-        batches = [transactions[i:i + 5] for i in range(0, len(transactions), 5)]
-        stacked = [m for m in incidence_batches(batches, index)]
-        assert sum(m.shape[0] for m in stacked) == full.shape[0]
-        assert all(m.shape[1] == full.shape[1] for m in stacked)
-        from scipy import sparse
-
-        assert (sparse.vstack(stacked) != full).nnz == 0
-
-    def test_incidence_batches_consume_generators(self):
-        from repro.data.encoding import build_item_index, incidence_batches
-
-        transactions = [frozenset({"a"}), frozenset({"b"})]
-        index = build_item_index(transactions)
-        generator = (transactions[i:i + 1] for i in range(2))
-        matrices = list(incidence_batches(generator, index))
-        assert len(matrices) == 2

@@ -43,6 +43,7 @@ from repro.persistence.snapshot import (
     list_checkpoints,
 )
 from repro.persistence.wal import WriteAheadLog
+from repro.similarity.jaccard import DiceSimilarity
 
 # --------------------------------------------------------------------- #
 # Fixtures and helpers
@@ -99,6 +100,11 @@ def _assert_sessions_identical(left, right):
 
 def _run_schedule(session, batches):
     return [session.ingest(batch).labels.tolist() for batch in batches]
+
+
+def _half_f(theta):
+    """An ``f(theta)`` other than the paper's, at module level."""
+    return 0.5 * (1.0 - theta)
 
 
 def _assert_recorded_choice_resumes(directory, monkeypatch, key, value):
@@ -451,6 +457,55 @@ class TestSnapshotValidation:
         wrong = dict(session.config_dict(), theta=0.9)
         with pytest.raises(SnapshotConfigMismatchError, match="theta"):
             SessionSnapshot.load(tmp_path, expected_config=wrong)
+
+    def test_restore_under_another_measure_rejected(self, tmp_path):
+        # Without measure= the restore used to run under Jaccard and label
+        # on with the wrong measure.
+        store = PersistentSession.create(tmp_path, _session(measure=DiceSimilarity()))
+        store.ingest(STREAM_BATCHES[0])
+        with pytest.raises(SnapshotConfigMismatchError, match="measure"):
+            PersistentSession.resume(tmp_path)
+        resumed = PersistentSession.resume(tmp_path, measure=DiceSimilarity())
+        assert resumed.session.config_dict()["measure"] == "dice"
+
+    def test_restore_under_another_exponent_rejected(self, tmp_path):
+        # The expected config used to hold no trace of f, so this passed.
+        SessionSnapshot(_session(exponent_function=_half_f)).save(tmp_path)
+        paper_f = RockPipeline(n_clusters=2, theta=0.4).online_expected_config()
+        with pytest.raises(SnapshotConfigMismatchError, match="exponent"):
+            SessionSnapshot.load(tmp_path, expected_config=paper_f)
+        with pytest.raises(SnapshotConfigMismatchError, match="exponent"):
+            SessionSnapshot.load(tmp_path)
+        half_f = RockPipeline(n_clusters=2, theta=0.4, exponent_function=_half_f)
+        SessionSnapshot.load(
+            tmp_path,
+            exponent_function=_half_f,
+            expected_config=half_f.online_expected_config(),
+        )
+
+    def test_checkpoint_without_exponent_resumes_bit_identically(
+        self, tmp_path, monkeypatch
+    ):
+        # Every checkpoint written before the session config recorded f(theta)
+        # lacks the key: the restore skips that one comparison.
+        reference = _session()
+        _run_schedule(reference, STREAM_BATCHES[:2])
+        interrupted = _session()
+        _run_schedule(interrupted, STREAM_BATCHES[:2])
+        recorded = interrupted.config_dict()
+        del recorded["exponent"]
+        monkeypatch.setattr(interrupted, "config_dict", lambda: recorded)
+        SessionSnapshot(interrupted).save(tmp_path)
+        manifest = json.loads((latest_checkpoint(tmp_path) / MANIFEST_NAME).read_text())
+        assert "exponent" not in manifest["config"]
+
+        restored = SessionSnapshot.load(
+            tmp_path, expected_config=_session().config_dict()
+        ).session
+        assert _run_schedule(restored, STREAM_BATCHES[2:]) == _run_schedule(
+            reference, STREAM_BATCHES[2:]
+        )
+        _assert_sessions_identical(restored, reference)
 
     def test_corrupted_blob_raises_naming_the_file(self, tmp_path):
         checkpoint = self._saved(tmp_path)
@@ -839,6 +894,18 @@ class TestPipelinePersistence:
             n_clusters=3, theta=0.5, sample_size=60, min_cluster_size=2, rng=5
         )
         with pytest.raises(SnapshotConfigMismatchError, match="theta"):
+            mismatched.run_online(
+                basket_path, batch_size=32, snapshot_dir=snaps, resume=True
+            )
+
+    def test_resume_with_different_exponent_rejected(self, basket_path, tmp_path):
+        snaps = tmp_path / "snaps"
+        self._pipeline().run_online(basket_path, batch_size=32, snapshot_dir=snaps)
+        mismatched = RockPipeline(
+            n_clusters=3, theta=0.3, sample_size=60, min_cluster_size=2, rng=5,
+            exponent_function=_half_f,
+        )
+        with pytest.raises(SnapshotConfigMismatchError, match="exponent"):
             mismatched.run_online(
                 basket_path, batch_size=32, snapshot_dir=snaps, resume=True
             )

@@ -39,6 +39,12 @@ class OverlapRule:
         return np.where(both & self.rule(np.asarray(intersection)), 1.0, 0.0)
 
 
+def overlap_is_zero(overlap):
+    """The "disjoint-only" rule at module level, so an :class:`OverlapRule`
+    of it pickles (a process shard worker can receive it)."""
+    return overlap == 0
+
+
 #: Non-monotone rules, each caught by a different spot check of the
 #: threshold table.
 NON_MONOTONE_RULES = [
