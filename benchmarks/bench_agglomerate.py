@@ -58,11 +58,12 @@ MIN_REFERENCE_SPEEDUP = 8.0
 BASELINE_GATE_N = 4000
 
 #: Ceiling on the arena run's traced allocation peak at ``BASELINE_GATE_N``,
-#: in bytes per link nonzero.  The compacting arena measures ~60 (three
-#: 8-byte arenas at ~1.9 cells per nonzero, plus the canonical symmetric
-#: copy while seeding); an arena that doubles instead of compacting
-#: measured ~260.
-MAX_PEAK_BYTES_PER_NNZ = 100.0
+#: in bytes per link nonzero.  The arena's 16-byte cells (an int32 partner
+#: id, an int32 count and a float64 goodness) at ~1.9 cells per nonzero,
+#: plus the int32 canonical symmetric copy while seeding, measure ~41; the
+#: 24-byte cells before (int64 ids, float64 counts and a float64 copy)
+#: measured ~60, and an arena that doubles instead of compacting ~260.
+MAX_PEAK_BYTES_PER_NNZ = 48.0
 
 
 def _render(rows: list[dict], status: str) -> str:

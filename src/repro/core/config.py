@@ -12,7 +12,7 @@ frozen, and it pickles whenever its measure and f do.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.goodness import ExponentFunction, default_expected_links_exponent
 from repro.core.labeling import StreamingLabeler, validate_labeling_fraction
 from repro.core.neighbors.graph import validate_theta
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SnapshotConfigMismatchError
 from repro.similarity.base import SetSimilarity
 from repro.similarity.jaccard import JaccardSimilarity
 
@@ -29,6 +29,33 @@ from repro.similarity.jaccard import JaccardSimilarity
 _SESSION_FIELDS = (
     "n_clusters", "theta", "labeling_fraction", "assign_outliers", "include_self_links"
 )
+
+
+def check_session_config(
+    recorded: dict, requested: dict, keys: Iterable[str], source: str = "the session state"
+) -> None:
+    """Refuse to restore ``source``, whose ``recorded`` session config
+    differs from the ``requested`` one on any of ``keys``
+    (:class:`~repro.errors.SnapshotConfigMismatchError` naming them).  A
+    recorded config without ``exponent`` (written before the key existed)
+    skips that key."""
+    differing = sorted(
+        key
+        for key in keys
+        if recorded.get(key) != requested.get(key)
+        and (key in recorded or key != "exponent")
+    )
+    if differing:
+        raise SnapshotConfigMismatchError(
+            "%s was written under a different session configuration "
+            "(mismatched: %s); resume with the original parameters or start "
+            "a fresh snapshot directory"
+            % (source, ", ".join(
+                "%s (recorded %r != requested %r)"
+                % (key, recorded.get(key), requested.get(key))
+                for key in differing
+            ))
+        )
 
 
 def _at_least(name: str, value: int, bound: int) -> int:

@@ -16,7 +16,9 @@ the sharded summary merge all run on it.
   that bound wins the selection scan — the array analogue of lazy heap
   deletion.
 * **Compacting arenas.**  Partner ids, pair counts and pair goodness live
-  in three preallocated arrays.  Each cluster owns a
+  in three preallocated arrays: for link counts, 16 bytes per cell (a
+  4-byte partner id, a 4-byte count and an 8-byte goodness; see "Cell
+  dtypes").  Each cluster owns a
   ``(start, length, capacity)`` window with append headroom
   (``length + length // 4 + 4`` cells): seed windows hold the canonical
   sorted-CSR link rows, scored and placed a block of rows at a time;
@@ -38,6 +40,17 @@ units clusters of the given sizes (the goodness normaliser uses the true
 sizes) and the link matrix may carry float64 weights (the summary merge's
 extrapolated link mass).  With ``sizes=None`` every unit is a point.
 
+**Cell dtypes.**  One code path; the dtypes follow the input.  Partner ids
+are int32 while ``2 * n_points``, past every cluster id, fits, int64
+beyond (:func:`_partner_dtype`).  Counts take the smallest of int32 and
+int64 that holds the input's upper-triangle link mass, which bounds every
+merged count, and float weights stay float64 (:func:`_count_dtype`); the
+frontier-union accumulator and the canonical copy made while seeding share
+that dtype.  Goodness stays float64, ``-(count / denominator)``: an integer
+count converts to float64 exactly, so the narrower cells change no float,
+tie-break or early stop.  Partner slices are widened to ``np.intp`` once,
+where the loop reads them, so its fancy indexing never casts per use.
+
 **Determinism.**  With unit sizes the merge history is bit-identical to
 ``reference``: same ``MergeStep`` history, same tie-breaks, same early-stop
 behaviour, and a ``ZeroDivisionError`` where the reference's ``goodness()``
@@ -57,6 +70,23 @@ from scipy import sparse
 
 from repro.core.goodness import ExponentFunction, default_expected_links_exponent
 from repro.types import MergeStep
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _partner_dtype(n_points: int) -> np.dtype:
+    """Partner-id cells: int32 while ``2 * n_points`` (past every cluster
+    id) fits in it, else int64."""
+    return np.dtype(np.int32 if 2 * n_points <= _INT32_MAX else np.int64)
+
+
+def _count_dtype(dtype: np.dtype, mass: float) -> np.dtype:
+    """Count cells for links of ``dtype`` whose upper triangle sums to
+    ``mass``: int32 while the mass (a bound on every merged count) fits,
+    else int64; float weights stay float64."""
+    if not np.issubdtype(dtype, np.integer):
+        return np.dtype(np.float64)
+    return np.dtype(np.int32 if mass <= _INT32_MAX else np.int64)
 
 
 def arena_agglomerate(
@@ -163,15 +193,18 @@ class ArenaAgglomerationEngine:
     # State initialisation
     # ------------------------------------------------------------------ #
     def _canonical_symmetric(self) -> sparse.csr_matrix:
-        """Upper-triangle-symmetrised, positive, sorted float64 copy of the
-        input (integer link counts stay exact: they are far below 2**53)."""
+        """Upper-triangle-symmetrised, positive, sorted copy of the input in
+        the count cells' dtype (:func:`_count_dtype`)."""
         matrix = sparse.csr_matrix(self._links)
         upper = sparse.triu(matrix, k=1).tocsr()
         if upper.nnz and (upper.data <= 0).any():
             upper = upper.copy()
             upper.data[upper.data <= 0] = 0
             upper.eliminate_zeros()
-        upper = upper.astype(np.float64)
+        # A float64 sum is exact up to 2**53, far past the int32 bound, and
+        # cannot wrap.
+        mass = float(upper.data.sum(dtype=np.float64))
+        upper = upper.astype(_count_dtype(upper.dtype, mass), copy=False)
         symmetric = (upper + upper.T).tocsr()
         symmetric.sort_indices()
         return symmetric
@@ -216,8 +249,8 @@ class ArenaAgglomerationEngine:
         arena_capacity = max(
             seed_extent + int(seed_extent * self._ARENA_SLACK), self._MIN_ARENA_CELLS
         )
-        self._arena_partner = np.empty(arena_capacity, dtype=np.int64)
-        self._arena_count = np.empty(arena_capacity, dtype=np.float64)
+        self._arena_partner = np.empty(arena_capacity, dtype=_partner_dtype(n))
+        self._arena_count = np.empty(arena_capacity, dtype=symmetric.dtype)
         self._arena_neg = np.empty(arena_capacity, dtype=np.float64)
         self._arena_tail = seed_extent
 
@@ -455,7 +488,7 @@ class ArenaAgglomerationEngine:
 
         stale = self._stale
         # Frontier-union scratch, all zero/False between merges.
-        accumulator = np.zeros(alive.size, dtype=np.float64)
+        accumulator = np.zeros(alive.size, dtype=self._arena_count.dtype)
         marked = np.zeros(alive.size, dtype=bool)
 
         while alive_count > self.n_clusters:
@@ -475,8 +508,8 @@ class ArenaAgglomerationEngine:
                     break
                 start = int(row_start[left])
                 stop = start + int(row_len[left])
-                partners_view = self._arena_partner[start:stop]
-                live = alive[partners_view]
+                partners = self._arena_partner[start:stop].astype(np.intp, copy=False)
+                live = alive[partners]
                 counters["best_rescans"] += 1
                 counters["rescan_cells"] += stop - start
                 if live.any():
@@ -485,7 +518,7 @@ class ArenaAgglomerationEngine:
                     )
                     best_position = int(masked.argmin())
                     best_neg[left] = masked[best_position]
-                    best_partner[left] = partners_view[best_position]
+                    best_partner[left] = partners[best_position]
                 else:
                     # No live partner remains; any future pair (negative
                     # goodness) immediately becomes the best again.
@@ -533,11 +566,11 @@ class ArenaAgglomerationEngine:
             right_start = row_start[right]
             left_partners = self._arena_partner[
                 left_start : left_start + row_len[left]
-            ]
+            ].astype(np.intp, copy=False)
             left_counts = self._arena_count[left_start : left_start + row_len[left]]
             right_partners = self._arena_partner[
                 right_start : right_start + row_len[right]
-            ]
+            ].astype(np.intp, copy=False)
             right_counts = self._arena_count[
                 right_start : right_start + row_len[right]
             ]
@@ -556,7 +589,7 @@ class ArenaAgglomerationEngine:
             frontier_counts = np.concatenate(
                 [accumulator[left_partners], right_counts[fresh]]
             )
-            accumulator[left_partners] = 0.0
+            accumulator[left_partners] = 0
             marked[left_partners] = False
             frontier_size = int(frontier.size)
             counters["merges"] += 1

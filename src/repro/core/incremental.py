@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.core.config import RockConfig
+from repro.core.config import RockConfig, check_session_config
 from repro.core.engine_arena import arena_agglomerate
 from repro.core.engines import DEFAULT_ENGINE, get_engine, resolve_engine_name
 from repro.core.goodness import ExponentFunction
@@ -502,15 +502,25 @@ class IncrementalRock:
         position.  A ``links`` entry in ``state["arrays"]`` is ignored, and
         so is any config key :meth:`config_dict` no longer records (the
         strategy choices earlier checkpoints carried; every one of them
-        reproduced the defaults' results bit-identically).  That ``measure``
-        and ``exponent_function`` are the recorded ones is checked by
-        :meth:`~repro.persistence.snapshot.SessionSnapshot.load`.
+        reproduced the defaults' results bit-identically).
+
+        ``measure`` and ``exponent_function`` are code the caller
+        re-supplies (``None``: the defaults).  A session rebuilt under them
+        must record the ``measure`` and ``exponent`` (``f(theta)``) that
+        ``state["config"]`` records, or the restore raises
+        :class:`~repro.errors.SnapshotConfigMismatchError` naming the key; a
+        recorded config without ``exponent`` skips that key.
         """
         recorded = state["config"]
         rng_state = state["rng"]
+        config = RockConfig.from_session_dict(recorded, measure, exponent_function)
+        refresh_threshold = recorded["refresh_threshold"]
+        check_session_config(
+            recorded, config.session_dict(refresh_threshold), ("measure", "exponent")
+        )
         session = cls._from_config(
-            RockConfig.from_session_dict(recorded, measure, exponent_function),
-            recorded["refresh_threshold"],
+            config,
+            refresh_threshold,
             np.random.Generator(getattr(np.random, rng_state["bit_generator"])()),
         )
         session.rng.bit_generator.state = rng_state
@@ -544,13 +554,14 @@ class IncrementalRock:
 
         The read-only counterpart of :meth:`ingest`: the points are never
         spliced into the live clustering, no randomness is consumed and no
-        live state that labels depend on changes, so interleaving
-        ``label_only`` calls between ingests leaves every subsequent ingest
-        bit-identical (the labeler only advances its summary counters).
-        Labels are in the current labelling space, ``-1`` marking outliers.
+        session state changes — the labeler's running totals included, so
+        :meth:`session_state` (and every checkpoint) does not depend on how
+        many reads were served.  Interleaving ``label_only`` calls between
+        ingests leaves every subsequent ingest bit-identical.  Labels are in
+        the current labelling space, ``-1`` marking outliers.
         """
         labeler = self._require_bootstrapped()
-        return labeler.label_batch([frozenset(t) for t in batch]).labels
+        return labeler._label(batch).labels
 
     # ------------------------------------------------------------------ #
     # Eviction (bounded-memory live mode)

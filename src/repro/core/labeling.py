@@ -555,7 +555,17 @@ class StreamingLabeler:
 
     # ------------------------------------------------------------------ #
     def label_batch(self, batch: Sequence[frozenset]) -> LabelingResult:
-        """Label one batch of points; see :func:`label_points`."""
+        """Label one batch of points and add it to the running totals
+        (``n_batches``, ``n_points``, ``n_outliers``); see
+        :func:`label_points`."""
+        result = self._label(batch)
+        self.n_batches += 1
+        self.n_points += len(result.labels)
+        self.n_outliers += result.n_outliers
+        return result
+
+    def _label(self, batch: Sequence[frozenset]) -> LabelingResult:
+        """Label one batch without touching the running totals."""
         batch = [frozenset(t) for t in batch]
         if self._use_sparse:
             counts = self._matmul_counts(batch)
@@ -571,15 +581,11 @@ class StreamingLabeler:
             labels[has_neighbors] = best[has_neighbors]
             if not self.assign_outliers:
                 labels[~has_neighbors] = self._fallback_label
-        result = LabelingResult(
+        return LabelingResult(
             labels=labels,
             neighbor_counts=counts,
             n_outliers=int(np.sum(labels == -1)),
         )
-        self.n_batches += 1
-        self.n_points += len(batch)
-        self.n_outliers += result.n_outliers
-        return result
 
     # ------------------------------------------------------------------ #
     def merge(self, batch_results: Sequence[LabelingResult]) -> LabelingResult:

@@ -40,13 +40,13 @@ import os
 import pickle
 import re
 import shutil
-from collections.abc import Iterable
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 from scipy import sparse
 
+from repro.core.config import check_session_config
 from repro.core.incremental import IncrementalRock
 from repro.data.io import atomic_write_text
 from repro.errors import (
@@ -118,29 +118,6 @@ def latest_checkpoint(directory: str | os.PathLike) -> Path | None:
             return target
     checkpoints = list_checkpoints(root)
     return checkpoints[-1] if checkpoints else None
-
-
-def _check_config(checkpoint: Path, recorded: dict, requested: dict, keys: Iterable[str]) -> None:
-    """Refuse a restore whose ``requested`` session config differs from the
-    ``recorded`` one on any of ``keys``; a checkpoint that records no
-    ``exponent`` skips that key."""
-    differing = sorted(
-        key
-        for key in keys
-        if recorded.get(key) != requested.get(key)
-        and (key in recorded or key != "exponent")
-    )
-    if differing:
-        raise SnapshotConfigMismatchError(
-            "checkpoint %s was written under a different session "
-            "configuration (mismatched: %s); resume with the original "
-            "parameters or start a fresh snapshot directory"
-            % (checkpoint, ", ".join(
-                "%s (snapshot %r != requested %r)"
-                % (key, recorded.get(key), requested.get(key))
-                for key in differing
-            ))
-        )
 
 
 class SessionSnapshot:
@@ -280,8 +257,12 @@ class SessionSnapshot:
             if key not in _RETIRED_CONFIG_KEYS
         }
         if expected_config is not None:
-            keys = set(recorded) | set(expected_config)
-            _check_config(checkpoint, recorded, expected_config, keys)
+            check_session_config(
+                recorded,
+                expected_config,
+                set(recorded) | set(expected_config),
+                "checkpoint %s" % checkpoint,
+            )
         blobs = cls._verified_blobs(checkpoint, manifest)
 
         # Parse the checksummed bytes rather than re-reading the file.
@@ -305,12 +286,14 @@ class SessionSnapshot:
             ) from error
         state["arrays"] = arrays
         extra = state.pop("extra", None)
-        session = IncrementalRock.from_session_state(
-            state, measure=measure, exponent_function=exponent_function
-        )
-        # The measure and f are code the caller re-supplies: a restore runs
-        # under the ones the checkpoint was written with, or not at all.
-        _check_config(checkpoint, recorded, session.config_dict(), ("measure", "exponent"))
+        try:
+            session = IncrementalRock.from_session_state(
+                state, measure=measure, exponent_function=exponent_function
+            )
+        except SnapshotConfigMismatchError as error:
+            raise SnapshotConfigMismatchError(
+                "checkpoint %s: %s" % (checkpoint, error)
+            ) from error
         return cls(session, extra=extra, wal_seq=int(manifest.get("wal_seq", -1)))
 
     # ------------------------------------------------------------------ #

@@ -12,7 +12,9 @@ counters surfaced through the model, the pipeline, the incremental
 session and the serve ``status`` verb.  The spec comparisons run a second
 time on a tight arena (private capacity constants shrunk), where every
 merging run compacts, some compactions fire inside a row relocation and
-the arena grows.
+the arena grows.  The arena cells' dtype rules (int32 partner ids and
+counts wherever the input fits) are pinned at their boundaries and on
+inputs past them.
 """
 
 from contextlib import contextmanager
@@ -23,7 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from repro.core.engine_arena import ArenaAgglomerationEngine, arena_agglomerate
+from repro.core.engine_arena import (
+    ArenaAgglomerationEngine,
+    _count_dtype,
+    _partner_dtype,
+    arena_agglomerate,
+)
 from repro.core.engines import (
     ARENA_ENGINE,
     AUTO_ENGINE,
@@ -441,6 +448,14 @@ class TestArenaCompaction:
         assert counters["arena_grows"] > 0
         assert counters["compactions"] >= inside_relocation[0]
 
+    def test_default_constants_leave_a_grown_arena_room(self):
+        # A grown arena is sized at (1 + slack) x required; at or below 1
+        # the next compaction finds it over _MAX_FILL and grows it again.
+        engine = ArenaAgglomerationEngine
+        assert (1 + engine._ARENA_SLACK) * engine._MAX_FILL > 1
+        # The tight arena breaks the rule on purpose, so it grows often.
+        assert (1 + TIGHT_ARENA["_ARENA_SLACK"]) * TIGHT_ARENA["_MAX_FILL"] <= 1
+
     def test_default_arena_is_bounded_by_the_seeded_links(self):
         # Live entries never increase under merging, so compaction keeps
         # reusing the arena sized at seeding instead of growing it.
@@ -454,6 +469,100 @@ class TestArenaCompaction:
         assert counters["compactions"] > 0
         assert counters["arena_grows"] == 0
         assert counters["arena_cells"] < 3 * links.nnz
+
+
+def _arena_cells(links, n, n_clusters, theta):
+    """Run the arena; return its result and the count and partner cells'
+    dtypes."""
+    engine = ArenaAgglomerationEngine(links, n, n_clusters, theta)
+    result = engine.run()
+    return result, engine._arena_count.dtype, engine._arena_partner.dtype
+
+
+class TestArenaCellDtypes:
+    def test_partner_ids_are_int32_while_twice_the_points_fit(self):
+        assert _partner_dtype(0) == np.int32
+        assert _partner_dtype(4000) == np.int32
+        assert _partner_dtype(2**30 - 1) == np.int32  # 2n = 2**31 - 2
+        assert _partner_dtype(2**30) == np.int64  # 2n = 2**31
+        assert _partner_dtype(2**40) == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16, np.uint32])
+    def test_integer_counts_are_int32_while_the_link_mass_fits(self, dtype):
+        assert _count_dtype(np.dtype(dtype), 0.0) == np.int32
+        assert _count_dtype(np.dtype(dtype), 2**31 - 1) == np.int32
+        assert _count_dtype(np.dtype(dtype), 2**31) == np.int64
+        assert _count_dtype(np.dtype(dtype), 2.0**62) == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    def test_other_inputs_count_in_float64(self, dtype):
+        assert _count_dtype(np.dtype(dtype), 1.0) == np.float64
+        assert _count_dtype(np.dtype(dtype), 2.0**40) == np.float64
+
+    def test_link_counts_run_on_int32_cells(self):
+        rng = np.random.default_rng(2)
+        transactions = _random_transactions(rng, n=80, universe=20)
+        links = _links_for(transactions, 0.3)
+        assert links.dtype == np.int64
+        result, counts, partners = _arena_cells(links, 80, 3, 0.3)
+        assert (counts, partners) == (np.int32, np.int32)
+        assert result[0] == assert_arena_matches_reference(links, 80, 3, 0.3)[0]
+
+    def test_link_mass_past_int32_runs_on_int64_counts(self):
+        # Each count fits in int32, but points 0, 1 and 2 merge first and
+        # the merged cluster's count to the rest, the sum of the two huge
+        # counts to point 2, does not: int32 cells would wrap.
+        links = _random_links(4, 12, 0.5, 3).toarray()
+        huge = {(0, 1): 2**30 + 100, (0, 2): 2**30 + 50, (1, 2): 2**30 + 10}
+        for (i, j), count in huge.items():
+            links[i, j] = links[j, i] = count
+        links = sparse.csr_matrix(links)
+        assert links.data.max() <= np.iinfo(np.int32).max
+        for n_clusters in (1, 4):
+            result, counts, _ = _arena_cells(links, 12, n_clusters, 0.5)
+            assert counts == np.int64
+            arena = assert_arena_matches_reference(links, 12, n_clusters, 0.5)
+            assert result[0] == arena[0]
+        first, second = arena[0][:2]
+        assert {first.left, first.right} == {0, 1}
+        assert {second.left, second.right} == {2, 12}
+        with tight_arena():
+            assert_arena_matches_reference(links, 12, 1, 0.5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integral_float_weights_match_their_int64_twin(self, seed):
+        links = _random_links(seed, 24, 0.4, 5)
+        weights = links.astype(np.float64)
+        integer, integer_counts, _ = _arena_cells(links, 24, 2, 0.4)
+        floating, float_counts, _ = _arena_cells(weights, 24, 2, 0.4)
+        assert (integer_counts, float_counts) == (np.int32, np.float64)
+        assert floating[0] == integer[0]
+        assert _partition(floating[1]) == _partition(integer[1])
+        assert floating[2] == integer[2]
+        with tight_arena():
+            assert arena_agglomerate(weights, 24, 2, 0.4)[0] == integer[0]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+    def test_the_callers_matrix_is_left_untouched(self, dtype):
+        # Unsorted indices, a diagonal, an explicit zero and a negative
+        # pair: every step of the canonical copy has something to change.
+        dense = _random_links(6, 20, 0.5, 4).toarray().astype(dtype)
+        dense[3, 3] = 4
+        i, j = np.argwhere(np.triu(dense == 0, k=1))[0]
+        dense[i, j] = dense[j, i] = -2
+        links = sparse.csr_matrix(dense)
+        links.data[0] = 0
+        for row in range(20):
+            lo, hi = links.indptr[row], links.indptr[row + 1]
+            links.indices[lo:hi] = links.indices[lo:hi][::-1].copy()
+            links.data[lo:hi] = links.data[lo:hi][::-1].copy()
+        links.has_sorted_indices = False
+        before = (links.data.copy(), links.indices.copy(), links.indptr.copy())
+        arena_agglomerate(links, 20, 2, 0.5)
+        assert links.dtype == dtype
+        np.testing.assert_array_equal(links.data, before[0])
+        np.testing.assert_array_equal(links.indices, before[1])
+        np.testing.assert_array_equal(links.indptr, before[2])
 
 
 class TestWeightedStartingClusters:

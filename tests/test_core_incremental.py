@@ -88,6 +88,16 @@ def assert_live_state_consistent(session):
                 )
 
 
+def assert_session_states_equal(left, right):
+    """Two :meth:`IncrementalRock.session_state` captures are equal."""
+    left, right = dict(left), dict(right)
+    left_arrays, right_arrays = left.pop("arrays"), right.pop("arrays")
+    assert left == right
+    for name in ("adjacency", "incidence"):
+        assert (left_arrays[name] != right_arrays[name]).nnz == 0
+    np.testing.assert_array_equal(left_arrays["sizes"], right_arrays["sizes"])
+
+
 class TestValidation:
     def test_refresh_threshold_none_passthrough(self):
         assert validate_refresh_threshold(None) is None
@@ -162,6 +172,26 @@ class TestIngestLabels:
             [split.ingest(batch[:1]).labels, split.ingest(batch[1:]).labels]
         )
         np.testing.assert_array_equal(whole, parts)
+
+    def test_label_only_leaves_the_session_state_untouched(self):
+        # A checkpoint must not depend on how many reads were served.
+        dataset = generate_market_baskets(n_transactions=200, rng=5, n_clusters=3)
+        transactions = list(dataset.transactions)
+        served = bootstrapped_session(transactions[:80], n_clusters=3)
+        untouched = bootstrapped_session(transactions[:80], n_clusters=3)
+        for session in (served, untouched):
+            session.ingest(transactions[80:90])
+        reads = [transactions[90 + 2 * i : 92 + 2 * i] for i in range(50)]
+        labels = [served.label_only(batch) for batch in reads]
+
+        assert_session_states_equal(served.session_state(), untouched.session_state())
+        labeler_state = untouched.session_state()["labeler"]
+        assert (labeler_state["n_batches"], labeler_state["n_points"]) == (1, 10)
+        # The counting path labels the same.
+        labeler = StreamingLabeler.from_state(labeler_state, theta=0.3)
+        for batch, got in zip(reads, labels):
+            np.testing.assert_array_equal(got, labeler.label_batch(batch).labels)
+        assert labeler.n_batches == 51
 
     def test_empty_batch_is_a_no_op(self, two_group_transactions):
         session = bootstrapped_session(two_group_transactions)

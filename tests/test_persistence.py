@@ -468,6 +468,44 @@ class TestSnapshotValidation:
         resumed = PersistentSession.resume(tmp_path, measure=DiceSimilarity())
         assert resumed.session.config_dict()["measure"] == "dice"
 
+    def test_state_restore_under_another_measure_rejected(self):
+        # Every restore path checks the measure, not only a checkpoint load:
+        # without measure= this state used to restore under Jaccard.
+        state = _session(measure=DiceSimilarity()).session_state()
+        with pytest.raises(SnapshotConfigMismatchError, match="measure.*'dice'"):
+            IncrementalRock.from_session_state(state)
+
+    def test_state_restore_under_another_exponent_rejected(self):
+        state = _session(exponent_function=_half_f).session_state()
+        with pytest.raises(SnapshotConfigMismatchError, match="exponent"):
+            IncrementalRock.from_session_state(state)
+        IncrementalRock.from_session_state(state, exponent_function=_half_f)
+
+    def test_state_restore_under_the_recorded_measure_continues(self):
+        reference = _session(measure=DiceSimilarity())
+        _run_schedule(reference, STREAM_BATCHES[:2])
+        restored = IncrementalRock.from_session_state(
+            reference.session_state(), measure=DiceSimilarity()
+        )
+        assert restored.config_dict() == reference.config_dict()
+        assert _run_schedule(restored, STREAM_BATCHES[2:]) == _run_schedule(
+            reference, STREAM_BATCHES[2:]
+        )
+        _assert_sessions_identical(restored, reference)
+
+    def test_state_without_exponent_skips_that_key(self):
+        state = _session(exponent_function=_half_f).session_state()
+        del state["config"]["exponent"]
+        IncrementalRock.from_session_state(state)
+
+    def test_load_names_the_checkpoint_of_a_mismatched_measure(self, tmp_path):
+        SessionSnapshot(_session(measure=DiceSimilarity())).save(tmp_path)
+        checkpoint = latest_checkpoint(tmp_path)
+        with pytest.raises(SnapshotConfigMismatchError) as raised:
+            SessionSnapshot.load(tmp_path)
+        assert str(checkpoint) in str(raised.value)
+        assert "measure" in str(raised.value)
+
     def test_restore_under_another_exponent_rejected(self, tmp_path):
         # The expected config used to hold no trace of f, so this passed.
         SessionSnapshot(_session(exponent_function=_half_f)).save(tmp_path)
