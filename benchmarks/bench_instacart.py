@@ -37,7 +37,7 @@ import numpy as np
 from conftest import bench_full, write_record
 
 from repro.core.pipeline import RockPipeline
-from repro.core.sharding import DEFAULT_SHARD_EXECUTOR, PROCESS_SHARD_EXECUTOR
+from repro.core.sharding import PROCESS_SHARD_EXECUTOR, THREAD_SHARD_EXECUTOR
 from repro.datasets.market_basket import generate_instacart_baskets
 from repro.evaluation.metrics import adjusted_rand_index
 
@@ -107,7 +107,7 @@ def test_benchmark_instacart(results_dir):
     )
 
     threaded, thread_seconds = _run(
-        transactions, sample_size, n_shards, DEFAULT_SHARD_EXECUTOR, shard_workers
+        transactions, sample_size, n_shards, THREAD_SHARD_EXECUTOR, shard_workers
     )
     processed, process_seconds = _run(
         transactions, sample_size, n_shards, PROCESS_SHARD_EXECUTOR, shard_workers
@@ -134,14 +134,14 @@ def test_benchmark_instacart(results_dir):
     # Fan-in: a single merge level must be bit-identical to the flat merge;
     # a deeper hierarchy must still clear the quality floor.
     flat_fan_in, _ = _run(
-        transactions, sample_size, n_shards, DEFAULT_SHARD_EXECUTOR,
+        transactions, sample_size, n_shards, THREAD_SHARD_EXECUTOR,
         shard_workers, merge_fan_in=n_shards,
     )
     assert np.array_equal(flat_fan_in.labels, threaded.labels), (
         "merge_fan_in >= n_shards diverged from the flat merge"
     )
     hierarchical, _ = _run(
-        transactions, sample_size, n_shards, DEFAULT_SHARD_EXECUTOR,
+        transactions, sample_size, n_shards, THREAD_SHARD_EXECUTOR,
         shard_workers, merge_fan_in=2,
     )
     hierarchical_ari = adjusted_rand_index(hierarchical.labels, streamed.labels)

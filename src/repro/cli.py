@@ -477,10 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-executor",
         choices=list(SHARD_EXECUTORS),
         default=DEFAULT_SHARD_EXECUTOR,
-        help="run shard workers as threads (default) or as spawn-based "
-             "processes (escapes the GIL at about a second of pool "
-             "start-up; the same per-shard task runs either way, so labels "
-             "are bit-identical)",
+        help="run shard workers as threads or as processes, which escape "
+             "the GIL (default on this platform: %(default)s; process "
+             "workers fork on Linux, and spawn elsewhere at about a second "
+             "of pool start-up; the same per-shard task runs either way, so "
+             "labels are bit-identical)",
     )
     cluster.add_argument(
         "--shard-retries", type=int, default=1,

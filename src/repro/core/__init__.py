@@ -87,6 +87,7 @@ from repro.core.sharding import (
     PROCESS_SHARD_EXECUTOR,
     SHARD_EXECUTORS,
     SHARD_STRATEGIES,
+    THREAD_SHARD_EXECUTOR,
     ShardClusterResult,
     ShardPlan,
     ShardRunResults,
@@ -148,6 +149,7 @@ __all__ = [
     "PROCESS_SHARD_EXECUTOR",
     "SHARD_EXECUTORS",
     "SHARD_STRATEGIES",
+    "THREAD_SHARD_EXECUTOR",
     "ShardClusterResult",
     "ShardPlan",
     "ShardRunResults",

@@ -15,6 +15,8 @@ at all:
 
 The pool is made on first use.  Its threads do not survive ``fork``: a
 forked child drops the inherited pool and makes its own on first use.
+:func:`shutdown_cpu_pool` joins them before a deliberate fork (the shard
+executor's workers), so the parent forks with none alive.
 """
 
 from __future__ import annotations
@@ -67,3 +69,18 @@ def cpu_pool() -> tuple[Executor, int] | None:
                 workers,
             )
         return _pool
+
+
+def shutdown_cpu_pool() -> None:
+    """Join the pool's threads and drop the pool; the next use makes a new one.
+
+    Acts on the main thread only, the pool's one user, where no pooled
+    work can be in flight; called from another thread it does nothing.
+    """
+    global _pool
+    if threading.current_thread() is not threading.main_thread():
+        return
+    with _pool_lock:
+        made, _pool = _pool, None
+    if made is not None:
+        made[0].shutdown(wait=True)

@@ -500,7 +500,7 @@ class ArenaAgglomerationEngine:
             # pair), so its true best is computed now and the scan rerun.
             while True:
                 counters["selection_scans"] += 1
-                left = int(np.argmin(best_neg[:next_id]))
+                left = int(best_neg[:next_id].argmin())
                 neg_goodness = float(best_neg[left])
                 if not (neg_goodness < 0.0):
                     break

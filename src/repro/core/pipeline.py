@@ -724,8 +724,8 @@ class RockPipeline:
         """The sharded cluster phase: cluster every shard, merge the summaries.
 
         Every shard's sample runs phases 2-4 through :func:`cluster_shard`
-        (on worker threads or processes, the same picklable task either
-        way), the per-shard kept clusters become weighted summaries, and
+        (on worker threads or processes, the same task either way), the
+        per-shard kept clusters become weighted summaries, and
         :func:`merge_shard_summaries` merges them over the pooled shard
         samples into the global clusters.
         """
@@ -1309,14 +1309,20 @@ class RockPipeline:
             Partitioning strategy — ``"round-robin"`` (default),
             ``"contiguous"`` or ``"hash"``; see :class:`ShardPlan`.
         shard_executor:
-            ``"thread"`` (default) or ``"process"``: the pool that runs the
-            per-shard task :func:`cluster_shard`.  The process executor
-            escapes the GIL by clustering shards in spawn-based worker
-            processes, at about a second of pool start-up; the task and
-            its shard sample are pickled to them, so a custom measure or
-            exponent function must be defined at module level.  Both run
-            the same task on the same items, so the labels are
-            bit-identical on the same data and seed.
+            ``"thread"`` or ``"process"``: the pool that runs the
+            per-shard task :func:`cluster_shard`.  The default is
+            ``"process"`` on Linux, where its workers fork (tens of
+            milliseconds to start) and inherit the task and the shard
+            samples, so only the per-shard results are pickled back and a
+            lambda measure or exponent function still works; elsewhere it
+            is ``"thread"``.  The process executor escapes the GIL; where
+            its workers spawn (macOS, Windows), it pays about a second of
+            pool start-up, the task and samples are pickled to them (a
+            custom measure or exponent function must be defined at module
+            level), and a script using it needs an
+            ``if __name__ == "__main__":`` guard.  Both run the same task
+            on the same items, so the labels are bit-identical on the same
+            data and seed.
         shard_retries:
             How many times a failed shard worker is re-attempted before
             the shard is skipped (degraded run) or, in ``strict`` mode,
@@ -1355,7 +1361,8 @@ class RockPipeline:
             ``shard_strategy``/``shard_executor``, invalid merge options or
             invalid streaming options — all before the source is read,
             whatever the shard count.  Also, without a retry, when the
-            process executor cannot start its workers or pickle the task.
+            process executor cannot start its workers or, where they
+            spawn, pickle the task.
         DataValidationError
             When the source is empty.
         InsufficientLinksError
@@ -1420,9 +1427,9 @@ def cluster_shard(
     """Phases 2-4 on one shard's sample: the task both shard executors run.
 
     A module-level function, so ``functools.partial(cluster_shard, config)``
-    pickles for process workers; the thread executor calls the same
-    partial on the same items, which is why the two executors' labels are
-    bit-identical by construction.
+    pickles for spawned process workers (forked ones inherit it); the
+    thread executor calls the same partial on the same items, which is why
+    the two executors' labels are bit-identical by construction.
     """
     return _cluster_sample(
         config, shard_id, sample, positions, build_item_index(sample), {}

@@ -18,15 +18,17 @@ Three pieces compose the subsystem:
   ``n_shards``), ``"contiguous"`` (equal-width position blocks) or
   ``"hash"`` (a stable content hash, so identical baskets always land in
   the same shard regardless of position).
-* :func:`cluster_shards` — runs one picklable per-shard task over every
-  shard sample on a :class:`~concurrent.futures.ThreadPoolExecutor` or
-  (``executor="process"``) a spawn-based
-  :class:`~concurrent.futures.ProcessPoolExecutor`, with retries.  Both
-  pools run the same task on the same items through the same wave loop;
-  the shard sample travels inside the pickled task.  Results are returned
-  in shard order whatever the completion order, and shard clustering is
-  deterministic (no random state is consumed inside workers), so neither
-  the worker count nor the executor choice ever changes the outcome.
+* :func:`cluster_shards` — runs one per-shard task over every shard
+  sample on a :class:`~concurrent.futures.ThreadPoolExecutor` or
+  (``executor="process"``, the default on Linux) a
+  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers fork on
+  Linux and spawn elsewhere, with retries.  Both pools run the same task
+  on the same items through the same wave loop; each worker receives the
+  task and the shard samples once, through the pool's initializer, so an
+  attempt ships only its shard id.  Results are returned in shard order
+  whatever the completion order, and shard clustering is deterministic
+  (no random state is consumed inside workers), so neither the worker
+  count nor the executor choice ever changes the outcome.
 * :func:`merge_shard_summaries` — the summary-merge agglomeration.  Each
   per-shard cluster becomes one meta-point whose size is the *full* shard
   cluster size and whose link mass towards other meta-points is estimated
@@ -70,9 +72,10 @@ Determinism
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import pickle
+import sys
+import threading
 import warnings
 from collections.abc import Callable, Sequence
 from concurrent.futures import (
@@ -90,6 +93,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.config import RockConfig
+from repro.core.cpu_pool import shutdown_cpu_pool
 from repro.core.engine_arena import arena_agglomerate
 from repro.core.goodness import ExponentFunction, criterion_function
 from repro.core.links import links_from_neighbors
@@ -115,17 +119,43 @@ HASH_SHARD_STRATEGY = SHARD_STRATEGIES[2]
 #: Shard executors accepted by :func:`cluster_shards` (a REG001 name
 #: registry — layers above import these constants instead of spelling
 #: the names).  They differ only in the pool class: ``"thread"`` shares
-#: the interpreter (cheap to start, GIL-bound); ``"process"`` starts
-#: spawn-based interpreters (about 0.6 s from pool start to a worker's
-#: first answer on 2 CPUs; escapes the GIL).
+#: the interpreter (cheap to start, GIL-bound); ``"process"`` runs worker
+#: processes, which escape the GIL: forked ones start in tens of
+#: milliseconds, spawned ones in about 0.6 s on 2 CPUs (see
+#: :func:`_start_method`).
 SHARD_EXECUTORS = ("thread", "process")
 
-#: Executor used when none is requested.
-DEFAULT_SHARD_EXECUTOR = SHARD_EXECUTORS[0]
-
-#: The process executor; exported for the same REG001 reason as
+#: The two executors; exported for the same REG001 reason as
 #: :data:`HASH_SHARD_STRATEGY`.
+THREAD_SHARD_EXECUTOR = SHARD_EXECUTORS[0]
 PROCESS_SHARD_EXECUTOR = SHARD_EXECUTORS[1]
+
+
+def _start_method() -> str:
+    """How the process executor starts its workers on this platform.
+
+    ``"fork"`` on Linux: a forked worker starts in tens of milliseconds
+    and inherits the shard task and samples.  ``"spawn"`` elsewhere:
+    Windows has no fork, and on macOS a forked child can crash in the
+    system frameworks (CPython's own default there is spawn).
+    """
+    return "fork" if sys.platform.startswith("linux") else "spawn"
+
+
+def _default_executor() -> str:
+    """``"process"`` where its workers fork, else ``"thread"``.
+
+    Spawned workers cost about 0.6 s per pool, which cancels their gain at
+    the shard sizes measured (2000 points per shard); forked ones do not.
+    """
+    if _start_method() == "fork":
+        return PROCESS_SHARD_EXECUTOR
+    return THREAD_SHARD_EXECUTOR
+
+
+#: Executor used when none is requested, picked from the platform by
+#: :func:`_default_executor` (no option selects it).
+DEFAULT_SHARD_EXECUTOR = _default_executor()
 
 
 def resolve_shard_executor(executor: str) -> str:
@@ -423,10 +453,18 @@ def cluster_shards(
 
     One loop serves both executors, which differ only in the pool class.
     Each wave runs on a fresh pool of ``min(shard_workers, pending)``
-    workers: it first runs :func:`bootstrap_probe` with ``cluster_one`` as
-    its argument, then submits one attempt per pending shard in shard
-    order, keeping at most ``shard_workers`` attempts in flight.  Shards
-    whose attempt failed are retried by the next wave.
+    workers, whose initializer hands every worker ``cluster_one`` and the
+    pending shards' samples once: a thread keeps the references, a forked
+    worker inherits them, and a spawned one unpickles them as it starts.
+    The wave first runs :func:`bootstrap_probe` on every worker, then
+    submits one attempt per pending shard in shard order, keeping at most
+    ``shard_workers`` attempts in flight; an attempt ships only its shard
+    id.  Shards whose attempt failed are retried by the next wave.
+
+    The process executor forks its workers on Linux and spawns them
+    elsewhere (:func:`_start_method`).  Before it forks, the shared CPU
+    pool (:mod:`repro.core.cpu_pool`) is shut down, so none of its threads
+    is alive at the fork; its next user makes a new one.
 
     A crashed process worker breaks its pool: every attempt in flight
     fails with it, and the pool refuses further submits.  The crash is
@@ -450,9 +488,12 @@ def cluster_shards(
         attempts run in unspecified order, and the same two properties are
         what make a *retry* of a failed shard reproduce the exact result a
         fault-free run would have produced (the shard's sample was drawn
-        before the worker ran).  The process executor pickles it, with the
-        shard sample, for every attempt, so there it must be picklable
-        (e.g. a :func:`functools.partial` of a module-level function).
+        before the worker ran).  On a process pool its results and the
+        exceptions it raises are pickled back to the parent, so they must
+        pickle; the task itself and the samples must pickle only where the
+        workers spawn (e.g. a :func:`functools.partial` of a module-level
+        function).  Effects a process worker has on its own state, such as
+        appending to a list, are not seen by the parent.
     shard_workers:
         Maximum number of attempts in flight; ``None`` means 1 (serial) on
         either executor.
@@ -466,7 +507,9 @@ def cluster_shards(
         in ``skipped_shards`` and the surviving shards carry the run.  All
         shards failing raises regardless (there is nothing left to merge).
     executor:
-        One of :data:`SHARD_EXECUTORS`.
+        One of :data:`SHARD_EXECUTORS`; the default,
+        :data:`DEFAULT_SHARD_EXECUTOR`, is ``"process"`` on Linux and
+        ``"thread"`` elsewhere.
 
     Returns
     -------
@@ -479,11 +522,11 @@ def cluster_shards(
     ConfigurationError
         Besides invalid arguments: when a shard attempt raises one (e.g. an
         out-of-range value in the task's configuration), when the process
-        executor's workers die while starting (typically a script without
-        an ``if __name__ == "__main__":`` guard), or when ``cluster_one``
-        cannot be pickled for the process executor.  Each is raised at
-        once, whatever ``strict`` is, with no warning and no further
-        attempt started, since a retry cannot succeed.
+        executor's workers die while starting (where they spawn, typically
+        a script without an ``if __name__ == "__main__":`` guard), or when
+        ``cluster_one`` cannot be pickled for spawned workers.  Each is
+        raised at once, whatever ``strict`` is, with no warning and no
+        further attempt started, since a retry cannot succeed.
 
     Notes
     -----
@@ -495,37 +538,37 @@ def cluster_shards(
     submitted (shard order, so ``*N`` semantics depend neither on the pool
     nor on its size), and the fault is raised inside the worker, so under
     the process executor it crosses the real cross-process error channel.
+    A forked worker inherits the armed registry but never consults it.
     """
     workers = validate_shard_workers(shard_workers)
     if retries < 0:
         raise ConfigurationError("retries must be non-negative, got %r" % retries)
-    pool_class: Callable[..., Executor] = ThreadPoolExecutor
+    start_method = None
     if resolve_shard_executor(executor) == PROCESS_SHARD_EXECUTOR:
-        pool_class = functools.partial(
-            ProcessPoolExecutor, mp_context=get_context("spawn")
-        )
-    tasks = [
-        (shard_id, sample, positions)
+        start_method = _start_method()
+    samples = {
+        shard_id: (sample, positions)
         for shard_id, (sample, positions) in enumerate(shard_samples)
         if sample
-    ]
+    }
     completed: dict[int, ShardClusterResult] = {}
-    failures: dict[int, list[Exception]] = {task[0]: [] for task in tasks}
-    pending = tasks
+    failures: dict[int, list[Exception]] = {shard_id: [] for shard_id in samples}
+    pending = list(samples)
     while pending:
         pool_workers = min(workers, len(pending))
-        with pool_class(max_workers=pool_workers) as pool:
-            _check_workers_bootstrap(pool, cluster_one, pool_workers)
-            if _run_wave(pool, cluster_one, pending, workers, completed, failures):
+        work = (cluster_one, {shard_id: samples[shard_id] for shard_id in pending})
+        with _make_pool(start_method, pool_workers, work) as pool:
+            _check_workers_bootstrap(pool, pool_workers)
+            if _run_wave(pool, pending, workers, completed, failures):
                 workers = 1
         pending = [
-            task
-            for task in pending
-            if task[0] not in completed and len(failures[task[0]]) <= retries
+            shard_id
+            for shard_id in pending
+            if shard_id not in completed and len(failures[shard_id]) <= retries
         ]
 
     results = ShardRunResults()
-    for shard_id, _, _ in tasks:
+    for shard_id in samples:
         if shard_id in completed:
             results.append(completed[shard_id])
         else:
@@ -541,7 +584,7 @@ def cluster_shards(
                 "%d of %d shard worker(s) failed after %d attempt(s) each "
                 "(%s); rerun without strict=True to degrade to the "
                 "surviving shards" % (
-                    len(results.skipped_shards), len(tasks), retries + 1, detail
+                    len(results.skipped_shards), len(samples), retries + 1, detail
                 )
             )
         if not results:
@@ -552,36 +595,74 @@ def cluster_shards(
         warnings.warn(
             "%d of %d shard worker(s) failed after %d attempt(s) each and "
             "were skipped (%s); clustering continues on the surviving shards"
-            % (len(results.skipped_shards), len(tasks), retries + 1, detail),
+            % (len(results.skipped_shards), len(samples), retries + 1, detail),
             RuntimeWarning,
             stacklevel=2,
         )
     return results
 
 
-def bootstrap_probe(task) -> None:
-    """No-op that returns once a worker has started and received ``task``.
+#: The wave's task and shard samples in a pool worker: the pool's
+#: initializer (:func:`_hold_work`) sets them on each worker thread (a
+#: process worker runs its attempts on its main thread), so concurrent
+#: thread pools never see each other's.
+_work = threading.local()
 
-    Every wave of :func:`cluster_shards` runs it first.  On a process pool
-    ``task`` crosses the same pickle channel as every shard attempt, so a
-    pool whose workers cannot start and a task that cannot be pickled both
-    fail here, before any shard attempt ran.
+
+def _hold_work(task, samples: dict) -> None:
+    """Pool initializer: keep the wave's task and ``{shard_id: (sample,
+    positions)}`` in this worker for its attempts."""
+    _work.task = task
+    _work.samples = samples
+
+
+def _make_pool(start_method: str | None, workers: int, work: tuple) -> Executor:
+    """A pool of ``workers`` whose initializer hands each worker ``work``.
+
+    ``start_method`` ``None`` makes a thread pool; otherwise a process
+    pool whose workers start by that method.  Before a fork, the shared
+    CPU pool is shut down: a fork copies only the calling thread, and a
+    process forked beside live pool threads can deadlock on a lock one of
+    them held.
+    """
+    if start_method is None:
+        return ThreadPoolExecutor(
+            max_workers=workers, initializer=_hold_work, initargs=work
+        )
+    if start_method == "fork":
+        shutdown_cpu_pool()
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=get_context(start_method),
+        initializer=_hold_work,
+        initargs=work,
+    )
+
+
+def bootstrap_probe() -> None:
+    """No-op that returns once a worker has started and run its initializer.
+
+    Every wave of :func:`cluster_shards` runs it first, once per worker.
+    A process pool whose workers die while starting breaks under it, and
+    where the workers spawn, a task that cannot be pickled fails as the
+    first probe starts them, both before any shard attempt ran.
     """
 
 
-def _attempt(task, inject: str | None, shard_id: int, sample, positions):
-    """One shard attempt inside a worker.
+def _attempt(inject: str | None, shard_id: int):
+    """One shard attempt inside a worker, on the samples the worker holds.
 
     ``inject`` names the failpoint the parent consumed for this attempt;
     it is raised here so the fault takes the worker's error channel.
     """
     if inject is not None:
         raise failpoints.InjectedFaultError(inject)
-    return task(shard_id, sample, positions)
+    sample, positions = _work.samples[shard_id]
+    return _work.task(shard_id, sample, positions)
 
 
 def _run_wave(
-    pool: Executor, task, pending: list[tuple], workers: int, completed: dict, failures: dict
+    pool: Executor, pending: list[int], workers: int, completed: dict, failures: dict
 ) -> bool:
     """One attempt per pending shard, at most ``workers`` in flight, in shard order.
 
@@ -597,17 +678,16 @@ def _run_wave(
     broken = False
     while True:
         while not broken and len(in_flight) < workers:
-            next_task = next(queue, None)
-            if next_task is None:
+            shard_id = next(queue, None)
+            if shard_id is None:
                 break
-            shard_id, sample, positions = next_task
             inject = None
             for name in ("shard.worker", "shard.worker.%d" % shard_id):
                 if failpoints.consume(name):
                     inject = name
                     break
             try:
-                future = pool.submit(_attempt, task, inject, shard_id, sample, positions)
+                future = pool.submit(_attempt, inject, shard_id)
             except BrokenProcessPool:
                 # A crash the wait below has not seen yet broke the pool.
                 broken = True
@@ -640,41 +720,43 @@ def _run_wave(
                 failures[shard_id].append(error)
 
 
-def _check_workers_bootstrap(pool: Executor, task, workers: int) -> None:
-    """Fail fast, without retrying, when ``task`` cannot reach a worker.
+def _check_workers_bootstrap(pool: Executor, workers: int) -> None:
+    """Fail fast, without retrying, when the wave's work cannot reach a worker.
 
     A probe that fails never ran a shard attempt, so this is no transient
     crash.  A process pool that breaks under it has workers that die while
-    starting; the usual cause is a script that reaches the process
-    executor without a ``__main__`` guard, whose spawned interpreters
-    re-run it while bootstrapping.  A probe that cannot be pickled carries
-    a task no worker process can ever receive, e.g. a pipeline with a
+    starting; where they spawn, the usual cause is a script that reaches
+    the process executor without a ``__main__`` guard, whose spawned
+    interpreters re-run it while bootstrapping.  A pickling error means
+    spawned workers can never receive the task, e.g. a pipeline with a
     lambda as its measure or exponent function.
 
     One probe per worker, all in flight at once, so the pool has started
-    all of its ``workers`` before any shard attempt runs.  A process pool
-    starts workers as tasks are submitted, and on CPython 3.11 a worker
-    started while a crashing attempt breaks the pool can miss the pool's
-    terminate step: the pool's shutdown then waits for it forever.
+    all of its ``workers`` before any shard attempt runs.  A spawning
+    process pool starts workers as tasks are submitted, and on CPython
+    3.11 a worker started while a crashing attempt breaks the pool can
+    miss the pool's terminate step: the pool's shutdown then waits for it
+    forever.
     """
     try:
-        probes = [pool.submit(bootstrap_probe, task) for _ in range(workers)]
+        probes = [pool.submit(bootstrap_probe) for _ in range(workers)]
         for probe in probes:
             probe.result()
     except BrokenProcessPool as error:
         raise ConfigurationError(
             "shard worker processes died while starting, before any shard "
-            "task ran.  The %r shard executor spawns fresh interpreters that "
+            "task ran.  Where the %r shard executor spawns its workers, they "
             "re-import the main module, so a script using it must guard its "
             "entry point with 'if __name__ == \"__main__\":' (or use the %r "
-            "executor)" % (PROCESS_SHARD_EXECUTOR, DEFAULT_SHARD_EXECUTOR)
+            "executor)" % (PROCESS_SHARD_EXECUTOR, THREAD_SHARD_EXECUTOR)
         ) from error
     except (pickle.PicklingError, AttributeError, TypeError) as error:
         raise ConfigurationError(
-            "the shard task cannot be pickled for the %r shard executor (%s); "
-            "define the measure and exponent function at module level (a "
-            "lambda or a local function does not pickle), or use the %r "
-            "executor" % (PROCESS_SHARD_EXECUTOR, error, DEFAULT_SHARD_EXECUTOR)
+            "the shard task cannot be pickled for the spawned workers of the "
+            "%r shard executor (%s); define the measure and exponent function "
+            "at module level (a lambda or a local function does not pickle), "
+            "or use the %r executor"
+            % (PROCESS_SHARD_EXECUTOR, error, THREAD_SHARD_EXECUTOR)
         ) from error
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.sharding import DEFAULT_SHARD_EXECUTOR
 from repro.data.io import write_categorical_csv, write_transactions
 from repro.datasets.market_basket import generate_market_baskets
 from repro.datasets.votes import generate_votes_like
@@ -309,7 +310,7 @@ class TestShardedCli:
         assert arguments.shards == 1
         assert arguments.shard_workers is None
         assert arguments.shard_strategy == "round-robin"
-        assert arguments.shard_executor == "thread"
+        assert arguments.shard_executor == DEFAULT_SHARD_EXECUTOR
         assert arguments.shard_retries == 1
         assert arguments.merge_fan_in is None
 
@@ -356,7 +357,7 @@ class TestShardedCli:
             "--sample-size", "90", "--seed", "5", "--shards", "2",
         ])
         assert code == 0
-        assert "sharded x2, thread" in capsys.readouterr().out
+        assert "sharded x2, %s" % DEFAULT_SHARD_EXECUTOR in capsys.readouterr().out
 
     def test_process_executor_cli_matches_thread(self, tmp_path, capsys):
         path = self._basket_path(tmp_path)

@@ -21,7 +21,7 @@ from repro.core.links import (
 )
 from repro.core.neighbors import NeighborGraph, compute_neighbors
 from repro.core.pipeline import RockPipeline, cluster_shard
-from repro.core.sharding import cluster_shards
+from repro.core.sharding import THREAD_SHARD_EXECUTOR, cluster_shards
 from repro.datasets.market_basket import generate_market_baskets
 from repro.errors import ConfigurationError
 
@@ -311,7 +311,10 @@ class TestPoolSelection:
         monkeypatch.setattr(rock_module, "links_from_neighbors", recording)
         baskets = generate_market_baskets(n_transactions=240, rng=0, n_clusters=3)
         RockPipeline(n_clusters=3, theta=0.4, rng=0).run_sharded(
-            baskets.transactions, n_shards=3, shard_workers=2
+            baskets.transactions,
+            n_shards=3,
+            shard_workers=2,
+            shard_executor=THREAD_SHARD_EXECUTOR,
         )
         shard_threads = [t for t in link_threads if t is not threading.main_thread()]
         assert len(shard_threads) == 3
@@ -338,7 +341,7 @@ class TestPoolSelection:
 
 
 def _count_pool_use_in_shard(config, shard_id, sample, positions):
-    """Shard task for a spawned worker: lowers the crossover to zero in
+    """Shard task for a process worker: lowers the crossover to zero in
     its own process, runs the real task and reports how often the link
     product went to the pool."""
     import repro.core.links as child_links

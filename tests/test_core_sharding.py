@@ -10,10 +10,12 @@ recovers the latent groups, so an agreement floor is meaningful.
 
 import dataclasses
 import functools
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
@@ -21,15 +23,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.cpu_pool as cpu_pool_module
+import repro.core.links as links_module
 from repro.bench.engine_bench import WORKLOAD
 from repro.core import sharding
 from repro.core import pipeline as pipeline_module
+from repro.core.links import links_from_neighbors
+from repro.core.neighbors import compute_neighbors
 from repro.core.pipeline import RockPipeline, cluster_shard
 from repro.core.sharding import (
     DEFAULT_SHARD_EXECUTOR,
     PROCESS_SHARD_EXECUTOR,
     SHARD_EXECUTORS,
     SHARD_STRATEGIES,
+    THREAD_SHARD_EXECUTOR,
     ShardPlan,
     allocate_sample_sizes,
     cluster_shards,
@@ -42,7 +49,12 @@ from repro.datasets.market_basket import generate_market_baskets
 from repro.errors import ConfigurationError, DataValidationError, ShardExecutionError
 from repro.evaluation.metrics import adjusted_rand_index
 from repro.persistence import failpoints
+from repro.similarity.jaccard import JaccardSimilarity
 from toy_measures import OverlapRule, overlap_is_zero
+
+#: Whether this platform offers the fork start method; the tests that
+#: force it skip where it does not.
+CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +167,9 @@ class TestClusterShards:
             seen.append(shard_id)
             return shard_id
 
-        results = cluster_shards(samples, cluster_one, shard_workers=None)
+        results = cluster_shards(
+            samples, cluster_one, shard_workers=None, executor=THREAD_SHARD_EXECUTOR
+        )
         assert results == [0, 2]
         assert seen == [0, 2]
 
@@ -183,9 +197,9 @@ class TestClusterShards:
         sizes = []
 
         class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers, mp_context=None):
+            def __init__(self, max_workers, mp_context=None, **initializer):
                 sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **initializer)
 
         monkeypatch.setattr(sharding, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(sharding, "ProcessPoolExecutor", RecordingPool)
@@ -276,7 +290,10 @@ class TestShardFaultTolerance:
             warnings.simplefilter("always")
             with pytest.raises(ConfigurationError, match="bogus strategy"):
                 cluster_shards(
-                    self.SAMPLES, cluster_one, shard_workers=shard_workers
+                    self.SAMPLES,
+                    cluster_one,
+                    shard_workers=shard_workers,
+                    executor=THREAD_SHARD_EXECUTOR,
                 )
         assert len(calls) == len(set(calls))
         if shard_workers is None:
@@ -481,6 +498,11 @@ def _crash_first_attempt(marker, shard_id, sample, positions):
     return shard_id * 10
 
 
+def _times_ten(shard_id, sample, positions):
+    """Module-level shard task, so spawned workers can unpickle it too."""
+    return shard_id * 10
+
+
 def _crash_shard_zero(shard_id, sample, positions):
     """Shard task whose every attempt at shard 0 kills its worker process."""
     if shard_id == 0:
@@ -500,7 +522,10 @@ class TestProcessExecutor:
     @pytest.fixture(scope="class")
     def thread_run(self, tight_baskets):
         return _pipeline().run_sharded(
-            tight_baskets.transactions, n_shards=3, shard_workers=2
+            tight_baskets.transactions,
+            n_shards=3,
+            shard_workers=2,
+            shard_executor=THREAD_SHARD_EXECUTOR,
         )
 
     def test_out_of_range_config_fails_before_any_worker(self):
@@ -670,10 +695,11 @@ class TestProcessExecutor:
     def test_unpicklable_task_fails_once_with_configuration_error(
         self, tight_baskets, monkeypatch
     ):
-        # A lambda exponent function cannot reach a worker process.  That
+        # A lambda exponent function cannot reach a spawned worker.  That
         # is a configuration error, raised by the bootstrap probe of the
         # first pool: no shard attempt, no retry wave, no degraded-run
         # warning, and a message naming the thread executor.
+        monkeypatch.setattr(sharding, "_start_method", lambda: "spawn")
         pools = []
 
         class CountingPool(ProcessPoolExecutor):
@@ -695,10 +721,11 @@ class TestProcessExecutor:
         assert pools == [2]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    def test_unpicklable_task_rejected_by_the_probe(self):
-        # The same check one layer down: cluster_shards hands its task to
-        # the bootstrap probe, so a lambda task never reaches a shard
-        # attempt on the process pool.
+    def test_unpicklable_task_rejected_by_the_probe(self, monkeypatch):
+        # The same check one layer down: the pool's initializer hands the
+        # task to every spawned worker as the bootstrap probe starts it, so
+        # a lambda task never reaches a shard attempt there.
+        monkeypatch.setattr(sharding, "_start_method", lambda: "spawn")
         samples = [([frozenset({1, 2})], [0]), ([frozenset({3})], [1])]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -718,7 +745,7 @@ class TestProcessExecutor:
             tight_baskets.transactions,
             n_shards=2,
             shard_workers=2,
-            shard_executor=DEFAULT_SHARD_EXECUTOR,
+            shard_executor=THREAD_SHARD_EXECUTOR,
         )
         assert result.parameters["skipped_shards"] == []
         assert len(result.labels) == 800
@@ -728,6 +755,8 @@ class TestProcessExecutor:
         # while bootstrapping and dies before any shard task runs.  That is
         # a configuration error: one attempt (one child bootstrap, despite
         # the retry budget and strict=False) and a message naming the fix.
+        # Forked workers never re-run the script, so the script forces
+        # spawn, as on platforms without a safe fork.
         marker = tmp_path / "bootstraps.txt"
         script = tmp_path / "guardless.py"
         script.write_text(
@@ -735,10 +764,12 @@ class TestProcessExecutor:
                 """\
                 import sys
 
+                from repro.core import sharding
                 from repro.core.pipeline import RockPipeline
                 from repro.datasets.market_basket import generate_market_baskets
                 from repro.errors import ConfigurationError
 
+                sharding._start_method = lambda: "spawn"
                 with open(%r, "a") as handle:
                     handle.write(__name__ + "\\n")
                 baskets = generate_market_baskets(n_transactions=120, rng=0)
@@ -773,6 +804,129 @@ class TestProcessExecutor:
         assert 'if __name__ == "__main__":' in result.stdout
         assert "terminated abruptly" not in result.stdout
         assert marker.read_text().split() == ["__main__", "__mp_main__"]
+
+
+    @pytest.mark.skipif(not CAN_FORK, reason="needs the fork start method")
+    def test_forked_spawned_and_thread_pools_agree(
+        self, tight_baskets, thread_run, monkeypatch
+    ):
+        for method in ("fork", "spawn"):
+            monkeypatch.setattr(sharding, "_start_method", lambda method=method: method)
+            processed = _pipeline().run_sharded(
+                tight_baskets.transactions,
+                n_shards=3,
+                shard_workers=2,
+                shard_executor=PROCESS_SHARD_EXECUTOR,
+            )
+            assert np.array_equal(thread_run.labels, processed.labels), method
+            assert thread_run.clusters == processed.clusters, method
+
+    def test_lambda_exponent_and_local_measure_run_on_the_default_path(
+        self, tight_baskets
+    ):
+        # Forked workers inherit the task, so a measure class and an
+        # exponent function no pickle can find by name still run there.
+        class LocalJaccard(JaccardSimilarity):
+            pass
+
+        def run(**executor):
+            return _pipeline(
+                measure=LocalJaccard(), exponent_function=lambda t: (1 - t) / (1 + t)
+            ).run_sharded(
+                tight_baskets.transactions, n_shards=3, shard_workers=2, **executor
+            )
+
+        default = run()
+        threaded = run(shard_executor=THREAD_SHARD_EXECUTOR)
+        assert default.parameters["shard_executor"] == DEFAULT_SHARD_EXECUTOR
+        assert default.parameters["skipped_shards"] == []
+        assert np.array_equal(default.labels, threaded.labels)
+
+    def test_attempts_ship_only_the_shard_id(self, monkeypatch):
+        # The task and the samples reach the workers through the pool's
+        # initializer; an attempt carries the fired failpoint and its id.
+        calls = []
+        original = ProcessPoolExecutor.submit
+
+        def recording(pool, fn, *args, **kwargs):
+            calls.append((fn.__name__, args))
+            return original(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+        samples = [([frozenset({i})], [i]) for i in range(3)]
+        with failpoints.failpoint("shard.worker.1", times=1):
+            results = cluster_shards(
+                samples, _times_ten, shard_workers=2, executor=PROCESS_SHARD_EXECUTOR
+            )
+        assert list(results) == [0, 10, 20]
+        attempts = [args for name, args in calls if name == "_attempt"]
+        assert attempts == [(None, 0), ("shard.worker.1", 1), (None, 2), (None, 1)]
+
+    @pytest.mark.skipif(not CAN_FORK, reason="needs the fork start method")
+    def test_no_cpu_pool_thread_is_alive_at_the_fork(
+        self, tight_baskets, thread_run, monkeypatch
+    ):
+        # A pooled link product leaves the shared CPU pool's threads
+        # running.  The forked run joins them before it forks, labels as
+        # the thread pool does, and the CPU pool works again afterwards.
+        import multiprocessing.popen_fork as popen_fork
+
+        monkeypatch.setattr(cpu_pool_module, "_pool", None)
+        monkeypatch.setattr(cpu_pool_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(links_module, "_POOL_MIN_MULTIPLY_ADDS", 0)
+        graph = compute_neighbors(tight_baskets.transactions[:200], theta=0.5)
+        expected = links_from_neighbors(graph)
+        assert cpu_pool_module._pool is not None
+        alive_at_fork = []
+        launch = popen_fork.Popen._launch
+
+        def recording(popen, process_obj):
+            alive_at_fork.extend(thread.name for thread in threading.enumerate())
+            return launch(popen, process_obj)
+
+        monkeypatch.setattr(popen_fork.Popen, "_launch", recording)
+        monkeypatch.setattr(sharding, "_start_method", lambda: "fork")
+        forked = _pipeline().run_sharded(
+            tight_baskets.transactions,
+            n_shards=3,
+            shard_workers=2,
+            shard_executor=PROCESS_SHARD_EXECUTOR,
+        )
+        assert np.array_equal(thread_run.labels, forked.labels)
+        assert alive_at_fork
+        assert not [name for name in alive_at_fork if name.startswith("repro-cpu")]
+        again = links_from_neighbors(graph)
+        assert cpu_pool_module._pool is not None
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(again, name), getattr(expected, name))
+        cpu_pool_module.shutdown_cpu_pool()
+
+
+class TestStartMethod:
+    """Process workers fork on Linux and spawn elsewhere, and the default
+    executor follows: ``process`` where the workers fork, else ``thread``."""
+
+    @pytest.mark.parametrize(
+        "platform, method, default",
+        [
+            ("linux", "fork", PROCESS_SHARD_EXECUTOR),
+            ("darwin", "spawn", THREAD_SHARD_EXECUTOR),
+            ("win32", "spawn", THREAD_SHARD_EXECUTOR),
+        ],
+    )
+    def test_platform_picks_the_start_method_and_default(
+        self, monkeypatch, platform, method, default
+    ):
+        monkeypatch.setattr(sys, "platform", platform)
+        assert sharding._start_method() == method
+        assert sharding._default_executor() == default
+
+    def test_default_is_thread_when_workers_cannot_fork(self, monkeypatch):
+        monkeypatch.setattr(sharding, "_start_method", lambda: "spawn")
+        assert sharding._default_executor() == THREAD_SHARD_EXECUTOR
+
+    def test_the_default_is_picked_at_import(self):
+        assert DEFAULT_SHARD_EXECUTOR == sharding._default_executor()
 
 
 class TestShardRetries:
