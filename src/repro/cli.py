@@ -17,9 +17,10 @@ batch by batch (``--batch-size``), keeping peak memory bounded by the
 sample plus one batch while producing the same labels as an in-memory run.
 With ``--shards N`` (N > 1; implies the out-of-core mode) the clustering
 phase itself is sharded: every shard clusters its own slice of the sample
-(``--shard-workers`` at a time — threads by default, or spawn-based
-processes with ``--shard-executor process``, the same per-shard task
-either way; failed workers are retried ``--shard-retries`` times), the
+(``--shard-workers`` at a time, on threads or on processes; by default
+processes where they fork and more than one worker runs, else threads;
+the same per-shard task either way; failed workers are retried
+``--shard-retries`` times), the
 per-shard cluster summaries are merged (flat, or hierarchically with
 ``--merge-fan-in``), and the file is labelled against the merged
 clustering.  With ``--online`` the file is *ingested* through the incremental engine
@@ -49,7 +50,6 @@ from pathlib import Path
 from repro.bench.harness import available_experiments, get_experiment
 from repro.core.pipeline import RockPipeline
 from repro.core.sharding import (
-    DEFAULT_SHARD_EXECUTOR,
     DEFAULT_SHARD_STRATEGY,
     SHARD_EXECUTORS,
     SHARD_STRATEGIES,
@@ -476,12 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--shard-executor",
         choices=list(SHARD_EXECUTORS),
-        default=DEFAULT_SHARD_EXECUTOR,
+        default=None,
         help="run shard workers as threads or as processes, which escape "
-             "the GIL (default on this platform: %(default)s; process "
-             "workers fork on Linux, and spawn elsewhere at about a second "
-             "of pool start-up; the same per-shard task runs either way, so "
-             "labels are bit-identical)",
+             "the GIL (default: process where workers fork, i.e. on Linux, "
+             "and --shard-workers is above 1, else thread; process workers "
+             "spawn elsewhere at about a second of pool start-up; the same "
+             "per-shard task runs either way, so labels are bit-identical)",
     )
     cluster.add_argument(
         "--shard-retries", type=int, default=1,

@@ -82,7 +82,6 @@ from repro.core.pipeline import (
 from repro.core.rock import ENGINES, RockClustering, RockResult
 from repro.core.sampling import chernoff_sample_size, draw_sample, reservoir_sample
 from repro.core.sharding import (
-    DEFAULT_SHARD_EXECUTOR,
     DEFAULT_SHARD_STRATEGY,
     PROCESS_SHARD_EXECUTOR,
     SHARD_EXECUTORS,
@@ -144,7 +143,6 @@ __all__ = [
     "chernoff_sample_size",
     "draw_sample",
     "reservoir_sample",
-    "DEFAULT_SHARD_EXECUTOR",
     "DEFAULT_SHARD_STRATEGY",
     "PROCESS_SHARD_EXECUTOR",
     "SHARD_EXECUTORS",

@@ -79,17 +79,3 @@ def drop_small_clusters(
             outliers.extend(members)
     return kept, sorted(outliers)
 
-
-def relabel_after_dropping(
-    n_points: int,
-    kept_clusters: Sequence[Sequence[int]],
-) -> np.ndarray:
-    """Build a label array from the kept clusters; dropped points get ``-1``.
-
-    Clusters are numbered ``0 .. len(kept_clusters) - 1`` in the order given
-    (the caller is expected to have ordered them by decreasing size already).
-    """
-    labels = np.full(n_points, -1, dtype=int)
-    for label, members in enumerate(kept_clusters):
-        labels[list(members)] = label
-    return labels

@@ -72,7 +72,6 @@ from repro.core.outliers import drop_small_clusters, partition_isolated_points
 from repro.core.rock import RockClustering, RockResult, as_transactions
 from repro.core.sampling import draw_sample, reservoir_sample
 from repro.core.sharding import (
-    DEFAULT_SHARD_EXECUTOR,
     DEFAULT_SHARD_STRATEGY,
     HASH_SHARD_STRATEGY,
     SHARD_STRATEGIES,
@@ -85,7 +84,6 @@ from repro.core.sharding import (
     merge_shard_summaries,
     resolve_shard_executor,
     validate_merge_options,
-    validate_shard_workers,
 )
 from repro.data.encoding import build_item_index
 from repro.data.io import iter_transactions
@@ -353,28 +351,26 @@ class _LabelState:
 
     @classmethod
     def seeded(
-        cls, n_points: int, units, clustering: _Clustering, batch_size: int, sample_method: str
+        cls, n_points: int, item_at, clustering: _Clustering, batch_size: int, sample_method: str
     ) -> "_LabelState":
         """The state of a fresh run after its cluster phase.
 
+        ``item_at`` maps every sampled stream position to its item set.
         The clustered sample points carry their kept cluster's label; the
         set-aside sample points are pending, in increasing stream order.
         """
         labels = np.full(n_points, -1, dtype=int)
         for label, members in enumerate(clustering.clusters):
             labels[[clustering.positions[i] for i in members]] = label
-        sample_indices = sorted(p for _, positions in units for p in positions)
+        sample_indices = sorted(item_at)
         set_aside = sorted(set(clustering.set_aside))
-        transaction_of = {
-            p: t for sample, positions in units for p, t in zip(positions, sample)
-        }
         return cls(
             n_points=n_points,
             labels=labels,
             space_sizes=[len(clustering.clusters)],
             sample_indices=sample_indices,
             sample_pending=set_aside,
-            sample_pending_transactions=[transaction_of[p] for p in set_aside],
+            sample_pending_transactions=[item_at[p] for p in set_aside],
             has_remainder=n_points > len(sample_indices),
             rock_result=clustering.rock_result,
             batch_size=batch_size,
@@ -600,13 +596,15 @@ class RockPipeline:
                 batches, known_length, sample_method, shards
             )
             timings["sampling"] = time.perf_counter() - phase_start
+            # The one position -> item set lookup the phases below share.
+            item_at = {p: t for sample, positions in units for p, t in zip(positions, sample)}
             if shards is None:
-                clustering = self._cluster_whole(units, timings, online is not None)
+                clustering = self._cluster_whole(units, item_at, timings, online is not None)
             else:
-                clustering = self._cluster_sharded(units, merge_rng, shards, timings)
+                clustering = self._cluster_sharded(units, item_at, merge_rng, shards, timings)
             parameters.update(clustering.parameters)
             state = _LabelState.seeded(
-                n_points, units, clustering, batch_size, sample_method
+                n_points, item_at, clustering, batch_size, sample_method
             )
 
         phase_start = time.perf_counter()
@@ -692,7 +690,7 @@ class RockPipeline:
         return n_points, units, np.random.default_rng(int(seeds[-1]))
 
     # ------------------------------------------------------------------ #
-    def _cluster_whole(self, units, timings: dict, online: bool) -> _Clustering:
+    def _cluster_whole(self, units, item_at: dict, timings: dict, online: bool) -> _Clustering:
         """The single-sample cluster phase: the whole sample is one shard.
 
         For an ``online`` run it also keeps the fit's neighbour adjacency
@@ -708,7 +706,7 @@ class RockPipeline:
             live = sorted(member for members in shard.clusters for member in members)
             live_adjacency = graph.subgraph(live).adjacency
         return _Clustering(
-            shard.clustered_sample,
+            [item_at[p] for p in shard.clustered_positions],
             shard.clustered_positions,
             shard.clusters,
             shard.isolated_positions + shard.pruned_positions,
@@ -719,7 +717,7 @@ class RockPipeline:
         )
 
     def _cluster_sharded(
-        self, units, merge_rng, shards: _ShardOptions, timings: dict
+        self, units, item_at: dict, merge_rng, shards: _ShardOptions, timings: dict
     ) -> _Clustering:
         """The sharded cluster phase: cluster every shard, merge the summaries.
 
@@ -727,7 +725,9 @@ class RockPipeline:
         (on worker threads or processes, the same task either way), the
         per-shard kept clusters become weighted summaries, and
         :func:`merge_shard_summaries` merges them over the pooled shard
-        samples into the global clusters.
+        samples (items looked up in ``item_at``) into the global clusters.
+        A skipped shard's sampled points are set aside, so the label phase
+        places them against the merged clusters.
         """
         phase_start = time.perf_counter()
         config = self.config
@@ -745,14 +745,12 @@ class RockPipeline:
         timings["shard_clustering"] = time.perf_counter() - phase_start
 
         merge_start = time.perf_counter()
-        pooled_sample: list[frozenset] = []
         pooled_positions: list[int] = []
         summaries: list[tuple] = []
         summary_groups: list[list[int]] = []
         for result in shard_results:
-            offset = len(pooled_sample)
+            offset = len(pooled_positions)
             first_summary = len(summaries)
-            pooled_sample.extend(result.clustered_sample)
             pooled_positions.extend(result.clustered_positions)
             summaries.extend(
                 tuple(offset + member for member in cluster)
@@ -761,6 +759,7 @@ class RockPipeline:
             # One level-0 unit per surviving shard: the hierarchical merge
             # combines shard groups, then groups of groups.
             summary_groups.append(list(range(first_summary, len(summaries))))
+        pooled_sample = [item_at[p] for p in pooled_positions]
         item_index = build_item_index(pooled_sample)
         merge = merge_shard_summaries(
             pooled_sample,
@@ -818,7 +817,8 @@ class RockPipeline:
                 position
                 for result in shard_results
                 for position in result.isolated_positions + result.pruned_positions
-            ],
+            ]
+            + [p for shard_id in shard_results.skipped_shards for p in units[shard_id][1]],
             rock_result,
             item_index,
             {
@@ -1261,7 +1261,7 @@ class RockPipeline:
         batch_size: int = 1024,
         shard_workers: int | None = None,
         shard_strategy: str = DEFAULT_SHARD_STRATEGY,
-        shard_executor: str = DEFAULT_SHARD_EXECUTOR,
+        shard_executor: str | None = None,
         shard_retries: int = 1,
         merge_fan_in: int | None = None,
         representatives_per_cluster: int = 16,
@@ -1310,16 +1310,17 @@ class RockPipeline:
             ``"contiguous"`` or ``"hash"``; see :class:`ShardPlan`.
         shard_executor:
             ``"thread"`` or ``"process"``: the pool that runs the
-            per-shard task :func:`cluster_shard`.  The default is
-            ``"process"`` on Linux, where its workers fork (tens of
-            milliseconds to start) and inherit the task and the shard
-            samples, so only the per-shard results are pickled back and a
-            lambda measure or exponent function still works; elsewhere it
-            is ``"thread"``.  The process executor escapes the GIL; where
-            its workers spawn (macOS, Windows), it pays about a second of
-            pool start-up, the task and samples are pickled to them (a
-            custom measure or exponent function must be defined at module
-            level), and a script using it needs an
+            per-shard task :func:`cluster_shard`.  ``None`` (the default)
+            is resolved once per call: ``"process"`` where its workers
+            fork (Linux) and ``shard_workers`` is above 1, else
+            ``"thread"``; ``parameters["shard_executor"]`` reports it.
+            The process executor escapes the GIL.  Forked workers start in
+            tens of milliseconds and inherit the task and the samples, and
+            a shard's result holds stream positions only, so any measure,
+            exponent function or item type works there.  Where its workers
+            spawn (macOS, Windows), it pays about a second of pool
+            start-up, the task and samples are pickled to them (no lambdas
+            or local classes), and a script using it needs an
             ``if __name__ == "__main__":`` guard.  Both run the same task
             on the same items, so the labels are bit-identical on the same
             data and seed.
@@ -1362,7 +1363,7 @@ class RockPipeline:
             invalid streaming options — all before the source is read,
             whatever the shard count.  Also, without a retry, when the
             process executor cannot start its workers or, where they
-            spawn, pickle the task.
+            spawn, pickle the task or the samples.
         DataValidationError
             When the source is empty.
         InsufficientLinksError
@@ -1379,10 +1380,9 @@ class RockPipeline:
                 "unknown shard strategy %r; expected one of %s"
                 % (shard_strategy, ", ".join(SHARD_STRATEGIES))
             )
-        # Checked here (not just in cluster_shards) so a bad value fails
-        # before the source is read, whatever the shard count.
-        validate_shard_workers(shard_workers)
-        shard_executor = resolve_shard_executor(shard_executor)
+        # Resolved once, here, so a bad value fails before the source is
+        # read, whatever the shard count, and the parameters name what ran.
+        shard_executor = resolve_shard_executor(shard_executor, shard_workers)
         if shard_retries < 0:
             raise ConfigurationError(
                 "shard_retries must be non-negative, got %r" % shard_retries
@@ -1429,7 +1429,8 @@ def cluster_shard(
     A module-level function, so ``functools.partial(cluster_shard, config)``
     pickles for spawned process workers (forked ones inherit it); the
     thread executor calls the same partial on the same items, which is why
-    the two executors' labels are bit-identical by construction.
+    the two executors' labels are bit-identical by construction.  Its
+    result holds stream positions only, so it pickles whatever the items are.
     """
     return _cluster_sample(
         config, shard_id, sample, positions, build_item_index(sample), {}
@@ -1442,7 +1443,7 @@ def _cluster_sample(
 ) -> tuple[ShardClusterResult, RockResult, NeighborGraph]:
     """Phases 2-4 on an in-memory sample: pre-filter, cluster, prune.
 
-    Returns the shard's result (members index its clustered sample, every
+    Returns the shard's result (members index its clustered positions, every
     set-aside point is a stream position), the fit's :class:`RockResult`
     and the fit's neighbour graph over the clustered sample.
     """
@@ -1482,7 +1483,6 @@ def _cluster_sample(
     clustered_positions = [positions[i] for i in participating]
     shard = ShardClusterResult(
         shard_id=shard_id,
-        clustered_sample=clustered_sample,
         clustered_positions=clustered_positions,
         clusters=list(kept_clusters),
         isolated_positions=[positions[i] for i in isolated],

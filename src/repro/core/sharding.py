@@ -19,16 +19,17 @@ Three pieces compose the subsystem:
   ``"hash"`` (a stable content hash, so identical baskets always land in
   the same shard regardless of position).
 * :func:`cluster_shards` — runs one per-shard task over every shard
-  sample on a :class:`~concurrent.futures.ThreadPoolExecutor` or
-  (``executor="process"``, the default on Linux) a
+  sample on a :class:`~concurrent.futures.ThreadPoolExecutor` or a
   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers fork on
-  Linux and spawn elsewhere, with retries.  Both pools run the same task
-  on the same items through the same wave loop; each worker receives the
-  task and the shard samples once, through the pool's initializer, so an
-  attempt ships only its shard id.  Results are returned in shard order
-  whatever the completion order, and shard clustering is deterministic
-  (no random state is consumed inside workers), so neither the worker
-  count nor the executor choice ever changes the outcome.
+  Linux and spawn elsewhere, with retries (:func:`resolve_shard_executor`
+  picks the default).  Both pools run the same task on the same items
+  through the same wave loop; each worker receives the task and the shard
+  samples once, through the pool's initializer, so an attempt ships only
+  its shard id, and its result carries stream positions, never items.
+  Results are returned in shard order whatever the completion order, and
+  shard clustering is deterministic (no random state is consumed inside
+  workers), so neither the worker count nor the executor choice ever
+  changes the outcome.
 * :func:`merge_shard_summaries` — the summary-merge agglomeration.  Each
   per-shard cluster becomes one meta-point whose size is the *full* shard
   cluster size and whose link mass towards other meta-points is estimated
@@ -88,6 +89,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 from scipy import sparse
@@ -142,30 +144,26 @@ def _start_method() -> str:
     return "fork" if sys.platform.startswith("linux") else "spawn"
 
 
-def _default_executor() -> str:
-    """``"process"`` where its workers fork, else ``"thread"``.
+def resolve_shard_executor(executor: str | None, shard_workers: int | None = None) -> str:
+    """The shard executor one call runs on.
 
-    Spawned workers cost about 0.6 s per pool, which cancels their gain at
-    the shard sizes measured (2000 points per shard); forked ones do not.
-    """
-    if _start_method() == "fork":
-        return PROCESS_SHARD_EXECUTOR
-    return THREAD_SHARD_EXECUTOR
-
-
-#: Executor used when none is requested, picked from the platform by
-#: :func:`_default_executor` (no option selects it).
-DEFAULT_SHARD_EXECUTOR = _default_executor()
-
-
-def resolve_shard_executor(executor: str) -> str:
-    """Validate a shard executor name; returns it unchanged.
+    ``None`` resolves to ``"process"`` where its workers fork
+    (:func:`_start_method`) and ``shard_workers`` is above 1, else to
+    ``"thread"``: one worker runs nothing in parallel, and spawned workers
+    cost about 0.6 s per pool, which cancels their gain at 2000 points per
+    shard.  A name from :data:`SHARD_EXECUTORS` passes through unchanged.
 
     Raises
     ------
     ConfigurationError
-        For a name outside :data:`SHARD_EXECUTORS`.
+        For a name outside :data:`SHARD_EXECUTORS` (there is no
+        ``"auto"``), or a ``shard_workers`` below 1.
     """
+    workers = validate_shard_workers(shard_workers)
+    if executor is None:
+        if _start_method() == "fork" and workers > 1:
+            return PROCESS_SHARD_EXECUTOR
+        return THREAD_SHARD_EXECUTOR
     if executor not in SHARD_EXECUTORS:
         raise ConfigurationError(
             "unknown shard executor %r; expected one of %s"
@@ -380,20 +378,19 @@ def allocate_sample_sizes(shard_sizes: Sequence[int], sample_size: int) -> list[
 
 @dataclass
 class ShardClusterResult:
-    """Outcome of clustering one shard's sample.
+    """Outcome of clustering one shard's sample: stream positions, never items.
 
     Attributes
     ----------
     shard_id:
         Index of the shard within the plan.
-    clustered_sample:
-        Item sets of the shard sample points that participated in the
-        agglomeration (isolated points filtered out).
     clustered_positions:
-        Global stream position of each ``clustered_sample`` entry.
+        Global stream positions of the shard sample points that
+        participated in the agglomeration (isolated points filtered out),
+        in sample order.
     clusters:
         Kept clusters after per-shard pruning, as tuples of indices into
-        ``clustered_sample``.
+        ``clustered_positions``.
     isolated_positions:
         Global positions of sampled points set aside by the per-shard
         outlier pre-filter (they are handed to the labelling pass).
@@ -406,7 +403,6 @@ class ShardClusterResult:
     """
 
     shard_id: int
-    clustered_sample: list[frozenset]
     clustered_positions: list[int]
     clusters: list[tuple]
     isolated_positions: list[int] = field(default_factory=list)
@@ -447,7 +443,7 @@ def cluster_shards(
     shard_workers: int | None = None,
     retries: int = 1,
     strict: bool = False,
-    executor: str = DEFAULT_SHARD_EXECUTOR,
+    executor: str | None = None,
 ) -> ShardRunResults:
     """Cluster every shard sample on a thread or process pool, with retries.
 
@@ -461,10 +457,11 @@ def cluster_shards(
     ``shard_workers`` attempts in flight; an attempt ships only its shard
     id.  Shards whose attempt failed are retried by the next wave.
 
-    The process executor forks its workers on Linux and spawns them
-    elsewhere (:func:`_start_method`).  Before it forks, the shared CPU
-    pool (:mod:`repro.core.cpu_pool`) is shut down, so none of its threads
-    is alive at the fork; its next user makes a new one.
+    The executor is resolved once per call, so every wave runs on the same
+    kind of pool.  The process executor forks its workers on Linux and
+    spawns them elsewhere (:func:`_start_method`).  Before it forks, the
+    shared CPU pool (:mod:`repro.core.cpu_pool`) is shut down, so none of
+    its threads is alive at the fork; its next user makes a new one.
 
     A crashed process worker breaks its pool: every attempt in flight
     fails with it, and the pool refuses further submits.  The crash is
@@ -507,9 +504,9 @@ def cluster_shards(
         in ``skipped_shards`` and the surviving shards carry the run.  All
         shards failing raises regardless (there is nothing left to merge).
     executor:
-        One of :data:`SHARD_EXECUTORS`; the default,
-        :data:`DEFAULT_SHARD_EXECUTOR`, is ``"process"`` on Linux and
-        ``"thread"`` elsewhere.
+        One of :data:`SHARD_EXECUTORS`, or ``None`` (the default) for
+        ``"process"`` where its workers fork and ``shard_workers`` is above
+        1, else ``"thread"`` (see :func:`resolve_shard_executor`).
 
     Returns
     -------
@@ -523,10 +520,11 @@ def cluster_shards(
         Besides invalid arguments: when a shard attempt raises one (e.g. an
         out-of-range value in the task's configuration), when the process
         executor's workers die while starting (where they spawn, typically
-        a script without an ``if __name__ == "__main__":`` guard), or when
-        ``cluster_one`` cannot be pickled for spawned workers.  Each is
-        raised at once, whatever ``strict`` is, with no warning and no
-        further attempt started, since a retry cannot succeed.
+        a script without an ``if __name__ == "__main__":`` guard), when
+        ``cluster_one`` or the samples cannot be pickled for spawned
+        workers, or when a result cannot be pickled back.  Each is raised
+        at once, whatever ``strict`` is, with no warning and no further
+        attempt started, since a retry cannot succeed.
 
     Notes
     -----
@@ -544,7 +542,7 @@ def cluster_shards(
     if retries < 0:
         raise ConfigurationError("retries must be non-negative, got %r" % retries)
     start_method = None
-    if resolve_shard_executor(executor) == PROCESS_SHARD_EXECUTOR:
+    if resolve_shard_executor(executor, shard_workers) == PROCESS_SHARD_EXECUTOR:
         start_method = _start_method()
     samples = {
         shard_id: (sample, positions)
@@ -602,6 +600,9 @@ def cluster_shards(
     return results
 
 
+#: What pickling fails with: a lookup by name (lambda, local class) or a refusal.
+_PICKLING_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
+
 #: The wave's task and shard samples in a pool worker: the pool's
 #: initializer (:func:`_hold_work`) sets them on each worker thread (a
 #: process worker runs its attempts on its main thread), so concurrent
@@ -609,11 +610,13 @@ def cluster_shards(
 _work = threading.local()
 
 
-def _hold_work(task, samples: dict) -> None:
-    """Pool initializer: keep the wave's task and ``{shard_id: (sample,
-    positions)}`` in this worker for its attempts."""
+def _hold_work(task, samples: dict, pickles_results: bool = False) -> None:
+    """Pool initializer: keep the wave's task, ``{shard_id: (sample,
+    positions)}`` and whether results are pickled back (a process worker)
+    in this worker for its attempts."""
     _work.task = task
     _work.samples = samples
+    _work.pickles_results = pickles_results
 
 
 def _make_pool(start_method: str | None, workers: int, work: tuple) -> Executor:
@@ -635,7 +638,7 @@ def _make_pool(start_method: str | None, workers: int, work: tuple) -> Executor:
         max_workers=workers,
         mp_context=get_context(start_method),
         initializer=_hold_work,
-        initargs=work,
+        initargs=(*work, True),
     )
 
 
@@ -644,8 +647,8 @@ def bootstrap_probe() -> None:
 
     Every wave of :func:`cluster_shards` runs it first, once per worker.
     A process pool whose workers die while starting breaks under it, and
-    where the workers spawn, a task that cannot be pickled fails as the
-    first probe starts them, both before any shard attempt ran.
+    where the workers spawn, a task or samples that cannot be pickled fail
+    as the first probe starts them, both before any shard attempt ran.
     """
 
 
@@ -653,12 +656,25 @@ def _attempt(inject: str | None, shard_id: int):
     """One shard attempt inside a worker, on the samples the worker holds.
 
     ``inject`` names the failpoint the parent consumed for this attempt;
-    it is raised here so the fault takes the worker's error channel.
+    it is raised here so the fault takes the worker's error channel.  A
+    process worker checks that the result pickles: the pool would report
+    one it cannot send back like a crash, and every retry would fail alike.
     """
     if inject is not None:
         raise failpoints.InjectedFaultError(inject)
     sample, positions = _work.samples[shard_id]
-    return _work.task(shard_id, sample, positions)
+    result = _work.task(shard_id, sample, positions)
+    if _work.pickles_results:
+        try:
+            ForkingPickler.dumps(result)
+        except _PICKLING_ERRORS as error:
+            raise ConfigurationError(
+                "the result of shard %d cannot be pickled back from its %r "
+                "worker (%s); a shard task must return picklable objects on "
+                "the process executor, or use the %r executor"
+                % (shard_id, PROCESS_SHARD_EXECUTOR, error, THREAD_SHARD_EXECUTOR)
+            ) from error
+    return result
 
 
 def _run_wave(
@@ -728,8 +744,8 @@ def _check_workers_bootstrap(pool: Executor, workers: int) -> None:
     starting; where they spawn, the usual cause is a script that reaches
     the process executor without a ``__main__`` guard, whose spawned
     interpreters re-run it while bootstrapping.  A pickling error means
-    spawned workers can never receive the task, e.g. a pipeline with a
-    lambda as its measure or exponent function.
+    spawned workers can never receive the task or the samples, e.g. a
+    lambda exponent function or items of a local class.
 
     One probe per worker, all in flight at once, so the pool has started
     all of its ``workers`` before any shard attempt runs.  A spawning
@@ -750,12 +766,12 @@ def _check_workers_bootstrap(pool: Executor, workers: int) -> None:
             "entry point with 'if __name__ == \"__main__\":' (or use the %r "
             "executor)" % (PROCESS_SHARD_EXECUTOR, THREAD_SHARD_EXECUTOR)
         ) from error
-    except (pickle.PicklingError, AttributeError, TypeError) as error:
+    except _PICKLING_ERRORS as error:
         raise ConfigurationError(
-            "the shard task cannot be pickled for the spawned workers of the "
-            "%r shard executor (%s); define the measure and exponent function "
-            "at module level (a lambda or a local function does not pickle), "
-            "or use the %r executor"
+            "the shard task or its samples cannot be pickled for the spawned "
+            "workers of the %r shard executor (%s); define the measure, the "
+            "exponent function and the items' class at module level, or use "
+            "the %r executor"
             % (PROCESS_SHARD_EXECUTOR, error, THREAD_SHARD_EXECUTOR)
         ) from error
 

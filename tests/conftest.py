@@ -11,11 +11,13 @@ untouched for local runs.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core import sharding
 from repro.data.dataset import CategoricalDataset, TransactionDataset
 from repro.datasets.mushroom import generate_mushroom_like
 from repro.datasets.votes import generate_votes_like
@@ -84,3 +86,17 @@ def mushroom_small():
 def rng() -> np.random.Generator:
     """A seeded random generator."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def process_pools(monkeypatch) -> list[int]:
+    """The worker count of every process pool the sharding module makes."""
+    pools: list[int] = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sharding, "ProcessPoolExecutor", CountingPool)
+    return pools

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.sharding import DEFAULT_SHARD_EXECUTOR
+from repro.core import sharding
 from repro.data.io import write_categorical_csv, write_transactions
 from repro.datasets.market_basket import generate_market_baskets
 from repro.datasets.votes import generate_votes_like
@@ -310,7 +310,7 @@ class TestShardedCli:
         assert arguments.shards == 1
         assert arguments.shard_workers is None
         assert arguments.shard_strategy == "round-robin"
-        assert arguments.shard_executor == DEFAULT_SHARD_EXECUTOR
+        assert arguments.shard_executor is None
         assert arguments.shard_retries == 1
         assert arguments.merge_fan_in is None
 
@@ -350,14 +350,19 @@ class TestShardedCli:
         assert len(output.read_text().split()) == 240
 
     def test_mode_line_names_the_executor(self, tmp_path, capsys):
+        # The line names the executor that ran: without --shard-executor it
+        # is threads for one worker, and processes for two where they fork.
         path = self._basket_path(tmp_path)
-        code = main([
+        base = [
             "cluster", str(path), "--format", "transactions",
             "--label-prefix", "class=", "--clusters", "3", "--theta", "0.3",
             "--sample-size", "90", "--seed", "5", "--shards", "2",
-        ])
-        assert code == 0
-        assert "sharded x2, %s" % DEFAULT_SHARD_EXECUTOR in capsys.readouterr().out
+        ]
+        assert main(base) == 0
+        assert "sharded x2, thread" in capsys.readouterr().out
+        parallel = "process" if sharding._start_method() == "fork" else "thread"
+        assert main(base + ["--shard-workers", "2"]) == 0
+        assert "sharded x2, %s" % parallel in capsys.readouterr().out
 
     def test_process_executor_cli_matches_thread(self, tmp_path, capsys):
         path = self._basket_path(tmp_path)

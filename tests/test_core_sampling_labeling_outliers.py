@@ -18,7 +18,6 @@ from repro.core.outliers import (
     drop_small_clusters,
     isolated_point_mask,
     partition_isolated_points,
-    relabel_after_dropping,
 )
 from repro.core.sampling import (
     chernoff_sample_size,
@@ -220,10 +219,6 @@ class TestOutliers:
     def test_drop_small_clusters_invalid_min(self):
         with pytest.raises(ConfigurationError):
             drop_small_clusters([(0,)], min_size=0)
-
-    def test_relabel_after_dropping(self):
-        labels = relabel_after_dropping(5, [(0, 2), (4,)])
-        assert labels.tolist() == [0, -1, 0, -1, 1]
 
 
 class TestLabelingStrategies:

@@ -32,7 +32,6 @@ from repro.core.links import links_from_neighbors
 from repro.core.neighbors import compute_neighbors
 from repro.core.pipeline import RockPipeline, cluster_shard
 from repro.core.sharding import (
-    DEFAULT_SHARD_EXECUTOR,
     PROCESS_SHARD_EXECUTOR,
     SHARD_EXECUTORS,
     SHARD_STRATEGIES,
@@ -69,6 +68,16 @@ def _pipeline(rng=7, **overrides):
     )
     kwargs.update(overrides)
     return RockPipeline(**kwargs)
+
+
+def _local_class_items(transactions):
+    """The baskets, with every item an instance of a class pickle cannot find."""
+
+    @dataclasses.dataclass(frozen=True)
+    class LocalItem:
+        name: object
+
+    return [frozenset(map(LocalItem, basket)) for basket in transactions]
 
 
 class TestShardPlan:
@@ -426,6 +435,25 @@ class TestRunShardedDeterminism:
         assert result.parameters["skipped_shards"] == [1]
         assert len(result.labels) == 800
 
+    @pytest.mark.parametrize("sample_size", [None, 300])
+    def test_skipped_shard_points_are_labelled(self, tight_baskets, sample_size):
+        # The points a skipped shard sampled are set aside like the points
+        # the pre-filter isolated, so the label phase places them against
+        # the merged clusters instead of leaving them all at -1.
+        failpoints.reset()
+        try:
+            with failpoints.failpoint("shard.worker.1", times=2):
+                with pytest.warns(RuntimeWarning, match="shard 1"):
+                    result = _pipeline(sample_size=sample_size).run_sharded(
+                        tight_baskets.transactions, n_shards=3
+                    )
+        finally:
+            failpoints.reset()
+        assert result.parameters["skipped_shards"] == [1]
+        skipped = [p for p in result.sample_indices if p % 3 == 1]  # round-robin
+        assert skipped
+        assert set(skipped) <= set(result.labeled_indices or ())
+
     def test_strict_pipeline_raises_on_exhausted_worker(self, tight_baskets):
         transactions = tight_baskets.transactions
         failpoints.reset()
@@ -478,11 +506,9 @@ class TestRunShardedQuality:
 
 class TestResolveShardExecutor:
     def test_concrete_names_pass_through(self):
-        assert resolve_shard_executor(DEFAULT_SHARD_EXECUTOR) == DEFAULT_SHARD_EXECUTOR
-        assert (
-            resolve_shard_executor(PROCESS_SHARD_EXECUTOR)
-            == PROCESS_SHARD_EXECUTOR
-        )
+        for executor in SHARD_EXECUTORS:
+            for shard_workers in (None, 1, 2):
+                assert resolve_shard_executor(executor, shard_workers) == executor
 
     @pytest.mark.parametrize("executor", ["psychic", "auto"])
     def test_unknown_executor_rejected(self, executor):
@@ -508,6 +534,11 @@ def _crash_shard_zero(shard_id, sample, positions):
     if shard_id == 0:
         os._exit(1)
     return shard_id * 10
+
+
+def _unpicklable_result(shard_id, sample, positions):
+    """Shard task whose result cannot be pickled back to the parent."""
+    return lambda: shard_id
 
 
 class TestProcessExecutor:
@@ -692,33 +723,56 @@ class TestProcessExecutor:
         assert "shard 0:" in str(excinfo.value)
         assert "shard 1" not in str(excinfo.value)
 
+    @pytest.mark.parametrize("unpicklable", ["exponent", "items"])
     def test_unpicklable_task_fails_once_with_configuration_error(
-        self, tight_baskets, monkeypatch
+        self, tight_baskets, monkeypatch, process_pools, unpicklable
     ):
-        # A lambda exponent function cannot reach a spawned worker.  That
-        # is a configuration error, raised by the bootstrap probe of the
-        # first pool: no shard attempt, no retry wave, no degraded-run
-        # warning, and a message naming the thread executor.
+        # A lambda exponent function, or items of a local class, cannot
+        # reach a spawned worker.  That is a configuration error, raised by
+        # the bootstrap probe of the first pool: no shard attempt, no retry
+        # wave, no degraded-run warning, and a message naming the task or
+        # its samples and the thread executor.
         monkeypatch.setattr(sharding, "_start_method", lambda: "spawn")
-        pools = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(sharding, "ProcessPoolExecutor", CountingPool)
-        pipeline = _pipeline(exponent_function=lambda t: (1 - t) / (1 + t))
+        transactions = tight_baskets.transactions
+        if unpicklable == "items":
+            pipeline = _pipeline()
+            transactions = _local_class_items(transactions)
+        else:
+            pipeline = _pipeline(exponent_function=lambda t: (1 - t) / (1 + t))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ConfigurationError, match="'thread' executor"):
+            with pytest.raises(
+                ConfigurationError,
+                match="task or its samples cannot be pickled.*'thread' executor",
+            ):
                 pipeline.run_sharded(
-                    tight_baskets.transactions,
+                    transactions,
                     n_shards=2,
                     shard_workers=2,
                     shard_executor=PROCESS_SHARD_EXECUTOR,
                 )
-        assert pools == [2]
+        assert process_pools == [2]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_unpicklable_result_fails_once_with_configuration_error(
+        self, process_pools
+    ):
+        # A result that cannot be pickled back would fail every retry alike:
+        # the worker raises a configuration error naming the shard, and the
+        # first pool's wave propagates it instead of retrying it as a crash.
+        samples = [([frozenset({i})], [i]) for i in range(3)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(
+                ConfigurationError, match=r"result of shard \d cannot be pickled"
+            ):
+                cluster_shards(
+                    samples,
+                    _unpicklable_result,
+                    shard_workers=2,
+                    executor=PROCESS_SHARD_EXECUTOR,
+                )
+        assert process_pools == [2]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_unpicklable_task_rejected_by_the_probe(self, monkeypatch):
@@ -824,23 +878,52 @@ class TestProcessExecutor:
     def test_lambda_exponent_and_local_measure_run_on_the_default_path(
         self, tight_baskets
     ):
-        # Forked workers inherit the task, so a measure class and an
-        # exponent function no pickle can find by name still run there.
+        # Forked workers inherit the task and the samples, and a result
+        # holds stream positions only, so a measure class, an exponent
+        # function and items no pickle can find by name still run there.
         class LocalJaccard(JaccardSimilarity):
             pass
+
+        baskets = _local_class_items(tight_baskets.transactions)
 
         def run(**executor):
             return _pipeline(
                 measure=LocalJaccard(), exponent_function=lambda t: (1 - t) / (1 + t)
-            ).run_sharded(
-                tight_baskets.transactions, n_shards=3, shard_workers=2, **executor
-            )
+            ).run_sharded(baskets, n_shards=3, shard_workers=2, **executor)
 
-        default = run()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            default = run()
         threaded = run(shard_executor=THREAD_SHARD_EXECUTOR)
-        assert default.parameters["shard_executor"] == DEFAULT_SHARD_EXECUTOR
+        forks = sharding._start_method() == "fork"
+        assert default.parameters["shard_executor"] == (
+            PROCESS_SHARD_EXECUTOR if forks else THREAD_SHARD_EXECUTOR
+        )
         assert default.parameters["skipped_shards"] == []
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert np.array_equal(default.labels, threaded.labels)
+
+    @pytest.mark.skipif(not CAN_FORK, reason="needs the fork start method")
+    @pytest.mark.parametrize(
+        "shard_workers, executor",
+        [
+            (None, THREAD_SHARD_EXECUTOR),
+            (1, THREAD_SHARD_EXECUTOR),
+            (2, PROCESS_SHARD_EXECUTOR),
+        ],
+    )
+    def test_omitted_executor_forks_only_for_parallel_shards(
+        self, tight_baskets, monkeypatch, process_pools, shard_workers, executor
+    ):
+        # One worker runs nothing in parallel, so the default makes no
+        # process pool for it; more than one forks, and the parameters
+        # report the pool that ran.
+        monkeypatch.setattr(sharding, "_start_method", lambda: "fork")
+        result = _pipeline().run_sharded(
+            tight_baskets.transactions, n_shards=3, shard_workers=shard_workers
+        )
+        assert result.parameters["shard_executor"] == executor
+        assert process_pools == ([2] if executor == PROCESS_SHARD_EXECUTOR else [])
 
     def test_attempts_ship_only_the_shard_id(self, monkeypatch):
         # The task and the samples reach the workers through the pool's
@@ -904,7 +987,8 @@ class TestProcessExecutor:
 
 class TestStartMethod:
     """Process workers fork on Linux and spawn elsewhere, and the default
-    executor follows: ``process`` where the workers fork, else ``thread``."""
+    executor follows: ``process`` where the workers fork and more than one
+    attempt can run at once, else ``thread``."""
 
     @pytest.mark.parametrize(
         "platform, method, default",
@@ -919,14 +1003,12 @@ class TestStartMethod:
     ):
         monkeypatch.setattr(sys, "platform", platform)
         assert sharding._start_method() == method
-        assert sharding._default_executor() == default
+        assert resolve_shard_executor(None, 2) == default
+        assert resolve_shard_executor(None, 1) == THREAD_SHARD_EXECUTOR
 
     def test_default_is_thread_when_workers_cannot_fork(self, monkeypatch):
         monkeypatch.setattr(sharding, "_start_method", lambda: "spawn")
-        assert sharding._default_executor() == THREAD_SHARD_EXECUTOR
-
-    def test_the_default_is_picked_at_import(self):
-        assert DEFAULT_SHARD_EXECUTOR == sharding._default_executor()
+        assert resolve_shard_executor(None, 2) == THREAD_SHARD_EXECUTOR
 
 
 class TestShardRetries:

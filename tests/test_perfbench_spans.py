@@ -8,11 +8,15 @@ fail on the rename instead.
 """
 
 import importlib.util
+import multiprocessing
 from pathlib import Path
 
 import pytest
 
+from repro.core import sharding
 from repro.core.incremental import IncrementalRock
+from repro.core.pipeline import RockPipeline
+from repro.datasets.market_basket import generate_market_baskets
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -59,3 +63,28 @@ def test_traced_online_session_records_its_layers(spans):
         assert layer in recorder.names
     assert metrics["neighbors.edges"] > 0
     assert metrics["links.nnz"] > 0
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+@pytest.mark.parametrize("shard_workers, executor", [(1, "thread"), (2, "process")])
+def test_traced_shard_executor_choice_is_what_ran(
+    spans, monkeypatch, process_pools, shard_workers, executor
+):
+    # The executor left out, the choice the tracer records is the pool the
+    # run made: threads for one worker, forked processes for two.
+    monkeypatch.setattr(sharding, "_start_method", lambda: "fork")
+    baskets = generate_market_baskets(n_transactions=120, rng=0, n_clusters=2)
+    recorder = spans.SpanRecorder()
+    restore = spans.install(recorder)
+    try:
+        result = RockPipeline(n_clusters=2, theta=0.5, rng=0).run_sharded(
+            baskets.transactions, n_shards=2, shard_workers=shard_workers
+        )
+    finally:
+        restore()
+    assert dict(recorder.choices["shard_executor"]) == {executor: 1}
+    assert result.parameters["shard_executor"] == executor
+    assert process_pools == ([shard_workers] if executor == "process" else [])
