@@ -268,9 +268,13 @@ def trace_neighbor_peak(n: int, theta: float = BENCH_THETA, rng: int = 0) -> dic
 LINK_GATE_THETA = 0.3
 
 
-def trace_link_peak(n: int, theta: float = LINK_GATE_THETA, rng: int = 0) -> dict:
+def trace_link_peak(
+    n: int, theta: float = LINK_GATE_THETA, rng: int = 0, product=links_from_neighbors
+) -> dict:
     """Traced allocation peak of one link product on ``n`` Instacart-shaped
-    baskets.
+    baskets: ``product`` is :func:`~repro.core.links.links_from_neighbors`
+    (the public int64 matrix) or :func:`~repro.core.links.canonical_links`
+    (what a fit seeds the arena from).
 
     Returns the peak in bytes (``links_peak_bytes``) and per nonzero of the
     link matrix (``links_peak_bytes_per_nnz``), the product's multiply-adds
@@ -280,12 +284,13 @@ def trace_link_peak(n: int, theta: float = LINK_GATE_THETA, rng: int = 0) -> dic
     """
     transactions = generate_instacart_baskets(n_transactions=n, rng=rng).transactions
     graph = compute_neighbors(transactions, theta=theta)
-    links, peak = traced_call(links_from_neighbors, graph)
+    links, peak = traced_call(product, graph)
     lengths = graph.neighbor_counts().astype(np.int64) + 1
     multiply_adds = int(lengths @ lengths)
     pooled = links_module._link_pool(multiply_adds) is not None
     return {
         "n": n,
+        "product": product.__name__,
         "links_nnz": int(links.nnz),
         "multiply_adds": multiply_adds,
         "path": "pool" if pooled else "single",

@@ -44,12 +44,25 @@ extrapolated link mass).  With ``sizes=None`` every unit is a point.
 are int32 while ``2 * n_points``, past every cluster id, fits, int64
 beyond (:func:`_partner_dtype`).  Counts take the smallest of int32 and
 int64 that holds the input's upper-triangle link mass, which bounds every
-merged count, and float weights stay float64 (:func:`_count_dtype`); the
-frontier-union accumulator and the canonical copy made while seeding share
-that dtype.  Goodness stays float64, ``-(count / denominator)``: an integer
-count converts to float64 exactly, so the narrower cells change no float,
-tie-break or early stop.  Partner slices are widened to ``np.intp`` once,
-where the loop reads them, so its fancy indexing never casts per use.
+merged count, and float weights stay float64
+(:func:`repro.core.links.count_dtype`); the frontier-union accumulator
+shares that dtype.  Goodness stays float64, ``-(count / denominator)``: an
+integer count converts to float64 exactly, so the narrower cells change no
+float, tie-break or early stop.  Partner slices are widened to ``np.intp``
+once, where the loop reads them, so its fancy indexing never casts per use.
+
+**Seeding.**  The rows are seeded from the upper triangle of the input,
+symmetrised, positive and sorted, in the count cells' dtype.  Any other
+input is copied into that form first; a point-level fit hands over
+:func:`repro.core.links.canonical_links`, which is already in it
+(``canonical=True``), and the engine, its only holder, drops it once the
+rows are seeded, so no link matrix lives through the merge loop.
+
+**Intra-cluster link mass.**  Each merge folds the merged cluster's
+internal link mass: its two children's plus their cross count, exact for
+integer counts.  :meth:`ArenaAgglomerationEngine.intra_link_mass` reads
+it for a surviving cluster, which is how a point-level fit sums the
+criterion function without reading the link matrix again.
 
 **Determinism.**  With unit sizes the merge history is bit-identical to
 ``reference``: same ``MergeStep`` history, same tie-breaks, same early-stop
@@ -69,6 +82,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.goodness import ExponentFunction, default_expected_links_exponent
+from repro.core.links import count_dtype
 from repro.types import MergeStep
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -78,15 +92,6 @@ def _partner_dtype(n_points: int) -> np.dtype:
     """Partner-id cells: int32 while ``2 * n_points`` (past every cluster
     id) fits in it, else int64."""
     return np.dtype(np.int32 if 2 * n_points <= _INT32_MAX else np.int64)
-
-
-def _count_dtype(dtype: np.dtype, mass: float) -> np.dtype:
-    """Count cells for links of ``dtype`` whose upper triangle sums to
-    ``mass``: int32 while the mass (a bound on every merged count) fits,
-    else int64; float weights stay float64."""
-    if not np.issubdtype(dtype, np.integer):
-        return np.dtype(np.float64)
-    return np.dtype(np.int32 if mass <= _INT32_MAX else np.int64)
 
 
 def arena_agglomerate(
@@ -137,7 +142,14 @@ def arena_agglomerate(
 
 
 class ArenaAgglomerationEngine:
-    """Arena-state machine for one agglomeration run."""
+    """Arena-state machine for one agglomeration run.
+
+    ``links`` and the other arguments are those of
+    :func:`arena_agglomerate`.  ``canonical=True`` says ``links`` is
+    already in the seeding form (:func:`repro.core.links.canonical_links`):
+    the engine seeds from it without a copy and lets go of it once the
+    rows are seeded.
+    """
 
     #: Extra cells granted beyond ``length + length // 4`` whenever a row
     #: window is (re)allocated — seeded, merged, relocated or compacted — so
@@ -169,6 +181,8 @@ class ArenaAgglomerationEngine:
         theta: float,
         exponent_function: ExponentFunction | None = None,
         sizes: np.ndarray | None = None,
+        *,
+        canonical: bool = False,
     ) -> None:
         self.n_points = int(n_points)
         self.n_clusters = int(n_clusters)
@@ -188,14 +202,16 @@ class ArenaAgglomerationEngine:
             dtype=np.float64,
         )
         self._links = links
+        self._canonical = canonical
 
     # ------------------------------------------------------------------ #
     # State initialisation
     # ------------------------------------------------------------------ #
-    def _canonical_symmetric(self) -> sparse.csr_matrix:
-        """Upper-triangle-symmetrised, positive, sorted copy of the input in
-        the count cells' dtype (:func:`_count_dtype`)."""
-        matrix = sparse.csr_matrix(self._links)
+    @staticmethod
+    def _canonical_symmetric(links: sparse.spmatrix) -> sparse.csr_matrix:
+        """Upper-triangle-symmetrised, positive, sorted copy of ``links`` in
+        the count cells' dtype (:func:`repro.core.links.count_dtype`)."""
+        matrix = sparse.csr_matrix(links)
         upper = sparse.triu(matrix, k=1).tocsr()
         if upper.nnz and (upper.data <= 0).any():
             upper = upper.copy()
@@ -204,7 +220,7 @@ class ArenaAgglomerationEngine:
         # A float64 sum is exact up to 2**53, far past the int32 bound, and
         # cannot wrap.
         mass = float(upper.data.sum(dtype=np.float64))
-        upper = upper.astype(_count_dtype(upper.dtype, mass), copy=False)
+        upper = upper.astype(count_dtype(upper.dtype, mass), copy=False)
         symmetric = (upper + upper.T).tocsr()
         symmetric.sort_indices()
         return symmetric
@@ -231,12 +247,14 @@ class ArenaAgglomerationEngine:
         # never assigned; the trailing dead cell doubles as the target of
         # the ``-1`` best-partner sentinel under negative indexing.
         capacity = max(2 * n, 1)
-        symmetric = self._canonical_symmetric()
+        symmetric = self._links if self._canonical else self._canonical_symmetric(self._links)
+        self._links = None
 
         self._alive = np.zeros(capacity, dtype=bool)
         self._alive[:n] = True
         self._size_np = np.zeros(capacity, dtype=np.int64)
         self._size_np[:n] = self._sizes
+        self._intra = np.zeros(capacity, dtype=np.result_type(symmetric.dtype, np.int64))
         self._child_left = [-1] * capacity
         self._child_right = [-1] * capacity
 
@@ -478,6 +496,7 @@ class ArenaAgglomerationEngine:
         row_cap = self._row_cap
         child_left = self._child_left
         child_right = self._child_right
+        intra = self._intra
         counters = self._counters
         infinity = np.inf
 
@@ -574,6 +593,10 @@ class ArenaAgglomerationEngine:
             right_counts = self._arena_count[
                 right_start : right_start + row_len[right]
             ]
+            # The merged cluster's internal link mass: its children's plus
+            # their cross count (right sits in left's row exactly once).
+            cross = left_counts[int((left_partners == right).argmax())]
+            intra[merged] = intra[left] + intra[right] + cross
             keep = alive[left_partners]
             left_partners = left_partners[keep]
             left_counts = left_counts[keep]
@@ -672,6 +695,12 @@ class ArenaAgglomerationEngine:
     # ------------------------------------------------------------------ #
     # Final assembly
     # ------------------------------------------------------------------ #
+    def intra_link_mass(self, cluster: int) -> int | float:
+        """Link mass inside ``cluster`` after :meth:`run`: the links
+        between its starting units, each unordered pair once (the input's
+        diagonal is not counted), folded merge by merge."""
+        return self._intra[cluster].item()
+
     def _collect_members(self, next_id: int) -> dict[int, list[int]]:
         """Surviving cluster id -> starting-unit ids, by merge-tree walk."""
         n = self.n_points

@@ -12,7 +12,7 @@ cross-links between two clusters by the expected increase of that quantity.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -162,23 +162,38 @@ def criterion_function(
             weights=matrix.data[same_cluster],
             minlength=len(clusters),
         )
-        total = 0.0
-        for index, members in enumerate(clusters):
-            size = len(members)
-            if size == 0:
-                continue
-            link_mass = int(masses[index]) // 2
-            total += size * (link_mass / theta_power(size, theta, f))
-        return float(total)
+        return criterion_from_masses(
+            [(len(members), int(masses[index]) // 2) for index, members in enumerate(clusters)],
+            theta,
+            f,
+        )
 
     # Overlapping clusters cannot be expressed as one label vector; fall
     # back to per-cluster block sums.
+    return criterion_from_masses(
+        [
+            (len(members), intra_cluster_links(links, np.asarray(list(members), dtype=int)))
+            for members in clusters
+        ],
+        theta,
+        f,
+    )
+
+
+def criterion_from_masses(
+    clusters: Iterable[tuple[int, float]],
+    theta: float,
+    f: ExponentFunction | None = None,
+) -> float:
+    """``E_l`` from each cluster's ``(size, intra-cluster link mass)``.
+
+    The sum :func:`criterion_function` computes once it has the masses
+    (each unordered pair once), in the same order and float operations, so
+    equal masses give a bit-identical value.  Empty clusters add nothing.
+    """
     total = 0.0
-    for members in clusters:
-        members = np.asarray(list(members), dtype=int)
-        size = len(members)
+    for size, link_mass in clusters:
         if size == 0:
             continue
-        link_mass = intra_cluster_links(links, members)
         total += size * (link_mass / theta_power(size, theta, f))
     return float(total)

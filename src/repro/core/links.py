@@ -17,6 +17,13 @@ agglomeration engines (see :mod:`repro.core.rock`) rely on that order for
 their deterministic tie-breaking, so the choice of link strategy never
 changes the clustering.
 
+:func:`links_from_neighbors` returns int64 counts.  :func:`canonical_links`
+is the same matrix with the counts in the arena engine's count cells
+(:func:`count_dtype`: int32 while the upper triangle's link mass fits):
+what :class:`~repro.core.engine_arena.ArenaAgglomerationEngine` seeds
+from, written once in that dtype on either path below, so a fit holds no
+int64 copy.
+
 The matrix product runs one of two ways, with the same result down to the
 index order and the dtypes:
 
@@ -80,6 +87,17 @@ _BLOCKS_PER_WORKER = 4
 #: a block holds while it runs as the product grows.
 _MAX_BLOCK_MULTIPLY_ADDS = 32_000_000
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def count_dtype(dtype: np.dtype, mass: float) -> np.dtype:
+    """Count cells for links of ``dtype`` whose upper triangle sums to
+    ``mass``: int32 while the mass (a bound on every count merging can
+    reach) fits, else int64; float weights stay float64."""
+    if not np.issubdtype(dtype, np.integer):
+        return np.dtype(np.float64)
+    return np.dtype(np.int32 if mass <= _INT32_MAX else np.int64)
+
 
 def _link_pool(multiply_adds: int) -> tuple[Executor, int] | None:
     """The CPU pool and its thread count when a product of
@@ -121,19 +139,31 @@ def links_from_neighbors(
             "unknown link strategy %r; expected one of %s"
             % (strategy, ", ".join(LINK_STRATEGIES))
         )
+    adjacency = _with_self_links(graph, include_self)
+    if strategy == "neighbor-lists":
+        return _without_diagonal(_links_by_neighbor_lists(adjacency))
+    return _link_product(adjacency, narrow=False)
+
+
+def canonical_links(graph: NeighborGraph, include_self: bool = True) -> sparse.csr_matrix:
+    """The link matrix in the form the arena engine seeds from.
+
+    ``links_from_neighbors(graph, include_self=include_self)`` with the
+    same indptr, indices and values, its counts in :func:`count_dtype`
+    (int32 while the upper triangle's link mass fits, else int64).  Both
+    paths of the product write the counts once, in that dtype.
+    """
+    return _link_product(_with_self_links(graph, include_self), narrow=True)
+
+
+def _with_self_links(graph: NeighborGraph, include_self: bool) -> sparse.csr_matrix:
     adjacency = graph.adjacency
     if include_self:
         adjacency = (adjacency + sparse.identity(graph.n_points, dtype=bool, format="csr")).tocsr()
+    return adjacency
 
-    if strategy == "neighbor-lists":
-        links = _links_by_neighbor_lists(adjacency)
-    else:
-        lengths = np.diff(adjacency.indptr).astype(np.int64)
-        pool = _link_pool(int(lengths @ lengths))
-        if pool is not None:
-            return _links_in_blocks(adjacency, *pool)
-        links = _links_by_matmul(adjacency)
 
+def _without_diagonal(links: sparse.spmatrix) -> sparse.csr_matrix:
     links.setdiag(0)
     links.eliminate_zeros()
     links = links.tocsr()
@@ -144,18 +174,31 @@ def links_from_neighbors(
     return links
 
 
-def _links_by_matmul(adjacency: sparse.csr_matrix) -> sparse.csr_matrix:
-    # The adjacency is symmetric, so it is its own transpose: multiplying
-    # by it directly skips converting a transposed copy back to CSR.
-    counted = adjacency.astype(np.int64)
-    return counted @ counted
+def _link_product(adjacency: sparse.csr_matrix, narrow: bool) -> sparse.csr_matrix:
+    """``A @ A`` without its diagonal: int64 counts, or with ``narrow`` the
+    :func:`count_dtype` ones."""
+    lengths = np.diff(adjacency.indptr).astype(np.int64)
+    pool = _link_pool(int(lengths @ lengths))
+    if pool is not None:
+        return _links_in_blocks(adjacency, *pool, narrow)
+    # A count is at most n, so int32 holds every count the narrow product
+    # makes; only the link mass decides whether the cells must widen.  The
+    # adjacency is symmetric, so it is its own transpose: multiplying by it
+    # directly skips converting a transposed copy back to CSR.
+    counted = adjacency.astype(np.int32 if narrow else np.int64)
+    links = _without_diagonal(counted @ counted)
+    if narrow:
+        mass = float(links.data.sum(dtype=np.float64)) / 2
+        links.data = links.data.astype(count_dtype(links.dtype, mass), copy=False)
+    return links
 
 
 def _links_in_blocks(
-    adjacency: sparse.csr_matrix, pool: Executor, workers: int
+    adjacency: sparse.csr_matrix, pool: Executor, workers: int, narrow: bool
 ) -> sparse.csr_matrix:
     """The link matrix from the strict upper triangle of the product,
-    computed in row blocks on ``pool`` (``workers`` threads).
+    computed in row blocks on ``pool`` (``workers`` threads), with int64
+    counts or, with ``narrow``, the :func:`count_dtype` ones.
 
     Block ``low:high`` multiplies the trailing rows ``low:`` by the
     transpose of its own rows.  The adjacency is symmetric, so that is the
@@ -200,9 +243,14 @@ def _links_in_blocks(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(earlier + later, out=indptr[1:])
     nnz = int(indptr[-1])
-    index_dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    index_dtype = np.int32 if max(nnz, n) <= _INT32_MAX else np.int64
+    data_dtype = np.dtype(np.int64)
+    if narrow:
+        # The blocks hold each unordered pair once: the upper triangle.
+        mass = sum(float(block.data.sum(dtype=np.float64)) for block in blocks)
+        data_dtype = count_dtype(data_dtype, mass)
     indices = np.empty(nnz, dtype=index_dtype)
-    data = np.empty(nnz, dtype=np.int64)
+    data = np.empty(nnz, dtype=data_dtype)
 
     cursor = indptr[:-1].copy()
     later_start = indptr[:-1] + earlier

@@ -1313,7 +1313,8 @@ class RockPipeline:
             per-shard task :func:`cluster_shard`.  ``None`` (the default)
             is resolved once per call: ``"process"`` where its workers
             fork (Linux) and ``shard_workers`` is above 1, else
-            ``"thread"``; ``parameters["shard_executor"]`` reports it.
+            ``"thread"``; ``parameters["shard_executor"]`` reports it, or
+            ``None`` for one shard, which runs no pool.
             The process executor escapes the GIL.  Forked workers start in
             tens of milliseconds and inherit the task and the samples, and
             a shard's result holds stream positions only, so any measure,
@@ -1381,7 +1382,7 @@ class RockPipeline:
                 % (shard_strategy, ", ".join(SHARD_STRATEGIES))
             )
         # Resolved once, here, so a bad value fails before the source is
-        # read, whatever the shard count, and the parameters name what ran.
+        # read, whatever the shard count.
         shard_executor = resolve_shard_executor(shard_executor, shard_workers)
         if shard_retries < 0:
             raise ConfigurationError(
@@ -1407,7 +1408,9 @@ class RockPipeline:
                 "n_shards": n_shards,
                 "shard_strategy": shard_strategy,
                 "shard_workers": shard_workers,
-                "shard_executor": shard_executor,
+                # The pool that ran: one shard takes the streaming phases
+                # and makes none.
+                "shard_executor": shards.executor if shards else None,
                 "shard_retries": int(shard_retries),
                 "merge_fan_in": merge_fan_in,
                 "merge_levels": 0,
@@ -1450,6 +1453,7 @@ def _cluster_sample(
     phase_start = time.perf_counter()
     participating = list(range(len(sample)))
     isolated: list[int] = []
+    graph = None
     if config.min_neighbors > 0:
         graph = compute_neighbors(
             sample, theta=config.theta, measure=config.measure, item_index=item_index
@@ -1460,6 +1464,7 @@ def _cluster_sample(
         # When every sampled point is isolated, cluster them all.
         if kept:
             participating, isolated = kept, dropped
+            graph = graph.subgraph(kept)
     clustered_sample = [sample[i] for i in participating]
     timings["neighbors"] = time.perf_counter() - phase_start
 
@@ -1472,7 +1477,12 @@ def _cluster_sample(
         exponent_function=config.exponent_function,
         strict=config.strict,
     )
-    rock_result = model.fit(clustered_sample, item_index=item_index).result_
+    if graph is None:
+        model.fit(clustered_sample, item_index=item_index)
+    else:
+        # The survivors' graph is the induced subgraph of the sample's.
+        model._fit_graph(graph)
+    rock_result = model.result_
     timings["clustering"] = time.perf_counter() - phase_start
 
     kept_clusters, pruned_points = drop_small_clusters(

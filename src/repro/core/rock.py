@@ -33,13 +33,15 @@ matrices.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy import sparse
 
+from repro.core.engine_arena import ArenaAgglomerationEngine
 from repro.core.engines import (
+    ARENA_ENGINE,
     DEFAULT_ENGINE,
     REFERENCE_ENGINE,
     AgglomerationEngine,
@@ -50,11 +52,12 @@ from repro.core.engines import (
 )
 from repro.core.goodness import (
     ExponentFunction,
+    criterion_from_masses,
     criterion_function,
     goodness,
 )
 from repro.core.heaps import AddressableMaxHeap
-from repro.core.links import links_from_neighbors
+from repro.core.links import canonical_links, links_from_neighbors
 from repro.core.neighbors import NeighborGraph, compute_neighbors, validate_theta
 from repro.data.dataset import CategoricalDataset, TransactionDataset
 from repro.data.encoding import attribute_value_items, binary_matrix_to_transactions
@@ -263,9 +266,19 @@ class RockClustering:
 
     @property
     def links_(self) -> sparse.csr_matrix:
-        """The link matrix computed during :meth:`fit`."""
-        if self._links is None:
+        """The link matrix of the points :meth:`fit` clustered.
+
+        Built on first access from the kept neighbour graph by
+        :func:`~repro.core.links.links_from_neighbors`: the arena engine
+        seeds its merge loop from a narrower copy that it drops once
+        seeded, so a fit holds no link matrix of its own.
+        """
+        if self._neighbor_graph is None:
             raise NotFittedError("call fit() before accessing the link matrix")
+        if self._links is None:
+            self._links = links_from_neighbors(
+                self._neighbor_graph, include_self=self._fitted_include_self
+            )
         return self._links
 
     # ------------------------------------------------------------------ #
@@ -283,10 +296,17 @@ class RockClustering:
         graph = compute_neighbors(
             transactions, theta=self.theta, measure=self.measure, item_index=item_index
         )
-        links = links_from_neighbors(graph, include_self=self.include_self_links)
+        return self._fit_graph(graph)
+
+    def _fit_graph(self, graph: NeighborGraph) -> "RockClustering":
+        """:meth:`fit` from its points' neighbour graph on."""
         self._neighbor_graph = graph
-        self._links = links
-        self._result = self._agglomerate(links, len(transactions))
+        self._links = None
+        self._fitted_include_self = self.include_self_links
+        if resolve_engine_name(self.engine) == ARENA_ENGINE:
+            self._result = self._agglomerate_arena(graph)
+        else:
+            self._result = self._agglomerate(self.links_, graph.n_points)
         return self
 
     def fit_predict(self, data) -> np.ndarray:
@@ -303,6 +323,37 @@ class RockClustering:
             # the registry adapter would build a second estimator).
             return self._agglomerate_reference(links, n_points)
         return self._agglomerate_registered(get_engine(name), links, n_points)
+
+    def _agglomerate_arena(self, graph: NeighborGraph) -> RockResult:
+        """The arena engine, seeded from :func:`canonical_links`.
+
+        The product goes straight into the engine's constructor, so the
+        engine is its only holder and drops it once seeded; no frame on
+        the way down keeps it alive through the merge loop.  The criterion
+        is summed from the intra-cluster link masses the engine folds.
+        """
+        n_points = graph.n_points
+        engine = ArenaAgglomerationEngine(
+            canonical_links(graph, include_self=self.include_self_links),
+            n_points,
+            self.n_clusters,
+            self.theta,
+            self.exponent_function,
+            canonical=True,
+        )
+        start_time = time.perf_counter()
+        merge_history, members, stopped_early, counters = engine.run()
+        self._check_strict(stopped_early, len(members))
+        return self._build_result(
+            None,
+            n_points,
+            members,
+            merge_history,
+            stopped_early,
+            start_time,
+            merge_counters=counters,
+            masses={cluster: engine.intra_link_mass(cluster) for cluster in members},
+        )
 
     def _agglomerate_registered(
         self,
@@ -398,23 +449,35 @@ class RockClustering:
 
     def _build_result(
         self,
-        links: sparse.csr_matrix,
+        links: sparse.csr_matrix | None,
         n_points: int,
         members: dict[int, list[int]],
         merge_history: list[MergeStep],
         stopped_early: bool,
         start_time: float,
         merge_counters: dict | None = None,
+        masses: Mapping[int, float] | None = None,
     ) -> RockResult:
-        clusters = self._ordered_clusters(members)
+        """The result of a run; the criterion is summed from ``masses``
+        (cluster id → intra-cluster link mass) when given, else from
+        ``links``."""
+        order = self._ordered_ids(members)
+        clusters = [tuple(sorted(members[cluster])) for cluster in order]
         labels = np.full(n_points, -1, dtype=int)
         for label, cluster_members in enumerate(clusters):
             labels[list(cluster_members)] = label
 
         elapsed = time.perf_counter() - start_time
-        criterion = criterion_function(
-            links, clusters, self.theta, self.exponent_function
-        )
+        if masses is None:
+            criterion = criterion_function(
+                links, clusters, self.theta, self.exponent_function
+            )
+        else:
+            criterion = criterion_from_masses(
+                [(len(members[cluster]), masses[cluster]) for cluster in order],
+                self.theta,
+                self.exponent_function,
+            )
         return RockResult(
             labels=labels,
             clusters=clusters,
@@ -489,8 +552,6 @@ class RockClustering:
         )
 
     @staticmethod
-    def _ordered_clusters(members: dict[int, list[int]]) -> list[tuple]:
-        """Order clusters by decreasing size (ties: smallest member index)."""
-        clusters = [tuple(sorted(cluster)) for cluster in members.values()]
-        clusters.sort(key=lambda cluster: (-len(cluster), cluster[0]))
-        return clusters
+    def _ordered_ids(members: dict[int, list[int]]) -> list[int]:
+        """Cluster ids by decreasing size (ties: smallest member index)."""
+        return sorted(members, key=lambda cluster: (-len(members[cluster]), min(members[cluster])))

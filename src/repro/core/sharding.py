@@ -659,11 +659,24 @@ def _attempt(inject: str | None, shard_id: int):
     it is raised here so the fault takes the worker's error channel.  A
     process worker checks that the result pickles: the pool would report
     one it cannot send back like a crash, and every retry would fail alike.
+    An exception the task raises that cannot make the round trip to the
+    parent is replaced by one naming its type and message, of the same
+    retry class: a :class:`~repro.errors.ConfigurationError` stays one,
+    anything else becomes a ``RuntimeError``.
     """
     if inject is not None:
         raise failpoints.InjectedFaultError(inject)
     sample, positions = _work.samples[shard_id]
-    result = _work.task(shard_id, sample, positions)
+    try:
+        result = _work.task(shard_id, sample, positions)
+    except Exception as error:
+        if _work.pickles_results and not _round_trips(error):
+            kind = ConfigurationError if isinstance(error, ConfigurationError) else RuntimeError
+            raise kind(
+                "%s: %s (the exception itself cannot be pickled back from its "
+                "%r worker)" % (type(error).__name__, error, PROCESS_SHARD_EXECUTOR)
+            ) from error
+        raise
     if _work.pickles_results:
         try:
             ForkingPickler.dumps(result)
@@ -675,6 +688,15 @@ def _attempt(inject: str | None, shard_id: int):
                 % (shard_id, PROCESS_SHARD_EXECUTOR, error, THREAD_SHARD_EXECUTOR)
             ) from error
     return result
+
+
+def _round_trips(error: Exception) -> bool:
+    """Whether ``error`` survives pickling to the parent and back."""
+    try:
+        pickle.loads(ForkingPickler.dumps(error))
+    except (*_PICKLING_ERRORS, pickle.UnpicklingError):
+        return False
+    return True
 
 
 def _run_wave(

@@ -27,7 +27,6 @@ from scipy import sparse
 
 from repro.core.engine_arena import (
     ArenaAgglomerationEngine,
-    _count_dtype,
     _partner_dtype,
     arena_agglomerate,
 )
@@ -47,7 +46,7 @@ from repro.core.engines import (
 )
 from repro.core.goodness import default_expected_links_exponent
 from repro.core.incremental import IncrementalRock
-from repro.core.links import links_from_neighbors
+from repro.core.links import count_dtype, links_from_neighbors
 from repro.core.neighbors import compute_neighbors
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import RockClustering
@@ -489,15 +488,15 @@ class TestArenaCellDtypes:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16, np.uint32])
     def test_integer_counts_are_int32_while_the_link_mass_fits(self, dtype):
-        assert _count_dtype(np.dtype(dtype), 0.0) == np.int32
-        assert _count_dtype(np.dtype(dtype), 2**31 - 1) == np.int32
-        assert _count_dtype(np.dtype(dtype), 2**31) == np.int64
-        assert _count_dtype(np.dtype(dtype), 2.0**62) == np.int64
+        assert count_dtype(np.dtype(dtype), 0.0) == np.int32
+        assert count_dtype(np.dtype(dtype), 2**31 - 1) == np.int32
+        assert count_dtype(np.dtype(dtype), 2**31) == np.int64
+        assert count_dtype(np.dtype(dtype), 2.0**62) == np.int64
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
     def test_other_inputs_count_in_float64(self, dtype):
-        assert _count_dtype(np.dtype(dtype), 1.0) == np.float64
-        assert _count_dtype(np.dtype(dtype), 2.0**40) == np.float64
+        assert count_dtype(np.dtype(dtype), 1.0) == np.float64
+        assert count_dtype(np.dtype(dtype), 2.0**40) == np.float64
 
     def test_link_counts_run_on_int32_cells(self):
         rng = np.random.default_rng(2)

@@ -14,6 +14,7 @@ import repro.core.cpu_pool as cpu_pool_module
 import repro.core.links as links_module
 from repro.core.links import (
     LINK_STRATEGIES,
+    canonical_links,
     compute_links,
     cross_cluster_links,
     intra_cluster_links,
@@ -179,16 +180,27 @@ def _assert_identical(left, right):
         np.testing.assert_array_equal(first, second, err_msg=name)
 
 
-def _pooled(graph, workers, include_self):
-    """``links_from_neighbors`` forced onto a pool of ``workers`` threads."""
+def _pooled(graph, workers, include_self, product=links_from_neighbors):
+    """``product`` (the public link product by default) forced onto a pool
+    of ``workers`` threads."""
     pool = ThreadPoolExecutor(max_workers=workers)
     original = links_module._link_pool
     links_module._link_pool = lambda multiply_adds: (pool, workers)
     try:
-        return links_from_neighbors(graph, include_self=include_self)
+        return product(graph, include_self=include_self)
     finally:
         links_module._link_pool = original
         pool.shutdown()
+
+
+def _one_call(graph, include_self, product=links_from_neighbors):
+    """``product`` forced onto the one-call path."""
+    original = links_module._link_pool
+    links_module._link_pool = lambda multiply_adds: None
+    try:
+        return product(graph, include_self=include_self)
+    finally:
+        links_module._link_pool = original
 
 
 def _multiply_adds(graph, include_self):
@@ -252,6 +264,68 @@ class TestPooledProduct:
         assert links_module._row_blocks(sparse.csr_matrix((0, 0), dtype=np.int32), 2) == []
 
 
+def _assert_same_links(narrow, public):
+    """``narrow`` is ``public`` in indptr, indices and values, its counts in
+    the arena's count dtype."""
+    assert narrow.shape == public.shape
+    for name in ("indptr", "indices"):
+        first, second = getattr(narrow, name), getattr(public, name)
+        assert first.dtype == second.dtype, name
+        np.testing.assert_array_equal(first, second, err_msg=name)
+    np.testing.assert_array_equal(narrow.data, public.data)
+    mass = float(public.data.sum()) / 2
+    assert narrow.dtype == links_module.count_dtype(public.dtype, mass)
+    assert narrow.has_sorted_indices
+
+
+class TestCanonicalLinks:
+    """The product the arena seeds from is the public one, narrower."""
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, 4])
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_equals_the_public_product_on_both_paths(self, rng, workers, include_self):
+        cases = [
+            _random_graph(rng, n, density, isolated)
+            for n, density, isolated in [
+                (0, 0.0, 0),
+                (1, 0.0, 0),
+                (2, 1.0, 0),
+                (9, 0.0, 0),
+                (40, 0.15, 5),
+                (120, 0.3, 12),
+            ]
+        ]
+        baskets = generate_market_baskets(n_transactions=150, rng=3, n_clusters=4)
+        transactions = baskets.transactions + [frozenset(), frozenset()]
+        cases += [compute_neighbors(transactions, theta=theta) for theta in (0.0, 0.3)]
+        for graph in cases:
+            public = links_from_neighbors(graph, include_self=include_self)
+            if workers is None:
+                narrow = _one_call(graph, include_self, canonical_links)
+            else:
+                narrow = _pooled(graph, workers, include_self, canonical_links)
+            _assert_same_links(narrow, public)
+            assert narrow.dtype == np.int32
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_counts_widen_exactly_past_the_int32_mass_bound(
+        self, rng, monkeypatch, workers
+    ):
+        # The rule at its boundary, on a small matrix: the bound moved to
+        # the product's own upper-triangle link mass.
+        graph = _random_graph(rng, 60, 0.2, isolated=4)
+        public = links_from_neighbors(graph)
+        mass = int(public.data.sum()) // 2
+        for bound, dtype in [(mass, np.int32), (mass - 1, np.int64)]:
+            monkeypatch.setattr(links_module, "_INT32_MAX", bound)
+            if workers is None:
+                narrow = _one_call(graph, True, canonical_links)
+            else:
+                narrow = _pooled(graph, workers, True, canonical_links)
+            assert narrow.dtype == dtype
+            _assert_same_links(narrow, public)
+
+
 class TestPoolSelection:
     """The link product takes the CPU pool only above the multiply-add
     crossover, and only where the pool itself allows it (the main thread
@@ -263,9 +337,9 @@ class TestPoolSelection:
         calls = []
         original = links_module._links_in_blocks
 
-        def recording(adjacency, pool, workers):
+        def recording(adjacency, pool, workers, *rest):
             calls.append(threading.current_thread())
-            return original(adjacency, pool, workers)
+            return original(adjacency, pool, workers, *rest)
 
         monkeypatch.setattr(links_module, "_links_in_blocks", recording)
         return calls
@@ -300,7 +374,7 @@ class TestPoolSelection:
             pytest.skip("the pool needs a second CPU")
         monkeypatch.setattr(links_module, "_POOL_MIN_MULTIPLY_ADDS", 0)
         link_threads = []
-        original = links_module.links_from_neighbors
+        original = links_module.canonical_links
 
         def recording(*args, **kwargs):
             link_threads.append(threading.current_thread())
@@ -308,7 +382,7 @@ class TestPoolSelection:
 
         import repro.core.rock as rock_module
 
-        monkeypatch.setattr(rock_module, "links_from_neighbors", recording)
+        monkeypatch.setattr(rock_module, "canonical_links", recording)
         baskets = generate_market_baskets(n_transactions=240, rng=0, n_clusters=3)
         RockPipeline(n_clusters=3, theta=0.4, rng=0).run_sharded(
             baskets.transactions,
@@ -348,7 +422,7 @@ def _count_pool_use_in_shard(config, shard_id, sample, positions):
     import repro.core.rock as child_rock
 
     counts = {"link_calls": 0, "link_pool_calls": 0}
-    blocks, links = child_links._links_in_blocks, child_rock.links_from_neighbors
+    blocks, links = child_links._links_in_blocks, child_rock.canonical_links
 
     def counting_blocks(*args):
         counts["link_pool_calls"] += 1
@@ -360,7 +434,7 @@ def _count_pool_use_in_shard(config, shard_id, sample, positions):
 
     child_links._POOL_MIN_MULTIPLY_ADDS = 0
     child_links._links_in_blocks = counting_blocks
-    child_rock.links_from_neighbors = counting_links
+    child_rock.canonical_links = counting_links
     result = cluster_shard(config, shard_id, sample, positions)
     result.timings.update(counts)
     return result

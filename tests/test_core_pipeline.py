@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.neighbors import compute_neighbors
+from repro.core.outliers import partition_isolated_points
 from repro.core.pipeline import RockPipeline, RockPipelineResult, rock_cluster
 from repro.core.rock import RockClustering
 from repro.data.encoding import records_to_transactions
+from repro.datasets.market_basket import generate_market_baskets
 from repro.errors import ConfigurationError
 from repro.evaluation.metrics import clustering_error
 from repro.extensions.qrock import QRock
@@ -145,6 +148,48 @@ class TestOutlierHandling:
     def test_without_min_neighbors_no_prefilter(self, two_group_transactions):
         result = rock_cluster(two_group_transactions, n_clusters=2, theta=0.4, min_neighbors=0)
         assert result.n_outliers == 0
+
+    @pytest.mark.parametrize(
+        "theta, min_neighbors", [(0.3, 1), (0.5, 2), (0.6, 1), (0.4, 3)]
+    )
+    def test_survivors_graph_is_the_induced_subgraph(self, theta, min_neighbors):
+        sample = generate_market_baskets(n_transactions=400, rng=7, n_clusters=5).transactions
+        graph = compute_neighbors(sample, theta=theta)
+        kept, dropped = partition_isolated_points(graph, min_neighbors=min_neighbors)
+        assert kept and dropped
+        fresh = compute_neighbors([sample[i] for i in kept], theta=theta).adjacency
+        sliced = graph.subgraph(kept).adjacency
+        for name in ("data", "indices", "indptr"):
+            assert getattr(sliced, name).dtype == getattr(fresh, name).dtype, name
+            np.testing.assert_array_equal(getattr(sliced, name), getattr(fresh, name))
+
+    @pytest.mark.parametrize("theta, min_neighbors", [(0.3, 1), (0.5, 2), (0.9, 1)])
+    def test_prefiltered_fit_builds_the_graph_once(self, monkeypatch, theta, min_neighbors):
+        # The fit clusters the survivors' slice of the pre-filter's graph,
+        # with the result a fit on the survivors alone gives.
+        import repro.core.pipeline as pipeline_module
+        import repro.core.rock as rock_module
+
+        calls = []
+        for module in (pipeline_module, rock_module):
+            def recording(*args, _module=module, **kwargs):
+                calls.append(_module.__name__)
+                return compute_neighbors(*args, **kwargs)
+
+            monkeypatch.setattr(module, "compute_neighbors", recording)
+        data = generate_market_baskets(n_transactions=300, rng=3, n_clusters=4).transactions
+        result = RockPipeline(
+            n_clusters=4, theta=theta, min_neighbors=min_neighbors, rng=0
+        ).run(data)
+        assert calls == ["repro.core.pipeline"]
+        kept, _ = partition_isolated_points(
+            compute_neighbors(data, theta=theta), min_neighbors=min_neighbors
+        )
+        survivors = [data[i] for i in kept] if kept else data
+        expected = RockClustering(n_clusters=4, theta=theta).fit(survivors).result_
+        assert result.rock_result.merge_history == expected.merge_history
+        assert result.rock_result.clusters == expected.clusters
+        assert result.rock_result.criterion == expected.criterion
 
 
 class TestStreamingPipeline:

@@ -207,3 +207,126 @@ class TestRockClustering:
         assert result.theta == 0.4
         assert result.n_clusters == 2
         assert result.elapsed_seconds >= 0
+
+
+def _baskets(seed=0, n=200):
+    from repro.datasets.market_basket import generate_market_baskets
+
+    return generate_market_baskets(n_transactions=n, rng=seed, n_clusters=4).transactions
+
+
+def _assert_identical(left, right):
+    """Equal sparse matrices down to the index order and every dtype."""
+    assert left.shape == right.shape
+    for name in ("indptr", "indices", "data"):
+        first, second = getattr(left, name), getattr(right, name)
+        assert first.dtype == second.dtype, name
+        np.testing.assert_array_equal(first, second, err_msg=name)
+
+
+class TestFoldedCriterion:
+    """The arena folds each cluster's link mass over its merges; the
+    criterion summed from those masses is the one the matrix gives."""
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize(
+        "exponent", [None, lambda theta: (1.0 - theta) / (1.0 + 2.0 * theta)]
+    )
+    def test_equals_the_criterion_function_bit_for_bit(self, include_self, exponent):
+        from repro.core.goodness import criterion_function
+
+        data = _baskets()
+        early_stops = 0
+        for theta in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for n_clusters in (1, 4):
+                model = RockClustering(
+                    n_clusters=n_clusters,
+                    theta=theta,
+                    include_self_links=include_self,
+                    exponent_function=exponent,
+                ).fit(data)
+                result = model.result_
+                expected = criterion_function(
+                    model.links_, result.clusters, theta, exponent
+                )
+                assert result.criterion.hex() == expected.hex(), (theta, n_clusters)
+                early_stops += result.stopped_early
+        assert early_stops >= 2
+
+    def test_equals_the_reference_engine(self):
+        data = _baskets(seed=5, n=120)
+        for theta in (0.2, 0.5, 0.8):
+            arena = RockClustering(n_clusters=3, theta=theta).fit(data).result_
+            reference = RockClustering(
+                n_clusters=3, theta=theta, engine="reference"
+            ).fit(data).result_
+            assert arena.criterion.hex() == reference.criterion.hex()
+            assert arena.merge_history == reference.merge_history
+
+
+class TestLinkMatrixLifetime:
+    """A fit keeps no link matrix: ``links_`` is built when first read."""
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_links_are_built_on_first_access(self, monkeypatch, include_self):
+        import repro.core.rock as rock_module
+        from repro.core.links import links_from_neighbors
+
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return links_from_neighbors(*args, **kwargs)
+
+        monkeypatch.setattr(rock_module, "links_from_neighbors", recording)
+        model = RockClustering(
+            n_clusters=3, theta=0.3, include_self_links=include_self
+        ).fit(_baskets())
+        assert calls == []
+        # What the fit clustered, even if the attribute changes afterwards.
+        model.include_self_links = not include_self
+        links = model.links_
+        expected = links_from_neighbors(
+            model.neighbor_graph_, include_self=include_self
+        )
+        _assert_identical(links, expected)
+        assert expected.dtype == np.int64
+        assert model.links_ is links
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_the_seeding_product_is_dead_when_the_merge_loop_starts(
+        self, monkeypatch, pooled
+    ):
+        import weakref
+        from concurrent.futures import ThreadPoolExecutor
+
+        import repro.core.links as links_module
+        import repro.core.rock as rock_module
+        from repro.core.engine_arena import ArenaAgglomerationEngine
+
+        refs = []
+        alive_at_loop_start = []
+        product = rock_module.canonical_links
+        seed = ArenaAgglomerationEngine._init_arena_state
+
+        def recording_product(*args, **kwargs):
+            links = product(*args, **kwargs)
+            refs.extend(
+                weakref.ref(part)
+                for part in (links, links.data, links.indices, links.indptr)
+            )
+            return links
+
+        def recording_seed(engine):
+            seed(engine)
+            alive_at_loop_start.append([ref() is not None for ref in refs])
+
+        monkeypatch.setattr(rock_module, "canonical_links", recording_product)
+        monkeypatch.setattr(ArenaAgglomerationEngine, "_init_arena_state", recording_seed)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            if pooled:
+                monkeypatch.setattr(links_module, "_link_pool", lambda adds: (pool, 2))
+            model = RockClustering(n_clusters=3, theta=0.3).fit(_baskets())
+        assert alive_at_loop_start == [[False] * 4]
+        assert len(model.result_.merge_history) > 0

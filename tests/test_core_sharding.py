@@ -541,6 +541,26 @@ def _unpicklable_result(shard_id, sample, positions):
     return lambda: shard_id
 
 
+def _unpicklable_error(shard_id, sample, positions):
+    """Shard task raising an exception that cannot be pickled."""
+    raise ValueError("bad shard", lambda: shard_id)
+
+
+class _TwoPartError(Exception):
+    """Pickles, but cannot be rebuilt from its ``args`` on the other side."""
+
+    def __init__(self, code, detail):
+        super().__init__("code %s: %s" % (code, detail))
+
+
+def _unrebuildable_error(shard_id, sample, positions):
+    raise _TwoPartError(shard_id, "bad shard")
+
+
+def _unpicklable_configuration_error(shard_id, sample, positions):
+    raise ConfigurationError("bad shard config", lambda: shard_id)
+
+
 class TestProcessExecutor:
     """The process executor is invisible: labels match the thread path."""
 
@@ -775,6 +795,39 @@ class TestProcessExecutor:
         assert process_pools == [2]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "task, kind",
+        [(_unpicklable_error, "ValueError"), (_unrebuildable_error, "_TwoPartError")],
+    )
+    def test_task_error_that_cannot_be_pickled_keeps_its_message(
+        self, process_pools, task, kind
+    ):
+        # The worker sends a stand-in naming the error's type and message,
+        # and the error is retried like any other task error.
+        samples = [([frozenset({i})], [i]) for i in range(2)]
+        with pytest.raises(ShardExecutionError, match="bad shard") as caught:
+            cluster_shards(
+                samples, task, shard_workers=2, executor=PROCESS_SHARD_EXECUTOR,
+                retries=1, strict=True,
+            )
+        message = str(caught.value)
+        assert "after 2 attempt(s)" in message
+        assert "shard 0: %s: " % kind in message and "shard 1: %s: " % kind in message
+        assert process_pools == [2, 2]
+
+    def test_configuration_error_that_cannot_be_pickled_is_not_retried(
+        self, process_pools
+    ):
+        samples = [([frozenset({i})], [i]) for i in range(2)]
+        with pytest.raises(ConfigurationError, match="bad shard config"):
+            cluster_shards(
+                samples,
+                _unpicklable_configuration_error,
+                shard_workers=2,
+                executor=PROCESS_SHARD_EXECUTOR,
+            )
+        assert process_pools == [2]
+
     def test_unpicklable_task_rejected_by_the_probe(self, monkeypatch):
         # The same check one layer down: the pool's initializer hands the
         # task to every spawned worker as the bootstrap probe starts it, so
@@ -924,6 +977,24 @@ class TestProcessExecutor:
         )
         assert result.parameters["shard_executor"] == executor
         assert process_pools == ([2] if executor == PROCESS_SHARD_EXECUTOR else [])
+
+    @pytest.mark.parametrize(
+        "executor", [None, THREAD_SHARD_EXECUTOR, PROCESS_SHARD_EXECUTOR]
+    )
+    def test_one_shard_reports_no_executor(
+        self, tight_baskets, monkeypatch, process_pools, executor
+    ):
+        # One shard takes the streaming phases and makes no pool, whatever
+        # executor was named (a bad name is still rejected up front).
+        monkeypatch.setattr(sharding, "_start_method", lambda: "fork")
+        result = _pipeline().run_sharded(
+            tight_baskets.transactions,
+            n_shards=1,
+            shard_workers=2,
+            shard_executor=executor,
+        )
+        assert result.parameters["shard_executor"] is None
+        assert process_pools == []
 
     def test_attempts_ship_only_the_shard_id(self, monkeypatch):
         # The task and the samples reach the workers through the pool's
