@@ -21,6 +21,13 @@ instead of each other they are checked against the spec: at every size
 up to ``SPEC_CHECK_MAX`` (1000) both adjacencies are asserted identical to
 the ``bruteforce`` backend's.
 
+``test_neighbor_form_gate`` (every mode) times the blocked backend's two
+forms of the overlap test, the dense margin form and the sparse form, on
+a narrow (~117-product) and a wide (~12k-product) row of 2000
+Instacart-shaped baskets, and fails when the form ``auto`` picks is more
+than 10% slower than the faster one (an in-process ratio, so it holds on
+any machine).
+
 ``test_neighbor_memory_gate`` (every mode) traces one ``auto`` neighbour
 call at n=2000 and n=4000 and fails when its ``tracemalloc`` peak exceeds
 ``MAX_NEIGHBOR_PEAK_BYTES_PER_CELL`` bytes per block cell
@@ -38,6 +45,7 @@ hardware.
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -46,7 +54,10 @@ from conftest import bench_full, engine_bench_sizes, write_record
 
 from repro.data.io import atomic_write_text
 
+import repro.core.neighbors.blocked as blocked_module
 from repro.core.links import canonical_links, links_from_neighbors
+from repro.core.neighbors import compute_neighbors
+from repro.datasets.market_basket import generate_instacart_baskets
 
 from repro.bench.engine_bench import (
     run_engine_bench,
@@ -93,6 +104,19 @@ MAX_LINK_PEAK_BYTES_PER_NNZ = 24.0
 #: n=2000 (one call) and ~15.8 at n=4000 (row blocks), which the public
 #: product, at ~19-20, does not meet.
 MAX_CANONICAL_LINK_PEAK_BYTES_PER_NNZ = 18.0
+
+
+#: The neighbour-form rows: name -> Instacart generator overrides and the
+#: form ``auto`` must pick there (``True``: dense).
+NEIGHBOR_FORM_ROWS = {
+    "narrow": ({}, True),
+    "wide": ({"items_per_cluster": 1500, "shared_items": 0}, False),
+}
+NEIGHBOR_FORM_SIZE = 2000
+NEIGHBOR_FORM_THETA = 0.3
+NEIGHBOR_FORM_REPEATS = 3
+#: ``auto``'s form may be at most this much slower than the faster form.
+NEIGHBOR_FORM_SLACK = 1.10
 
 
 def _render(payload: dict) -> str:
@@ -158,6 +182,52 @@ def test_benchmark_engine_phases(results_dir):
             "arena engine speedup at n=2000 fell below 10x: %.2fx"
             % at_2000["agglomerate_speedup"]
         )
+
+
+def test_neighbor_form_gate(results_dir, monkeypatch):
+    lines = [
+        "[ENGINE] neighbour forms: blocked backend on %d Instacart baskets, theta=%s, "
+        "best of %d" % (NEIGHBOR_FORM_SIZE, NEIGHBOR_FORM_THETA, NEIGHBOR_FORM_REPEATS)
+    ]
+    failures = []
+    for name, (overrides, dense_side) in NEIGHBOR_FORM_ROWS.items():
+        transactions = generate_instacart_baskets(
+            n_transactions=NEIGHBOR_FORM_SIZE, rng=0, **overrides
+        ).transactions
+        rule = blocked_module.prefers_dense
+        chosen = []
+
+        def recording(*args):
+            chosen.append(rule(*args))
+            return chosen[-1]
+
+        with monkeypatch.context() as spy:
+            spy.setattr(blocked_module, "prefers_dense", recording)
+            auto = compute_neighbors(transactions, NEIGHBOR_FORM_THETA).adjacency
+        seconds = {True: [], False: []}
+        for _ in range(NEIGHBOR_FORM_REPEATS):
+            for dense in (True, False):
+                with monkeypatch.context() as forced:
+                    forced.setattr(blocked_module, "prefers_dense", lambda *a, d=dense: d)
+                    start = time.perf_counter()
+                    adjacency = compute_neighbors(transactions, NEIGHBOR_FORM_THETA).adjacency
+                    seconds[dense].append(time.perf_counter() - start)
+                assert (adjacency != auto).nnz == 0
+        best = {dense: min(values) for dense, values in seconds.items()}
+        ratio = best[chosen[0]] / min(best.values())
+        lines.append(
+            "  %-6s dense form %.4fs  sparse form %.4fs  auto=%s  auto/best %.2fx (gate <= %.2fx)"
+            % (
+                name, best[True], best[False], "dense" if chosen[0] else "sparse",
+                ratio, NEIGHBOR_FORM_SLACK,
+            )
+        )
+        if chosen[0] is not dense_side:
+            failures.append("row %s is not on its side of the crossover" % name)
+        if ratio > NEIGHBOR_FORM_SLACK:
+            failures.append("auto picked the slower form on row %s at %.2fx" % (name, ratio))
+    write_record(results_dir, "ENGINE_neighbor_forms", "\n".join(lines))
+    assert not failures, "; ".join(failures)
 
 
 def test_neighbor_memory_gate(results_dir):

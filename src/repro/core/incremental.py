@@ -36,15 +36,15 @@ outcome of the ordinary sample/cluster phases) and then serves
 
 A ``refresh_threshold`` bounds drift: when the fraction of points
 inserted since the last full clustering exceeds it, the session re-runs
-the agglomeration engine ``auto`` resolves to (:mod:`repro.core.engines`;
-every engine is bit-identical) over the link matrix of *all* live points,
-computed once from the live adjacency, rebuilds the labeler against the
-refreshed clusters and resets the drift counter.  Labels assigned after
-a refresh are therefore no longer bit-identical to a streaming run on
-the union — they come from the refreshed clustering — but they remain
-fully seed-reproducible: the link matrix is split-independent, the
-engines are deterministic, and the labeler draws from the session
-generator in a fixed order.
+the arena engine (:mod:`repro.core.engine_arena`; every engine of
+:mod:`repro.core.engines` is bit-identical) over the link matrix of
+*all* live points, computed once from the live adjacency, rebuilds the
+labeler against the refreshed clusters and resets the drift counter.
+Labels assigned after a refresh are therefore no longer bit-identical to
+a streaming run on the union — they come from the refreshed clustering
+— but they remain fully seed-reproducible: the link matrix is
+split-independent, the engines are deterministic, and the labeler draws
+from the session generator in a fixed order.
 
 Determinism contract (enforced by ``tests/test_core_incremental.py``,
 the property suite and the golden fixtures):
@@ -67,11 +67,15 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.config import RockConfig, check_session_config
-from repro.core.engine_arena import arena_agglomerate
-from repro.core.engines import DEFAULT_ENGINE, get_engine, resolve_engine_name
+from repro.core.engine_arena import ArenaAgglomerationEngine, arena_agglomerate
+from repro.core.engines import (
+    # Kept as a module global for perfbench's engine-choice probe, which
+    # wraps it by this name; the refresh runs the arena engine directly.
+    resolve_engine_name,  # noqa: F401
+)
 from repro.core.goodness import ExponentFunction
 from repro.core.labeling import StreamingLabeler
-from repro.core.links import links_from_neighbors
+from repro.core.links import links_from_neighbors, narrowed
 from repro.core.neighbors import compute_neighbors
 from repro.core.neighbors.graph import NeighborGraph
 from repro.core.neighbors.vectorized import overlap_thresholds, qualifying_pairs
@@ -776,12 +780,12 @@ class IncrementalRock:
     # Refresh
     # ------------------------------------------------------------------ #
     def refresh(self) -> None:
-        """Full re-cluster of every live point via the default engine.
+        """Full re-cluster of every live point on the arena engine.
 
-        Runs the agglomeration engine ``auto`` resolves to (every engine
-        is bit-identical, so the refresh contract does not depend on the
-        choice) over the link matrix computed once from the live adjacency
-        (no neighbour computation is repeated), rebuilds the live
+        Runs the arena engine (every engine is bit-identical, so the
+        refresh contract does not depend on the choice) over the link
+        matrix computed once from the live adjacency (no neighbour
+        computation is repeated), rebuilds the live
         clustering and rebinds the labeler to the refreshed clusters; the
         refreshed clusters are ordered by decreasing size (ties by smallest
         member), which defines the new labelling space.  The engine's merge-loop
@@ -790,15 +794,19 @@ class IncrementalRock:
         """
         self._require_bootstrapped()
         config = self.config
-        run = get_engine(resolve_engine_name(DEFAULT_ENGINE)).agglomerate(
-            self.links_,
+        # Seeded as RockClustering seeds it: the narrowed matrix goes
+        # straight into the constructor, so the engine is its only holder and
+        # drops it once its rows are seeded.
+        engine = ArenaAgglomerationEngine(
+            narrowed(self.links_),
             len(self._points),
             config.n_clusters,
             config.theta,
             config.exponent_function,
+            canonical=True,
         )
-        members = run.members
-        self.last_refresh_counters = dict(run.counters)
+        _, members, _, counters = engine.run()
+        self.last_refresh_counters = dict(counters)
         ordered = [tuple(sorted(cluster)) for cluster in members.values()]
         ordered.sort(key=lambda cluster: (-len(cluster), cluster[0]))
         self._labeler = config.labeler(

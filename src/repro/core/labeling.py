@@ -45,43 +45,60 @@ pair through the shared overlap kernel of
 :mod:`repro.core.neighbors.vectorized` — the same test the ``blocked``
 neighbour backend and the online splice make — which compares each overlap
 against an integer threshold table built from the measure itself.  The
-kernel has two forms, chosen once from the fill of the retained incidence
-(:data:`DENSE_MIN_FILL`):
+kernel has two forms, chosen once by that module's one form rule
+(:func:`~repro.core.neighbors.vectorized.prefers_dense`: the dense cells
+per retained nonzero, each cluster sum counted as a few retained rows):
 
-* **dense** — integer arithmetic only, no BLAS.  One operand per labeller
-  holds the retained incidence transposed (items × retained rows, columns
-  grouped by cluster) stacked on one row ``-t`` per batch set size, added
-  the first time that size appears.  Per row block of the batch: one SciPy
-  product of the batch incidence plus a one-hot size column with the
-  operand, which yields ``overlap - t`` of every pair; one in-place
-  ``>= 0``; one ``np.add.reduceat`` over the cluster column ranges.  The
-  dtype is the smallest signed integer that holds both the retained row
-  count and ``-(largest retained set + 1)``, so every value, partial sum
-  and count fits and the arithmetic is exact.
-* **sparse** — for wide, rare-item universes: the overlap kernel's
-  qualifying pairs of the sparse product, scattered into their clusters.
+* **dense** — the overlap kernel's dense margin form, integer arithmetic
+  only, no BLAS.  One operand per labeller holds the retained incidence
+  transposed (items × retained rows, columns grouped by cluster) above
+  one row ``-t`` per batch set size, added the first time that size
+  appears.  Per row block of the batch: one SciPy product of the batch's
+  margin rows with the operand, which yields ``overlap - t`` of every
+  pair; one in-place ``>= 0``; then the cells summed over each cluster's
+  column range.  The cells take the smallest signed dtype that holds
+  ``-(largest retained set + 1)`` (int8 up to 127 items) and the cluster
+  sums their own count dtype, the smallest that holds the largest
+  cluster's retained rows, so the arithmetic is exact.
+* **sparse** — for wide, rare-item universes and many small clusters: the
+  overlap kernel's qualifying pairs of the sparse product, scattered into
+  their clusters.
 
 Both forms walk a batch in row blocks of at most :data:`BLOCK_CELLS`
 product cells, so one large batch costs no more memory than a stream of
-small ones.  A dense batch of more than one block runs its blocks on the
-process's CPU pool (:mod:`repro.core.cpu_pool`), split so that the blocks
-in flight hold one serial block's cells between them; a batch of one block
-(a served read, a small ingest) runs inline.
+small ones.  On the main thread a dense batch of more than one block runs
+its blocks on the process's CPU pool (:mod:`repro.core.cpu_pool`), split
+so that the blocks in flight hold one serial block's cells between them; a
+batch of one block (a served read, a small ingest) runs inline.  A stream
+of batches goes through :meth:`StreamingLabeler.label_stream`, which,
+wherever that pool may run, keeps one batch per pool thread in flight on
+threads of its own, each counting inline.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Sequence
+from collections import deque
+from collections.abc import Callable, Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.cpu_pool import cpu_pool
 from repro.core.goodness import ExponentFunction, default_expected_links_exponent
 from repro.core.neighbors.graph import validate_theta
-from repro.core.neighbors.vectorized import overlap_thresholds, qualifying_pairs
+from repro.core.neighbors.vectorized import (
+    margin_operand,
+    margin_rows,
+    margins,
+    occupied_columns,
+    overlap_thresholds,
+    prefers_dense,
+    qualifying_pairs,
+    signed_dtype,
+)
 from repro.data.encoding import build_item_index, transactions_to_incidence
 from repro.errors import ConfigurationError, DataValidationError
 from repro.similarity.base import SetSimilarity, supports_vectorized_counts
@@ -90,19 +107,15 @@ from repro.similarity.jaccard import JaccardSimilarity
 #: Strategies accepted by :func:`label_points`.
 LABELING_STRATEGIES = ("auto", "bruteforce", "sparse-matmul")
 
-#: Fill of the retained incidence (``nnz / (rows * items)``) from which the
-#: count kernel takes its dense form; sparser universes take the sparse form.
-DENSE_MIN_FILL = 1.0 / 64
-
 #: Most cells of one serial row block's product (``points × retained``);
 #: a pooled batch splits them among the pool's threads.  On a 2-CPU host
-#: (4096 Instacart baskets against 4000 retained rows, int16) blocks of
-#: 2**18 to 2**22 cells timed within noise of each other, serial or pooled;
-#: 2**20 keeps the blocks in flight at 2 MiB there.
+#: (4096 Instacart baskets against 4000 retained rows, int16 cells) blocks
+#: of 2**18 to 2**22 cells timed within noise of each other, serial or
+#: pooled; 2**20 keeps a block at 1 MiB of int8 cells there.
 BLOCK_CELLS = 1 << 20
 
-#: Signed integer dtypes the dense form's operand may take, smallest first.
-_OPERAND_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+#: End of the payloads :meth:`StreamingLabeler.label_stream` walks.
+_END = object()
 
 #: Threshold rows the dense form's operand first makes room for.  When a
 #: batch brings more new set sizes than there is room left, the operand is
@@ -332,8 +345,8 @@ class StreamingLabeler:
             # (the pipeline passes the whole sample's, which also covers the
             # rows outside the retained fractions).  With no column occupied
             # the index stays: the encoding keeps at least one column.
-            occupied = np.bincount(incidence.indices, minlength=incidence.shape[1]) > 0
-            if occupied.any() and not occupied.all():
+            occupied = occupied_columns(incidence)
+            if occupied is not None:
                 kept, column = occupied.tolist(), (np.cumsum(occupied) - 1).tolist()
                 item_index = {item: column[j] for item, j in item_index.items() if kept[j]}
                 incidence = incidence[:, occupied]
@@ -349,13 +362,33 @@ class StreamingLabeler:
             self._retained_columns = incidence.T.tocsr()
             n_rows, n_items = incidence.shape
             self._fill = incidence.nnz / max(n_rows * n_items, 1)
-            self._dense_form = self._fill >= DENSE_MIN_FILL
+            self._dense_form = prefers_dense(incidence, self.n_clusters)
+            # Cluster sums count up to the largest cluster's retained rows.
+            # The dense form sums its cells in their own dtype first, which
+            # needs no cast of the block: over runs of at most as many rows
+            # as a cell holds (the cells hold -(largest set + 1)), then the
+            # runs of each cluster that spans several in the count dtype.
+            self._count_dtype = signed_dtype(max(rows_per_cluster))
+            cell_most = np.iinfo(signed_dtype(int(self._group_sizes.max(initial=0)))).max
+            runs = [
+                range(start, start + size, cell_most)
+                for start, size in zip(self._cluster_starts.tolist(), rows_per_cluster)
+            ]
+            self._run_starts = np.asarray([start for run in runs for start in run])
+            self._cluster_runs = (
+                np.cumsum([0] + [len(run) for run in runs[:-1]])
+                if len(self._run_starts) > self.n_clusters
+                else None
+            )
             # The dense form's operand and the operand row of each batch set
-            # size seen so far; the lock keeps concurrent batches from adding
-            # the same row twice.
-            self._operand = self._item_rows() if self._dense_form else None
+            # size seen so far.
+            self._operand = (
+                margin_operand(incidence, _SIZE_ROWS_AHEAD) if self._dense_form else None
+            )
             self._size_row: dict[int, int] = {}
-            self._operand_lock = threading.Lock()
+        # Concurrent batches (the streaming loop's, or a caller's threads)
+        # neither add one threshold row twice nor lose a running total.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def state(self) -> dict:
@@ -444,23 +477,6 @@ class StreamingLabeler:
             self._sparse_counts(incidence, table, size_of_point, counts)
         return counts
 
-    def _item_rows(self) -> np.ndarray:
-        """The dense form's operand before any threshold row: the retained
-        incidence transposed, in the smallest signed dtype that holds both
-        the retained row count and ``-(largest retained set + 1)``, with
-        :data:`_SIZE_ROWS_AHEAD` rows of room below it."""
-        incidence = self._retained_incidence
-        n_rows, n_items = incidence.shape
-        largest = int(self._group_sizes.max(initial=0))
-        dtype = next(
-            d for d in _OPERAND_DTYPES
-            if n_rows <= np.iinfo(d).max and -(largest + 1) >= np.iinfo(d).min
-        )
-        operand = np.zeros((n_items + _SIZE_ROWS_AHEAD, n_rows), dtype=dtype)
-        rows = np.repeat(np.arange(n_rows), np.diff(incidence.indptr))
-        operand[incidence.indices, rows] = 1
-        return operand
-
     def _size_rows(self, sizes: list[int]) -> tuple[list[int], np.ndarray]:
         """The operand row of each batch set size in ``sizes`` and the
         operand down to its last row in use.
@@ -471,9 +487,9 @@ class StreamingLabeler:
         runs out of room.  The view returned stays valid whatever a later
         batch adds.
         """
-        with self._operand_lock:
+        with self._lock:
             if self._operand is None:
-                self._operand = self._item_rows()
+                self._operand = margin_operand(self._retained_incidence, _SIZE_ROWS_AHEAD)
             operand, row_of = self._operand, self._size_row
             used = self._retained_incidence.shape[1] + len(row_of)
             new = [size for size in sizes if size not in row_of]
@@ -490,39 +506,29 @@ class StreamingLabeler:
             return [row_of[size] for size in sizes], operand[:used]
 
     def _dense_counts(self, incidence, sizes, size_of_point, counts) -> None:
-        """Dense form: ``overlap - t`` from one integer product per row
-        block, ``>= 0`` in place, one sum per cluster's column range."""
+        """Dense form: the margin product's ``overlap >= t`` per row block
+        (:func:`~repro.core.neighbors.vectorized.margins`), summed per
+        cluster's column range: per run in the cells' dtype, then the runs
+        in the count dtype."""
         rows_of_size, operand = self._size_rows(sizes.tolist())
         n_points = incidence.shape[0]
-        n_rows = operand.shape[1]
-        # The batch incidence with one more 1 per point, in the column of its
-        # size's threshold row: its product with the operand is ``overlap - t``.
-        indptr = incidence.indptr + np.arange(n_points + 1)
-        indices = np.insert(
-            incidence.indices,
-            incidence.indptr[1:],
-            np.asarray(rows_of_size, dtype=incidence.indices.dtype)[size_of_point],
-        )
-        data = np.ones(len(indices), dtype=operand.dtype)
-        starts = self._cluster_starts
+        rows = margin_rows(incidence, np.asarray(rows_of_size)[size_of_point], operand.dtype)
+        run_starts, cluster_runs = self._run_starts, self._cluster_runs
 
         def count(bounds: tuple[int, int]) -> None:
             low, high = bounds
-            start, stop = indptr[low], indptr[high]
-            rows = sparse.csr_matrix(
-                (data[start:stop], indices[start:stop], indptr[low:high + 1] - start),
-                shape=(high - low, len(operand)),
-            )
-            block = rows @ operand
-            np.greater_equal(block, 0, out=block)
-            counts[low:high] = np.add.reduceat(block, starts, axis=1, dtype=block.dtype)
+            block = margins(rows, low, high, operand)
+            sums = np.add.reduceat(block, run_starts, axis=1, dtype=block.dtype)
+            if cluster_runs is not None:
+                sums = np.add.reduceat(sums, cluster_runs, axis=1, dtype=self._count_dtype)
+            counts[low:high] = sums
 
         # The pool pays from two serial blocks up.  On 2 CPUs against 4000
         # retained rows (262-point blocks), pooled vs inline label_batch,
         # medians of 60 alternating pairs: 131 points 1.78 vs 1.51 ms (pool
         # faster in 7/60), 262 points 2.40 vs 2.62 ms (34/60), 524 points
         # 4.21 vs 4.58 ms (39/60), 4096 points 28.4 vs 33.4 ms (53/60).
-        step = max(1, BLOCK_CELLS // n_rows)
+        step = self._row_block()
         pool = cpu_pool() if n_points > step else None
         run = map
         if pool is not None:
@@ -533,9 +539,8 @@ class StreamingLabeler:
 
     def _sparse_counts(self, incidence, table, size_of_point, counts) -> None:
         """Sparse form: the overlap kernel's qualifying pairs, scattered."""
-        n_rows = self._retained_incidence.shape[0]
         k = self.n_clusters
-        step = max(1, BLOCK_CELLS // max(n_rows, 1))
+        step = self._row_block()
         for low in range(0, len(size_of_point), step):
             high = min(low + step, len(size_of_point))
             block = incidence if high - low == incidence.shape[0] else incidence[low:high]
@@ -559,10 +564,74 @@ class StreamingLabeler:
         (``n_batches``, ``n_points``, ``n_outliers``); see
         :func:`label_points`."""
         result = self._label(batch)
-        self.n_batches += 1
-        self.n_points += len(result.labels)
-        self.n_outliers += result.n_outliers
+        with self._lock:
+            self.n_batches += 1
+            self.n_points += len(result.labels)
+            self.n_outliers += result.n_outliers
         return result
+
+    def label_stream(
+        self,
+        payloads: Iterable[Any],
+        place: Callable[[Any, LabelingResult], None],
+        batch_of: Callable[[Any], Sequence[frozenset]] = lambda payload: payload,
+    ) -> None:
+        """Label the batch of every payload through :meth:`label_batch` and
+        hand each result to ``place(payload, result)``, in payload order.
+
+        The one streaming label loop.  Wherever the CPU pool may run
+        (:func:`~repro.core.cpu_pool.cpu_pool`: the main thread of a
+        process that is not a multiprocessing child, with two usable CPUs
+        or more), it keeps up to one batch per pool thread in flight on
+        worker threads of its own, where each batch counts through an
+        inline kernel (the pool serves the main thread only), while the
+        calling thread reads the next payload and places the finished
+        ones.  A payload stays on the calling thread, with the kernel's
+        pooled row blocks, when nothing is in flight and the payload after
+        it fits one row block: a lone batch, or one followed only by a
+        small tail such as the set-aside sample points.  Where the pool
+        may not run, and under brute force (which holds the GIL
+        throughout), every payload is labelled on the calling thread, one
+        at a time.  On 2 CPUs, 25 stream-100k batches (4096 baskets
+        against 4000 retained rows) labelled in 0.53 s two at a time with
+        inline kernels, against 0.61 s one at a time on the pooled row
+        blocks (medians of 12 alternations, faster in 12).
+
+        An exception from ``payloads`` or a batch ends the loop: nothing is
+        placed after it, and the workers are joined before it propagates.
+        """
+        payloads = iter(payloads)
+        ahead = next(payloads, _END)
+        pool = cpu_pool() if self._use_sparse else None
+        # Batches in flight at most: one per pool thread, none without it.
+        most = pool[1] if pool is not None else 0
+        in_flight: deque = deque()
+        workers: ThreadPoolExecutor | None = None
+        try:
+            while ahead is not _END:
+                payload = ahead
+                ahead = next(payloads, _END)
+                if not in_flight and (
+                    not most or ahead is _END or len(batch_of(ahead)) <= self._row_block()
+                ):
+                    place(payload, self.label_batch(batch_of(payload)))
+                    continue
+                if workers is None:
+                    workers = ThreadPoolExecutor(most, thread_name_prefix="repro-label")
+                if len(in_flight) == most:
+                    done, future = in_flight.popleft()
+                    place(done, future.result())
+                in_flight.append((payload, workers.submit(self.label_batch, batch_of(payload))))
+            while in_flight:
+                done, future = in_flight.popleft()
+                place(done, future.result())
+        finally:
+            if workers is not None:
+                workers.shutdown(wait=True, cancel_futures=True)
+
+    def _row_block(self) -> int:
+        """Points per serial row block of the count kernel."""
+        return max(1, BLOCK_CELLS // self._retained_incidence.shape[0])
 
     def _label(self, batch: Sequence[frozenset]) -> LabelingResult:
         """Label one batch without touching the running totals."""
@@ -651,7 +720,8 @@ def label_points_streaming(
         item_index=item_index,
         assign_outliers=assign_outliers,
     )
-    batch_results = [labeler.label_batch(batch) for batch in batches]
+    batch_results: list[LabelingResult] = []
+    labeler.label_stream(batches, lambda batch, result: batch_results.append(result))
     return StreamingLabelingResult(
         batch_results=batch_results,
         merged=labeler.merge(batch_results),

@@ -187,9 +187,15 @@ def _link_product(adjacency: sparse.csr_matrix, narrow: bool) -> sparse.csr_matr
     # directly skips converting a transposed copy back to CSR.
     counted = adjacency.astype(np.int32 if narrow else np.int64)
     links = _without_diagonal(counted @ counted)
-    if narrow:
-        mass = float(links.data.sum(dtype=np.float64)) / 2
-        links.data = links.data.astype(count_dtype(links.dtype, mass), copy=False)
+    return narrowed(links) if narrow else links
+
+
+def narrowed(links: sparse.csr_matrix) -> sparse.csr_matrix:
+    """``links``, a symmetric link matrix with an empty diagonal and sorted
+    indices, with its counts moved into :func:`count_dtype` cells in place:
+    what :func:`canonical_links` returns, made from the public matrix."""
+    mass = float(links.data.sum(dtype=np.float64)) / 2
+    links.data = links.data.astype(count_dtype(links.dtype, mass), copy=False)
     return links
 
 

@@ -1,19 +1,21 @@
-"""Blocked neighbour backend: the overlap product in row blocks.
+"""Blocked neighbour backend: the overlap test in row blocks.
 
-Computes the pairwise overlaps ``incidence @ incidence.T`` one row block
-at a time and only against the columns at or above the block (the strict
-upper triangle), so that
+Tests every pair one row block at a time and only against the columns at
+or above the block (the upper triangle), so that
 
-* the product never holds more than ``block_size x n`` entries at once —
-  a one-shot product would materialise every pair sharing an item
+* a block never holds more than ``block_size x n`` pairs at once — a
+  one-shot product would materialise every pair sharing an item
   (``O(nnz(n^2))``) at once, and
-* each unordered pair is counted once instead of twice.
+* each unordered pair is tested once instead of twice.
 
 Each block goes through the exact overlap kernel
-(:mod:`repro.core.neighbors.vectorized`), and only the pairs that pass
-``theta`` are kept across blocks, so peak memory is
-``O(block_size x n + edges)`` and the adjacency is bit-identical to the
-brute-force spec.
+(:mod:`repro.core.neighbors.vectorized`) in the form its one fill rule
+picks for the point set: the dense margin form (one integer product of
+``overlap - t`` per block, int8 cells wherever the sets hold at most 127
+items) or the sparse form (the sparse overlap product, thresholded).  Only
+the pairs that pass ``theta`` are kept across blocks, so peak memory is
+``O(block_size x n + edges)`` plus, in the dense form, the operand, and
+the adjacency is bit-identical to the brute-force spec.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ from repro.core.neighbors.base import VECTORIZED_CAPABILITY_HINT, validate_block
 from repro.core.neighbors.graph import complete_adjacency
 from repro.core.neighbors.vectorized import (
     incidence_and_sizes,
+    margin_operand,
+    margin_rows,
+    margins,
+    occupied_columns,
     overlap_thresholds,
+    prefers_dense,
     qualifying_pairs,
 )
 from repro.similarity.base import (
@@ -36,7 +43,7 @@ from repro.similarity.base import (
 
 
 class BlockedBackend:
-    """Row-blocked upper-triangle sparse matmul with bounded intermediates."""
+    """Row-blocked upper-triangle overlap test with bounded intermediates."""
 
     name = "blocked"
     capability_hint = VECTORIZED_CAPABILITY_HINT
@@ -59,33 +66,56 @@ class BlockedBackend:
         incidence, sizes = incidence_and_sizes(transactions, item_index)
         size_values, group = np.unique(sizes, return_inverse=True)
         table = overlap_thresholds(measure, theta, size_values, size_values)
-        # CSC so the per-block column slice [start:] is a cheap copy of the
-        # trailing columns rather than a full-matrix conversion.
-        transposed = incidence.T.tocsc()
-
+        # Items no point holds never overlap: neither the fill nor the dense
+        # operand spans the unused columns of a wider shared index.
+        occupied = occupied_columns(incidence)
+        if occupied is not None:
+            incidence = incidence[:, occupied]
+        blocks = _dense_blocks if prefers_dense(incidence) else _sparse_blocks
         edge_rows: list[np.ndarray] = []
         edge_cols: list[np.ndarray] = []
-        for start in range(0, n, block_size):
-            stop = min(start + block_size, n)
-            # (stop - start, n - start) overlaps: rows of the block against
-            # every column from the block's first row onward.
-            product = (incidence[start:stop] @ transposed[:, start:]).tocsr()
-            rows, cols = qualifying_pairs(
-                product, table, group[start:stop], group[start:]
-            )
+        for start, rows, cols in blocks(incidence, group, table, block_size):
             upper = cols > rows
             edge_rows.append(rows[upper] + start)
             edge_cols.append(cols[upper] + start)
-
-        upper_rows = np.concatenate(edge_rows)
-        upper_cols = np.concatenate(edge_cols)
-        return sparse.coo_matrix(
-            (
-                np.ones(2 * len(upper_rows), dtype=bool),
-                (
-                    np.concatenate([upper_rows, upper_cols]),
-                    np.concatenate([upper_cols, upper_rows]),
-                ),
-            ),
-            shape=(n, n), dtype=bool,
+        rows, cols = np.concatenate(edge_rows), np.concatenate(edge_cols)
+        # The upper triangle once, then its mirror: adding the two sorted
+        # triangles is cheaper than sorting both directions at once.
+        upper = sparse.coo_matrix(
+            (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n)
         ).tocsr()
+        return (upper + upper.T).tocsr()
+
+
+def _dense_blocks(incidence, group, table, block_size):
+    """Yield ``(start, rows, cols)``: the pairs of each row block that pass,
+    against the columns from the block's first row onward, from the dense
+    margin form.  The operand's threshold row of size group ``g`` holds
+    ``-t(g, group of j)`` in column ``j``."""
+    n_items = incidence.shape[1]
+    operand = margin_operand(incidence, len(table))
+    operand[n_items:] = -table[:, group]
+    rows = margin_rows(incidence, n_items + group, operand.dtype)
+    n = incidence.shape[0]
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        passed = margins(rows, start, stop, operand[:, start:])
+        # 0/1 int8 cells read as booleans find the pairs fastest.
+        if passed.dtype == np.int8:
+            passed = passed.view(bool)
+        yield (start, *np.divmod(np.flatnonzero(passed), n - start))
+
+
+def _sparse_blocks(incidence, group, table, block_size):
+    """The same pairs from the sparse form: each block's sparse overlap
+    product, thresholded by :func:`qualifying_pairs`."""
+    # CSC so the per-block column slice [start:] is a cheap copy of the
+    # trailing columns rather than a full-matrix conversion.
+    transposed = incidence.T.tocsc()
+    n = incidence.shape[0]
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        # (stop - start, n - start) overlaps: rows of the block against
+        # every column from the block's first row onward.
+        product = (incidence[start:stop] @ transposed[:, start:]).tocsr()
+        yield (start, *qualifying_pairs(product, table, group[start:stop], group[start:]))

@@ -832,16 +832,23 @@ class RockPipeline:
         """The streaming label phase: one labeler places every pending payload.
 
         The :class:`StreamingLabeler` builds its retained-fraction
-        incidence exactly once; only the integer labels of each batch are
-        kept, so memory stays bounded by the sample plus two batches.
+        incidence exactly once, and its streaming loop
+        (:meth:`~repro.core.labeling.StreamingLabeler.label_stream`) keeps
+        up to one batch per CPU-pool thread in flight while this thread
+        reads the next; only the integer labels of each batch are kept, so
+        memory stays bounded by the sample, the batches in flight and the
+        one being read.
         """
         if not (state.has_remainder or state.sample_pending):
             return
         labeler = self.config.labeler(
             clustering.sample, clustering.clusters, self.rng, clustering.item_index
         )
-        for batch, positions, kind in state.pending(batches):
-            state.place(positions, labeler.label_batch(batch).labels, kind)
+        labeler.label_stream(
+            state.pending(batches),
+            lambda payload, result: state.place(payload[1], result.labels, payload[2]),
+            batch_of=lambda payload: payload[0],
+        )
 
     def _label_online(
         self,

@@ -15,6 +15,7 @@ through both phases.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -23,6 +24,8 @@ from scipy import sparse
 from repro.data.dataset import CategoricalDataset, TransactionDataset
 from repro.errors import DataValidationError
 from repro.types import CategoricalValue
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def build_item_index(transactions: Sequence[frozenset]) -> dict:
@@ -69,23 +72,39 @@ def transactions_to_incidence(
     """
     if item_index is None:
         item_index = build_item_index(transactions)
-    indptr = [0]
-    indices: list[int] = []
-    for transaction in transactions:
-        if ignore_unknown:
-            columns = (item_index[item] for item in transaction if item in item_index)
-        else:
-            columns = (item_index[item] for item in transaction)
-        indices.extend(sorted(columns))
-        indptr.append(len(indices))
-    incidence = sparse.csr_matrix(
-        (
-            np.ones(len(indices), dtype=np.int32),
-            np.array(indices, dtype=np.int64),
-            np.array(indptr, dtype=np.int64),
-        ),
-        shape=(len(indptr) - 1, max(len(item_index), 1)),
+    n_rows = len(transactions)
+    indptr = np.fromiter(
+        itertools.accumulate(map(len, transactions), initial=0),
+        dtype=np.int64,
+        count=n_rows + 1,
     )
+    n_items = max(len(item_index), 1)
+    # int32 indices wherever they fit: SciPy keeps them as they are, where
+    # int64 ones would be scanned and narrowed to the same int32 arrays.
+    index_dtype = np.int32 if max(int(indptr[-1]), n_items) <= _INT32_MAX else np.int64
+    items = itertools.chain.from_iterable(transactions)
+    if ignore_unknown:
+        columns = np.fromiter(
+            map(item_index.get, items, itertools.repeat(-1)),
+            dtype=index_dtype,
+            count=int(indptr[-1]),
+        )
+        known = columns >= 0
+        if not known.all():
+            # Known items up to each position, read at the row boundaries.
+            kept = np.zeros(len(columns) + 1, dtype=np.int64)
+            np.cumsum(known, out=kept[1:])
+            indptr = kept[indptr]
+            columns = columns[known]
+    else:
+        columns = np.fromiter(
+            map(item_index.__getitem__, items), dtype=index_dtype, count=int(indptr[-1])
+        )
+    incidence = sparse.csr_matrix(
+        (np.ones(len(columns), dtype=np.int32), columns, indptr.astype(index_dtype, copy=False)),
+        shape=(n_rows, n_items),
+    )
+    incidence.sort_indices()
     return incidence, item_index
 
 

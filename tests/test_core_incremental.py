@@ -486,3 +486,35 @@ class TestRunOnlinePipeline:
         ).run_online(baskets, batch_size=64, sample_method="reservoir")
         assert len(result.labels) == len(baskets)
         assert result.parameters["sample_method"] == "reservoir"
+
+
+def test_refresh_holds_no_more_than_a_fit_per_link_nonzero():
+    """A refresh seeds the merge loop as a fit does: one link matrix, in the
+    arena's count cells, dropped once seeded, so its traced peak per link
+    nonzero stays at or below the fit's on the same points."""
+    import tracemalloc
+
+    from repro.datasets.market_basket import generate_instacart_baskets
+
+    baskets = generate_instacart_baskets(n_transactions=1200, rng=0).transactions
+    graph = compute_neighbors(baskets, 0.3)
+    model = RockClustering(n_clusters=8, theta=0.3)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    fit = peak(lambda: model._fit_graph(graph))
+    session = IncrementalRock(n_clusters=8, theta=0.3, rng=0)
+    session.bootstrap(baskets, model.clusters_)
+    refresh = peak(session.refresh)
+    nnz = model.links_.nnz
+    assert refresh <= fit, "refresh %.1f B per link nonzero, fit %.1f" % (
+        refresh / nnz, fit / nnz
+    )
+    assert session.last_refresh_counters["merges"] == len(model.result_.merge_history)

@@ -13,6 +13,7 @@ monotone-overlap contract, bad block sizes) are covered alongside.
 import numpy as np
 import pytest
 
+import repro.core.neighbors.blocked as blocked_module
 from repro.core.neighbors import (
     DEFAULT_BLOCK_SIZE,
     NEIGHBOR_STRATEGIES,
@@ -163,6 +164,65 @@ class TestCrossBackendEquivalence:
             ).adjacency
             without = compute_neighbors(transactions, 0.4, strategy=strategy).adjacency
             assert (with_index != without).nnz == 0
+
+
+class TestOverlapForms:
+    """The blocked backend's two forms of the overlap test — the dense
+    margin form (int8 cells while every set holds at most 127 items) and
+    the sparse form — each forced, against the bruteforce spec."""
+
+    THETAS = (0.0, 0.1 + 0.2, 1 / 3, 0.5, 1.0)
+
+    @staticmethod
+    def _forced(monkeypatch, dense, transactions, theta, measure, block_size=None):
+        monkeypatch.setattr(blocked_module, "prefers_dense", lambda *args: dense)
+        return compute_neighbors(
+            transactions, theta, measure=measure, strategy="blocked", block_size=block_size
+        ).adjacency
+
+    @pytest.mark.parametrize("block_size", [1, 7, None], ids=["1", "7", "n"])
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.name)
+    def test_dense_sparse_and_bruteforce_agree(self, monkeypatch, measure, theta, block_size, rng):
+        base = random_transactions(rng, 24)
+        transactions = base + base[:4] + [frozenset()] * 3 + [frozenset({1, 2, 3})] * 2
+        reference = compute_neighbors(
+            transactions, theta, measure=measure, strategy="bruteforce"
+        ).adjacency
+        for dense in (True, False):
+            forced = self._forced(
+                monkeypatch, dense, transactions, theta, measure,
+                block_size=block_size or len(transactions),
+            )
+            assert (reference != forced).nnz == 0, dense
+            assert forced.has_canonical_format and forced.dtype == np.bool_
+
+    @pytest.mark.parametrize("largest", [126, 127, 128])
+    def test_exact_at_the_int8_boundary(self, monkeypatch, largest):
+        # Sets of up to 127 items keep the operand in int8; a margin of
+        # -(largest + 1) = -129 needs int16.
+        big = frozenset(range(largest))
+        transactions = [
+            big,
+            frozenset(range(largest - 1)),
+            frozenset(range(1, largest + 1)) if largest < 128 else big,
+            frozenset(range(largest // 2)),
+            frozenset({0, 1}),
+            frozenset(),
+        ]
+        for theta in (0.5, 0.99, 1.0):
+            reference = compute_neighbors(transactions, theta, strategy="bruteforce").adjacency
+            for dense in (True, False):
+                forced = self._forced(monkeypatch, dense, transactions, theta, JaccardSimilarity())
+                assert (reference != forced).nnz == 0, (theta, dense)
+
+    def test_operand_cells_follow_the_largest_set(self):
+        from repro.core.neighbors.vectorized import margin_operand
+        from repro.data.encoding import transactions_to_incidence
+
+        for largest, dtype in ((126, np.int8), (127, np.int8), (128, np.int16)):
+            incidence, _ = transactions_to_incidence([frozenset(range(largest)), frozenset()])
+            assert margin_operand(incidence, 1).dtype == dtype
 
 
 class TestAutoSelection:

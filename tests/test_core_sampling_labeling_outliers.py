@@ -322,27 +322,30 @@ class TestLabelingStrategies:
         """A narrow universe (dense kernel form) or a wide rare-item one
         (sparse form), with an item index over the whole universe as
         ``run`` shares it.  Both sides hold an empty set, and the unlabeled
-        points hold items outside the item index.  The sample has more than
-        64 rows: over its occupied columns a smaller one always fills at
-        least 1/64."""
+        points hold items outside the item index.  The wide sample has 480
+        rows of up to 12 rare items each (fill ~0.003): over its occupied
+        columns a sample of fewer than 256 rows never holds more than the
+        dense form's 256 operand cells per nonzero."""
         from repro.data.encoding import build_item_index
 
         rng = np.random.default_rng(seed)
         hot = np.arange(8)
-        tail = np.arange(100, 6100 if wide else 104)
+        tail = np.arange(100, 20100 if wide else 104)
+        n_sample = 480 if wide else 150
 
         def make():
             items = rng.choice(hot, size=int(rng.integers(1, 5)), replace=False)
-            extra = rng.choice(tail, size=int(rng.integers(0, 7 if wide else 3)), replace=False)
+            extra = rng.choice(tail, size=int(rng.integers(0, 13 if wide else 3)), replace=False)
             return frozenset(items.tolist() + extra.tolist())
 
-        sample = [make() for _ in range(149)] + [frozenset()]
+        sample = [make() for _ in range(n_sample - 1)] + [frozenset()]
         unlabeled = [make() for _ in range(40)] + [
             frozenset(),
             frozenset({99_999}),
             frozenset({1, 2, 99_998}),
         ]
-        clusters = [list(range(0, 50)), list(range(50, 100)), list(range(100, 150))]
+        third = n_sample // 3
+        clusters = [list(range(i * third, (i + 1) * third)) for i in range(3)]
         item_index = build_item_index([frozenset(hot.tolist() + tail.tolist())])
         return unlabeled, sample, clusters, item_index
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.data.dataset import CategoricalDataset, TransactionDataset
 from repro.data.encoding import (
@@ -177,3 +179,93 @@ class TestStreamingIncidence:
         index = build_item_index([frozenset({"a"})])
         with pytest.raises(KeyError):
             transactions_to_incidence([frozenset({"zzz"})], index)
+
+
+def _loop_incidence(transactions, item_index=None, ignore_unknown=False):
+    """The row-by-row encoder the vectorised one replaced, kept as its
+    oracle: a sorted list of columns per row, then one CSR matrix."""
+    from scipy import sparse
+
+    from repro.data.encoding import build_item_index
+
+    if item_index is None:
+        item_index = build_item_index(transactions)
+    indptr = [0]
+    indices: list[int] = []
+    for transaction in transactions:
+        if ignore_unknown:
+            columns = (item_index[item] for item in transaction if item in item_index)
+        else:
+            columns = (item_index[item] for item in transaction)
+        indices.extend(sorted(columns))
+        indptr.append(len(indices))
+    incidence = sparse.csr_matrix(
+        (
+            np.ones(len(indices), dtype=np.int32),
+            np.array(indices, dtype=np.int64),
+            np.array(indptr, dtype=np.int64),
+        ),
+        shape=(len(indptr) - 1, max(len(item_index), 1)),
+    )
+    return incidence, item_index
+
+
+#: Items of every shape the pipeline encodes: product codes, tokens,
+#: ``(attribute, value)`` pairs of categorical records, and a mix of them.
+_ITEMS = st.one_of(
+    st.integers(min_value=-5, max_value=40),
+    st.text(alphabet="abcxyz", min_size=1, max_size=3),
+    st.tuples(st.integers(min_value=0, max_value=4), st.sampled_from(["y", "n", "?"])),
+)
+_BATCHES = st.lists(st.frozensets(_ITEMS, max_size=8), max_size=12)
+
+
+class TestVectorisedIncidence:
+    """The vectorised encoder equals the loop encoder in data, indices,
+    indptr, shape and dtypes."""
+
+    @staticmethod
+    def _assert_same(result, expected):
+        (incidence, index), (reference, reference_index) = result, expected
+        assert index == reference_index
+        assert incidence.shape == reference.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(incidence, name), getattr(reference, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    @given(batch=_BATCHES)
+    def test_own_index_matches_the_loop(self, batch):
+        from repro.data.encoding import transactions_to_incidence
+
+        self._assert_same(transactions_to_incidence(batch), _loop_incidence(batch))
+
+    @given(batch=_BATCHES, indexed=_BATCHES)
+    def test_unknown_items_dropped_like_the_loop(self, batch, indexed):
+        from repro.data.encoding import build_item_index, transactions_to_incidence
+
+        index = build_item_index(indexed)
+        self._assert_same(
+            transactions_to_incidence(batch, index, ignore_unknown=True),
+            _loop_incidence(batch, index, ignore_unknown=True),
+        )
+
+    @given(batch=_BATCHES, extra=_BATCHES)
+    def test_superset_index_matches_the_loop(self, batch, extra):
+        from repro.data.encoding import build_item_index, transactions_to_incidence
+
+        index = build_item_index(batch + extra)
+        self._assert_same(
+            transactions_to_incidence(batch, index), _loop_incidence(batch, index)
+        )
+
+    def test_empty_batch_and_empty_sets(self):
+        from repro.data.encoding import build_item_index, transactions_to_incidence
+
+        index = build_item_index([frozenset({1, "a", (0, "y")})])
+        for batch in ([], [frozenset()], [frozenset(), frozenset({1}), frozenset()]):
+            self._assert_same(transactions_to_incidence(batch), _loop_incidence(batch))
+            self._assert_same(
+                transactions_to_incidence(batch, index, ignore_unknown=True),
+                _loop_incidence(batch, index, ignore_unknown=True),
+            )
