@@ -270,28 +270,3 @@ def check_speedup_regression(
             )
     return violations
 
-
-def gate_against_baseline(
-    current: dict,
-    baseline_path: str | Path,
-    max_ratio: float = DEFAULT_MAX_RATIO,
-    slack_seconds: float | None = None,
-) -> list[str]:
-    """Convenience wrapper: load the baseline file and run the check.
-
-    Returns the violation list; a missing baseline file yields a single
-    violation naming the file, so callers can decide to skip or fail.
-    """
-    baseline_path = Path(baseline_path)
-    if not baseline_path.exists():
-        return ["baseline %s does not exist" % baseline_path]
-    baseline = load_bench(baseline_path)
-    violations = check_reference_accounting(current, label="current run")
-    violations += check_reference_accounting(baseline, label="baseline")
-    violations += check_phase_regressions(
-        current,
-        baseline,
-        max_ratio=max_ratio,
-        slack_seconds=slack_seconds,
-    )
-    return violations

@@ -6,15 +6,16 @@ Point-level clustering, the online session's frontier re-agglomeration and
 the sharded summary merge all run on it.
 
 * **No heaps.**  Every cluster's current best merge is kept in a pair of
-  flat arrays (``best_neg``/``best_partner``; dead clusters hold ``+inf``)
-  plus a ``stale`` flag.  Selecting the next merge is one ``np.argmin``
-  over the live prefix, and ``argmin``'s first-minimum semantics reproduce
-  the reference's global-heap ``(goodness, cluster-id)`` tie-break.  When
-  a cluster's incumbent best dies, ``best_neg`` keeps the dead pair's value
+  flat arrays (``best_neg``/``best_partner``; dead clusters hold
+  ``+inf``).  Selecting the next merge is one ``np.argmin`` over the live
+  prefix, and ``argmin``'s first-minimum semantics reproduce the
+  reference's global-heap ``(goodness, cluster-id)`` tie-break.  When a
+  cluster's incumbent best dies, ``best_neg`` keeps the dead pair's value
   as an upper bound, and the true next best (a vectorised masked
   ``argmin`` over the row, first occurrence again) is only computed when
   that bound wins the selection scan — the array analogue of lazy heap
-  deletion.
+  deletion.  Staleness is not stored: a best is stale exactly when its
+  recorded partner is dead, so the scan reads ``alive[best_partner]``.
 * **Compacting arenas.**  Partner ids, pair counts and pair goodness live
   in three preallocated arrays: for link counts, 16 bytes per cell (a
   4-byte partner id, a 4-byte count and an 8-byte goodness; see "Cell
@@ -30,10 +31,11 @@ the sharded summary merge all run on it.
   sized at 1.5x the seeded windows holds the whole run: memory is bounded
   by the seeded link cells, not by the merge history.
 * **Batched frontier maintenance.**  A merge unions the two consumed rows
-  without sorting (a scratch accumulator and mark array, all zero between
-  merges), recomputes the whole frontier's goodness in one
-  counts-÷-pow-table-gather pass and then appends the merged cluster into
-  every frontier row with one vectorised scatter.
+  without sorting (a scratch accumulator, all zero between merges: every
+  stored count is positive, so a right partner is shared exactly when the
+  accumulator holds a count for it), recomputes the whole frontier's
+  goodness in one counts-÷-pow-table-gather pass and then appends the
+  merged cluster into every frontier row with one vectorised scatter.
 
 **Weighted starting clusters.**  ``sizes`` makes the ``n_points`` starting
 units clusters of the given sizes (the goodness normaliser uses the true
@@ -74,6 +76,8 @@ The engine also records merge-loop counters (selection scans, best
 rescans, rescan cells, frontier sizes, appends, relocations, compactions,
 arena grows and ``arena_cells``, the arena's capacity high-water mark in
 cells) surfaced through :class:`repro.core.engines.AgglomerationRun`.
+The merge history is the merge tree: :meth:`ArenaAgglomerationEngine.run`
+collects the surviving members by walking it.
 """
 
 from __future__ import annotations
@@ -255,8 +259,6 @@ class ArenaAgglomerationEngine:
         self._size_np = np.zeros(capacity, dtype=np.int64)
         self._size_np[:n] = self._sizes
         self._intra = np.zeros(capacity, dtype=np.result_type(symmetric.dtype, np.int64))
-        self._child_left = [-1] * capacity
-        self._child_right = [-1] * capacity
 
         # Seed rows get the append headroom merged rows get, laid out in id
         # order; the arena keeps ``_ARENA_SLACK`` of free tail beyond them.
@@ -281,29 +283,19 @@ class ArenaAgglomerationEngine:
 
         # Per-cluster best merge.  0.0 / -1 is the "no live pair" state
         # (never selected: the loop stops at non-negative best); +inf
-        # marks dead clusters out of every argmin.  ``stale`` is set when
-        # the incumbent best dies and cleared when the true best is
-        # recomputed — which happens only if the stale upper bound wins a
-        # selection scan, the reference's lazy-deletion rework condition.
+        # marks dead clusters out of every argmin.  A best whose partner
+        # has died is a stale upper bound; it is recomputed only if it wins
+        # a selection scan, the reference's lazy-deletion rework condition.
         self._best_neg = np.zeros(capacity, dtype=np.float64)
         self._best_partner = np.full(capacity, -1, dtype=np.int64)
-        self._stale = np.zeros(capacity, dtype=bool)
         for lo, hi in self._row_blocks(row_sizes):
             self._seed_rows(symmetric, lo, hi, seed_starts[lo:hi])
 
-        self._counters: dict[str, int] = {
-            "merges": 0,
-            "selection_scans": 0,
-            "best_rescans": 0,
-            "rescan_cells": 0,
-            "frontier_total": 0,
-            "frontier_max": 0,
-            "appended_cells": 0,
-            "row_relocations": 0,
-            "compactions": 0,
-            "arena_grows": 0,
-            "arena_cells": arena_capacity,
-        }
+        # Arena-management counters, reported by run() with its own.
+        self._relocations = 0
+        self._compactions = 0
+        self._grows = 0
+        self._arena_cells = arena_capacity
 
     def _seed_rows(
         self,
@@ -381,10 +373,10 @@ class ArenaAgglomerationEngine:
         required = int(capacities.sum()) + need
         if required > self._MAX_FILL * size:
             size = required + int(required * self._ARENA_SLACK)
-            self._counters["arena_grows"] += 1
-            self._counters["arena_cells"] = max(self._counters["arena_cells"], size)
+            self._grows += 1
+            self._arena_cells = max(self._arena_cells, size)
         self._spread_rows(order, lengths, capacities, size)
-        self._counters["compactions"] += 1
+        self._compactions += 1
 
     def _pack_live_rows(self) -> np.ndarray:
         """Pack the live rows' live entries to the arena front, in place.
@@ -474,7 +466,7 @@ class ArenaAgglomerationEngine:
         self._row_start[row] = tail
         self._row_cap[row] = capacity
         self._arena_tail = tail + capacity
-        self._counters["row_relocations"] += 1
+        self._relocations += 1
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -494,43 +486,41 @@ class ArenaAgglomerationEngine:
         row_start = self._row_start
         row_len = self._row_len
         row_cap = self._row_cap
-        child_left = self._child_left
-        child_right = self._child_right
         intra = self._intra
-        counters = self._counters
         infinity = np.inf
 
         merge_history: list[MergeStep] = []
         alive_count = n
         next_id = n
         stopped_early = False
+        selection_scans = best_rescans = rescan_cells = 0
+        frontier_total = frontier_max = 0
 
-        stale = self._stale
-        # Frontier-union scratch, all zero/False between merges.
+        # Frontier-union scratch, all zero between merges.
         accumulator = np.zeros(alive.size, dtype=self._arena_count.dtype)
-        marked = np.zeros(alive.size, dtype=bool)
 
         while alive_count > self.n_clusters:
             # One C-speed scan replaces the global heap: argmin's
             # first-minimum rule is the heap's (goodness, cluster-id)
             # tie-break, because ids ascend left to right and dead
-            # clusters sit at +inf.  A stale winner holds an upper bound
-            # (its dead incumbent's value, below every older surviving
-            # pair), so its true best is computed now and the scan rerun.
+            # clusters sit at +inf.  A winner whose recorded partner is
+            # dead holds a stale upper bound (its dead incumbent's value,
+            # below every older surviving pair), so its true best is
+            # computed now and the scan rerun.  A -1 partner ("no live
+            # pair") only ever holds a best of 0.0, so the first test stops
+            # the loop before the partner is read.
             while True:
-                counters["selection_scans"] += 1
+                selection_scans += 1
                 left = int(best_neg[:next_id].argmin())
                 neg_goodness = float(best_neg[left])
-                if not (neg_goodness < 0.0):
-                    break
-                if not stale[left]:
+                if not (neg_goodness < 0.0) or alive[best_partner[left]]:
                     break
                 start = int(row_start[left])
                 stop = start + int(row_len[left])
                 partners = self._arena_partner[start:stop].astype(np.intp, copy=False)
                 live = alive[partners]
-                counters["best_rescans"] += 1
-                counters["rescan_cells"] += stop - start
+                best_rescans += 1
+                rescan_cells += stop - start
                 if live.any():
                     masked = np.where(
                         live, self._arena_neg[start:stop], infinity
@@ -543,7 +533,6 @@ class ArenaAgglomerationEngine:
                     # goodness) immediately becomes the best again.
                     best_neg[left] = 0.0
                     best_partner[left] = -1
-                stale[left] = False
             if not (neg_goodness < 0.0):
                 # Non-negative (or NaN) best goodness: nothing mergeable
                 # remains, exactly the reference's early stop.
@@ -570,11 +559,7 @@ class ArenaAgglomerationEngine:
             alive[merged] = True
             best_neg[left] = infinity
             best_neg[right] = infinity
-            best_partner[left] = -1
-            best_partner[right] = -1
             size_np[merged] = merged_size
-            child_left[merged] = left
-            child_right[merged] = right
             alive_count -= 1
 
             # Combined frontier of the two consumed rows: left's live
@@ -582,17 +567,17 @@ class ArenaAgglomerationEngine:
             # order), a shared partner's count summed left + right (the
             # reference's addition order).  Dead entries are dropped.
             left_start = row_start[left]
+            left_stop = left_start + row_len[left]
             right_start = row_start[right]
-            left_partners = self._arena_partner[
-                left_start : left_start + row_len[left]
-            ].astype(np.intp, copy=False)
-            left_counts = self._arena_count[left_start : left_start + row_len[left]]
-            right_partners = self._arena_partner[
-                right_start : right_start + row_len[right]
-            ].astype(np.intp, copy=False)
-            right_counts = self._arena_count[
-                right_start : right_start + row_len[right]
-            ]
+            right_stop = right_start + row_len[right]
+            left_partners = self._arena_partner[left_start:left_stop].astype(
+                np.intp, copy=False
+            )
+            left_counts = self._arena_count[left_start:left_stop]
+            right_partners = self._arena_partner[right_start:right_stop].astype(
+                np.intp, copy=False
+            )
+            right_counts = self._arena_count[right_start:right_stop]
             # The merged cluster's internal link mass: its children's plus
             # their cross count (right sits in left's row exactly once).
             cross = left_counts[int((left_partners == right).argmax())]
@@ -603,9 +588,11 @@ class ArenaAgglomerationEngine:
             keep = alive[right_partners]
             right_partners = right_partners[keep]
             right_counts = right_counts[keep]
+            # Every stored count is positive (seeding keeps positive links
+            # only; merged counts are their sums), so a right partner is
+            # shared exactly when the accumulator holds a count for it.
             accumulator[left_partners] = left_counts
-            marked[left_partners] = True
-            shared = marked[right_partners]
+            shared = accumulator[right_partners] != 0
             accumulator[right_partners[shared]] += right_counts[shared]
             fresh = ~shared
             frontier = np.concatenate([left_partners, right_partners[fresh]])
@@ -613,12 +600,10 @@ class ArenaAgglomerationEngine:
                 [accumulator[left_partners], right_counts[fresh]]
             )
             accumulator[left_partners] = 0
-            marked[left_partners] = False
             frontier_size = int(frontier.size)
-            counters["merges"] += 1
-            counters["frontier_total"] += frontier_size
-            if frontier_size > counters["frontier_max"]:
-                counters["frontier_max"] = frontier_size
+            frontier_total += frontier_size
+            if frontier_size > frontier_max:
+                frontier_max = frontier_size
 
             # Whole-frontier goodness in one gather-subtract-divide pass,
             # operand order as in goodness(), so the values are
@@ -656,41 +641,49 @@ class ArenaAgglomerationEngine:
             # Scatter-append the merged cluster into every frontier row.
             # Full rows relocate first (rare: every window has headroom),
             # then one vectorised position write per arena.  A relocation
-            # may compact, which moves every row and gives it fresh
-            # headroom, so fullness and positions are re-read after it.
-            full = row_len[frontier] >= row_cap[frontier]
+            # may compact, which moves every row, drops its dead entries
+            # and gives it fresh headroom, so lengths and positions are
+            # re-read after one.
+            lengths = row_len[frontier]
+            full = lengths >= row_cap[frontier]
             if full.any():
                 for row in frontier[full]:
                     if row_len[row] >= row_cap[row]:
                         self._relocate_row(int(row))
-            positions = row_start[frontier] + row_len[frontier]
+                lengths = row_len[frontier]
+            positions = row_start[frontier] + lengths
             self._arena_partner[positions] = merged
             self._arena_count[positions] = frontier_counts
             self._arena_neg[positions] = frontier_negs
-            row_len[frontier] += 1
-            counters["appended_cells"] += frontier_size
+            row_len[frontier] = lengths + 1
 
             # Best maintenance, batched.  A new pair strictly beating the
             # standing best wins (ties keep the incumbent: a new pair ranks
             # last, as in the reference's local heaps); otherwise a cluster
-            # whose incumbent just died merely turns stale — its bound
-            # stays in ``best_neg`` and the replacement is computed lazily
-            # in the selection scan, so clusters that merge away first
-            # never pay for it.
+            # whose incumbent just died keeps its bound in ``best_neg``,
+            # now stale, and the replacement is computed lazily in the
+            # selection scan, so clusters that merge away first never pay
+            # for it.
             improved = frontier_negs < best_neg[frontier]
             improved_rows = frontier[improved]
             best_neg[improved_rows] = frontier_negs[improved]
             best_partner[improved_rows] = merged
-            stale[improved_rows] = False
-            unimproved_rows = frontier[~improved]
-            incumbents = best_partner[unimproved_rows]
-            # ``alive[-1]`` (the never-assigned trailing cell) keeps the
-            # -1 no-partner sentinel on the stale path.
-            died = ~stale[unimproved_rows] & ~alive[incumbents]
-            stale[unimproved_rows[died]] = True
 
-        members = self._collect_members(next_id)
-        return merge_history, members, stopped_early, dict(counters)
+        counters = {
+            "merges": len(merge_history),
+            "selection_scans": selection_scans,
+            "best_rescans": best_rescans,
+            "rescan_cells": rescan_cells,
+            "frontier_total": frontier_total,
+            "frontier_max": frontier_max,
+            # Every frontier cell is appended to its row exactly once.
+            "appended_cells": frontier_total,
+            "row_relocations": self._relocations,
+            "compactions": self._compactions,
+            "arena_grows": self._grows,
+            "arena_cells": self._arena_cells,
+        }
+        return merge_history, self._collect_members(merge_history), stopped_early, counters
 
     # ------------------------------------------------------------------ #
     # Final assembly
@@ -701,16 +694,13 @@ class ArenaAgglomerationEngine:
         diagonal is not counted), folded merge by merge."""
         return self._intra[cluster].item()
 
-    def _collect_members(self, next_id: int) -> dict[int, list[int]]:
-        """Surviving cluster id -> starting-unit ids, by merge-tree walk."""
+    def _collect_members(self, merge_history: list[MergeStep]) -> dict[int, list[int]]:
+        """Surviving cluster id -> starting-unit ids, by a walk of the merge
+        tree ``merge_history`` records: cluster ``n_points + s`` is the
+        union of step ``s``'s ``left`` and ``right``."""
         n = self.n_points
         members: dict[int, list[int]] = {}
-        child_left = self._child_left
-        child_right = self._child_right
-        alive = self._alive
-        for cluster in range(next_id):
-            if not alive[cluster]:
-                continue
+        for cluster in np.flatnonzero(self._alive).tolist():
             stack = [cluster]
             points: list[int] = []
             while stack:
@@ -718,7 +708,8 @@ class ArenaAgglomerationEngine:
                 if node < n:
                     points.append(node)
                 else:
-                    stack.append(child_left[node])
-                    stack.append(child_right[node])
+                    step = merge_history[node - n]
+                    stack.append(step.left)
+                    stack.append(step.right)
             members[cluster] = points
         return members

@@ -183,7 +183,8 @@ def _pending_batches(batches, sample_set: set, n_points: int, mismatch):
     """Yield ``(transactions, positions)`` of the non-sample stream points.
 
     Walks the normalised source batch by batch, skipping the stream
-    positions in ``sample_set``.  The source must hold exactly
+    positions in ``sample_set``; its transactions are frozensets already
+    and pass on as they are.  The source must hold exactly
     ``n_points`` transactions: each batch is held back until the next one
     has been read, so the error ``mismatch(seen)`` builds (``seen``
     describes the source's length) is raised before any batch that shows
@@ -200,7 +201,7 @@ def _pending_batches(batches, sample_set: set, n_points: int, mismatch):
         pending_positions: list[int] = []
         for transaction in batch:
             if position not in sample_set:
-                pending_batch.append(frozenset(transaction))
+                pending_batch.append(transaction)
                 pending_positions.append(position)
             position += 1
         held = (pending_batch, pending_positions) if pending_batch else None
@@ -548,7 +549,6 @@ class RockPipeline:
         self.sample_size = sample_size
         self.rng = np.random.default_rng(rng)
         self._online_session: IncrementalRock | None = None
-        self._online_store: PersistentSession | None = None
 
     # ------------------------------------------------------------------ #
     def _drive(
@@ -659,7 +659,7 @@ class RockPipeline:
                 positions, _ = draw_sample(range(n_points), budget, rng=self.rng)
             wanted = set(positions)
             sample = [
-                frozenset(transaction)
+                transaction
                 for position, transaction in enumerate(
                     itertools.chain.from_iterable(batches())
                 )
@@ -888,7 +888,6 @@ class RockPipeline:
                     extra=state.to_extra(),
                 )
         self._online_session = session
-        self._online_store = store
 
         for payload in state.pending(batches):
             if store is not None:
@@ -1125,14 +1124,6 @@ class RockPipeline:
         """The live :class:`IncrementalRock` session of the last
         :meth:`run_online` call, or ``None`` before one ran."""
         return self._online_session
-
-    @property
-    def online_store(self) -> PersistentSession | None:
-        """The durable store of the last ``run_online(snapshot_dir=...)``
-        call, or ``None`` when the run was not persisted.  Post-run
-        :meth:`ingest` calls are *not* logged through it automatically;
-        drive the store's own ``ingest`` for durable post-run batches."""
-        return self._online_store
 
     def ingest(self, batch: Any) -> IngestResult:
         """Feed one more batch into the live online session.

@@ -1194,7 +1194,8 @@ def build_shard_samples(
     ----------
     batches_factory:
         Zero-argument callable yielding a fresh iterator of transaction
-        batches (the normalised streaming source).
+        batches (the normalised streaming source, whose frozensets are
+        collected as they are).
     plan:
         The shard plan assigning stream positions to shards.
     shard_sizes:
@@ -1232,7 +1233,7 @@ def build_shard_samples(
         for transaction in batch:
             shard = plan.shard_of(position, transaction)
             if local_positions[shard] in wanted[shard]:
-                samples[shard][0].append(frozenset(transaction))
+                samples[shard][0].append(transaction)
                 samples[shard][1].append(position)
             local_positions[shard] += 1
             position += 1

@@ -7,7 +7,8 @@ from repro.bench.engine_bench import run_engine_bench, time_engine_phases
 from repro.bench.perf_gate import (
     DEFAULT_MAX_RATIO,
     check_agglomeration_regression,
-    gate_against_baseline,
+    check_phase_regressions,
+    check_reference_accounting,
     load_bench,
 )
 
@@ -58,11 +59,6 @@ class TestRegressionCheck:
         ) != []
         assert DEFAULT_MAX_RATIO == 1.5
 
-    def test_missing_baseline_file(self, tmp_path):
-        violations = gate_against_baseline(_payload([]), tmp_path / "nope.json")
-        assert len(violations) == 1
-        assert "does not exist" in violations[0]
-
 
 class TestEngineBenchSmoke:
     def test_time_engine_phases_small(self):
@@ -109,7 +105,13 @@ class TestEngineBenchSmoke:
     def test_gate_against_fresh_baseline_passes(self, tmp_path):
         path = tmp_path / "BENCH_engine.json"
         payload = run_engine_bench([50], reference_max=0, repeats=1, path=path)
-        assert gate_against_baseline(payload, path) == []
+        baseline = load_bench(path)
+        violations = (
+            check_reference_accounting(payload)
+            + check_reference_accounting(baseline)
+            + check_phase_regressions(payload, baseline)
+        )
+        assert violations == []
 
 
 class TestSpeedupRegressionCheck:
@@ -178,27 +180,24 @@ class TestPhaseRegressionChecks:
         baseline = _payload([{"n": 500, "agglomerate_arena_s": 1.0}])
         assert check_phase_regressions(current, baseline) == []
 
-    def test_gate_against_baseline_covers_labeling(self, tmp_path):
-        import json
-
-        from repro.bench.perf_gate import gate_against_baseline
-
-        baseline_path = tmp_path / "BENCH_engine.json"
+    def test_gate_against_baseline_covers_labeling(self):
         # Rows must account for the reference engine explicitly now
         # (reference_skipped), or the accounting check fires first.
-        baseline_path.write_text(json.dumps(
-            _payload([{
-                "n": 500, "agglomerate_arena_s": 1.0, "label_s": 1.0,
-                "reference_skipped": True,
-            }])
-        ))
+        baseline = _payload([{
+            "n": 500, "agglomerate_arena_s": 1.0, "label_s": 1.0,
+            "reference_skipped": True,
+        }])
         current = _payload([
             {
                 "n": 500, "agglomerate_arena_s": 1.0, "label_s": 2.0,
                 "reference_skipped": True,
             }
         ])
-        violations = gate_against_baseline(current, baseline_path)
+        violations = (
+            check_reference_accounting(current)
+            + check_reference_accounting(baseline)
+            + check_phase_regressions(current, baseline)
+        )
         assert len(violations) == 1
         assert "label_s" in violations[0]
 
@@ -361,10 +360,7 @@ class TestReferenceAccounting:
         baseline_path.write_text(
             json.dumps(_payload([self._row()])), encoding="utf-8"
         )
-        current = _payload([
-            self._row(agglomerate_reference_s=5.0, agglomerate_speedup=5.0)
-        ])
-        violations = gate_against_baseline(current, baseline_path)
+        violations = check_reference_accounting(load_bench(baseline_path), label="baseline")
         assert any("baseline" in v and "reference_skipped" in v for v in violations)
 
     def test_arena_metric_is_gated(self):
